@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import itertools
 import random as _random
-from fractions import Fraction
 
 from .graphs import OrdinaryGraph, t_factorial
 from .graphs import ConeTransform, _DSU
 from .ring import (
     Coeff, CollapseError, EVALUATED, LaurentPoly, Monomial, SYMBOLIC_Z,
-    TPoly, TruncatedSeries, T_ONE, evaluate_zmono,
+    TPoly, TruncatedSeries, T_ONE, evaluate_zmono, random_point,
 )
 
 
@@ -548,6 +547,17 @@ def lhs_series(weight, qmax, domain=None, zpoint=None):
     return out.truncate(qmax)
 
 
+def random_zpoint(n, rng):
+    """Seeded rational z-point off the poles of the evaluated series.
+
+    The q-degree-0 factors (1 - y), y = e^{-(e_i - e_j)} over the positive
+    finite roots, vanish where y is 1 (z1 = 1, z2 = 1 or z1 = z2 for n = 3);
+    such draws are redrawn.
+    """
+    poles = [_root_monomial(n, i, j, 0) for (i, j) in finite_roots(n) if i < j]
+    return random_point([zvar(r) for r in range(1, n)], rng, poles)
+
+
 def verify_main(weight, qmax, domain=None, trials=3, seed=0):
     """W_lam(t) * rhs = lhs coefficient by coefficient up to q^qmax."""
     n = weight.n
@@ -559,8 +569,7 @@ def verify_main(weight, qmax, domain=None, trials=3, seed=0):
         return lhs.equals(rhs, up_to=qmax)
     rng = _random.Random(seed)
     for _ in range(trials):
-        zpoint = {zvar(r): Fraction(rng.randint(2, 97), rng.randint(2, 97))
-                  for r in range(1, n)}
+        zpoint = random_zpoint(n, rng)
         lhs = lhs_series(weight, qmax, domain, zpoint)
         rhs = rhs_series(weight, qmax, domain, zpoint).scale(wl)
         if not lhs.equals(rhs, up_to=qmax):
@@ -924,8 +933,7 @@ def verify_contrib(weight, qmax, trials=2, seed=0, nonrelevant_extra=1):
     def points():
         if domain == SYMBOLIC_Z:
             return [None]
-        return [{zvar(r): Fraction(rng.randint(2, 97), rng.randint(2, 97))
-                 for r in range(1, n)} for _ in range(trials)]
+        return [random_zpoint(n, rng) for _ in range(trials)]
 
     relevant = vertices_relevant(weight, qmax)
     taus = {}

@@ -11,6 +11,9 @@ in Z[t] counted from row patterns of the subgraph's components.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import gcd, lcm
+
 from .cones import Polyhedron, WeightedCone, ipt_weighted
 from .ring import (
     CollapseError, LaurentPoly, Monomial, RationalFn, TPoly, TRat, T_ONE,
@@ -362,13 +365,6 @@ def phi_face(face):
     return face.phi()
 
 
-def faces_by_dim(faces):
-    out = {}
-    for f in faces:
-        out.setdefault(f.dim, []).append(f)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # polyhedra and boundedness
 # ---------------------------------------------------------------------------
@@ -436,11 +432,6 @@ def f_monomial_map(vertices):
     return out
 
 
-def apply_F(fn, vertices):
-    """Specialize a RationalFn in the s-variables to the x-variables."""
-    return fn.subs_monomials(f_monomial_map(vertices), collapse=FCollapse)
-
-
 def x_variables(G):
     return [xvar(i) for i in range(G.a, G.d + 2)]
 
@@ -503,10 +494,10 @@ class ConePlan:
             self.parents[bl].add(bh)
         self._assert_acyclic()
         self._phi_cache = {}
-        self._phi_trat = {}
         self._upsets = None
         self._moves = {}
         self._topo = None
+        self._schedule = None
 
     def _assert_acyclic(self):
         indeg = {b: len(self.parents[b]) for b in range(self.n)}
@@ -617,12 +608,31 @@ class ConePlan:
         self._moves[placed] = out
         return out
 
-    def phi_run_trat(self, run):
-        got = self._phi_trat.get(run)
-        if got is None:
-            got = TRat.from_tpoly(self.phi_run(run))
-            self._phi_trat[run] = got
-        return got
+    def schedule(self):
+        """The up-set recursion as index lists (cached).
+
+        One step per up-set U other than the full set, the largest first, as
+        (index of U in upsets(), width, groups).  Each group is (coefficient
+        tuple of phi_run(run), indices of U | run) over the runs of that
+        weight; width bounds the length of the coefficient list of U.
+        """
+        if self._schedule is None:
+            ups = self.upsets()
+            index = {u: k for k, u in enumerate(ups)}
+            widths = [1] * len(ups)
+            steps = []
+            for k in range(len(ups) - 2, -1, -1):
+                groups = {}
+                for run in self.next_runs(ups[k]):
+                    phi = tuple(self.phi_run(run).to_list())
+                    groups.setdefault(phi, []).append(index[ups[k] | run])
+                widths[k] = max(len(phi) - 1 + widths[j]
+                                for phi, kids in groups.items() for j in kids)
+                steps.append((k, widths[k],
+                              tuple((phi, tuple(kids))
+                                    for phi, kids in groups.items())))
+            self._schedule = steps
+        return self._schedule
 
 
 def cone_plan(G):
@@ -692,7 +702,15 @@ class ConeTransform:
     def eval(self, point, memo=None, shared=None):
         """Exact value at a rational point, t symbolic.
 
-        `shared` caches whole-transform values across calls with one point.
+        The up-set recursion runs on integer polynomials in t.  Each node is
+        a coefficient list over one positive integer denominator, divided by
+        the gcd of its content and that denominator.  A cut monomial takes
+        the value p/q, a pair of integers, so its factor c/(1 - c) is
+        p/(q - p), applied once per up-set; the children reached by runs of
+        equal weight are summed before the multiplication by that weight.
+        Every step is integer arithmetic, so the result is the exact value,
+        returned as a TRat.  `shared` caches whole-transform values across
+        calls with one point.
         """
         if memo is None:
             memo = {}
@@ -704,29 +722,38 @@ class ConeTransform:
             if got is not None:
                 return got * self.apex.eval(point, memo)
         plan = self.plan
-        full = frozenset(range(plan.n))
-        cache = {}
-
-        def H(upset):
-            if upset == full:
-                return TRat.const(1)
-            got = cache.get(upset)
-            if got is not None:
-                return got
-            total = TRat()
-            for run in plan.next_runs(upset):
-                u2 = upset | run
-                val = plan.phi_run_trat(run) * H(u2)
-                if u2 != full:
-                    c = self._cut_mono(u2).eval(point, memo)
-                    if c == 1:
-                        raise ZeroDivisionError("cut factor vanishes at point")
-                    val = val * (c / (1 - c))
-                total = total + val
-            cache[upset] = total
-            return total
-
-        out = H(frozenset())
+        ups = plan.upsets()
+        nums = [None] * len(ups)
+        dens = [None] * len(ups)
+        nums[-1], dens[-1] = [1], 1
+        for k, width, groups in plan.schedule():
+            den = lcm(*[dens[j] for _, kids in groups for j in kids])
+            num = [0] * width
+            for phi, kids in groups:
+                acc = num if phi == (1,) else [0] * (width - len(phi) + 1)
+                for j in kids:
+                    m = den // dens[j]
+                    for i, c in enumerate(nums[j]):
+                        acc[i] += c * m
+                if acc is not num:
+                    for e, f in enumerate(phi):
+                        if f:
+                            for i, c in enumerate(acc):
+                                num[i + e] += f * c
+            if k:
+                p, q = self._cut_mono(ups[k]).ratio(point)
+                if p == q:
+                    raise ZeroDivisionError("cut factor vanishes at point")
+                if q > p:
+                    num, den = [c * p for c in num], den * (q - p)
+                else:
+                    num, den = [-c * p for c in num], den * (p - q)
+            g = gcd(*num, den)
+            if g > 1:
+                num, den = [c // g for c in num], den // g
+            nums[k], dens[k] = num, den
+        num, den = nums[0], dens[0]
+        out = TRat({e: Fraction(c, den) for e, c in enumerate(num)})
         if shared is not None:
             shared[key] = out
         return out * self.apex.eval(point, memo)
@@ -935,11 +962,6 @@ def _cone_weighted(G, faces):
         rs = frozenset(i for i, res in enumerate(ray_edge_sets) if res >= es)
         face_records.append((rs, f.dim, f.phi()))
     return WeightedCone(apex, rays, face_records, labels)
-
-
-def subgraph_components(face):
-    """Component blocks of a face subgraph as OrdinaryGraphs."""
-    return [OrdinaryGraph(blk) for blk in face.blocks]
 
 
 def vertex_contributions(G, b):

@@ -377,14 +377,29 @@ class Monomial:
             val = memo.get(self)
             if val is not None:
                 return val
-        val = Fraction(1)
-        for v, x in self.e:
-            if v not in point:
-                raise MissingVariable(v)
-            val *= Fraction(point[v]) ** x
+        val = Fraction(*self.ratio(point))
         if memo is not None:
             memo[self] = val
         return val
+
+    def ratio(self, point):
+        """Value at {var: int or Fraction} as integers (p, q), q != 0: the
+        value is p/q, not reduced.  Raises MissingVariable, and
+        ZeroDivisionError where a negative exponent meets a zero value."""
+        p = q = 1
+        for v, x in self.e:
+            if v not in point:
+                raise MissingVariable(v)
+            r = point[v]
+            if x > 0:
+                p *= r.numerator ** x
+                q *= r.denominator ** x
+            else:
+                p *= r.denominator ** -x
+                q *= r.numerator ** -x
+        if not q:
+            raise ZeroDivisionError(f"{self} has a pole at the point")
+        return p, q
 
     def subs(self, varmap):
         """Substitute variables by monomials: var -> Monomial."""
@@ -579,18 +594,6 @@ class LaurentPoly:
 
 
 # spec-level operation aliases -----------------------------------------------
-
-def poly_add(a, b):
-    return a + b
-
-
-def poly_mul(a, b):
-    return a * b
-
-
-def poly_neg(a):
-    return -a
-
 
 def eval_at(p, point):
     return p.eval_at(point)
@@ -828,7 +831,8 @@ def random_point(variables, rng, dens=(), max_tries=500):
         ok = True
         for m in dens:
             try:
-                if m.eval(point) == 1:
+                p, q = m.ratio(point)
+                if p == q:
                     ok = False
                     break
             except MissingVariable:
@@ -837,24 +841,6 @@ def random_point(variables, rng, dens=(), max_tries=500):
         if ok:
             return point
     raise RuntimeError("could not find a pole-free evaluation point")
-
-
-def rationals_equal(fns_a, fns_b, variables, rng, trials=3):
-    """Randomized equality of two sums of RationalFn at `trials` points."""
-    dens = []
-    for f in list(fns_a) + list(fns_b):
-        dens.extend(f.den_list())
-    for _ in range(trials):
-        point = random_point(variables, rng, dens)
-        va = TRat()
-        for f in fns_a:
-            va = va + f.eval(point)
-        vb = TRat()
-        for f in fns_b:
-            vb = vb + f.eval(point)
-        if va != vb:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,14 @@ def test_verify_main_small(capsys):
     assert "PASS" in out
 
 
+def test_verify_main_redraws_pole_points(capsys):
+    # seed 13 first draws z2 = 1, a pole of the degree-0 factor (1 - z2)
+    code, out = run(capsys, "verify", "main", "--n", "3", "--a", "1,0,0",
+                    "--qmax", "1", "--z", "rand:13")
+    assert code == 0
+    assert "PASS" in out
+
+
 def test_verify_graphsum_small(capsys):
     code, out = run(capsys, "verify", "graphsum", "--max-vertices", "5")
     assert code == 0

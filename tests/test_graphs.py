@@ -169,18 +169,30 @@ def test_sigma_cone_ray():
 
 
 def test_sigma_cone_methods_agree():
+    # the up-set evaluator against the polyhedral route: three cones at apex
+    # 0, then every ordinary graph with 2-5 vertices (44 cones) at apex 2
     rng = random.Random(11)
-    cases = [
+    cases = [(G, 0) for G in (
         triangle_graph(2),
         triangle_graph(3),
         OrdinaryGraph([(0, 1), (1, 1), (2, 0), (2, 1), (3, 0)]),
-    ]
-    for G in cases:
-        a = sigma_cone(G, 0, method="auto")
-        b = sigma_cone(G, 0, method="weighted_cone")
+    )]
+    cases += [(G, 2) for G in enumerate_ordinary_graphs(5, min_vertices=2)]
+    assert len(cases) == 3 + 44
+    for G, apex in cases:
+        a = sigma_cone(G, apex, method="auto")
+        b = sigma_cone(G, apex, method="weighted_cone")
         variables = [svar(v) for v in G.vertices]
         pt = random_point(variables, rng, a.den_monomials() + b.den_monomials())
-        assert a.eval(pt) == b.eval(pt), G
+        value = a.eval(pt)
+        assert not value.is_zero(), G
+        assert value == b.eval(pt), G
+
+
+def test_cone_eval_raises_where_a_cut_factor_vanishes():
+    G = OrdinaryGraph([(0, 1), (1, 1), (2, 0), (2, 1), (3, 0)])
+    with pytest.raises(ZeroDivisionError):
+        sigma_cone(G, 0).eval({svar(v): Fraction(1) for v in G.vertices})
 
 
 def test_psi_triangle_n2_matches_hl():
