@@ -17,11 +17,10 @@ from __future__ import annotations
 import itertools
 import random as _random
 
-from .graphs import OrdinaryGraph, t_factorial
-from .graphs import ConeTransform, _DSU
+from .graphs import ConeTransform, OrdinaryGraph, _DSU, svar, t_factorial
 from .ring import (
     Coeff, CollapseError, EVALUATED, LaurentPoly, Monomial, SYMBOLIC_Z,
-    TPoly, TruncatedSeries, T_ONE, evaluate_zmono, random_point,
+    TPoly, TruncatedSeries, T_ONE, random_point, zq_coeff,
 )
 
 
@@ -35,6 +34,12 @@ class NoStabilization(RuntimeError):
 
 def zvar(r):
     return f"z{r}"
+
+
+def default_domain(weight, domain=None):
+    """`domain` if given; else symbolic z-coefficients for n = 2 and
+    z evaluated at rationals for larger n."""
+    return domain or (SYMBOLIC_Z if weight.n == 2 else EVALUATED)
 
 
 def residue(i, n):
@@ -363,17 +368,11 @@ def rhs_table(weight, qmax):
 
 
 def rhs_series(weight, qmax, domain=None, zpoint=None):
-    domain = domain or (SYMBOLIC_Z if weight.n == 2 else EVALUATED)
     coeffs = {}
     for A in enumerate_pi(weight, qmax):
-        zvec, qd = A.mu_exponent()
-        zmono = Monomial({zvar(r + 1): e for r, e in enumerate(zvec) if e})
-        if zpoint is None:
-            c = Coeff(LaurentPoly.from_monomial(zmono, p_weight(A)))
-        else:
-            c = evaluate_zmono(zmono, zpoint) * p_weight(A)
-        coeffs[qd] = coeffs.get(qd, Coeff.zero()) + c
-    return TruncatedSeries(qmax, coeffs, domain)
+        c, qd = zq_coeff(A.zq_monomial(), zpoint)
+        coeffs[qd] = coeffs.get(qd, Coeff.zero()) + c * p_weight(A)
+    return TruncatedSeries(qmax, coeffs, default_domain(weight, domain))
 
 
 # ---------------------------------------------------------------------------
@@ -481,17 +480,9 @@ def _root_monomial(n, i, j, m):
     return zq_of_shift(tuple(u), m)
 
 
-def _mono_coeff(mono, zpoint):
-    from .ring import split_zq
-    z, q = split_zq(mono)
-    if zpoint is None:
-        return Coeff(LaurentPoly.from_monomial(z)), q
-    return evaluate_zmono(z, zpoint), q
-
-
 def _factor_series(order, domain, mono, zpoint, kind):
     """(1 - t y), (t - y) or (1 - y) as a truncated series."""
-    c, q = _mono_coeff(mono, zpoint)
+    c, q = zq_coeff(mono, zpoint)
     t = Coeff(TPoly.t())
     if kind == "one_minus_ty":
         c0, cq = Coeff.one(), -(t * c)
@@ -507,44 +498,15 @@ def _factor_series(order, domain, mono, zpoint, kind):
 def lhs_series(weight, qmax, domain=None, zpoint=None):
     """W_lam(t) P_lam e^{-lam} truncated: the symmetrized sum over the common
     denominator, then divided by it as a series."""
-    n = weight.n
-    domain = domain or (SYMBOLIC_Z if n == 2 else EVALUATED)
-    if domain == SYMBOLIC_Z and n != 2:
+    domain = default_domain(weight, domain)
+    if domain == SYMBOLIC_Z and weight.n != 2:
         raise ValueError("symbolic z-coefficients only for n = 2")
-    pos_real = [((i, j), m)
-                for (i, j) in finite_roots(n)
-                for m in range((0 if i < j else 1), qmax + 1)]
     total = None
-    for sigma, tau, shift_mono, qdeg in weyl_elements(weight, qmax):
-        flips = flip_set(weight, sigma, tau, qmax)
-        c, q = _mono_coeff(shift_mono, zpoint)
-        # flipped factors beyond the truncation still contribute their
-        # constant term t
-        deep = sum(1 for (_, m) in flips if m > qmax)
-        if deep:
-            c = c * TPoly.t(deep)
-        term = TruncatedSeries(qmax, {q: c}, domain)
-        for (i, j), m in pos_real:
-            mono = _root_monomial(n, i, j, m)
-            kind = "t_minus_y" if ((i, j), m) in flips else "one_minus_ty"
-            term = term * _factor_series(qmax, domain, mono, zpoint, kind)
-        for m in range(1, qmax + 1):
-            im = TruncatedSeries(qmax, {0: Coeff.one(), m: Coeff(-TPoly.t())},
-                                 domain)
-            for _ in range(n - 1):
-                term = term * im
+    for sigma, tau, shift_mono, _ in weyl_elements(weight, qmax):
+        term = _weyl_term_series(weight, sigma, tau, shift_mono, qmax, domain,
+                                 zpoint)
         total = term if total is None else total + term
-    den = TruncatedSeries.one(qmax, domain)
-    for (i, j), m in pos_real:
-        mono = _root_monomial(n, i, j, m)
-        den = den * _factor_series(qmax, domain, mono, zpoint, "one_minus_y")
-    for m in range(1, qmax + 1):
-        im = TruncatedSeries(qmax, {0: Coeff.one(), m: -Coeff.one()}, domain)
-        for _ in range(n - 1):
-            den = den * im
-    out = total * den.invert()
-    assert out.order >= qmax, "precision loss in the series division"
-    return out.truncate(qmax)
+    return _over_den(total, weight, qmax, domain, zpoint)
 
 
 def random_zpoint(n, rng):
@@ -561,7 +523,7 @@ def random_zpoint(n, rng):
 def verify_main(weight, qmax, domain=None, trials=3, seed=0):
     """W_lam(t) * rhs = lhs coefficient by coefficient up to q^qmax."""
     n = weight.n
-    domain = domain or (SYMBOLIC_Z if n == 2 else EVALUATED)
+    domain = default_domain(weight, domain)
     wl = weight.wlambda()
     if domain == SYMBOLIC_Z:
         lhs = lhs_series(weight, qmax, domain)
@@ -715,7 +677,6 @@ class DeltaGraph:
     def gw_map(self, l):
         """Monomial images of the section coordinates under the weight
         specialization, in relative (vertex-shifted) coordinates."""
-        from .graphs import svar
         n = self.weight.n
         window = self.vertices_in_rows(-l + 1, l)
         bottom = [p for p in window if self.row[p] == l]
@@ -753,14 +714,8 @@ def tau_section(dgraph, l, order, domain, zpoint=None):
     for G, _b in dgraph.section_graphs(l):
         ct = ConeTransform.of_cone(G, 0).subs_monomials(gmap, GCollapse)
         total = total * ct.series_unit(order, domain, zpoint)
-    apex = dgraph.apex_monomial()
-    from .ring import split_zq
-    z, q = split_zq(apex)
+    c, q = zq_coeff(dgraph.apex_monomial(), zpoint)
     assert q >= 0, "vertex weight shift must have nonnegative q-degree"
-    if zpoint is None:
-        c = Coeff(LaurentPoly.from_monomial(z))
-    else:
-        c = evaluate_zmono(z, zpoint)
     out = total.scale(c)
     if q:
         out = out.shift(q).truncate(order)
@@ -770,7 +725,7 @@ def tau_section(dgraph, l, order, domain, zpoint=None):
 def tau_truncated(weight, v, order, domain=None, zpoint=None, max_steps=12):
     """Stabilized truncated transform of a vertex: sections grow until two
     consecutive ones agree up to the order."""
-    domain = domain or (SYMBOLIC_Z if weight.n == 2 else EVALUATED)
+    domain = default_domain(weight, domain)
     dg = DeltaGraph(weight, v, span=max_steps + 4)
     prev = None
     for l in range(dg.lmin, dg.lmin + max_steps):
@@ -781,18 +736,25 @@ def tau_truncated(weight, v, order, domain=None, zpoint=None, max_steps=12):
     raise NoStabilization(f"no agreement below section cap for {v}")
 
 
+def _positive_real_roots(n, qmax):
+    """Positive real roots e_i - e_j + m delta, m <= qmax, as ((i, j), m)."""
+    return [((i, j), m)
+            for (i, j) in finite_roots(n)
+            for m in range((0 if i < j else 1), qmax + 1)]
+
+
 def _weyl_term_series(weight, sigma, tau, shift_mono, qmax, domain, zpoint):
+    """Numerator of one group element's term over the common denominator."""
     n = weight.n
-    pos_real = [((i, j), m)
-                for (i, j) in finite_roots(n)
-                for m in range((0 if i < j else 1), qmax + 1)]
     flips = flip_set(weight, sigma, tau, qmax)
-    c, q = _mono_coeff(shift_mono, zpoint)
+    c, q = zq_coeff(shift_mono, zpoint)
+    # flipped factors beyond the truncation still contribute their constant
+    # term t
     deep = sum(1 for (_, m) in flips if m > qmax)
     if deep:
         c = c * TPoly.t(deep)
     term = TruncatedSeries(qmax, {q: c}, domain)
-    for (i, j), m in pos_real:
+    for (i, j), m in _positive_real_roots(n, qmax):
         mono = _root_monomial(n, i, j, m)
         kind = "t_minus_y" if ((i, j), m) in flips else "one_minus_ty"
         term = term * _factor_series(qmax, domain, mono, zpoint, kind)
@@ -803,25 +765,28 @@ def _weyl_term_series(weight, sigma, tau, shift_mono, qmax, domain, zpoint):
     return term
 
 
-def _den_series(weight, qmax, domain, zpoint):
+def _over_den(numer, weight, qmax, domain, zpoint):
+    """`numer` divided by the common denominator: the product of (1 - y)
+    over the positive real roots, imaginary ones n - 1 times each."""
     n = weight.n
     den = TruncatedSeries.one(qmax, domain)
-    for (i, j) in finite_roots(n):
-        for m in range((0 if i < j else 1), qmax + 1):
-            mono = _root_monomial(n, i, j, m)
-            den = den * _factor_series(qmax, domain, mono, zpoint, "one_minus_y")
+    for (i, j), m in _positive_real_roots(n, qmax):
+        mono = _root_monomial(n, i, j, m)
+        den = den * _factor_series(qmax, domain, mono, zpoint, "one_minus_y")
     for m in range(1, qmax + 1):
         im = TruncatedSeries(qmax, {0: Coeff.one(), m: -Coeff.one()}, domain)
         for _ in range(n - 1):
             den = den * im
-    return den
+    out = numer * den.invert()
+    assert out.order >= qmax, "precision loss in the series division"
+    return out.truncate(qmax)
 
 
 def closed_form_contribution(weight, sigma, tau, qmax, domain=None,
                              zpoint=None):
     """Contribution of one group element: shifted flipped root factors over
     the common denominator."""
-    domain = domain or (SYMBOLIC_Z if weight.n == 2 else EVALUATED)
+    domain = default_domain(weight, domain)
     lam = weight.finite_part()
     v = _perm_act(sigma, lam)
     norm2 = sum(t * t for t in tau)
@@ -830,9 +795,7 @@ def closed_form_contribution(weight, sigma, tau, qmax, domain=None,
     shift_mono = zq_of_shift(u, qdeg)
     term = _weyl_term_series(weight, sigma, tau, shift_mono, qmax, domain,
                              zpoint)
-    out = term * _den_series(weight, qmax, domain, zpoint).invert()
-    assert out.order >= qmax
-    return out.truncate(qmax)
+    return _over_den(term, weight, qmax, domain, zpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -926,7 +889,7 @@ def verify_contrib(weight, qmax, trials=2, seed=0, nonrelevant_extra=1):
     (c) the relevant transforms sum to the Weyl-side series.
     """
     n = weight.n
-    domain = SYMBOLIC_Z if n == 2 else EVALUATED
+    domain = default_domain(weight)
     rng = _random.Random(seed)
     report = {"ok": True, "checks": [], "failures": []}
 
@@ -963,7 +926,7 @@ def verify_contrib(weight, qmax, trials=2, seed=0, nonrelevant_extra=1):
                     v1 = vertex_from_cuts(aux, cuts)
                     assert v1 is not None
                     shift = v.zq_monomial() * v1.zq_monomial().inv()
-                    shifts.append((v1, _mono_coeff(shift, zpoint)))
+                    shifts.append((v1, zq_coeff(shift, zpoint)))
                 headroom = max(0, max(-q for _, (_, q) in shifts))
                 agg = TruncatedSeries.zero(qmax, domain)
                 for v1, (c, q) in shifts:

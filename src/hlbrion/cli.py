@@ -10,7 +10,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from . import affine_hl, finite_hl, graphs
 from .cones import verify_weighted_brion
@@ -89,10 +88,7 @@ def cmd_affine(args):
             for row in rows:
                 print(f"q^{row['q']} z={row['z']} t_poly={row['t_poly']}")
     else:
-        rng = random.Random(seed)
-        zpoint = {affine_hl.zvar(r): Fraction(rng.randint(2, 97),
-                                              rng.randint(2, 97))
-                  for r in range(1, args.n)}
+        zpoint = affine_hl.random_zpoint(args.n, random.Random(seed))
         print(f"# z evaluated with seed {seed}: "
               + ", ".join(f"{k}={v}" for k, v in sorted(zpoint.items())))
         series = affine_hl.rhs_series(weight, args.qmax, EVALUATED, zpoint)
@@ -223,9 +219,6 @@ def build_parser():
         prog="hlbrion",
         description="Deformed characters of finite and affine type A by "
                     "several independent routes, in exact arithmetic.")
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="accepted for interface stability; execution is "
-                         "sequential")
     sub = ap.add_subparsers(dest="command", required=True)
 
     fin = sub.add_parser("finite", help="finite-type polynomial")
@@ -241,7 +234,6 @@ def build_parser():
     aff.add_argument("--a", required=True, help="a_0,...,a_{n-1}")
     aff.add_argument("--qmax", type=int, required=True)
     aff.add_argument("--z", default="symbolic", help="symbolic or rand:SEED")
-    aff.add_argument("--trials", type=int, default=3)
     aff.add_argument("--format", choices=["text", "json"], default="text")
     aff.add_argument("--unsafe-limits", action="store_true")
     aff.set_defaults(func=cmd_affine)

@@ -11,11 +11,13 @@ All arithmetic is exact.
 from __future__ import annotations
 
 import itertools
+import json
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .ring import (
-    LaurentPoly, Monomial, RationalFn, TPoly, TRat, T_ONE,
+    LaurentPoly, Monomial, RationalFn, TPoly, T_ONE, T_ZERO,
     random_point,
 )
 
@@ -251,7 +253,6 @@ class Polyhedron:
 
     @staticmethod
     def from_json(data):
-        import json
         if isinstance(data, str):
             data = json.loads(data)
         d = data["dim"]
@@ -875,8 +876,7 @@ def verify_weighted_brion(P, phi, trials=3, seed=0, vertices=None,
                           assume_bounded=False, form="moebius"):
     """Check S_phi(P) == sum over vertices of the weighted tangent-cone IPTs
     at `trials` random rational points."""
-    import random as _random
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     if vertices is None:
         vertices = P.vertices_bruteforce()
     if not vertices:
@@ -893,7 +893,7 @@ def verify_weighted_brion(P, phi, trials=3, seed=0, vertices=None,
     for _ in range(trials):
         point = random_point(P.labels, rng, dens)
         lhs = brute.eval_at(point)
-        rhs = TRat()
+        rhs = T_ZERO
         for f in fns:
             rhs = rhs + f.eval(point)
         if lhs != rhs:

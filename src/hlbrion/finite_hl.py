@@ -17,7 +17,7 @@ from .graphs import (
     BSeq, psi_terms, t_factorial, triangle_graph, xvar,
 )
 from .ring import (
-    LaurentPoly, Monomial, RationalFn, TPoly, TRat, T_ONE,
+    LaurentPoly, Monomial, RationalFn, TPoly, T_ONE, T_ZERO,
     exact_div_binomials, random_point,
 )
 
@@ -362,9 +362,9 @@ def verify_contribfin(weight, trials=3, seed=0, max_n=4):
     for _ in range(trials):
         point = random_point(variables, rng, all_dens)
         memo = {}
-        den_val = TRat.const(1)
+        den_val = T_ONE
         for d in dens:
-            den_val = den_val * TRat.const(1 - d.eval(point, memo))
+            den_val = den_val * (1 - d.eval(point, memo))
         # (a) irrelevant vertices contribute zero
         for f, fn in others:
             if not fn.eval(point, memo).is_zero():
@@ -374,7 +374,7 @@ def verify_contribfin(weight, trials=3, seed=0, max_n=4):
         # stabilizer factor (the orbit-grouped sum overcounts by W_lam(t))
         for mu, fns in by_mu.items():
             lhs = fns[0].eval(point, memo) * den_val * wl
-            rhs = TRat()
+            rhs = T_ZERO
             for w in group:
                 inv = [0] * n
                 for pos, val in enumerate(w):

@@ -11,13 +11,15 @@ in Z[t] counted from row patterns of the subgraph's components.
 from __future__ import annotations
 
 import itertools
+import json
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
 from .cones import Polyhedron, WeightedCone, ipt_weighted
 from .ring import (
-    CollapseError, LaurentPoly, Monomial, RationalFn, TPoly, TRat, T_ONE,
-    random_point,
+    Coeff, CollapseError, LaurentPoly, Monomial, RationalFn, TPoly,
+    TruncatedSeries, T_ONE, T_ZERO, UnitFactor, random_point, zq_coeff,
 )
 
 
@@ -118,12 +120,10 @@ class OrdinaryGraph:
         return any(rc.get(i + 1, 0) > rc.get(i, 0) for i in range(self.a, self.d))
 
     def to_json(self):
-        import json
         return json.dumps(sorted(self.vertices))
 
     @staticmethod
     def from_json(data):
-        import json
         if isinstance(data, str):
             data = json.loads(data)
         return OrdinaryGraph([tuple(v) for v in data])
@@ -223,7 +223,6 @@ class FaceSubgraph:
         return {v: vals[self.block_of(v)] for v in self.graph.vertices}
 
     def edges_json(self):
-        import json
         return json.dumps(sorted([list(hi), list(lo)] for hi, lo in self.edge_set()))
 
     def __eq__(self, other):
@@ -709,8 +708,8 @@ class ConeTransform:
         p/(q - p), applied once per up-set; the children reached by runs of
         equal weight are summed before the multiplication by that weight.
         Every step is integer arithmetic, so the result is the exact value,
-        returned as a TRat.  `shared` caches whole-transform values across
-        calls with one point.
+        returned as a TPoly with rational coefficients.  `shared` caches
+        whole-transform values across calls with one point.
         """
         if memo is None:
             memo = {}
@@ -753,7 +752,7 @@ class ConeTransform:
                 num, den = [c // g for c in num], den // g
             nums[k], dens[k] = num, den
         num, den = nums[0], dens[0]
-        out = TRat({e: Fraction(c, den) for e, c in enumerate(num)})
+        out = TPoly({e: Fraction(c, den) for e, c in enumerate(num)})
         if shared is not None:
             shared[key] = out
         return out * self.apex.eval(point, memo)
@@ -794,21 +793,14 @@ class ConeTransform:
         evaluated at rationals.  All cut factors have nonnegative q-valuation
         as series, so the result is exact to the requested order.
         """
-        from .ring import Coeff, TruncatedSeries, UnitFactor, split_zq
         plan = self.plan
         full = frozenset(range(plan.n))
         cache = {}
 
-        def zcoeff(z):
-            if zpoint is None:
-                return Coeff(LaurentPoly.from_monomial(z))
-            return evaluate_zmono(z, zpoint)
-
         def cut_series(mono):
-            z, q = split_zq(mono)
-            if q == 0 and z.is_unit():
+            if mono.is_unit():
                 raise UnitFactor("cut factor equals 1")
-            coeff = zcoeff(z)
+            coeff, q = zq_coeff(mono, zpoint)
             # geometric sum m/(1 - m), built directly so no precision is lost:
             # deg m > 0: sum_{j>=1} m^j;  deg m < 0: -sum_{j>=0} m^{-j};
             # deg m = 0: a single coefficient in the fraction field.
@@ -849,7 +841,6 @@ class ConeTransform:
 
 
 def _coeff_pow(coeff, k):
-    from .ring import Coeff
     if k < 0:
         coeff = coeff.inv()
         k = -k
@@ -897,7 +888,7 @@ class FactoredTransform:
     def eval(self, point, memo=None, shared=None):
         if memo is None:
             memo = {}
-        total = TRat.const(1)
+        total = T_ONE
         for fac in self.factors:
             if isinstance(fac, ConeTransform):
                 total = total * fac.eval(point, memo, shared)
@@ -1015,7 +1006,7 @@ def psi_terms(G, b):
 def psi_eval(G, b, point):
     """Evaluate psi_G(b) at a rational x-point (t symbolic)."""
     memo = {}
-    total = TRat()
+    total = T_ZERO
     for _, fn in psi_terms(G, b):
         total = total + fn.eval(point, memo)
     return total
@@ -1032,8 +1023,7 @@ def psi_rational(G, b):
 
 def psi_is_zero(G, b, trials=5, seed=0, rng=None):
     """Randomized test that psi_G(b) vanishes identically."""
-    import random as _random
-    rng = rng or _random.Random(seed)
+    rng = rng or random.Random(seed)
     terms = psi_terms(G, b)
     dens = []
     for _, fn in terms:
@@ -1043,7 +1033,7 @@ def psi_is_zero(G, b, trials=5, seed=0, rng=None):
         point = random_point(variables, rng, dens)
         memo = {}
         shared = {}
-        total = TRat()
+        total = T_ZERO
         for _, fn in terms:
             total = total + fn.eval(point, memo, shared)
         if not total.is_zero():
@@ -1153,8 +1143,7 @@ def verify_gensingular(G, b, b2, trials=3, seed=0):
     e^{pi(v) - v} sigma_phi(b)(C_v), with both sides computed by the vertex
     route and compared at random rational points in the s-variables.
     """
-    import random as _random
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     b = BSeq(b) if not isinstance(b, BSeq) else b
     b2 = BSeq(b2) if not isinstance(b2, BSeq) else b2
     fac = T_ONE
@@ -1178,10 +1167,10 @@ def verify_gensingular(G, b, b2, trials=3, seed=0):
         point = random_point(variables, rng, dens)
         memo = {}
         shared = {}
-        va = TRat()
+        va = T_ZERO
         for fn in lhs:
             va = va + fn.eval(point, memo, shared)
-        vb = TRat()
+        vb = T_ZERO
         for fn in rhs:
             vb = vb + fn.eval(point, memo, shared)
         if va != vb:
@@ -1292,8 +1281,7 @@ def random_bounded_instances(count, seed, max_dim=8, pool_max_vertices=8,
     interlacing polytopes); wider graphs only bound when ties in b force the
     flank chains, so both kinds are sampled.
     """
-    import random as _random
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     triangles = [triangle_graph(n) for n in (2, 3, 4)]
     pool = [g for g in enumerate_ordinary_graphs(pool_max_vertices)
             if 1 <= len(g.vertices) - g.l <= max_dim]

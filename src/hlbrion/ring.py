@@ -3,12 +3,13 @@ factored rational functions and truncated q-series.
 
 Everything is exact.  Coefficients of Laurent polynomials are integer
 polynomials in the deformation parameter t (`TPoly`); evaluation at rational
-points keeps t symbolic (`TRat`).  Rational functions are stored with their
-denominators in factored binomial form (1 - m) and are never expanded unless
-an exact division is requested.  Truncated series live in the ring of Laurent
-series in q with finitely many negative powers; their coefficients are drawn
-from a fraction field (`Coeff`), either symbolic in the z-variables or with
-the z-variables already evaluated at rationals.
+points keeps t symbolic and gives a `TPoly` with rational coefficients.
+Rational functions are stored with their denominators in factored binomial
+form (1 - m) and are never expanded unless an exact division is requested.
+Truncated series live in the ring of Laurent series in q with finitely many
+negative powers; their coefficients are drawn from a fraction field
+(`Coeff`), either symbolic in the z-variables or with the z-variables already
+evaluated at rationals.
 """
 
 from __future__ import annotations
@@ -46,10 +47,14 @@ class CollapseError(ValueError):
 # ---------------------------------------------------------------------------
 
 class TPoly:
-    """Polynomial in t with integer coefficients, stored sparsely.
+    """Polynomial in t with int or Fraction coefficients, stored sparsely.
 
-    Immutable by convention: no method mutates self.  Zero coefficients are
-    never stored, so equal polynomials have equal dicts.
+    Integer coefficients are the coefficient ring of Laurent polynomials;
+    rational ones are the values of exact evaluation at rational points, where
+    the x-variables become rationals and t stays symbolic.  Immutable by
+    convention: no method mutates self.  Zero coefficients are never stored,
+    so equal polynomials have equal dicts (2 and Fraction(2) compare and hash
+    alike).
     """
 
     __slots__ = ("c",)
@@ -117,7 +122,9 @@ class TPoly:
         return r
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, TPoly):
+            # an int or Fraction scalar (Fraction's ABC check is slow on the
+            # hot polynomial path, so test for TPoly first)
             if other == 0:
                 return TPoly()
             r = TPoly.__new__(TPoly)
@@ -155,7 +162,11 @@ class TPoly:
         return hash(frozenset(self.c.items()))
 
     def exact_div(self, other):
-        """Exact polynomial division; raises NotDivisible on remainder."""
+        """Exact division in Q[t]; raises NotDivisible on a nonzero remainder.
+
+        Quotient coefficients stay integers where the division is exact in
+        the integers, so a monic divisor keeps an integer polynomial integral.
+        """
         if other.is_zero():
             raise ZeroDivisionError("division of TPoly by zero")
         rem = dict(self.c)
@@ -164,9 +175,11 @@ class TPoly:
         clead = other.c[dlead]
         while rem:
             e = max(rem)
-            if e < dlead or rem[e] % clead != 0:
+            if e < dlead:
                 raise NotDivisible(f"{self} not divisible by {other}")
-            q = rem[e] // clead
+            q, r = divmod(rem[e], clead)
+            if r:
+                q = Fraction(rem[e], clead)
             quo[e - dlead] = q
             for eo, vo in other.c.items():
                 ee = eo + e - dlead
@@ -201,103 +214,6 @@ class TPoly:
 
 T_ZERO = TPoly.zero()
 T_ONE = TPoly.one()
-
-
-class TRat:
-    """Polynomial in t with Fraction coefficients.
-
-    The value type of exact evaluation: x-variables become rationals, t stays
-    symbolic.
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs=None):
-        self.c = {} if coeffs is None else {e: v for e, v in coeffs.items() if v != 0}
-
-    @staticmethod
-    def from_tpoly(p, scale=Fraction(1)):
-        return TRat({e: Fraction(v) * scale for e, v in p.c.items()})
-
-    @staticmethod
-    def const(v):
-        return TRat({0: Fraction(v)})
-
-    def is_zero(self):
-        return not self.c
-
-    def __add__(self, other):
-        out = dict(self.c)
-        for e, v in other.c.items():
-            w = out.get(e, 0) + v
-            if w:
-                out[e] = w
-            else:
-                del out[e]
-        return TRat(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TRat({e: -v for e, v in self.c.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TRat({e: v * other for e, v in self.c.items()})
-        if isinstance(other, TPoly):
-            other = TRat.from_tpoly(other)
-        out = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = e1 + e2
-                w = out.get(e, 0) + v1 * v2
-                if w:
-                    out[e] = w
-                else:
-                    del out[e]
-        return TRat(out)
-
-    __rmul__ = __mul__
-
-    def div_scalar(self, s):
-        return TRat({e: v / s for e, v in self.c.items()})
-
-    def div_tpoly_exact(self, p):
-        """Exact division by a TPoly; raises NotDivisible on remainder."""
-        if p.is_zero():
-            raise ZeroDivisionError
-        rem = dict(self.c)
-        quo = {}
-        dlead = max(p.c)
-        clead = p.c[dlead]
-        while rem:
-            e = max(rem)
-            if e < dlead:
-                raise NotDivisible("TRat not divisible by TPoly")
-            q = rem[e] / clead
-            quo[e - dlead] = q
-            for eo, vo in p.c.items():
-                ee = eo + e - dlead
-                w = rem.get(ee, 0) - q * vo
-                if w:
-                    rem[ee] = w
-                else:
-                    rem.pop(ee, None)
-        return TRat(quo)
-
-    def __eq__(self, other):
-        return isinstance(other, TRat) and self.c == other.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-    def __str__(self):
-        if not self.c:
-            return "(0)"
-        return "(" + " + ".join(f"{v}*t^{e}" for e, v in sorted(self.c.items())) + ")"
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +465,7 @@ class LaurentPoly:
         return out
 
     def eval_at(self, point, memo=None):
-        """Exact evaluation at {var: Fraction}; t stays symbolic -> TRat."""
+        """Exact evaluation at {var: Fraction}; t stays symbolic -> TPoly."""
         out = {}
         for m, c in self.terms.items():
             s = m.eval(point, memo)
@@ -559,7 +475,7 @@ class LaurentPoly:
                     out[e] = w
                 else:
                     del out[e]
-        return TRat(out)
+        return TPoly(out)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
@@ -778,7 +694,7 @@ class RationalFn:
         return RationalFn(self.num.subs_monomials(varmap), den)
 
     def eval(self, point, memo=None):
-        """Exact evaluation -> TRat; the point must avoid denominator zeros."""
+        """Exact evaluation -> TPoly; the point must avoid denominator zeros."""
         val = self.num.eval_at(point, memo)
         scale = Fraction(1)
         for m, k in self.den.items():
@@ -1155,7 +1071,12 @@ def binomial_product_series(ys, order, domain=SYMBOLIC_Z):
     return out
 
 
-def evaluate_zmono(m, zpoint):
-    """Map a z-monomial to a Coeff under z -> rationals (EVALUATED domain)."""
-    val = m.eval(zpoint)
-    return Coeff(LaurentPoly.const(val.numerator), LaurentPoly.const(val.denominator))
+def zq_coeff(m, zpoint=None):
+    """Split a Monomial over the z-variables and q into (Coeff, q-exponent):
+    the z-part as a symbolic Coeff, or evaluated at the rational zpoint."""
+    z, q = split_zq(m)
+    if zpoint is None:
+        return Coeff(LaurentPoly.from_monomial(z)), q
+    val = z.eval(zpoint)
+    return Coeff(LaurentPoly.const(val.numerator),
+                 LaurentPoly.const(val.denominator)), q

@@ -12,7 +12,7 @@ import pytest
 from hlbrion import affine_hl, finite_hl, graphs
 from hlbrion.cones import verify_weighted_brion
 from hlbrion.graphs import BSeq, FaceSubgraph, _DSU, triangle_graph
-from hlbrion.ring import TPoly, TRat, random_point
+from hlbrion.ring import TPoly, random_point
 
 
 def _verdict(num, label, ok, started):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,13 @@ from hlbrion.affine_hl import (
     AffineWeight, DeltaGraph, apply_G, closed_form_contribution, d_stats,
     dl_cone, enumerate_pi, is_relevant_vertex, lhs_series,
     match_weyl_element, nonrelevant_vertices, p_weight, PiSequence,
-    rhs_series, rhs_table, s_ij, t0_sequence, tau_truncated, vertex_from_cuts,
-    vertices_relevant, verify_contrib, verify_main, weyl_act, weyl_elements,
-    zvar,
+    random_zpoint, rhs_series, rhs_table, s_ij, t0_sequence, tau_truncated,
+    vertex_from_cuts, vertices_relevant, verify_contrib, verify_main,
+    weyl_act, weyl_elements, zvar,
 )
-from hlbrion.ring import Coeff, LaurentPoly, Monomial, TPoly, TruncatedSeries
+from hlbrion.ring import (
+    Coeff, EVALUATED, LaurentPoly, Monomial, TPoly, TruncatedSeries,
+)
 
 
 def tp(*coeffs):
@@ -221,6 +224,14 @@ def test_tau_matches_closed_form():
     z = LaurentPoly.var(zvar(1))
     assert tau.coeff(0) == Coeff(LaurentPoly.one() - z * TPoly.t(),
                                  LaurentPoly.one() - z)
+    # the same at a rational z-point, for every relevant vertex
+    zpoint = random_zpoint(2, random.Random(3))
+    for v in vertices_relevant(L01, 2):
+        (sigma, tau_el), = match_weyl_element(L01, v, 2)
+        tau = tau_truncated(L01, v, 2, EVALUATED, zpoint)
+        closed = closed_form_contribution(L01, sigma, tau_el, 2, EVALUATED,
+                                          zpoint)
+        assert tau.equals(closed, up_to=2)
 
 
 def test_tau_nonrelevant_vanishes():

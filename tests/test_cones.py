@@ -10,7 +10,7 @@ from hlbrion.cones import (
     triangulate, verify_weighted_brion, weighted_sum_bruteforce,
 )
 from hlbrion.ring import (
-    LaurentPoly, Monomial, RationalFn, TPoly, TRat, random_point,
+    LaurentPoly, Monomial, RationalFn, TPoly, random_point,
 )
 
 

@@ -12,7 +12,7 @@ from hlbrion.graphs import (
     verify_face_euler_sum, verify_gensingular, verify_graphsum,
     verify_face_euler_sum, x_variables, svar,
 )
-from hlbrion.ring import LaurentPoly, Monomial, TPoly, TRat, random_point
+from hlbrion.ring import LaurentPoly, Monomial, TPoly, random_point
 
 # the three example shapes from the worked figures
 FIG1 = [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (2, 1), (2, 2),
@@ -229,14 +229,14 @@ def test_psi_single_column_path():
     ev = (x3 / x0) ** 2                      # F-image of the apex (2, 2, 2)
     r1 = x1 / x3                             # lower both coordinates by 1
     r2 = x3 / x2                             # raise the bottom coordinate
-    expect = TRat.const(ev)
+    expect = TPoly.const(ev)
     for r in (r1, r2):
-        geo = TRat.const(1) - TRat.from_tpoly(t, Fraction(r))
+        geo = TPoly.const(1) - t * Fraction(r)
         expect = expect * geo * Fraction(1, 1) * (Fraction(1) / (1 - r))
     assert val == expect
     # at t = 0 the transform is the plain cone transform of a single vertex
-    val0 = TRat({e: c for e, c in val.c.items() if e == 0})
-    assert val0 == TRat.const(ev * (Fraction(1) / ((1 - r1) * (1 - r2))))
+    val0 = TPoly({e: c for e, c in val.c.items() if e == 0})
+    assert val0 == TPoly.const(ev * (Fraction(1) / ((1 - r1) * (1 - r2))))
 
 
 def test_theorem_zero_figure2():

@@ -5,7 +5,7 @@ import pytest
 
 from hlbrion.ring import (
     Coeff, DomainMismatch, LaurentPoly, Monomial, NonInvertibleLeadingCoefficient,
-    NotDivisible, SYMBOLIC_Z, TPoly, TRat, TruncatedSeries, UnitFactor,
+    NotDivisible, SYMBOLIC_Z, TPoly, TruncatedSeries, UnitFactor,
     binomial_product_series, eval_at, exact_div_binomials, one_minus,
     random_point, series_invert, series_mul,
 )
@@ -120,12 +120,15 @@ def test_ring_axioms_random():
 
 def test_eval_at():
     p = x("x") + x("x", -1)
-    assert eval_at(p, {"x": Fraction(2)}) == TRat({0: Fraction(5, 2)})
+    assert eval_at(p, {"x": Fraction(2)}) == TPoly({0: Fraction(5, 2)})
     q = LaurentPoly.one() - x("x") * TPoly.t()
-    assert eval_at(q, {"x": Fraction(1)}) == TRat.from_tpoly(TPoly.from_list([1, -1]))
+    assert eval_at(q, {"x": Fraction(1)}) == TPoly.from_list([1, -1])
     # hl polynomial for n=2, lambda_1=2 at x=1: x^2+(1-t)x+1 -> 3 - t
     hl = x("x", 2) + x("x") * TPoly.from_list([1, -1]) + LaurentPoly.one()
-    assert eval_at(hl, {"x": Fraction(1)}) == TRat({0: Fraction(3), 1: Fraction(-1)})
+    assert eval_at(hl, {"x": Fraction(1)}) == TPoly({0: Fraction(3), 1: Fraction(-1)})
+    # integer and rational coefficients of equal value are one polynomial
+    assert TPoly({0: 2}) == TPoly({0: Fraction(2)})
+    assert hash(TPoly({0: 2})) == hash(TPoly({0: Fraction(2)}))
 
 
 def test_eval_missing_variable():
@@ -148,13 +151,16 @@ def test_serialization_roundtrip_and_stability():
         assert q.to_json() == blob
 
 
-def test_trat_div_tpoly():
-    num = TRat.from_tpoly(TPoly.from_list([1, 2, 1]))    # (1+t)^2
-    assert num.div_tpoly_exact(TPoly.from_list([1, 1])) == \
-        TRat.from_tpoly(TPoly.from_list([1, 1]))
+def test_tpoly_exact_div_rational():
+    F = Fraction
+    num = TPoly.from_list([F(1), F(2), F(1)])            # (1+t)^2
+    assert num.exact_div(TPoly.from_list([1, 1])) == TPoly.from_list([F(1), F(1)])
     with pytest.raises(NotDivisible):
-        TRat.from_tpoly(TPoly.from_list([1, 1, 1])).div_tpoly_exact(
-            TPoly.from_list([1, 1]))
+        TPoly.from_list([F(1), F(1), F(1)]).exact_div(TPoly.from_list([1, 1]))
+    # the quotient is taken in Q[t]: halves appear where the integers stop
+    half = TPoly.from_list([F(1, 2), F(1, 2)])
+    assert (num * F(1, 2)).exact_div(TPoly.from_list([1, 1])) == half
+    assert TPoly.from_list([1, 1]).exact_div(TPoly.const(2)) == half
 
 
 # --- truncated series ---------------------------------------------------------
