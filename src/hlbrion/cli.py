@@ -1,6 +1,7 @@
 """Command-line front end: computation and verification subcommands.
 
-Exit codes: 0 on success, 1 on an identity failure, 2 on invalid input.
+Exit codes: 0 on success, 1 on an identity failure, 2 on invalid input,
+141 (128 + SIGPIPE) when the reader of stdout goes away.
 All randomness is seeded and the seed is printed in the report header.
 """
 
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -261,7 +263,16 @@ def main(argv=None):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`hlbrion ... | head`): send what is still
+        # buffered to devnull, so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

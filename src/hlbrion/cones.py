@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .ring import (
-    LaurentPoly, Monomial, RationalFn, TPoly, T_ONE, T_ZERO,
+    InvariantError, LaurentPoly, Monomial, RationalFn, TPoly, T_ONE, T_ZERO,
     random_point,
 )
 
@@ -43,32 +44,63 @@ class WeightMissing(KeyError):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Q
+# exact linear algebra: one fraction-free elimination kernel
 # ---------------------------------------------------------------------------
 
-def mat_rank(rows):
-    m = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
+def _int_row(row):
+    """The row scaled by the least positive integer that makes it integral."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    den = math.lcm(*[x.denominator for x in row])
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _eliminate(rows, ncols=None):
+    """Fraction-free Gauss-Jordan elimination of rational rows (Bareiss 1968).
+
+    Each row is first scaled by a positive integer to integer entries, which
+    keeps its row space and its solution set.  Pivots are sought column by
+    column among the first `ncols` columns (all by default), each in the first
+    remaining row with a nonzero entry there.  Returns (m, pivots, det): for
+    i < rank = len(pivots), m[i][pivots[i]] == det and every other row is zero
+    in column pivots[i]; rows from rank on are zero in the first ncols
+    columns.  det is the nonzero determinant of the pivot minor up to sign
+    (1 when rank is 0), and m / det is the reduced row echelon form.  Every
+    update divides exactly, by Sylvester's identity.
+    """
+    m = [_int_row(r) for r in rows]
+    nrows = len(m)
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
+    pivots = []
+    det = 1
     for col in range(ncols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][col] != 0:
-                piv = i
+        rank = len(pivots)
+        if rank == nrows:
+            break
+        for piv in range(rank, nrows):
+            if m[piv][col]:
                 break
-        if piv is None:
+        else:
             continue
         m[rank], m[piv] = m[piv], m[rank]
         pr = m[rank]
-        inv = 1 / pr[col]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], pr)]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+        p = pr[col]
+        for i, row in enumerate(m):
+            if i == rank:
+                continue
+            f = row[col]
+            if f:
+                m[i] = [(p * a - f * b) // det for a, b in zip(row, pr)]
+            elif p != det:
+                m[i] = [p * a // det for a in row]
+        det = p
+        pivots.append(col)
+    return m, pivots, det
+
+
+def mat_rank(rows):
+    return len(_eliminate(rows)[1])
 
 
 def solve_affine(rows, rhs):
@@ -79,59 +111,41 @@ def solve_affine(rows, rhs):
     if not rows:
         raise ValueError("empty system")
     n = len(rows[0])
-    aug = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, len(aug)):
-            if aug[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pr = aug[r]
-        inv = 1 / pr[col]
-        aug[r] = [a * inv for a in pr]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][n] != 0:
-            return None
+    m, pivots, det = _eliminate([list(r) + [b] for r, b in zip(rows, rhs)], n)
+    if any(row[n] for row in m[len(pivots):]):
+        return None
     x0 = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x0[col] = aug[i][n]
-    free = [c for c in range(n) if c not in pivots]
+    for row, col in zip(m, pivots):
+        x0[col] = Fraction(row[n], det)
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
-        for i, col in enumerate(pivots):
-            v[col] = -aug[i][fc]
+        for row, col in zip(m, pivots):
+            v[col] = Fraction(-row[fc], det)
         basis.append(v)
     return x0, basis
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _adjugate(rows):
+    """Inverse data of a k x d matrix of rank k: (cols, adj, det) with cols
+    its pivot columns and adj / det, det > 0, the inverse of its square
+    submatrix on those columns; None when the rank is below k."""
+    k, d = len(rows), len(rows[0])
+    ident = [[int(i == j) for j in range(k)] for i in range(k)]
+    m, cols, det = _eliminate([list(r) + e for r, e in zip(rows, ident)], d)
+    if len(cols) < k:
+        return None
+    sign = 1 if det > 0 else -1
+    return cols, [[sign * x for x in row[d:]] for row in m], sign * det
 
 
 def primitive(vec):
     """Primitive integer vector in the same direction."""
-    den = 1
-    for x in vec:
-        den = den * Fraction(x).denominator // _gcd(den, Fraction(x).denominator)
-    ints = [int(Fraction(x) * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = _gcd(g, abs(x))
+    ints = _int_row(vec)
+    g = math.gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in ints)
@@ -204,27 +218,10 @@ def smith_diagonal(rows):
 
 
 def _invert_unimodular(v):
-    d = len(v)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(d)]
-           for i, row in enumerate(v)]
-    for col in range(d):
-        piv = next(i for i in range(col, d) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(d):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            x = aug[i][d + j]
-            assert x.denominator == 1
-            row.append(int(x))
-        out.append(row)
-    return out
+    inv = _adjugate(v)
+    if inv is None or inv[2] != 1:
+        raise InvariantError("matrix is not unimodular")
+    return inv[1]
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +400,7 @@ def _fm_feasible(cons, keep):
         seen = set()
         cons = []
         for c in new:
-            g = 0
-            for x in c:
-                g = _gcd(g, abs(x))
+            g = math.gcd(*c)
             if g:
                 c = [x // g for x in c]
             key = tuple(c)
@@ -467,39 +462,6 @@ def _point_monomial(pt, labels):
 # integer point transforms of pointed cones
 # ---------------------------------------------------------------------------
 
-def _choose_columns(rays):
-    """Column subset on which the ray matrix has full rank."""
-    k = len(rays)
-    d = len(rays[0])
-    cols = []
-    m = [[Fraction(x) for x in r] for r in rays]
-    # row-reduce tracking pivot columns
-    r = 0
-    mm = [row[:] for row in m]
-    for col in range(d):
-        piv = None
-        for i in range(r, k):
-            if mm[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mm[r], mm[piv] = mm[piv], mm[r]
-        inv = 1 / mm[r][col]
-        mm[r] = [a * inv for a in mm[r]]
-        for i in range(k):
-            if i != r and mm[i][col] != 0:
-                f = mm[i][col]
-                mm[i] = [a - f * b for a, b in zip(mm[i], mm[r])]
-        cols.append(col)
-        r += 1
-        if r == k:
-            break
-    if r < k:
-        raise NotSimplicial("rays are linearly dependent")
-    return cols
-
-
 def parallelepiped_points(apex, rays, open_idx=frozenset()):
     """Integer points of the half-open parallelepiped apex + sum a_i r_i.
 
@@ -508,73 +470,55 @@ def parallelepiped_points(apex, rays, open_idx=frozenset()):
     """
     if any(int(x) != x for x in apex):
         raise ValueError("apex must be integral")
+    apex = [int(x) for x in apex]
     k = len(rays)
     if k == 0:
-        return [tuple(int(x) for x in apex)]
+        return [tuple(apex)]
+    # a lattice point x of the span is alpha . rays, alpha = x[cols] . adj / det
+    inv = _adjugate(rays)
+    if inv is None:
+        raise NotSimplicial("rays are linearly dependent")
+    cols, adj, det = inv
     diag, lat_rows = smith_diagonal([list(r) for r in rays])
-    cols = _choose_columns(rays)
-    sub = [[Fraction(rays[i][c]) for c in cols] for i in range(k)]
-    subinv = _invert_fraction_matrix(sub)
     pts = []
     for combo in itertools.product(*[range(abs(s)) for s in diag]):
         x = [0] * len(apex)
         for ci, li in zip(combo, lat_rows):
             if ci:
                 x = [a + ci * b for a, b in zip(x, li)]
-        xs = [Fraction(x[c]) for c in cols]
-        alpha = [sum(xs[j] * subinv[j][i] for j in range(k)) for i in range(k)]
+        xs = [x[c] for c in cols]
+        # det * (fractional part of alpha_i), with 0 read as 1 on open facets
         frac = []
-        for i, a in enumerate(alpha):
-            f = a - _floor(a)
+        for i in range(k):
+            f = sum(xs[j] * adj[j][i] for j in range(k)) % det
             if f == 0 and i in open_idx:
-                f = Fraction(1)
+                f = det
             frac.append(f)
-        p = list(Fraction(int(x)) for x in apex)
+        p = [det * a for a in apex]
         for f, r in zip(frac, rays):
             if f:
                 p = [a + f * b for a, b in zip(p, r)]
         ip = []
         for a in p:
-            assert a.denominator == 1, "parallelepiped point not integral"
-            ip.append(int(a))
+            q, rem = divmod(a, det)
+            if rem:
+                raise InvariantError("parallelepiped point not integral")
+            ip.append(q)
         pts.append(tuple(ip))
-    assert len(set(pts)) == len(pts)
+    if len(set(pts)) != len(pts):
+        raise InvariantError("parallelepiped point listed twice")
     return sorted(pts)
-
-
-def _invert_fraction_matrix(m):
-    d = len(m)
-    aug = [[Fraction(x) for x in row] +
-           [Fraction(1 if i == j else 0) for j in range(d)]
-           for i, row in enumerate(m)]
-    for col in range(d):
-        piv = next(i for i in range(col, d) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(d):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[d:] for row in aug]
 
 
 def ipt_simplicial(apex, rays, labels, open_idx=frozenset()):
     """IPT of a (half-open) simplicial cone: parallelepiped numerator over
     prod (1 - e^ray)."""
     rays = [tuple(r) for r in rays]
-    if rays:
-        _choose_columns(rays)
     num = LaurentPoly.zero()
     for p in parallelepiped_points(apex, rays, open_idx):
         num = num + LaurentPoly.from_monomial(_point_monomial(p, labels))
     dens = [_point_monomial(r, labels) for r in rays]
     return RationalFn(num, [(m, 1) for m in dens])
-
-
-def _det_nonzero(rays, subset, cols):
-    sub = [[Fraction(rays[i][c]) for c in cols] for i in subset]
-    return mat_rank(sub) == len(subset)
 
 
 def triangulate(rays):
@@ -585,11 +529,11 @@ def triangulate(rays):
     """
     rays = [tuple(r) for r in rays]
     m = len(rays)
-    rank = mat_rank([list(r) for r in rays])
-    cols = _choose_pivot_cols(rays, rank)
-    proj = [[Fraction(r[c]) for c in cols] for r in rays]
+    cols = _eliminate(rays)[1]
+    rank = len(cols)
     if m == rank:
         return [tuple(range(m))]
+    proj = [[r[c] for c in cols] for r in rays]
     for salt in range(64):
         heights = [Fraction(1 + ((i + 1) * 2654435761 + salt * 97003) % 1000003,
                             1 + ((i + salt) * 7919) % 503)
@@ -597,23 +541,27 @@ def triangulate(rays):
         cells = []
         degenerate = False
         for subset in itertools.combinations(range(m), rank):
-            sub = [proj[i] for i in subset]
-            if mat_rank(sub) < rank:
+            # the linear form w with w . proj[i] = heights[i] on the subset
+            # is w = red[:, rank] / det
+            red, piv, det = _eliminate(
+                [proj[i] + [heights[i]] for i in subset], rank)
+            if len(piv) < rank:
                 continue
-            sol = solve_affine(sub, [heights[i] for i in subset])
-            if sol is None or sol[1]:
-                continue
-            w = sol[0]
+            sign = 1 if det > 0 else -1
+            w = [sign * row[rank] for row in red]
             ok = True
             for j in range(m):
                 if j in subset:
                     continue
-                val = sum(w[c] * proj[j][c] for c in range(rank))
-                if val == heights[j]:
+                # w . proj[j] against heights[j], both times |det| * den
+                h = heights[j]
+                val = sum(a * b for a, b in zip(w, proj[j])) * h.denominator
+                bound = h.numerator * sign * det
+                if val == bound:
                     degenerate = True
                     ok = False
                     break
-                if val > heights[j]:
+                if val > bound:
                     ok = False
                     break
             if degenerate:
@@ -629,39 +577,11 @@ def _transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def _choose_pivot_cols(rays, rank):
-    d = len(rays[0])
-    m = [[Fraction(x) for x in r] for r in rays]
-    cols = []
-    r = 0
-    for col in range(d):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [a * inv for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        cols.append(col)
-        r += 1
-        if r == rank:
-            break
-    return cols
-
-
 def half_open_cells(rays, cells):
     """Assign open facet sets so the half-open cells partition the cone."""
     rays = [tuple(r) for r in rays]
     rank = len(cells[0])
-    cols = _choose_pivot_cols(rays, rank)
-    proj = [[Fraction(r[c]) for c in cols] for r in rays]
+    proj = [[r[c] for c in _eliminate(rays)[1]] for r in rays]
     for salt in range(64):
         gen = [Fraction(1 + ((i + 2) * 40503 + salt * 131) % 9973,
                         1 + ((i + 1) * (salt + 3)) % 89)
@@ -671,16 +591,19 @@ def half_open_cells(rays, cells):
         out = []
         ok = True
         for cell in cells:
-            sub = [proj[i] for i in cell]
-            sol = solve_affine(_transpose(sub), y)
-            if sol is None or sol[1]:
+            # y = sum beta_i proj[i] over the cell: beta = red[:, rank] / det
+            sub = _transpose([proj[i] for i in cell])
+            red, piv, det = _eliminate(
+                [row + [yc] for row, yc in zip(sub, y)], rank)
+            if len(piv) < rank:
                 ok = False
                 break
-            beta = sol[0]
+            beta = [row[rank] for row in red]
             if any(b == 0 for b in beta):
                 ok = False
                 break
-            open_idx = frozenset(i for i, b in enumerate(beta) if b < 0)
+            open_idx = frozenset(i for i, b in enumerate(beta)
+                                 if (b < 0) != (det < 0))
             out.append((cell, open_idx))
         if ok:
             return out
@@ -692,13 +615,12 @@ def check_pointed(rays):
     definite line."""
     if not rays:
         return
-    k = len(rays)
-    rank = mat_rank([list(r) for r in rays])
-    if rank == k:
+    cols = _eliminate(rays)[1]
+    rank = len(cols)
+    if rank == len(rays):
         return
     # nonneg kernel vector => contains a line
-    cols = _choose_pivot_cols(rays, rank)
-    rows = _transpose([[Fraction(r[c]) for c in cols] for r in rays])
+    rows = _transpose([[r[c] for c in cols] for r in rays])
     sol = solve_affine(rows, [0] * rank)
     if sol is not None:
         for v in sol[1]:
@@ -731,7 +653,7 @@ def sigma_relint_cone(apex, rays, labels, face_ray_sets=None, cache=None):
     rays = [tuple(r) for r in rays]
     if face_ray_sets is None:
         k = len(rays)
-        if mat_rank([list(r) for r in rays]) != k and k > 0:
+        if k > 0 and mat_rank(rays) != k:
             raise NotSimplicial("need explicit face list for non-simplicial cones")
         face_ray_sets = [(frozenset(s), len(s))
                          for m in range(k + 1)
@@ -859,7 +781,8 @@ def tangent_cone_at_vertex(P, faces, vertex_id, vertices, phi):
     edge_tights = []
     for e in edges:
         others = [vertices[i] for i in e.vertex_ids if i != vertex_id]
-        assert others, "edge of a bounded polytope must have two vertices"
+        if not others:
+            raise InvariantError("edge of a bounded polytope must have two vertices")
         rays.append(primitive([a - b for a, b in zip(others[0], v)]))
         edge_tights.append(e.tight)
     face_records = []

@@ -42,6 +42,14 @@ class CollapseError(ValueError):
     """A monomial specialization sent a denominator factor to 1."""
 
 
+class InvariantError(ArithmeticError):
+    """A mathematical invariant the computation relies on does not hold.
+
+    Raised in place of `assert`, which `python -O` removes; it signals a
+    defect in the program, never bad input.
+    """
+
+
 # ---------------------------------------------------------------------------
 # t-polynomials
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -124,3 +127,40 @@ def test_verify_graphsum_small(capsys):
     code, out = run(capsys, "verify", "graphsum", "--max-vertices", "5")
     assert code == 0
     assert "degenerations checked" in out
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def cli_process(*argv, optimize=False):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    flags = ["-O"] if optimize else []
+    return [sys.executable, *flags, "-m", "hlbrion.cli", *argv], env
+
+
+def test_closed_stdout_pipe_is_not_an_identity_failure():
+    # 104 kB of output, more than a pipe buffer holds: the writer is still
+    # writing when the reader closes its end after one line
+    cmd, env = cli_process("affine", "--n", "2", "--a", "2,2", "--qmax", "8")
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env, cwd=ROOT)
+    assert proc.stdout.readline().startswith(b"q^0")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert b"Traceback" not in err
+
+
+def test_wbrion_under_optimize_matches():
+    # `python -O` strips asserts: the Brion route must not rely on them
+    argv = ("verify", "wbrion", "--count", "3", "--seed", "5")
+    outs = []
+    for optimize in (False, True):
+        cmd, env = cli_process(*argv, optimize=optimize)
+        proc = subprocess.run(cmd, env=env, cwd=ROOT, capture_output=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].rstrip().endswith(b"PASS")

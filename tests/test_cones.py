@@ -1,16 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hlbrion.cones import (
-    Face, Polyhedron, Unbounded, WeightedCone, face_lattice, ipt_cone,
-    ipt_simplicial, ipt_weighted, parallelepiped_points, primitive,
-    product_cone, sigma_relint_cone, smith_diagonal, tangent_cone_at_vertex,
-    triangulate, verify_weighted_brion, weighted_sum_bruteforce,
+    Face, Polyhedron, Unbounded, WeightedCone, _invert_unimodular,
+    face_lattice, ipt_cone, ipt_simplicial, ipt_weighted, mat_rank,
+    parallelepiped_points, primitive, product_cone, sigma_relint_cone,
+    smith_diagonal, solve_affine, tangent_cone_at_vertex, triangulate,
+    verify_weighted_brion, weighted_sum_bruteforce,
 )
 from hlbrion.ring import (
-    LaurentPoly, Monomial, RationalFn, TPoly, random_point,
+    InvariantError, LaurentPoly, Monomial, RationalFn, TPoly, random_point,
 )
 
 
@@ -80,6 +83,158 @@ def test_smith_diagonal_lattice():
     for x in diag:
         prod *= abs(x)
     assert prod == 6
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel against a plain Gauss-Jordan reference over Fraction
+# ---------------------------------------------------------------------------
+
+def rref_reference(rows, ncols):
+    """Reduced row echelon form over Q: (rows, pivot columns)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [a / m[r][col] for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots
+
+
+def solve_reference(rows, rhs):
+    n = len(rows[0])
+    m, pivots = rref_reference([list(r) + [b] for r, b in zip(rows, rhs)], n)
+    if any(row[n] != 0 for row in m[len(pivots):]):
+        return None
+    x0 = [Fraction(0)] * n
+    for row, col in zip(m, pivots):
+        x0[col] = row[n]
+    basis = []
+    for fc in range(n):
+        if fc not in pivots:
+            v = [Fraction(0)] * n
+            v[fc] = Fraction(1)
+            for row, col in zip(m, pivots):
+                v[col] = -row[fc]
+            basis.append(v)
+    return x0, basis
+
+
+def det_reference(m):
+    """Leibniz formula."""
+    k = len(m)
+    total = 0
+    for perm in itertools.permutations(range(k)):
+        term = (-1) ** sum(perm[i] > perm[j]
+                           for i in range(k) for j in range(i + 1, k))
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+# zeros are drawn often, so that rank-deficient systems come up
+entries = st.one_of(st.just(0), st.integers(-3, 3))
+
+
+@st.composite
+def linear_systems(draw):
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        # a dependent row: the sum of two others
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        rows.append([a + b for a, b in zip(rows[i], rows[j])])
+    rhs = draw(st.lists(st.fractions(-5, 5, max_denominator=6),
+                        min_size=len(rows), max_size=len(rows)))
+    return rows, rhs
+
+
+KERNEL_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
+                           database=None)
+
+
+@KERNEL_SETTINGS
+@given(linear_systems())
+def test_mat_rank_and_solve_match_reference(system):
+    rows, rhs = system
+    ncols = len(rows[0])
+    assert mat_rank(rows) == len(rref_reference(rows, ncols)[1])
+    assert solve_affine(rows, rhs) == solve_reference(rows, rhs)
+    # a consistent right-hand side: the image of a point
+    x = [Fraction(i - 2, i + 1) for i in range(ncols)]
+    image = [sum(a * b for a, b in zip(r, x)) for r in rows]
+    sol = solve_affine(rows, image)
+    assert sol == solve_reference(rows, image)
+    x0, basis = sol
+    assert [sum(a * b for a, b in zip(r, x0)) for r in rows] == image
+    for v in basis:
+        assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
+
+
+# per-dimension entry caps keep |det|, the number of points, small
+RAY_CAPS = {1: 6, 2: 4, 3: 3, 4: 2}
+
+
+@st.composite
+def square_rays(draw):
+    k = draw(st.integers(1, 4))
+    cap = RAY_CAPS[k]
+    rays = draw(st.lists(
+        st.tuples(*[st.integers(-cap, cap)] * k), min_size=k, max_size=k))
+    assume(det_reference(rays) != 0)
+    apex = draw(st.tuples(*[st.integers(-2, 2)] * k))
+    open_idx = frozenset(draw(st.sets(st.integers(0, k - 1))))
+    return apex, rays, open_idx
+
+
+@KERNEL_SETTINGS
+@given(square_rays())
+def test_parallelepiped_points_count_and_box(cone):
+    apex, rays, open_idx = cone
+    pts = parallelepiped_points(apex, rays, open_idx)
+    assert len(pts) == len(set(pts)) == abs(det_reference(rays))
+    cols = [list(c) for c in zip(*rays)]
+    for p in pts:
+        alpha, basis = solve_reference(cols, [a - b for a, b in zip(p, apex)])
+        assert not basis
+        for i, a in enumerate(alpha):
+            assert (0 < a <= 1) if i in open_idx else (0 <= a < 1)
+
+
+@KERNEL_SETTINGS
+@given(st.integers(1, 4), st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3),
+              st.booleans()), max_size=12))
+def test_invert_unimodular_round_trip(d, ops):
+    # a product of elementary integer row operations is unimodular
+    v = [[int(i == j) for j in range(d)] for i in range(d)]
+    for i, j, c, swap in ops:
+        i, j = i % d, j % d
+        if swap:
+            v[i], v[j] = v[j], v[i]
+        elif i != j:
+            v[i] = [a + c * b for a, b in zip(v[i], v[j])]
+    inv = _invert_unimodular(v)
+    ident = [[int(i == j) for j in range(d)] for i in range(d)]
+    assert [[sum(v[i][k] * inv[k][j] for k in range(d)) for j in range(d)]
+            for i in range(d)] == ident
+
+
+def test_invert_unimodular_rejects_non_unimodular():
+    with pytest.raises(InvariantError):
+        _invert_unimodular([[2]])
+    with pytest.raises(InvariantError):
+        _invert_unimodular([[1, 2], [2, 4]])
 
 
 def test_parallelepiped_unimodular():
