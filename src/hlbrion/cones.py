@@ -796,7 +796,7 @@ def tangent_cone_at_vertex(P, faces, vertex_id, vertices, phi):
 
 
 def verify_weighted_brion(P, phi, trials=3, seed=0, vertices=None,
-                          assume_bounded=False, form="moebius"):
+                          assume_bounded=False):
     """Check S_phi(P) == sum over vertices of the weighted tangent-cone IPTs
     at `trials` random rational points."""
     rng = random.Random(seed)
@@ -809,7 +809,7 @@ def verify_weighted_brion(P, phi, trials=3, seed=0, vertices=None,
     fns = []
     for vid in range(len(vertices)):
         cone = tangent_cone_at_vertex(P, faces, vid, vertices, phi)
-        fns.append(ipt_weighted(cone, form=form))
+        fns.append(ipt_weighted(cone))
     dens = []
     for f in fns:
         dens.extend(f.den_list())

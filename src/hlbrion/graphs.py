@@ -18,8 +18,8 @@ from math import gcd, lcm
 
 from .cones import Polyhedron, WeightedCone, ipt_weighted
 from .ring import (
-    Coeff, CollapseError, LaurentPoly, Monomial, RationalFn, TPoly,
-    TruncatedSeries, T_ONE, T_ZERO, UnitFactor, random_point, zq_coeff,
+    Coeff, CollapseError, InvariantError, LaurentPoly, Monomial, RationalFn,
+    TPoly, TruncatedSeries, T_ONE, T_ZERO, UnitFactor, random_point, zq_coeff,
 )
 
 
@@ -106,7 +106,8 @@ class OrdinaryGraph:
                     stack.append(u)
         if seen != vs:
             raise NotConnected("graph is not connected")
-        assert len(self.rows[self.d]) == 1, "last row must hold one vertex"
+        if len(self.rows[self.d]) != 1:
+            raise InvariantError("last row must hold one vertex")
 
     def signature(self):
         return tuple(sorted(self.vertices))
@@ -218,12 +219,10 @@ class FaceSubgraph:
 
     def vertex_coordinates(self, b):
         """Coordinates of a 0-dimensional face."""
-        assert self.dim == 0
+        if self.dim:
+            raise InvariantError(f"face of dimension {self.dim} is no vertex")
         vals = self.top_values(b)
         return {v: vals[self.block_of(v)] for v in self.graph.vertices}
-
-    def edges_json(self):
-        return json.dumps(sorted([list(hi), list(lo)] for hi, lo in self.edge_set()))
 
     def __eq__(self, other):
         return self.graph is other.graph and self.blocks == other.blocks
@@ -465,7 +464,8 @@ class ConePlan:
     run sequences are ordered partitions of the block poset whose prefixes
     are up-sets, the run weights multiply, and consecutive runs contribute a
     geometric cut factor that depends only on the prefix.  The transform is
-    therefore a sum over chains of up-sets, evaluated by dynamic programming.
+    therefore a sum over chains of up-sets (Stanley's P-partition
+    recursion), which `schedule` lists once for every evaluator.
     """
 
     def __init__(self, G):
@@ -473,8 +473,7 @@ class ConePlan:
         dsu = _DSU(G.vertices)
         for v in G.top[1:]:
             dsu.union(G.top[0], v)
-        ok = _closure(G, dsu, [])
-        assert ok
+        _closure(G, dsu, [])        # no forbidden pairs, so it cannot fail
         self.blocks = [frozenset(b) for b in sorted(dsu.blocks(), key=min)]
         self.n = len(self.blocks)
         block_of = {}
@@ -482,41 +481,32 @@ class ConePlan:
             for v in blk:
                 block_of[v] = bi
         self.pin = block_of[G.top[0]]
-        covers = set()
-        for hi, lo in G.edges:
-            bh, bl = block_of[hi], block_of[lo]
-            if bh != bl:
-                covers.add((bh, bl))
-        self.covers = covers
+        covers = {(block_of[hi], block_of[lo]) for hi, lo in G.edges
+                  if block_of[hi] != block_of[lo]}
         self.parents = {b: set() for b in range(self.n)}
+        children = {b: [] for b in range(self.n)}
         for bh, bl in covers:
             self.parents[bl].add(bh)
-        self._assert_acyclic()
-        self._phi_cache = {}
-        self._upsets = None
-        self._moves = {}
-        self._topo = None
-        self._schedule = None
-
-    def _assert_acyclic(self):
+            children[bh].append(bl)
         indeg = {b: len(self.parents[b]) for b in range(self.n)}
-        ready = [b for b in range(self.n) if indeg[b] == 0]
-        seen = 0
+        ready = sorted(b for b in range(self.n) if indeg[b] == 0)
+        self.topo = []
         while ready:
             b = ready.pop()
-            seen += 1
-            for bh, bl in self.covers:
-                if bh == b:
-                    indeg[bl] -= 1
-                    if indeg[bl] == 0:
-                        ready.append(bl)
-        assert seen == self.n, "block order relation has a cycle"
+            self.topo.append(b)
+            for c in children[b]:
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    ready.append(c)
+        if len(self.topo) < self.n:
+            raise InvariantError("block order relation has a cycle")
+        # from the empty set the runs are exactly the nonempty up-sets
+        self.upsets = sorted([frozenset()] + self.next_runs(frozenset()),
+                             key=lambda s: (len(s), sorted(s)))
+        self.schedule = self._build_schedule()
 
     def phi_run(self, run):
         """Weight factor of a run: the face components inside the run."""
-        cached = self._phi_cache.get(run)
-        if cached is not None:
-            return cached
         verts = set()
         for b in run:
             verts |= self.blocks[b]
@@ -540,56 +530,11 @@ class ConePlan:
             for i, l in counts.items():
                 if i > a and counts.get(i - 1, 0) == l - 1:
                     out = out * (T_ONE - TPoly.t(l))
-        self._phi_cache[run] = out
         return out
-
-    def upsets(self):
-        """All up-closed block sets (cached)."""
-        if self._upsets is None:
-            out = set()
-
-            def rec(current, rest):
-                if not rest:
-                    out.add(frozenset(current))
-                    return
-                b = rest[0]
-                # b excluded: everything below b must also be excluded later
-                rec(current, rest[1:])
-                if self.parents[b] <= current:
-                    current.add(b)
-                    rec(current, rest[1:])
-                    current.remove(b)
-
-            order = self._topo_order()
-            rec(set(), order)
-            self._upsets = sorted(out, key=lambda s: (len(s), sorted(s)))
-        return self._upsets
-
-    def _topo_order(self):
-        if self._topo is not None:
-            return self._topo
-        indeg = {b: len(self.parents[b]) for b in range(self.n)}
-        ready = sorted(b for b in range(self.n) if indeg[b] == 0)
-        order = []
-        children = {b: [] for b in range(self.n)}
-        for bh, bl in self.covers:
-            children[bh].append(bl)
-        while ready:
-            b = ready.pop()
-            order.append(b)
-            for c in children[b]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-        self._topo = order
-        return order
 
     def next_runs(self, placed):
         """Valid next runs: nonempty sets whose parents lie in placed + run."""
-        cached = self._moves.get(placed)
-        if cached is not None:
-            return cached
-        rest = [b for b in self._topo_order() if b not in placed]
+        rest = [b for b in self.topo if b not in placed]
         out = []
 
         def rec(current, idx):
@@ -597,41 +542,40 @@ class ConePlan:
                 out.append(frozenset(current))
             for k in range(idx, len(rest)):
                 b = rest[k]
-                if self.parents[b] <= (placed | current | {b}):
-                    if self.parents[b] - placed <= current:
-                        current.add(b)
-                        rec(current, k + 1)
-                        current.remove(b)
+                if self.parents[b] - placed <= current:
+                    current.add(b)
+                    rec(current, k + 1)
+                    current.remove(b)
 
         rec(set(), 0)
-        self._moves[placed] = out
         return out
 
-    def schedule(self):
-        """The up-set recursion as index lists (cached).
+    def _build_schedule(self):
+        """The up-set recursion as index lists.
 
         One step per up-set U other than the full set, the largest first, as
-        (index of U in upsets(), width, groups).  Each group is (coefficient
+        (index of U in upsets, width, groups).  Each group is (coefficient
         tuple of phi_run(run), indices of U | run) over the runs of that
         weight; width bounds the length of the coefficient list of U.
         """
-        if self._schedule is None:
-            ups = self.upsets()
-            index = {u: k for k, u in enumerate(ups)}
-            widths = [1] * len(ups)
-            steps = []
-            for k in range(len(ups) - 2, -1, -1):
-                groups = {}
-                for run in self.next_runs(ups[k]):
-                    phi = tuple(self.phi_run(run).to_list())
-                    groups.setdefault(phi, []).append(index[ups[k] | run])
-                widths[k] = max(len(phi) - 1 + widths[j]
-                                for phi, kids in groups.items() for j in kids)
-                steps.append((k, widths[k],
-                              tuple((phi, tuple(kids))
-                                    for phi, kids in groups.items())))
-            self._schedule = steps
-        return self._schedule
+        ups = self.upsets
+        index = {u: k for k, u in enumerate(ups)}
+        phis = {}
+        widths = [1] * len(ups)
+        steps = []
+        for k in range(len(ups) - 2, -1, -1):
+            groups = {}
+            for run in self.next_runs(ups[k]):
+                phi = phis.get(run)
+                if phi is None:
+                    phi = phis[run] = tuple(self.phi_run(run).to_list())
+                groups.setdefault(phi, []).append(index[ups[k] | run])
+            widths[k] = max(len(phi) - 1 + widths[j]
+                            for phi, kids in groups.items() for j in kids)
+            steps.append((k, widths[k],
+                          tuple((phi, tuple(kids))
+                                for phi, kids in groups.items())))
+        return steps
 
 
 def cone_plan(G):
@@ -692,11 +636,8 @@ class ConeTransform:
 
     def cut_monomials(self):
         full = frozenset(range(self.plan.n))
-        return [self._cut_mono(u) for u in self.plan.upsets()
+        return [self._cut_mono(u) for u in self.plan.upsets
                 if u and u != full]
-
-    def den_monomials(self):
-        return self.cut_monomials()
 
     def eval(self, point, memo=None, shared=None):
         """Exact value at a rational point, t symbolic.
@@ -716,16 +657,16 @@ class ConeTransform:
         key = None
         if shared is not None:
             # the apex only scales the transform, so cache the cone part
-            key = (id(self.plan), self.block_monos_key())
+            key = (id(self.plan), tuple(self.block_monos))
             got = shared.get(key)
             if got is not None:
                 return got * self.apex.eval(point, memo)
         plan = self.plan
-        ups = plan.upsets()
+        ups = plan.upsets
         nums = [None] * len(ups)
         dens = [None] * len(ups)
         nums[-1], dens[-1] = [1], 1
-        for k, width, groups in plan.schedule():
+        for k, width, groups in plan.schedule:
             den = lcm(*[dens[j] for _, kids in groups for j in kids])
             num = [0] * width
             for phi, kids in groups:
@@ -757,33 +698,36 @@ class ConeTransform:
             shared[key] = out
         return out * self.apex.eval(point, memo)
 
-    def block_monos_key(self):
-        return tuple(self.block_monos)
+    def _fold(self, one, zero, scale, cut):
+        """The up-set recursion of `eval` in another ring.
+
+        The value of the full set is `one`.  For each up-set U, the values
+        reached by runs of one weight are summed, `scale(sum, weight)` is
+        added to `zero`, and, unless U is empty, the total is multiplied by
+        `cut(m)`, the factor m/(1 - m) of the cut monomial m of U.
+        """
+        plan = self.plan
+        vals = [None] * len(plan.upsets)
+        vals[-1] = one
+        for k, _, groups in plan.schedule:
+            total = zero
+            for phi, kids in groups:
+                acc = vals[kids[0]]
+                for j in kids[1:]:
+                    acc = acc + vals[j]
+                total = total + scale(acc, TPoly.from_list(phi))
+            if k:
+                total = total * cut(self._cut_mono(plan.upsets[k]))
+            vals[k] = total
+        return vals[0]
 
     def expand(self):
         """Full RationalFn expansion (small cones only)."""
-        plan = self.plan
-        full = frozenset(range(plan.n))
-        cache = {}
-
-        def H(upset):
-            if upset == full:
-                return RationalFn(LaurentPoly.one())
-            got = cache.get(upset)
-            if got is not None:
-                return got
-            total = None
-            for run in plan.next_runs(upset):
-                u2 = upset | run
-                val = H(u2) * plan.phi_run(run)
-                if u2 != full:
-                    m = self._cut_mono(u2)
-                    val = val * RationalFn(LaurentPoly.from_monomial(m), [(m, 1)])
-                total = val if total is None else total + val
-            cache[upset] = total
-            return total
-
-        return H(frozenset()) * self.apex
+        return self._fold(
+            RationalFn(LaurentPoly.one()), RationalFn.zero(),
+            lambda val, phi: val * phi,
+            lambda m: RationalFn(LaurentPoly.from_monomial(m), [(m, 1)]),
+        ) * self.apex
 
     def series_unit(self, order, domain, zpoint=None):
         """Truncated q-series of the transform without its apex monomial.
@@ -793,10 +737,6 @@ class ConeTransform:
         evaluated at rationals.  All cut factors have nonnegative q-valuation
         as series, so the result is exact to the requested order.
         """
-        plan = self.plan
-        full = frozenset(range(plan.n))
-        cache = {}
-
         def cut_series(mono):
             if mono.is_unit():
                 raise UnitFactor("cut factor equals 1")
@@ -821,23 +761,9 @@ class ConeTransform:
                 coeffs[0] = coeff / (Coeff.one() - coeff)
             return TruncatedSeries(order, coeffs, domain)
 
-        def H(upset):
-            if upset == full:
-                return TruncatedSeries.one(order, domain)
-            got = cache.get(upset)
-            if got is not None:
-                return got
-            total = TruncatedSeries.zero(order, domain)
-            for run in plan.next_runs(upset):
-                u2 = upset | run
-                val = H(u2).scale(plan.phi_run(run))
-                if u2 != full:
-                    val = val * cut_series(self._cut_mono(u2))
-                total = total + val
-            cache[upset] = total
-            return total
-
-        return H(frozenset())
+        return self._fold(TruncatedSeries.one(order, domain),
+                          TruncatedSeries.zero(order, domain),
+                          lambda val, phi: val.scale(phi), cut_series)
 
 
 def _coeff_pow(coeff, k):
@@ -877,7 +803,7 @@ class FactoredTransform:
     def den_monomials(self):
         out = []
         for fac in self.factors:
-            out.extend(fac.den_monomials() if isinstance(fac, ConeTransform)
+            out.extend(fac.cut_monomials() if isinstance(fac, ConeTransform)
                        else fac.den_list())
         return out
 
@@ -931,7 +857,8 @@ def _cone_weighted(G, faces):
         if f.dim != 1:
             continue
         free = [blk for blk in f.blocks if not (blk & set(G.top))]
-        assert len(free) == 1
+        if len(free) != 1:
+            raise InvariantError("a ray face has one free block")
         blk = free[0]
         sign = None
         for hi, lo in G.edges:
@@ -939,9 +866,11 @@ def _cone_weighted(G, faces):
             if inb_hi == inb_lo:
                 continue
             s = 1 if inb_hi else -1
-            assert sign is None or sign == s, "inconsistent ray orientation"
+            if sign == -s:
+                raise InvariantError("inconsistent ray orientation")
             sign = s
-        assert sign is not None
+        if sign is None:
+            raise InvariantError("ray block meets no edge")
         vec = [0] * len(labels)
         for v in blk:
             vec[index[v]] = sign
@@ -1003,24 +932,6 @@ def psi_terms(G, b):
     return out
 
 
-def psi_eval(G, b, point):
-    """Evaluate psi_G(b) at a rational x-point (t symbolic)."""
-    memo = {}
-    total = T_ZERO
-    for _, fn in psi_terms(G, b):
-        total = total + fn.eval(point, memo)
-    return total
-
-
-def psi_rational(G, b):
-    """psi_G(b) as a single RationalFn in the x-variables (small graphs)."""
-    total = None
-    for _, fn in psi_terms(G, b):
-        e = fn.expand()
-        total = e if total is None else total + e
-    return total
-
-
 def psi_is_zero(G, b, trials=5, seed=0, rng=None):
     """Randomized test that psi_G(b) vanishes identically."""
     rng = rng or random.Random(seed)
@@ -1065,8 +976,7 @@ def degeneration_map(G, b, b2, face):
     for vs in groups.values():
         for u in vs[1:]:
             dsu.union(vs[0], u)
-    ok = _closure(G, dsu, [])
-    assert ok
+    _closure(G, dsu, [])            # no forbidden pairs, so it cannot fail
     img = FaceSubgraph(G, dsu.blocks())
     # blocks joined only through a tie must be reconnected through edges;
     # when the closure alone does not produce a valid face, fall back to
@@ -1103,9 +1013,12 @@ def _blocks_connected(G, face):
 
 def _smallest_face_containing(G, b2, edge_set):
     cands = [f for f in enumerate_faces(G, b2) if f.edge_set() >= edge_set]
-    assert cands, "no face of the degenerate polyhedron contains the edges"
+    if not cands:
+        raise InvariantError(
+            "no face of the degenerate polyhedron contains the edges")
     best = min(cands, key=lambda f: len(f.edge_set()))
-    assert all(f.edge_set() >= best.edge_set() for f in cands)
+    if not all(f.edge_set() >= best.edge_set() for f in cands):
+        raise InvariantError("no smallest face contains the edges")
     return best
 
 
@@ -1153,7 +1066,9 @@ def verify_gensingular(G, b, b2, trials=3, seed=0):
     rhs = []
     for f, fn in vertex_contributions(G, b):
         img = degeneration_map(G, b, b2, f)
-        assert img.dim == 0
+        if img.dim:
+            raise InvariantError("a vertex degenerates to a face of "
+                                 f"dimension {img.dim}")
         coords = f.vertex_coordinates(b)
         coords2 = img.vertex_coordinates(b2)
         shift = Monomial({svar(v): coords2[v] - coords[v]
@@ -1300,5 +1215,6 @@ def random_bounded_instances(count, seed, max_dim=8, pool_max_vertices=8,
         b = BSeq(vals)
         if len(G.vertices) - G.l <= max_dim and is_bounded(G, b):
             out.append((G, b))
-    assert len(out) == count, "could not sample enough bounded instances"
+    if len(out) < count:
+        raise InvariantError("could not sample enough bounded instances")
     return out

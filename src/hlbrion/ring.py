@@ -712,9 +712,6 @@ class RationalFn:
             scale /= d ** k
         return val * scale
 
-    def den_vanishes_at(self, point):
-        return any(m.eval(point) == 1 for m in self.den)
-
     def to_laurent(self):
         """Exact division of the numerator by the denominator product."""
         return exact_div_binomials(self.num, self.den_list())

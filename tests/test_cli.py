@@ -152,9 +152,14 @@ def test_closed_stdout_pipe_is_not_an_identity_failure():
     assert b"Traceback" not in err
 
 
-def test_wbrion_under_optimize_matches():
-    # `python -O` strips asserts: the Brion route must not rely on them
-    argv = ("verify", "wbrion", "--count", "3", "--seed", "5")
+@pytest.mark.parametrize("argv", [
+    ("verify", "wbrion", "--count", "3", "--seed", "5"),
+    ("verify", "zero", "--graph", "fixtures/fig2.json", "--b", "3"),
+    ("verify", "gensingular", "--count", "3", "--seed", "2"),
+    ("verify", "contrib", "--n", "2", "--a", "1,1", "--qmax", "1"),
+], ids=lambda argv: argv[1])
+def test_cli_under_optimize_matches(argv):
+    # `python -O` strips asserts: no verify suite may rely on them
     outs = []
     for optimize in (False, True):
         cmd, env = cli_process(*argv, optimize=optimize)
