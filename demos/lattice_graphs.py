@@ -9,13 +9,13 @@ transform at random points.
 import json
 
 from hlbrion.graphs import (
-    BSeq, check_ordinary, enumerate_faces, psi_is_zero, t_multinomial,
+    BSeq, OrdinaryGraph, enumerate_faces, psi_is_zero, t_multinomial,
     triangle_graph, verify_face_euler_sum, verify_graphsum,
 )
 from hlbrion.ring import TPoly
 
 with open("fixtures/fig2.json") as fh:
-    shape = check_ordinary(json.load(fh))
+    shape = OrdinaryGraph(json.load(fh))
 print("shape:", sorted(shape.vertices))
 print("row counts:", shape.row_counts(), "- grows downward:",
       shape.violates_row_monotonicity())

@@ -19,8 +19,8 @@ import random as _random
 
 from .graphs import ConeTransform, OrdinaryGraph, _DSU, svar, t_factorial
 from .ring import (
-    Coeff, CollapseError, EVALUATED, LaurentPoly, Monomial, SYMBOLIC_Z,
-    TPoly, TruncatedSeries, T_ONE, random_point, zq_coeff,
+    Coeff, CollapseError, EVALUATED, InvariantError, LaurentPoly, Monomial,
+    SYMBOLIC_Z, TPoly, TruncatedSeries, T_ONE, random_point, zq_coeff,
 )
 
 
@@ -334,8 +334,9 @@ def d_stats(A):
             jl -= 1
         while s_ij(A, i, jr) == s_ij(A, i, jr + 1):
             jr += 1
-        assert s_ij(A, i, jl - 1) > s_ij(A, i, jl)
-        assert s_ij(A, i, jr) > s_ij(A, i, jr + 1)
+        if not (s_ij(A, i, jl - 1) > s_ij(A, i, jl) and
+                s_ij(A, i, jr) > s_ij(A, i, jr + 1)):
+            raise InvariantError(f"row {i} scan window not cut at strict drops")
         row_i = _row_values(A, i, jl, jr)
         row_up = _row_values(A, i - 1, jl, jr + 1)
         counts_i = {}
@@ -387,16 +388,14 @@ def _perm_act(sigma, vec):
     return tuple(out)
 
 
-def weyl_act(sigma, tau, vec, level, dcoef):
-    """Action of the affine element (translation tau) o (permutation sigma)
-    on a weight given by epsilon-coordinates, level and delta-coefficient."""
-    v = _perm_act(sigma, vec)
-    v2 = tuple(x + level * t for x, t in zip(v, tau))
-    pairing = sum(x * t for x, t in zip(v, tau))
-    norm2 = sum(t * t for t in tau)
-    assert (level * norm2) % 2 == 0
-    d2 = dcoef - pairing - level * norm2 // 2
-    return v2, level, d2
+def _weyl_shift(weight, lam, sigma, tau):
+    """(epsilon-part, q-degree) of the weight shift w(lam) - lam of the
+    element w = (translation tau) o (permutation sigma); lam is the finite
+    part of the weight."""
+    k = weight.k
+    v = _perm_act(sigma, lam)
+    qdeg = sum(x * t for x, t in zip(v, tau)) + k * sum(t * t for t in tau) // 2
+    return tuple(x + k * t - l for x, t, l in zip(v, tau, lam)), qdeg
 
 
 def zq_of_shift(u, qexp):
@@ -429,12 +428,9 @@ def weyl_elements(weight, qmax):
     while k * bound * bound - 2 * lam_max * n * bound <= 2 * qmax:
         bound += 1
     for tau in _zero_sum_vectors(n, bound):
-        norm2 = sum(t * t for t in tau)
         for sigma in itertools.permutations(range(n)):
-            v = _perm_act(sigma, lam)
-            qdeg = sum(x * t for x, t in zip(v, tau)) + k * norm2 // 2
+            u, qdeg = _weyl_shift(weight, lam, sigma, tau)
             if 0 <= qdeg <= qmax:
-                u = tuple(x + k * t - l for x, t, l in zip(v, tau, lam))
                 out.append((sigma, tau, zq_of_shift(u, qdeg), qdeg))
     return out
 
@@ -480,19 +476,26 @@ def _root_monomial(n, i, j, m):
     return zq_of_shift(tuple(u), m)
 
 
-def _factor_series(order, domain, mono, zpoint, kind):
-    """(1 - t y), (t - y) or (1 - y) as a truncated series."""
-    c, q = zq_coeff(mono, zpoint)
-    t = Coeff(TPoly.t())
-    if kind == "one_minus_ty":
-        c0, cq = Coeff.one(), -(t * c)
-    elif kind == "t_minus_y":
-        c0, cq = t, -c
-    else:
-        c0, cq = Coeff.one(), -c
-    if q == 0:
-        return TruncatedSeries(order, {0: c0 + cq}, domain)
-    return TruncatedSeries(order, {0: c0, q: cq}, domain)
+def _root_factors(n, qmax, domain, zpoint):
+    """One entry per positive root of q-degree <= qmax: the real roots
+    e_i - e_j + m delta keyed ((i, j), m), then the imaginary roots m delta,
+    n - 1 times each, keyed None.  Each entry holds its key and the series
+    (1 - t y), (t - y) and (1 - y) for y = e^{-root}."""
+    roots = [(((i, j), m), zq_coeff(_root_monomial(n, i, j, m), zpoint))
+             for (i, j) in finite_roots(n)
+             for m in range((0 if i < j else 1), qmax + 1)]
+    roots += [(None, (Coeff.one(), m))
+              for m in range(1, qmax + 1) for _ in range(n - 1)]
+    one, t = Coeff.one(), Coeff(TPoly.t())
+
+    def binomial(c0, cq, q):
+        if q == 0:
+            return TruncatedSeries(qmax, {0: c0 + cq}, domain)
+        return TruncatedSeries(qmax, {0: c0, q: cq}, domain)
+
+    return [(key, binomial(one, -(t * c), q), binomial(t, -c, q),
+             binomial(one, -c, q))
+            for key, (c, q) in roots]
 
 
 def lhs_series(weight, qmax, domain=None, zpoint=None):
@@ -501,12 +504,13 @@ def lhs_series(weight, qmax, domain=None, zpoint=None):
     domain = default_domain(weight, domain)
     if domain == SYMBOLIC_Z and weight.n != 2:
         raise ValueError("symbolic z-coefficients only for n = 2")
+    factors = _root_factors(weight.n, qmax, domain, zpoint)
     total = None
     for sigma, tau, shift_mono, _ in weyl_elements(weight, qmax):
-        term = _weyl_term_series(weight, sigma, tau, shift_mono, qmax, domain,
-                                 zpoint)
+        term = _weyl_term_series(weight, sigma, tau, shift_mono, factors,
+                                 qmax, domain, zpoint)
         total = term if total is None else total + term
-    return _over_den(total, weight, qmax, domain, zpoint)
+    return _over_den(total, factors, qmax)
 
 
 def random_zpoint(n, rng):
@@ -565,8 +569,8 @@ class DeltaGraph:
         self.ur = {p: v.get(p) == 0 for p in rng}          # edge p ~ p-1
         self.ul = {p: v.chi(p) == weight.k for p in rng}   # edge p ~ p-n
         if require_vertex:
-            for p in rng:
-                assert self.ur[p] or self.ul[p], "not a vertex of the polyhedron"
+            if not all(self.ur[p] or self.ul[p] for p in rng):
+                raise InvariantError("not a vertex of the polyhedron")
         dsu = _DSU(list(rng))
         for p in rng:
             if self.ur[p] and p - 1 >= self.p0:
@@ -579,9 +583,9 @@ class DeltaGraph:
             labels.setdefault(comp_of[p], len(labels))
         self.comp = {p: labels[comp_of[p]] for p in rng}
         self.m = len(labels)
-        if require_vertex:
-            assert self.m == weight.m_count(), \
-                f"component count {self.m} != m(lambda) = {weight.m_count()}"
+        if require_vertex and self.m != weight.m_count():
+            raise InvariantError(f"component count {self.m} != m(lambda) = "
+                                 f"{weight.m_count()}")
         # embed rows: both edge types point one row up; anchor every
         # component at its member closest to the origin, at the row of the
         # matching residue class nearest zero
@@ -601,7 +605,8 @@ class DeltaGraph:
             while stack:
                 q, r = stack.pop()
                 if q in self.row:
-                    assert self.row[q] == r, "inconsistent embedding"
+                    if self.row[q] != r:
+                        raise InvariantError("inconsistent embedding")
                     continue
                 self.row[q] = r
                 if self.ur.get(q) and q - 1 >= self.p0:
@@ -612,12 +617,10 @@ class DeltaGraph:
                     stack.append((q + 1, r + 1))
                 if self.ul.get(q + n) and q + n <= self.p1:
                     stack.append((q + n, r + 1))
-        for p in rng:
-            if n > 2:
-                assert (p - self.row[p]) % (n - 1) == 0
         self.col = {p: (p - self.row[p] * n) // (n - 1) for p in rng}
         for p in rng:
-            assert self.row[p] * n + self.col[p] * (n - 1) == p
+            if self.row[p] * n + self.col[p] * (n - 1) != p:
+                raise InvariantError(f"position {p} is off its row")
         self.lmin = self._section_floor() if require_vertex else None
 
     def _section_floor(self):
@@ -626,7 +629,8 @@ class DeltaGraph:
         with the rows."""
         n = self.weight.n
         safe = (min(-self.p0, self.p1) - 2 * n * n) // n
-        assert safe >= 2, "index range too small"
+        if safe < 2:
+            raise InvariantError("index range too small")
         by_row = {}
         for p in range(self.p0, self.p1 + 1):
             r = self.row[p]
@@ -657,7 +661,8 @@ class DeltaGraph:
 
     def section_graphs(self, l):
         """Per component: the ordinary graph of rows [-l, l] and its s-value."""
-        assert l >= self.lmin
+        if l < self.lmin:
+            raise InvariantError(f"section radius {l} below {self.lmin}")
         comps = {}
         for p in self.vertices_in_rows(-l, l):
             comps.setdefault(self.comp[p], []).append(p)
@@ -667,10 +672,12 @@ class DeltaGraph:
             verts = [(self.row[p], self.col[p]) for p in ps]
             G = OrdinaryGraph(verts)
             top = [p for p in ps if self.row[p] == -l]
-            assert top, "component does not reach the top of the section"
+            if not top:
+                raise InvariantError(
+                    "component does not reach the top of the section")
             b = s_ij(self.v, -l, self.col[top[0]])
-            for p in top[1:]:
-                assert s_ij(self.v, -l, self.col[p]) == b
+            if any(s_ij(self.v, -l, self.col[p]) != b for p in top[1:]):
+                raise InvariantError("top row values of a component differ")
             out.append((G, b))
         return out
 
@@ -680,7 +687,8 @@ class DeltaGraph:
         n = self.weight.n
         window = self.vertices_in_rows(-l + 1, l)
         bottom = [p for p in window if self.row[p] == l]
-        assert len(bottom) == 1
+        if len(bottom) != 1:
+            raise InvariantError(f"{len(bottom)} vertices in the bottom row")
         ccount = sum(1 for p in window
                      if self.row[p] < l and p >= 1 and p % (n - 1) == 0)
         out = {}
@@ -715,7 +723,9 @@ def tau_section(dgraph, l, order, domain, zpoint=None):
         ct = ConeTransform.of_cone(G, 0).subs_monomials(gmap, GCollapse)
         total = total * ct.series_unit(order, domain, zpoint)
     c, q = zq_coeff(dgraph.apex_monomial(), zpoint)
-    assert q >= 0, "vertex weight shift must have nonnegative q-degree"
+    if q < 0:
+        raise InvariantError(
+            "vertex weight shift must have nonnegative q-degree")
     out = total.scale(c)
     if q:
         out = out.shift(q).truncate(order)
@@ -736,16 +746,10 @@ def tau_truncated(weight, v, order, domain=None, zpoint=None, max_steps=12):
     raise NoStabilization(f"no agreement below section cap for {v}")
 
 
-def _positive_real_roots(n, qmax):
-    """Positive real roots e_i - e_j + m delta, m <= qmax, as ((i, j), m)."""
-    return [((i, j), m)
-            for (i, j) in finite_roots(n)
-            for m in range((0 if i < j else 1), qmax + 1)]
-
-
-def _weyl_term_series(weight, sigma, tau, shift_mono, qmax, domain, zpoint):
-    """Numerator of one group element's term over the common denominator."""
-    n = weight.n
+def _weyl_term_series(weight, sigma, tau, shift_mono, factors, qmax, domain,
+                      zpoint):
+    """Numerator of one group element's term over the common denominator:
+    (t - y) over the flipped roots of `factors`, (1 - t y) over the others."""
     flips = flip_set(weight, sigma, tau, qmax)
     c, q = zq_coeff(shift_mono, zpoint)
     # flipped factors beyond the truncation still contribute their constant
@@ -754,31 +758,20 @@ def _weyl_term_series(weight, sigma, tau, shift_mono, qmax, domain, zpoint):
     if deep:
         c = c * TPoly.t(deep)
     term = TruncatedSeries(qmax, {q: c}, domain)
-    for (i, j), m in _positive_real_roots(n, qmax):
-        mono = _root_monomial(n, i, j, m)
-        kind = "t_minus_y" if ((i, j), m) in flips else "one_minus_ty"
-        term = term * _factor_series(qmax, domain, mono, zpoint, kind)
-    for m in range(1, qmax + 1):
-        im = TruncatedSeries(qmax, {0: Coeff.one(), m: Coeff(-TPoly.t())}, domain)
-        for _ in range(n - 1):
-            term = term * im
+    for key, one_minus_ty, t_minus_y, _ in factors:
+        term = term * (t_minus_y if key in flips else one_minus_ty)
     return term
 
 
-def _over_den(numer, weight, qmax, domain, zpoint):
-    """`numer` divided by the common denominator: the product of (1 - y)
-    over the positive real roots, imaginary ones n - 1 times each."""
-    n = weight.n
-    den = TruncatedSeries.one(qmax, domain)
-    for (i, j), m in _positive_real_roots(n, qmax):
-        mono = _root_monomial(n, i, j, m)
-        den = den * _factor_series(qmax, domain, mono, zpoint, "one_minus_y")
-    for m in range(1, qmax + 1):
-        im = TruncatedSeries(qmax, {0: Coeff.one(), m: -Coeff.one()}, domain)
-        for _ in range(n - 1):
-            den = den * im
+def _over_den(numer, factors, qmax):
+    """`numer` divided by the common denominator: the product of the (1 - y)
+    of `factors`."""
+    den = TruncatedSeries.one(qmax, numer.domain)
+    for *_, one_minus_y in factors:
+        den = den * one_minus_y
     out = numer * den.invert()
-    assert out.order >= qmax, "precision loss in the series division"
+    if out.order < qmax:
+        raise InvariantError("precision loss in the series division")
     return out.truncate(qmax)
 
 
@@ -787,15 +780,11 @@ def closed_form_contribution(weight, sigma, tau, qmax, domain=None,
     """Contribution of one group element: shifted flipped root factors over
     the common denominator."""
     domain = default_domain(weight, domain)
-    lam = weight.finite_part()
-    v = _perm_act(sigma, lam)
-    norm2 = sum(t * t for t in tau)
-    qdeg = sum(x * t for x, t in zip(v, tau)) + weight.k * norm2 // 2
-    u = tuple(x + weight.k * t - l for x, t, l in zip(v, tau, lam))
-    shift_mono = zq_of_shift(u, qdeg)
-    term = _weyl_term_series(weight, sigma, tau, shift_mono, qmax, domain,
-                             zpoint)
-    return _over_den(term, weight, qmax, domain, zpoint)
+    u, qdeg = _weyl_shift(weight, weight.finite_part(), sigma, tau)
+    factors = _root_factors(weight.n, qmax, domain, zpoint)
+    term = _weyl_term_series(weight, sigma, tau, zq_of_shift(u, qdeg),
+                             factors, qmax, domain, zpoint)
+    return _over_den(term, factors, qmax)
 
 
 # ---------------------------------------------------------------------------
@@ -808,8 +797,8 @@ def vertex_from_cuts(weight, cuts):
     where the indicator holds, zero entries where it does not."""
     n, k = weight.n, weight.k
     byres = {r: c for r, c in zip(range(1, n), cuts)}
-    for r, c in byres.items():
-        assert (c - r) % (n - 1) == 0
+    if any((c - r) % (n - 1) for r, c in byres.items()):
+        raise InvariantError(f"cuts {cuts} off their residue classes")
 
     def y(l):
         r = residue(l, n)
@@ -924,7 +913,9 @@ def verify_contrib(weight, qmax, trials=2, seed=0, nonrelevant_extra=1):
                 shifts = []
                 for cuts in fiber:
                     v1 = vertex_from_cuts(aux, cuts)
-                    assert v1 is not None
+                    if v1 is None:
+                        raise InvariantError(
+                            f"cuts {cuts} give no vertex of {aux}")
                     shift = v.zq_monomial() * v1.zq_monomial().inv()
                     shifts.append((v1, zq_coeff(shift, zpoint)))
                 headroom = max(0, max(-q for _, (_, q) in shifts))
@@ -994,7 +985,8 @@ def nonrelevant_vertices(weight, count):
                 not is_relevant_vertex(weight, seq):
             out.append(seq)
         gap += 1
-    assert len(out) == count, "could not construct enough irrelevant vertices"
+    if len(out) != count:
+        raise InvariantError("could not construct enough irrelevant vertices")
     return out
 
 
@@ -1011,15 +1003,6 @@ def apply_G(weight, exps):
         if q:
             out["q"] = out.get("q", 0) + q * e
     return Monomial({k: v for k, v in out.items() if v})
-
-
-def dl_cone(weight, v, l=None, span=10):
-    """Factored finite section of a vertex cone: (graph, value) per component."""
-    dg = DeltaGraph(weight, v, span)
-    if l is None:
-        l = dg.lmin
-    assert l >= dg.lmin
-    return dg.section_graphs(l)
 
 
 def p_weight_via_delta(weight, A, span=8):
@@ -1045,6 +1028,8 @@ def p_weight_via_delta(weight, A, span=8):
         for r in range(-safe, safe + 1):
             l = rows.get(r, 0)
             if l and rows.get(r - 1, 0) == l - 1:
-                assert -safe < r, "unstable top boundary in face weight scan"
+                if r == -safe:
+                    raise InvariantError(
+                        "unstable top boundary in face weight scan")
                 out = out * (T_ONE - TPoly.t(l))
     return out

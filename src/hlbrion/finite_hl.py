@@ -17,7 +17,7 @@ from .graphs import (
     BSeq, psi_terms, t_factorial, triangle_graph, xvar,
 )
 from .ring import (
-    LaurentPoly, Monomial, RationalFn, TPoly, T_ONE, T_ZERO,
+    LaurentPoly, Monomial, TPoly, T_ONE,
     exact_div_binomials, random_point,
 )
 
@@ -132,31 +132,49 @@ def _perm_sign(perm):
     return sign
 
 
+def _root_factors(n):
+    """One entry per root i < j, with y = x_i^{-1} x_j: the pair (i, j), y,
+    and the polynomials (1 - t y) and (t - y)."""
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            y = Monomial({xvar(i + 1): -1, xvar(j + 1): 1})
+            out.append(((i, j), y,
+                        LaurentPoly.one() - LaurentPoly.from_monomial(y, TPoly.t()),
+                        LaurentPoly.const(TPoly.t()) - LaurentPoly.from_monomial(y)))
+    return out
+
+
+def _orbit_monomial(weight, w):
+    """e^{w lam} for the permutation w, a tuple of images."""
+    n = weight.n
+    return Monomial({xvar(w[i] + 1): weight.parts[i]
+                     for i in range(n) if weight.parts[i]})
+
+
+def _weyl_term(weight, w, factors):
+    """Numerator of the term of w over the common denominator: e^{w lam}
+    times (t - y) over the roots w flips and (1 - t y) over the others."""
+    inv = [0] * weight.n
+    for pos, val in enumerate(w):
+        inv[val] = pos
+    term = LaurentPoly.from_monomial(_orbit_monomial(weight, w))
+    for (i, j), _, one_minus_ty, t_minus_y in factors:
+        term = term * (t_minus_y if inv[i] > inv[j] else one_minus_ty)
+    return term
+
+
 def hl_def(weight, max_n=5):
     """The symmetrization route, with every term put over the common
     denominator prod (1 - x_i^{-1} x_j) and divided out exactly."""
     n = weight.n
     if n > max_n:
         raise TooLarge(f"n={n} exceeds the guard {max_n}")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    dens = [Monomial({xvar(i + 1): -1, xvar(j + 1): 1}) for i, j in pairs]
+    factors = _root_factors(n)
     total = LaurentPoly.zero()
     for w in itertools.permutations(range(n)):
-        inv = [0] * n
-        for pos, val in enumerate(w):
-            inv[val] = pos
-        term = LaurentPoly.from_monomial(
-            Monomial({xvar(i + 1): weight.parts[inv[i]]
-                      for i in range(n) if weight.parts[inv[i]]}))
-        for (i, j), d in zip(pairs, dens):
-            flipped = inv[i] > inv[j]
-            if flipped:
-                factor = LaurentPoly.const(TPoly.t()) - LaurentPoly.from_monomial(d)
-            else:
-                factor = LaurentPoly.one() - LaurentPoly.from_monomial(d, TPoly.t())
-            term = term * factor
-        total = total + term
-    quotient = exact_div_binomials(total, dens)
+        total = total + _weyl_term(weight, w, factors)
+    quotient = exact_div_binomials(total, [y for _, y, _, _ in factors])
     wl = wlambda_poincare(weight)
     divided = LaurentPoly({m: c.exact_div(wl) for m, c in quotient.terms.items()})
     return divided.subs_monomials({xvar(n): Monomial.unit()})
@@ -287,36 +305,6 @@ def vertex_monomial(face, b, n):
     return Monomial(exps)
 
 
-def weyl_term_numerator(weight, w):
-    """Numerator of one symmetrization term over the common denominator,
-    with x_n pinned to 1."""
-    n = weight.n
-    inv = [0] * n
-    for pos, val in enumerate(w):
-        inv[val] = pos
-    term = LaurentPoly.from_monomial(
-        Monomial({xvar(i + 1): weight.parts[inv[i]]
-                  for i in range(n) if weight.parts[inv[i]]}))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = Monomial({xvar(i + 1): -1, xvar(j + 1): 1})
-            if inv[i] > inv[j]:
-                factor = LaurentPoly.const(TPoly.t()) - LaurentPoly.from_monomial(d)
-            else:
-                factor = LaurentPoly.one() - LaurentPoly.from_monomial(d, TPoly.t())
-            term = term * factor
-    return term.subs_monomials({xvar(n): Monomial.unit()})
-
-
-def common_denominator_monomials(n):
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = Monomial({xvar(i + 1): -1, xvar(j + 1): 1})
-            out.append(m.subs({xvar(n): Monomial.unit()}))
-    return out
-
-
 def verify_contribfin(weight, trials=3, seed=0, max_n=4):
     """Check the classification and values of the polytope vertex
     contributions against the per-orbit-element symmetrization sums.
@@ -352,12 +340,20 @@ def verify_contribfin(weight, trials=3, seed=0, max_n=4):
     if any(len(v) != 1 for v in by_mu.values()):
         report["ok"] = False
         report["failures"].append("orbit weight hit by several relevant vertices")
-    dens = common_denominator_monomials(n)
+    # the Weyl side, grouped by orbit weight once: the pinned numerators of
+    # the group elements that send lam to each weight
+    pin_n = {xvar(n): Monomial.unit()}
+    factors = _root_factors(n)
+    weyl_by_mu = {}
+    for w in itertools.permutations(range(n)):
+        mu = _orbit_monomial(weight, w).subs(pin_n)
+        term = _weyl_term(weight, w, factors).subs_monomials(pin_n)
+        weyl_by_mu[mu] = weyl_by_mu.get(mu, LaurentPoly.zero()) + term
+    dens = [y.subs(pin_n) for _, y, _, _ in factors]
     all_dens = list(dens)
     for _, fn in contribs:
         all_dens.extend(fn.den_monomials())
     variables = [xvar(i) for i in range(1, n)]
-    group = list(itertools.permutations(range(n)))
     wl = wlambda_poincare(weight)
     for _ in range(trials):
         point = random_point(variables, rng, all_dens)
@@ -374,16 +370,7 @@ def verify_contribfin(weight, trials=3, seed=0, max_n=4):
         # stabilizer factor (the orbit-grouped sum overcounts by W_lam(t))
         for mu, fns in by_mu.items():
             lhs = fns[0].eval(point, memo) * den_val * wl
-            rhs = T_ZERO
-            for w in group:
-                inv = [0] * n
-                for pos, val in enumerate(w):
-                    inv[val] = pos
-                wparts = tuple(weight.parts[inv[i]] for i in range(n))
-                wmono = Monomial({xvar(i + 1): wparts[i]
-                                  for i in range(n - 1) if wparts[i]})
-                if wmono == mu:
-                    rhs = rhs + weyl_term_numerator(weight, w).eval_at(point, memo)
+            rhs = weyl_by_mu.get(mu, LaurentPoly.zero()).eval_at(point, memo)
             if lhs != rhs:
                 report["ok"] = False
                 report["failures"].append(f"orbit weight {mu} mismatch")

@@ -133,10 +133,6 @@ class OrdinaryGraph:
         return f"OrdinaryGraph({sorted(self.vertices)})"
 
 
-def check_ordinary(vertices):
-    return OrdinaryGraph(vertices)
-
-
 def triangle_graph(n):
     """The graph whose polyhedra are the classical interlacing polytopes."""
     return OrdinaryGraph([(i, j) for i in range(n) for j in range(1, n - i + 1)])
@@ -359,10 +355,6 @@ def enumerate_faces(G, b, only_vertices=False):
     return out
 
 
-def phi_face(face):
-    return face.phi()
-
-
 # ---------------------------------------------------------------------------
 # polyhedra and boundedness
 # ---------------------------------------------------------------------------
@@ -438,6 +430,9 @@ def x_variables(G):
 # cone transforms and the vertex route
 # ---------------------------------------------------------------------------
 
+# module caches keyed by graph shape; each is cleared once it holds
+# CACHE_LIMIT entries, so it stays bounded across calls
+CACHE_LIMIT = 4096
 _plan_cache = {}
 
 
@@ -582,8 +577,9 @@ def cone_plan(G):
     key = G.signature()
     plan = _plan_cache.get(key)
     if plan is None:
-        plan = ConePlan(G)
-        _plan_cache[key] = plan
+        if len(_plan_cache) >= CACHE_LIMIT:
+            _plan_cache.clear()
+        plan = _plan_cache[key] = ConePlan(G)
     return plan
 
 
@@ -912,6 +908,8 @@ def _cone_transform_x(blk, b_value):
     key = (blk, b_value)
     got = _xmapped_cache.get(key)
     if got is None:
+        if len(_xmapped_cache) >= CACHE_LIMIT:
+            _xmapped_cache.clear()
         sub = OrdinaryGraph(blk)
         got = ConeTransform.of_cone(sub, b_value).subs_monomials(
             f_monomial_map(sub.vertices), FCollapse)

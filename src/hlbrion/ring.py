@@ -338,6 +338,11 @@ class Monomial:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # rebuild from the exponents: the cached hash is one of variable-name
+        # strings, which differs between interpreters (PYTHONHASHSEED)
+        return Monomial, (self.e,)
+
     def sort_key(self):
         # graded lexicographic on sorted variable names
         return (self.degree(), self.e)
@@ -515,12 +520,6 @@ class LaurentPoly:
         return self.to_text()
 
     __repr__ = __str__
-
-
-# spec-level operation aliases -----------------------------------------------
-
-def eval_at(p, point):
-    return p.eval_at(point)
 
 
 def _weight_order(varnames):
@@ -1034,52 +1033,11 @@ class TruncatedSeries:
     __repr__ = __str__
 
 
-def series_mul(a, b):
-    if a.order != b.order:
-        raise DomainMismatch("series orders differ")
-    return a * b
-
-
-def series_invert(a):
-    return a.invert()
-
-
-def split_zq(m):
-    """Split a Monomial over the z-variables and q into (z-part, q-exponent)."""
-    q = m.exp_of("q")
-    z = Monomial({v: x for v, x in m.e if v != "q"})
-    return z, q
-
-
-def one_minus(order, zmono, qexp, domain=SYMBOLIC_Z, tscale=None):
-    """The series (1 - c * z^.. q^qexp) with optional TPoly scale c."""
-    if qexp == 0 and zmono.is_unit() and (tscale is None or tscale.is_one()):
-        raise UnitFactor("factor (1 - y) with y = 1")
-    c = Coeff(LaurentPoly.from_monomial(zmono, tscale if tscale is not None else T_ONE))
-    if qexp == 0:
-        return TruncatedSeries(order, {0: Coeff.one() - c}, domain)
-    return TruncatedSeries(order, {0: Coeff.one(), qexp: -c}, domain)
-
-
-def binomial_product_series(ys, order, domain=SYMBOLIC_Z):
-    """Truncated product of (1 - y) over Monomials y in the (z, q) variables.
-
-    Factors of q-degree > order are identically 1 after truncation and are
-    skipped; the caller guarantees only finitely many factors of q-degree <= 0.
-    """
-    out = TruncatedSeries.one(order, domain)
-    for y in ys:
-        z, q = split_zq(y)
-        if q > order and q > 0:
-            continue
-        out = out * one_minus(order, z, q, domain)
-    return out
-
-
 def zq_coeff(m, zpoint=None):
     """Split a Monomial over the z-variables and q into (Coeff, q-exponent):
     the z-part as a symbolic Coeff, or evaluated at the rational zpoint."""
-    z, q = split_zq(m)
+    q = m.exp_of("q")
+    z = Monomial({v: x for v, x in m.e if v != "q"})
     if zpoint is None:
         return Coeff(LaurentPoly.from_monomial(z)), q
     val = z.eval(zpoint)

@@ -4,15 +4,16 @@ from fractions import Fraction
 import pytest
 
 from hlbrion.affine_hl import (
-    AffineWeight, DeltaGraph, apply_G, closed_form_contribution, d_stats,
-    dl_cone, enumerate_pi, is_relevant_vertex, lhs_series,
+    AffineWeight, DeltaGraph, _weyl_shift, apply_G, closed_form_contribution,
+    d_stats, enumerate_pi, is_relevant_vertex, lhs_series,
     match_weyl_element, nonrelevant_vertices, p_weight, PiSequence,
     random_zpoint, rhs_series, rhs_table, s_ij, t0_sequence, tau_truncated,
     vertex_from_cuts, vertices_relevant, verify_contrib, verify_main,
-    weyl_act, weyl_elements, zvar,
+    weyl_elements, zvar,
 )
 from hlbrion.ring import (
-    Coeff, EVALUATED, LaurentPoly, Monomial, TPoly, TruncatedSeries,
+    Coeff, EVALUATED, InvariantError, LaurentPoly, Monomial, TPoly,
+    TruncatedSeries,
 )
 
 
@@ -126,11 +127,13 @@ def test_rhs_series_values():
 
 
 def test_weyl_act_and_elements():
-    lam = L0.finite_part()
-    assert weyl_act((0, 1), (0, 0), lam, L0.k, 0)[0] == lam
+    # (epsilon-part, q-degree) of w(lam) - lam, lam = (1, 0) at level 2
+    lam = L01.finite_part()
+    assert _weyl_shift(L01, lam, (0, 1), (0, 0)) == ((0, 0), 0)
     # the finite reflection permutes coordinates
-    v, _, _ = weyl_act((1, 0), (0, 0), (3, 1), L0.k, 0)
-    assert v == (1, 3)
+    assert _weyl_shift(L01, lam, (1, 0), (0, 0)) == ((-1, 1), 0)
+    # translation: k tau added, q-degree <lam, tau> + k |tau|^2 / 2
+    assert _weyl_shift(L01, lam, (0, 1), (1, -1)) == ((2, -2), 3)
     # orbit weight shifts at q-degree 1 for the basic weight: z and 1/z
     shifts = {(m.exp_of(zvar(1)), qd)
               for _, _, m, qd in weyl_elements(L0, 1)}
@@ -188,11 +191,19 @@ def test_delta_graph_structure():
         assert all(len(js) == 1 for js in G.rows.values())  # paths
 
 
+def test_delta_graph_rejects_non_vertex():
+    # position 2 holds 1, but its window sum 1 is below the level 2
+    v = PiSequence(L01, 1, (0, 1))
+    with pytest.raises(InvariantError):
+        DeltaGraph(L01, v, 6)
+
+
 def test_dl_cone_regular_unimodular():
     # regular weight: sections are paths, so the cones are simplicial and
     # unimodular with generators supported on contiguous blocks
     from hlbrion.graphs import ConeTransform
-    for G, b in dl_cone(L01, t0_sequence(L01)):
+    dg = DeltaGraph(L01, t0_sequence(L01), 10)
+    for G, b in dg.section_graphs(dg.lmin):
         ct = ConeTransform.of_cone(G, 0)
         assert ct.plan.n == len(G.vertices) - 0  # one block per vertex? no:
         # top row merged into the pin; every other block is a single vertex

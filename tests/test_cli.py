@@ -157,6 +157,9 @@ def test_closed_stdout_pipe_is_not_an_identity_failure():
     ("verify", "zero", "--graph", "fixtures/fig2.json", "--b", "3"),
     ("verify", "gensingular", "--count", "3", "--seed", "2"),
     ("verify", "contrib", "--n", "2", "--a", "1,1", "--qmax", "1"),
+    ("verify", "main", "--n", "3", "--a", "1,0,0", "--qmax", "2",
+     "--z", "rand:1", "--trials", "1"),
+    ("verify", "contribfin", "--n", "3", "--a", "1,1"),
 ], ids=lambda argv: argv[1])
 def test_cli_under_optimize_matches(argv):
     # `python -O` strips asserts: no verify suite may rely on them

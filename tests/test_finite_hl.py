@@ -7,7 +7,7 @@ from hlbrion.finite_hl import (
     mu_exponent, orbit_sum, p_of, schur_bialternant, subs_t,
     verify_contribfin, wlambda_poincare,
 )
-from hlbrion.graphs import BSeq, enumerate_faces, phi_face, triangle_graph
+from hlbrion.graphs import BSeq, enumerate_faces, triangle_graph
 from hlbrion.ring import LaurentPoly, Monomial, TPoly
 
 
@@ -124,7 +124,7 @@ def test_p_matches_face_weight():
             es = frozenset((hi, lo) for hi, lo in G.edges
                            if coords[hi] == coords[lo])
             face = by_edges[es]
-            assert phi_face(face) == p_of(pat), (n, a, pat)
+            assert face.phi() == p_of(pat), (n, a, pat)
 
 
 def test_contribfin():
@@ -134,3 +134,9 @@ def test_contribfin():
     assert r["ok"] and r["n_relevant"] == 6
     r = verify_contribfin(FiniteWeight(3, [1, 0]), trials=2, seed=3)
     assert r["ok"] and r["n_relevant"] == 3
+    # n = 4, regular: one group element per orbit weight
+    r = verify_contribfin(FiniteWeight(4, [1, 1, 1]), trials=1, seed=4)
+    assert r["ok"] and r["n_relevant"] == r["orbit_size"] == 24
+    # n = 4, singular: two group elements per orbit weight
+    r = verify_contribfin(FiniteWeight(4, [1, 0, 1]), trials=1, seed=5)
+    assert r["ok"] and r["n_relevant"] == r["orbit_size"] == 12

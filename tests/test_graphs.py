@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from hlbrion import graphs
 from hlbrion.cones import face_lattice, Polyhedron
 from hlbrion.graphs import (
-    BSeq, FaceSubgraph, NotClosedDown, OrdinaryGraph, check_ordinary,
-    degeneration_map, enumerate_faces, enumerate_ordinary_graphs, is_bounded,
-    minimal_face, phi_face, polyhedron_of, psi_is_zero, psi_terms, sigma_cone,
+    BSeq, FaceSubgraph, NotClosedDown, OrdinaryGraph, degeneration_map,
+    enumerate_faces, enumerate_ordinary_graphs, is_bounded, minimal_face,
+    polyhedron_of, psi_is_zero, psi_terms, sigma_cone,
     t_factorial, t_multinomial, triangle_graph, verify_face_euler_sum,
     verify_gensingular, verify_graphsum, x_variables, svar,
 )
@@ -37,16 +38,16 @@ def test_check_ordinary_triangle():
 
 def test_check_ordinary_figures():
     for fig in (FIG1, FIG2, FIG3):
-        G = check_ordinary(fig)
+        G = OrdinaryGraph(fig)
         assert len(G.rows[G.d]) == 1
-    assert check_ordinary(FIG2).violates_row_monotonicity()
-    assert check_ordinary(FIG3).violates_row_monotonicity()
+    assert OrdinaryGraph(FIG2).violates_row_monotonicity()
+    assert OrdinaryGraph(FIG3).violates_row_monotonicity()
     assert not triangle_graph(4).violates_row_monotonicity()
 
 
 def test_check_ordinary_closed_down_violation():
     with pytest.raises(NotClosedDown):
-        check_ordinary([(0, 1), (0, 2)])
+        OrdinaryGraph([(0, 1), (0, 2)])
 
 
 def test_enumerate_faces_segment_regular():
@@ -79,7 +80,7 @@ def test_face_components_are_ordinary():
 
 
 def test_phi_face_figure1():
-    G = check_ordinary(FIG1)
+    G = OrdinaryGraph(FIG1)
     blocks = [
         {(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (2, 1), (3, 0)},
         {(2, 2), (3, 2)},
@@ -94,7 +95,7 @@ def test_phi_face_figure1():
 
 
 def test_phi_face_figure3():
-    G = check_ordinary(FIG3)
+    G = OrdinaryGraph(FIG3)
     blocks = [
         {(0, 1), (0, 2), (1, 1)},
         {(2, 0), (3, -1), (3, 0), (4, -2), (4, -1), (4, 0),
@@ -145,7 +146,7 @@ def test_faces_match_polyhedron_oracle():
 def test_is_bounded():
     assert is_bounded(triangle_graph(2), BSeq([2, 0]))
     assert is_bounded(triangle_graph(4), BSeq([3, 2, 1, 0]))
-    G2 = check_ordinary(FIG2)
+    G2 = OrdinaryGraph(FIG2)
     assert not is_bounded(G2, BSeq([1]))
 
 
@@ -242,15 +243,40 @@ def test_psi_single_column_path():
 
 
 def test_theorem_zero_figure2():
-    G = check_ordinary(FIG2)
+    G = OrdinaryGraph(FIG2)
     assert psi_is_zero(G, BSeq([3]), trials=5, seed=1)
     assert psi_is_zero(G, BSeq([0]), trials=5, seed=2)
 
 
 def test_theorem_zero_figure3():
-    G = check_ordinary(FIG3)
+    G = OrdinaryGraph(FIG3)
     assert psi_is_zero(G, BSeq([2, 0]), trials=3, seed=3)
     assert psi_is_zero(G, BSeq([1, 1]), trials=3, seed=4)
+
+
+def test_graph_caches_stay_bounded(monkeypatch):
+    # the plan and x-mapped transform caches clear at CACHE_LIMIT entries;
+    # the results do not depend on it
+    cases = [(G, BSeq([1] * G.l)) for G in enumerate_ordinary_graphs(5)
+             if G.violates_row_monotonicity()]
+    cases.append((triangle_graph(3), BSeq([2, 1, 0])))
+
+    def run(limit):
+        monkeypatch.setattr(graphs, "CACHE_LIMIT", limit)
+        monkeypatch.setattr(graphs, "_plan_cache", {})
+        monkeypatch.setattr(graphs, "_xmapped_cache", {})
+        out, peak = [], 0
+        for G, b in cases:
+            out.append(psi_is_zero(G, b, trials=2, seed=1))
+            peak = max(peak, len(graphs._plan_cache),
+                       len(graphs._xmapped_cache))
+        return out, peak
+
+    expect, unbounded_peak = run(4096)
+    assert expect == [True] * (len(cases) - 1) + [False]
+    assert unbounded_peak > 3
+    got, peak = run(3)
+    assert got == expect and peak <= 3
 
 
 def test_degeneration_map_segment():
