@@ -64,6 +64,7 @@ class AffineWeight:
         if any(x < 0 for x in self.a) or not any(self.a):
             raise ValueError("coordinates must be nonnegative, not all zero")
         self.k = sum(self.a)
+        self.a_sums = tuple(itertools.accumulate(self.a[1:], initial=0))
 
     def finite_part(self):
         """epsilon-coordinates (lam_1, ..., lam_{n-1}, 0) of the classical part."""
@@ -204,21 +205,27 @@ def t0_sequence(weight, m=0):
     return PiSequence(weight, m * weight.n + 1, ())
 
 
+def _periodic_sum(weight, x):
+    """Partial sum S_a(x) of the periodic pattern a_(l mod n), fixed by
+    S_a(0) = 0 and S_a(x) - S_a(x - 1) = a_(x mod n); weight.a_sums[r] is
+    a_1 + ... + a_r."""
+    q, r = divmod(x, weight.n)
+    return q * weight.k + weight.a_sums[r]
+
+
 def s_ij(A, i, j):
     """Plane-pattern entry: partial sums of the sequence against the shifted
-    base."""
+    base, S_A(i n + j (n-1)) - S_a((i + j) n).  S_A is the partial sum of A
+    normalised like S_a, with which it agrees below A.start."""
     weight = A.weight
     n = weight.n
     cut = i * n + j * (n - 1)
-    m = i + j
-    lo = min(A.start, m * n + 1) - n
-    total = 0
-    for l in range(lo, cut + 1):
-        tm = weight.a[l % n] if l <= m * n else 0
-        total += A.get(l) - tm
-    for l in range(cut + 1, m * n + 1):
-        total -= weight.a[l % n]
-    return total
+    if cut < A.start:
+        head = _periodic_sum(weight, cut)
+    else:
+        head = (_periodic_sum(weight, A.start - 1)
+                + sum(A.values[:cut - A.start + 1]))
+    return head - _periodic_sum(weight, (i + j) * n)
 
 
 def enumerate_pi(weight, qmax):
@@ -298,10 +305,6 @@ def enumerate_pi(weight, qmax):
 # row statistics
 # ---------------------------------------------------------------------------
 
-def _row_values(A, i, jlo, jhi):
-    return [s_ij(A, i, j) for j in range(jlo, jhi + 1)]
-
-
 def d_stats(A):
     """Counts d_l of values appearing l times in row i and l-1 times in row
     i-1, over shift-class representatives 1 <= i <= n-1.
@@ -337,8 +340,8 @@ def d_stats(A):
         if not (s_ij(A, i, jl - 1) > s_ij(A, i, jl) and
                 s_ij(A, i, jr) > s_ij(A, i, jr + 1)):
             raise InvariantError(f"row {i} scan window not cut at strict drops")
-        row_i = _row_values(A, i, jl, jr)
-        row_up = _row_values(A, i - 1, jl, jr + 1)
+        row_i = [s_ij(A, i, j) for j in range(jl, jr + 1)]
+        row_up = [s_ij(A, i - 1, j) for j in range(jl, jr + 2)]
         counts_i = {}
         for v in row_i:
             counts_i[v] = counts_i.get(v, 0) + 1
@@ -364,8 +367,8 @@ def p_weight(A):
 
 def rhs_table(weight, qmax):
     """(q-degree, z-vector, weight polynomial) for every basis element."""
-    return [(A.mu_exponent()[1], A.mu_exponent()[0], p_weight(A))
-            for A in enumerate_pi(weight, qmax)]
+    return [(qdeg, zvec, p_weight(A)) for A in enumerate_pi(weight, qmax)
+            for zvec, qdeg in [A.mu_exponent()]]
 
 
 def rhs_series(weight, qmax, domain=None, zpoint=None):

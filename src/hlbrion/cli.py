@@ -1,6 +1,7 @@
 """Command-line front end: computation and verification subcommands.
 
-Exit codes: 0 on success, 1 on an identity failure, 2 on invalid input,
+Exit codes: 0 on success, 1 on an identity failure, 2 on invalid input (the
+arguments and the input objects built from them), 3 on an internal error,
 141 (128 + SIGPIPE) when the reader of stdout goes away.
 All randomness is seeded and the seed is printed in the report header.
 """
@@ -43,13 +44,26 @@ def _zmode(text):
     raise UsageError(f"bad z mode {text!r} (want symbolic or rand:SEED)")
 
 
+def _build(make, *args):
+    """make(*args) for an input object; its failure is invalid input."""
+    try:
+        return make(*args)
+    except (OSError, TypeError, ValueError) as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _read_graph(path):
+    with open(path) as fh:
+        return graphs.OrdinaryGraph.from_json(fh.read())
+
+
 def _guard(cond, message, unsafe):
     if not cond and not unsafe:
         raise UsageError(message + " (override with --unsafe-limits)")
 
 
 def cmd_finite(args):
-    weight = finite_hl.FiniteWeight(args.n, _parse_ints(args.a))
+    weight = _build(finite_hl.FiniteWeight, args.n, _parse_ints(args.a))
     results = {}
     if args.method in ("gt", "both"):
         results["gt"] = finite_hl.hl_gt(weight)
@@ -77,7 +91,7 @@ def cmd_affine(args):
            args.unsafe_limits)
     _guard(args.qmax <= GUARDS["qmax"], f"qmax={args.qmax} beyond the guard",
            args.unsafe_limits)
-    weight = affine_hl.AffineWeight(args.n, _parse_ints(args.a))
+    weight = _build(affine_hl.AffineWeight, args.n, _parse_ints(args.a))
     domain, seed = _zmode(args.z)
     if domain == SYMBOLIC_Z:
         rows = []
@@ -120,7 +134,7 @@ def cmd_verify(args):
     which = args.which
     unsafe = args.unsafe_limits
     if which == "tmultinomial":
-        weight = finite_hl.FiniteWeight(args.n, _parse_ints(args.a))
+        weight = _build(finite_hl.FiniteWeight, args.n, _parse_ints(args.a))
         value = graphs.t_multinomial(args.n, weight.type_multiplicities())
         ok = graphs.verify_face_euler_sum(args.n, list(weight.lam))
         return _report("tmultinomial", args.seed,
@@ -128,7 +142,7 @@ def cmd_verify(args):
     if which == "main":
         _guard(args.n <= GUARDS["affine_n"], "affine guard", unsafe)
         _guard(args.qmax <= GUARDS["qmax"], "qmax guard", unsafe)
-        weight = affine_hl.AffineWeight(args.n, _parse_ints(args.a))
+        weight = _build(affine_hl.AffineWeight, args.n, _parse_ints(args.a))
         domain, zseed = _zmode(args.z)
         ok = affine_hl.verify_main(weight, args.qmax, domain,
                                    trials=args.trials,
@@ -138,13 +152,13 @@ def cmd_verify(args):
                        ok)
     if which == "contrib":
         _guard(args.n <= GUARDS["affine_n"], "affine guard", unsafe)
-        weight = affine_hl.AffineWeight(args.n, _parse_ints(args.a))
+        weight = _build(affine_hl.AffineWeight, args.n, _parse_ints(args.a))
         rep = affine_hl.verify_contrib(weight, args.qmax, trials=args.trials,
                                        seed=args.seed)
         return _report("contrib", args.seed, rep["checks"] + rep["failures"],
                        rep["ok"])
     if which == "contribfin":
-        weight = finite_hl.FiniteWeight(args.n, _parse_ints(args.a))
+        weight = _build(finite_hl.FiniteWeight, args.n, _parse_ints(args.a))
         rep = finite_hl.verify_contribfin(weight, trials=args.trials,
                                           seed=args.seed)
         lines = [f"vertices {rep['n_vertices']} relevant {rep['n_relevant']} "
@@ -153,13 +167,14 @@ def cmd_verify(args):
     if which == "zero":
         if not args.graph:
             raise UsageError("`zero` needs --graph FILE")
-        with open(args.graph) as fh:
-            G = graphs.OrdinaryGraph.from_json(fh.read())
+        G = _build(_read_graph, args.graph)
         _guard(len(G.vertices) <= GUARDS["graph_vertices"],
                "graph size guard", unsafe)
         if not G.violates_row_monotonicity():
             raise UsageError("graph does not violate row monotonicity")
-        b = graphs.BSeq(_parse_ints(args.b))
+        b = _build(graphs.BSeq, _parse_ints(args.b))
+        if len(b) != G.l:
+            raise UsageError("b length must match the top row")
         ok = graphs.psi_is_zero(G, b, trials=args.trials, seed=args.seed)
         return _report("zero", args.seed,
                        [f"graph {sorted(G.vertices)} b={list(b)}"], ok)
@@ -276,9 +291,9 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

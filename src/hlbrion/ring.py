@@ -261,9 +261,6 @@ class Monomial:
     def exps(self):
         return dict(self.e)
 
-    def vars(self):
-        return [v for v, _ in self.e]
-
     def exp_of(self, name):
         for v, x in self.e:
             if v == name:
@@ -464,12 +461,6 @@ class LaurentPoly:
     def coeff(self, m):
         return self.terms.get(m, T_ZERO)
 
-    def variables(self):
-        out = set()
-        for m in self.terms:
-            out.update(m.vars())
-        return out
-
     def subs_monomials(self, varmap):
         """Apply a monomial substitution var -> Monomial to every term."""
         out = LaurentPoly()
@@ -522,78 +513,39 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-def _weight_order(varnames):
-    """Deterministic generic weights for the division order."""
-    weights = {}
-    base = 1000003
-    for v in sorted(varnames):
-        h = 0
-        for ch in v:
-            h = (h * 131 + ord(ch)) % base
-        weights[v] = 1 + (h % 997)
-    return weights
-
-
-def _wval(m, weights):
-    return sum(weights[v] * x for v, x in m.e)
-
-
 def exact_div_binomial(p, den):
-    """Divide p exactly by (1 - den); raises NotDivisible."""
+    """Divide p exactly by (1 - den); raises NotDivisible.
+
+    The support of p falls into den-chains {b * den^k}.  With v a variable of
+    den of exponent e, the chain position of u is k = floor(u_v / e) and its
+    base is u * den^-k.  On one chain the division is a division by (1 - x)
+    in one variable: the quotient coefficient at position k is the sum of the
+    chain's coefficients up to k, and the quotient exists iff every chain
+    sums to zero.
+    """
     if den.is_unit():
         raise UnitFactor("binomial factor (1 - 1) is zero")
-    if p.is_zero():
-        return p
-    varnames = set(p.variables()) | set(den.vars())
-    weights = _weight_order(varnames)
-    wden = _wval(den, weights)
-    bump = 1
-    while wden == 0 and bump < 100:
-        # perturb deterministically until the order separates den from 1
-        weights = {v: w + (bump if i % 2 == 0 else 0)
-                   for i, (v, w) in enumerate(sorted(weights.items()))}
-        wden = _wval(den, weights)
-        bump += 1
-    if wden == 0:
-        raise NotDivisible(f"could not order binomial divisor {den}")
-
-    def key(m):
-        return (_wval(m, weights), m.e)
-
-    # Arrange den < 1 in the order; otherwise use the identity
-    # (1 - den) = -den * (1 - den^{-1}) and divide by the flipped factor.
-    if wden > 0:
-        inv = den.inv()
-        shifted = LaurentPoly.__new__(LaurentPoly)
-        shifted.terms = {m * inv: c for m, c in p.terms.items()}
-        return -exact_div_binomial(shifted, inv)
-
-    # den < unit: leading term of (1 - den) is 1; classic termination bound:
-    # every quotient monomial lies on a den-chain anchored in supp(p), so the
-    # quotient has at most len(p)*(2 + range/|w(den)|) terms.
-    vals = [_wval(m, weights) for m in p.terms]
-    span = max(vals) - min(vals)
-    cap = len(p.terms) * (3 + span // max(1, -wden)) + 8
-    rem = dict(p.terms)
+    v, e = den.e[0]
+    chains = {}
+    for u, c in p.terms.items():
+        k = u.exp_of(v) // e
+        chains.setdefault(u * den ** -k, []).append((k, c))
     quo = {}
-    steps = 0
-    while rem:
-        steps += 1
-        if steps > cap:
-            raise NotDivisible("no exact quotient by binomial")
-        lead = max(rem, key=key)
-        c = rem[lead]
-        quo[lead] = c
-        # rem -= c*lead*(1 - den)
-        del rem[lead]
-        m2 = lead * den
-        w = rem.get(m2)
-        w = c if w is None else w + c
-        if w.is_zero():
-            rem.pop(m2, None)
-        else:
-            rem[m2] = w
-    return LaurentPoly(quo)
+    for base, run in chains.items():
+        run.sort(key=lambda kc: kc[0])
+        total = T_ZERO
+        for (k, c), (k_next, _) in zip(run, run[1:]):
+            total = total + c
+            if not total.is_zero():
+                m = base * den ** k
+                for _ in range(k, k_next):
+                    quo[m] = total
+                    m = m * den
+        if not (total + run[-1][1]).is_zero():
+            raise NotDivisible(f"no exact quotient by (1 - {den})")
+    r = LaurentPoly.__new__(LaurentPoly)
+    r.terms = quo
+    return r
 
 
 def exact_div_binomials(p, dens):
@@ -606,6 +558,20 @@ def exact_div_binomials(p, dens):
     for den in dens:
         q = exact_div_binomial(q, den)
     return q
+
+
+def mul_binomials(p, dens):
+    """p * prod (1 - m) over m in dens, one factor at a time in list order:
+    the inverse of `exact_div_binomials`."""
+    for m in dens:
+        p = p - p * m
+    return p
+
+
+def _missing_factors(want, have):
+    """Factors of the factored denominator `want` that `have` lacks, each
+    listed with its missing multiplicity."""
+    return [m for m, k in want.items() for _ in range(k - min(k, have.get(m, 0)))]
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +607,6 @@ class RationalFn:
     def zero():
         return RationalFn(LaurentPoly.zero())
 
-    def is_zero_poly(self):
-        return self.num.is_zero()
-
     def den_items(self):
         return sorted(self.den.items(), key=lambda mk: mk[0].sort_key())
 
@@ -672,16 +635,8 @@ class RationalFn:
         den = {}
         for m in set(self.den) | set(other.den):
             den[m] = max(self.den.get(m, 0), other.den.get(m, 0))
-        a = self.num
-        for m, k in den.items():
-            extra = k - self.den.get(m, 0)
-            for _ in range(extra):
-                a = a - a * m
-        b = other.num
-        for m, k in den.items():
-            extra = k - other.den.get(m, 0)
-            for _ in range(extra):
-                b = b - b * m
+        a = mul_binomials(self.num, _missing_factors(den, self.den))
+        b = mul_binomials(other.num, _missing_factors(den, other.den))
         return RationalFn(a + b, list(den.items()))
 
     def __sub__(self, other):
@@ -717,16 +672,8 @@ class RationalFn:
 
     def cross_mul_equal(self, other):
         """Exact equality by clearing denominators (small instances only)."""
-        a = self.num
-        for m, k in other.den.items():
-            extra = k - min(k, self.den.get(m, 0))
-            for _ in range(extra):
-                a = a - a * m
-        b = other.num
-        for m, k in self.den.items():
-            extra = k - min(k, other.den.get(m, 0))
-            for _ in range(extra):
-                b = b - b * m
+        a = mul_binomials(self.num, _missing_factors(other.den, self.den))
+        b = mul_binomials(other.num, _missing_factors(self.den, other.den))
         return a == b
 
     def __str__(self):

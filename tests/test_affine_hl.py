@@ -44,10 +44,32 @@ def test_t0_sequence():
     assert t1.get(2) == L0.a[0]
 
 
+def s_ij_reference(A, i, j):
+    """s_ij summed term by term from below the window of A."""
+    weight = A.weight
+    n = weight.n
+    cut = i * n + j * (n - 1)
+    m = i + j
+    lo = min(A.start, m * n + 1) - n
+    total = 0
+    for l in range(lo, cut + 1):
+        tm = weight.a[l % n] if l <= m * n else 0
+        total += A.get(l) - tm
+    for l in range(cut + 1, m * n + 1):
+        total -= weight.a[l % n]
+    return total
+
+
 def test_s_ij_values():
     t0 = t0_sequence(L0)
     assert s_ij(t0, 0, 0) == 0
     assert s_ij(t0, 0, 1) == -1
+    for weight, qmax in ((L0, 3), (L01, 2), (L0_3, 2),
+                         (AffineWeight(3, [0, 1, 2]), 1)):
+        for A in enumerate_pi(weight, qmax):
+            for i in range(-3, 4):
+                for j in range(-4, 5):
+                    assert s_ij(A, i, j) == s_ij_reference(A, i, j), (A, i, j)
     # shift law s_{i-n+1, j+n} = s_{i,j} - k on several patterns
     for A in enumerate_pi(L0, 2):
         for i in range(-1, 2):

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from hlbrion import affine_hl
 from hlbrion.cli import main
+from hlbrion.ring import InvariantError
 
 
 def run(capsys, *argv):
@@ -106,6 +108,30 @@ def test_verify_zero_rejects_monotone_graph(capsys):
         assert code == 2
     finally:
         os.unlink(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--graph", "fixtures/missing.json", "--b", "3"),
+    ("--graph", "fixtures/fig2.json", "--b", "3,2"),
+], ids=["missing-file", "b-length"])
+def test_verify_zero_bad_input(capsys, argv):
+    code = main(["verify", "zero", *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [affine_hl.GCollapse("z2 -> 1"),
+                                 InvariantError("broken invariant")],
+                         ids=lambda exc: type(exc).__name__)
+def test_internal_error_is_not_bad_input(capsys, monkeypatch, exc):
+    def fail(*args):
+        raise exc
+    monkeypatch.setattr(affine_hl, "rhs_table", fail)
+    code = main(["affine", "--n", "2", "--a", "1,0", "--qmax", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
 def test_verify_main_small(capsys):

@@ -5,11 +5,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hlbrion.ring import (
     Coeff, DomainMismatch, LaurentPoly, Monomial, NonInvertibleLeadingCoefficient,
     NotDivisible, SYMBOLIC_Z, TPoly, TruncatedSeries, UnitFactor,
-    exact_div_binomials, random_point,
+    exact_div_binomials, mul_binomials, random_point,
 )
 
 
@@ -77,29 +78,44 @@ def test_exact_div_negative_direction():
     assert q * (one - x("x", -1)) == p
 
 
-def test_exact_div_random_roundtrip():
-    rng = random.Random(7)
-    for _ in range(25):
-        nvars = rng.randint(1, 3)
-        names = ["x", "y", "z"][:nvars]
-        p = LaurentPoly.zero()
-        for _ in range(rng.randint(1, 5)):
-            m = Monomial({v: rng.randint(-3, 3) for v in names})
-            p = p + LaurentPoly.from_monomial(m, TPoly.from_list(
-                [rng.randint(-4, 4) for _ in range(rng.randint(1, 3))]))
-        dens = []
-        for _ in range(rng.randint(1, 2)):
-            while True:
-                m = Monomial({v: rng.randint(-2, 2) for v in names})
-                if not m.is_unit():
-                    dens.append(m)
-                    break
-        prod = p
-        for m in dens:
-            prod = prod - prod * m
-        assert exact_div_binomials(prod, dens) == p
-        # division order among the factors is irrelevant
-        assert exact_div_binomials(prod, list(reversed(dens))) == p
+NAMES = ("x", "y", "z")
+tpolys = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(TPoly.from_list)
+
+
+@st.composite
+def division_cases(draw):
+    names = NAMES[:draw(st.integers(1, 3))]
+
+    def monomial(bound):
+        return Monomial({v: draw(st.integers(-bound, bound)) for v in names})
+
+    p = LaurentPoly.zero()
+    for _ in range(draw(st.integers(1, 5))):
+        p = p + LaurentPoly.from_monomial(monomial(3), draw(tpolys))
+    dens = []
+    for _ in range(draw(st.integers(1, 2))):
+        m = monomial(2)
+        assume(not m.is_unit())
+        dens.extend([m] * draw(st.integers(1, 3)))
+    c = draw(tpolys.filter(lambda c: not c.is_zero()))
+    return p, dens, LaurentPoly.from_monomial(monomial(3), c)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(division_cases())
+def test_exact_div_random_roundtrip(case):
+    p, dens, term = case
+    prod = mul_binomials(p, dens)
+    ref = p
+    for m in dens:
+        ref = ref - ref * m
+    assert prod == ref
+    assert exact_div_binomials(prod, dens) == p
+    # division order among the factors is irrelevant
+    assert exact_div_binomials(prod, list(reversed(dens))) == p
+    # one more term leaves a chain with a nonzero sum
+    with pytest.raises(NotDivisible):
+        exact_div_binomials(mul_binomials(p, dens[:1]) + term, dens[:1])
 
 
 def test_ring_axioms_random():
