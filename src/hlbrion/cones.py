@@ -84,19 +84,27 @@ def _eliminate(rows, ncols=None):
         else:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        p = pr[col]
-        for i, row in enumerate(m):
-            if i == rank:
-                continue
-            f = row[col]
-            if f:
-                m[i] = [(p * a - f * b) // det for a, b in zip(row, pr)]
-            elif p != det:
-                m[i] = [p * a // det for a in row]
-        det = p
+        det = _pivot_step(m, rank, col, det)
         pivots.append(col)
     return m, pivots, det
+
+
+def _pivot_step(m, k, col, det):
+    """One Bareiss step on the rows m, in place: row k becomes the pivot row
+    of column col and every other row is cleared there.  det is the common
+    diagonal of the earlier pivot rows; returns the new one, m[k][col].
+    Every update divides exactly, by Sylvester's identity."""
+    pr = m[k]
+    p = pr[col]
+    for i, row in enumerate(m):
+        if i == k:
+            continue
+        f = row[col]
+        if f:
+            m[i] = [(p * a - f * b) // det for a, b in zip(row, pr)]
+        elif p != det:
+            m[i] = [p * a // det for a in row]
+    return p
 
 
 def mat_rank(rows):
@@ -281,26 +289,54 @@ class Polyhedron:
     # -- vertices ---------------------------------------------------------
 
     def vertices_bruteforce(self):
-        """Vertex enumeration by exhaustive tight-subset search."""
-        eq_rows = [list(a) for a, _ in self.eqs]
-        eq_rhs = [b for _, b in self.eqs]
-        base_rank = mat_rank(eq_rows) if eq_rows else 0
-        need = self.dim - base_rank
-        verts = []
-        seen = set()
-        for subset in itertools.combinations(range(len(self.ineqs)), need):
-            rows = eq_rows + [list(self.ineqs[i][0]) for i in subset]
-            rhs = eq_rhs + [self.ineqs[i][1] for i in subset]
-            sol = solve_affine(rows, rhs)
-            if sol is None or sol[1]:
-                continue
-            x = tuple(sol[0])
-            if x in seen or not self.contains(x):
-                continue
-            seen.add(x)
-            verts.append(x)
-        verts.sort()
-        return verts
+        """Vertex enumeration by depth-first search over tight sets.
+
+        A vertex solves the equalities and dim - rank(eqs) independent tight
+        inequalities.  The search takes the inequalities in increasing index
+        order and keeps the Bareiss Gauss-Jordan form (`_eliminate`) of the
+        rows taken: each node reduces one more row r against the pivot rows
+        to the integer minors det * r - sum r[c_i] * row_i.  A row whose
+        coefficients all reduce to zero depends on the rows before it, as in
+        every superset, so the search goes no deeper there.  Returns the
+        distinct vertices as sorted tuples of Fractions.
+        """
+        n = self.dim
+        m, pivots, det = _eliminate([list(a) + [b] for a, b in self.eqs], n)
+        if any(row[n] for row in m[len(pivots):]):
+            return []
+        rows = [_int_row(list(a) + [b]) for a, b in self.ineqs]   # [a | b]
+        inside = {}     # (numerators, denominator) in lowest terms -> in P
+
+        def search(m, pivots, det, start):
+            if len(pivots) == n:
+                # x[c_i] = m_i[n] / det, on which the equalities hold
+                num = [0] * n
+                for row, c in zip(m, pivots):
+                    num[c] = row[n]
+                g = math.gcd(det, *num) * (1 if det > 0 else -1)
+                num, den = tuple(x // g for x in num), det // g
+                if (num, den) not in inside:
+                    # _dot(r, num) stops at len(num): a . num
+                    inside[num, den] = all(_dot(r, num) <= r[n] * den
+                                           for r in rows)
+                return
+            for j in range(start, len(rows) - (n - len(pivots)) + 1):
+                r = rows[j]
+                red = [det * a for a in r]
+                for row, c in zip(m, pivots):
+                    f = r[c]
+                    if f:
+                        red = [a - f * b for a, b in zip(red, row)]
+                col = next((c for c in range(n) if red[c]), None)
+                if col is None:
+                    continue
+                m2 = m + [red]
+                search(m2, pivots + [col], _pivot_step(m2, len(m), col, det),
+                       j + 1)
+
+        search(m[:len(pivots)], pivots, det, 0)
+        return sorted(tuple(Fraction(x, den) for x in num)
+                      for (num, den), ok in inside.items() if ok)
 
     def recession_direction_axis(self):
         """Cheap unboundedness witness: a +-coordinate recession direction."""

@@ -186,9 +186,13 @@ def test_closed_stdout_pipe_is_not_an_identity_failure():
     ("verify", "main", "--n", "3", "--a", "1,0,0", "--qmax", "2",
      "--z", "rand:1", "--trials", "1"),
     ("verify", "contribfin", "--n", "3", "--a", "1,1"),
-], ids=lambda argv: argv[1])
+    ("verify", "graphsum", "--max-vertices", "5"),
+    ("verify", "tmultinomial", "--n", "3", "--a", "1,0"),
+    ("finite", "--n", "3", "--a", "1,1", "--method", "both"),
+], ids=lambda argv: argv[1] if argv[0] == "verify" else argv[0])
 def test_cli_under_optimize_matches(argv):
     # `python -O` strips asserts: no verify suite may rely on them
+    verdict = b"verdict: EQUAL" if argv[0] == "finite" else b"PASS"
     outs = []
     for optimize in (False, True):
         cmd, env = cli_process(*argv, optimize=optimize)
@@ -197,4 +201,4 @@ def test_cli_under_optimize_matches(argv):
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
-    assert outs[0].rstrip().endswith(b"PASS")
+    assert outs[0].rstrip().endswith(verdict)

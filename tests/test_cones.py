@@ -5,12 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from hlbrion import cones
 from hlbrion.cones import (
     Face, Polyhedron, Unbounded, WeightedCone, _invert_unimodular,
     face_lattice, ipt_cone, ipt_simplicial, ipt_weighted, mat_rank,
     parallelepiped_points, primitive, product_cone, sigma_relint_cone,
     smith_diagonal, solve_affine, tangent_cone_at_vertex, triangulate,
     verify_weighted_brion, weighted_sum_bruteforce,
+)
+from hlbrion.graphs import (
+    BSeq, polyhedron_of, triangle_graph, weighted_brion_instance,
 )
 from hlbrion.ring import (
     InvariantError, LaurentPoly, Monomial, RationalFn, TPoly, random_point,
@@ -54,6 +58,28 @@ def test_vertices_bruteforce():
     sq = Polyhedron(2, [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)])
     assert len(sq.vertices_bruteforce()) == 4
     assert segment(0, 2).vertices_bruteforce() == [(0,), (2,)]
+
+
+def test_vertices_without_inequalities_or_points():
+    # the zero-dimensional space is one point, which is its own vertex
+    assert Polyhedron(0, []).vertices_bruteforce() == [()]
+    assert Polyhedron(0, []).lattice_points() == [()]
+    assert Polyhedron(0, [((), -1)]).vertices_bruteforce() == []
+    # equalities that fix a point
+    P = Polyhedron(2, [], eqs=[((1, 1), 3), ((1, -1), 1)])
+    assert P.vertices_bruteforce() == [(2, 1)]
+    assert P.lattice_points() == [(2, 1)]
+    half = Polyhedron(1, [], eqs=[((2,), 1)])
+    assert half.vertices_bruteforce() == [(Fraction(1, 2),)]
+    assert half.lattice_points() == []
+    # inconsistent equalities
+    P = Polyhedron(2, [], eqs=[((1, 0), 1), ((1, 0), 2), ((0, 1), 0)])
+    assert P.vertices_bruteforce() == []
+    assert P.lattice_points() == []
+    # an empty interval: 1 <= x <= 0
+    P = Polyhedron(1, [((1,), 0), ((-1,), -1)])
+    assert P.vertices_bruteforce() == []
+    assert P.lattice_points() == []
 
 
 def test_weighted_sum_bruteforce_segment():
@@ -179,6 +205,98 @@ def test_mat_rank_and_solve_match_reference(system):
     assert [sum(a * b for a, b in zip(r, x0)) for r in rows] == image
     for v in basis:
         assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
+
+
+def vertices_reference(P):
+    """Vertices by one `solve_affine` per subset of dim - rank(eqs)
+    inequalities: the solutions that are unique and lie in P."""
+    eq_rows = [list(a) for a, _ in P.eqs]
+    eq_rhs = [b for _, b in P.eqs]
+    need = P.dim - (mat_rank(eq_rows) if eq_rows else 0)
+    verts = set()
+    for subset in itertools.combinations(range(len(P.ineqs)), need):
+        rows = eq_rows + [list(P.ineqs[i][0]) for i in subset]
+        rhs = eq_rhs + [P.ineqs[i][1] for i in subset]
+        sol = solve_affine(rows, rhs)
+        if sol is not None and not sol[1] and P.contains(sol[0]):
+            verts.add(tuple(sol[0]))
+    return sorted(verts)
+
+
+@st.composite
+def vertex_systems(draw):
+    """Inequality systems in dimensions 1-4 around an integer centre: rows
+    with slack 0 pass through it (more than dim tight rows make a degenerate
+    vertex), entries beyond +-1 give rational vertices, a free right-hand
+    side can empty the polyhedron, and duplicate or scaled rows are
+    redundant.  Equalities through the centre, or with a free right-hand
+    side that may contradict the others, come along sometimes."""
+    dim = draw(st.integers(1, 4))
+    centre = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+    vec = st.lists(entries, min_size=dim, max_size=dim)
+
+    def rhs(a, free):
+        if free:
+            return draw(st.integers(-4, 4))
+        return sum(x * c for x, c in zip(a, centre)) + draw(
+            st.sampled_from([0, 0, 1, 2]))
+
+    ineqs = [(a, rhs(a, draw(st.booleans())))
+             for a in draw(st.lists(vec, max_size=8))]
+    if draw(st.booleans()):
+        # a box around the centre keeps the polyhedron bounded
+        for i in range(dim):
+            e = [int(j == i) for j in range(dim)]
+            ineqs.append((e, centre[i] + draw(st.integers(0, 2))))
+            ineqs.append(([-x for x in e], -centre[i] + draw(st.integers(0, 2))))
+    for i in draw(st.lists(st.integers(0, 99), max_size=2)):
+        if ineqs:
+            a, b = ineqs[i % len(ineqs)]
+            k = draw(st.integers(1, 2))
+            ineqs.append(([k * x for x in a], k * b))
+    eqs = [(a, sum(x * c for x, c in zip(a, centre)) if draw(st.booleans())
+            else draw(st.integers(-4, 4)))
+           for a in draw(st.lists(vec, max_size=2))]
+    return Polyhedron(dim, ineqs, eqs)
+
+
+@KERNEL_SETTINGS
+@given(vertex_systems())
+def test_vertices_match_reference(P):
+    verts = P.vertices_bruteforce()
+    assert verts == vertices_reference(P)
+    assert all(type(x) is Fraction for v in verts for x in v)
+
+
+def test_vertices_of_interlacing_polytopes():
+    # every 4-row interlacing polytope with top-row entries <= 3; the
+    # vertices also come out of the face enumeration of `graphs`
+    tri = triangle_graph(4)
+    for b in itertools.combinations_with_replacement(range(3, -1, -1), 4):
+        P = polyhedron_of(tri, BSeq(b))
+        verts = P.vertices_bruteforce()
+        assert verts == vertices_reference(P), b
+        assert verts == weighted_brion_instance(tri, BSeq(b))[2], b
+        if b == (3, 2, 1, 0):
+            assert len(verts) == 40
+
+
+def test_vertex_search_steps_once_per_independent_prefix(monkeypatch):
+    # one Bareiss step per search node: a node is a set of independent rows
+    # that still leaves enough later rows to reach dim
+    P = polyhedron_of(triangle_graph(4), BSeq((2, 1, 0, 0)))
+    k = len(P.ineqs)
+    rows = [list(a) for a, _ in P.ineqs]
+    expect = sum(1 for d in range(1, P.dim + 1)
+                 for s in itertools.combinations(range(k), d)
+                 if s[-1] < k - (P.dim - d)
+                 and mat_rank([rows[i] for i in s]) == d)
+    calls = []
+    step = cones._pivot_step
+    monkeypatch.setattr(cones, "_pivot_step",
+                        lambda *args: calls.append(1) or step(*args))
+    assert len(P.vertices_bruteforce()) == 16
+    assert len(calls) == expect
 
 
 # per-dimension entry caps keep |det|, the number of points, small
