@@ -107,6 +107,17 @@ def _pivot_step(m, k, col, det):
     return p
 
 
+def _reduce_row(r, m, pivots, det):
+    """r reduced against the pivot rows m of a Bareiss Gauss-Jordan form
+    with common diagonal det: det * r - sum r[c_i] * m_i, integer minors."""
+    red = [det * a for a in r]
+    for row, c in zip(m, pivots):
+        f = r[c]
+        if f:
+            red = [a - f * b for a, b in zip(red, row)]
+    return red
+
+
 def mat_rank(rows):
     return len(_eliminate(rows)[1])
 
@@ -321,12 +332,7 @@ class Polyhedron:
                                            for r in rows)
                 return
             for j in range(start, len(rows) - (n - len(pivots)) + 1):
-                r = rows[j]
-                red = [det * a for a in r]
-                for row, c in zip(m, pivots):
-                    f = r[c]
-                    if f:
-                        red = [a - f * b for a, b in zip(red, row)]
+                red = _reduce_row(rows[j], m, pivots, det)
                 col = next((c for c in range(n) if red[c]), None)
                 if col is None:
                     continue

@@ -283,20 +283,24 @@ def test_vertices_of_interlacing_polytopes():
 
 def test_vertex_search_steps_once_per_independent_prefix(monkeypatch):
     # one Bareiss step per search node: a node is a set of independent rows
-    # that still leaves enough later rows to reach dim
+    # that still leaves enough later rows to reach dim; a node of d < dim
+    # rows ending at index l reduces each later row j <= k - (dim - d) once
     P = polyhedron_of(triangle_graph(4), BSeq((2, 1, 0, 0)))
-    k = len(P.ineqs)
+    k, n = len(P.ineqs), P.dim
     rows = [list(a) for a, _ in P.ineqs]
-    expect = sum(1 for d in range(1, P.dim + 1)
-                 for s in itertools.combinations(range(k), d)
-                 if s[-1] < k - (P.dim - d)
-                 and mat_rank([rows[i] for i in s]) == d)
-    calls = []
-    step = cones._pivot_step
-    monkeypatch.setattr(cones, "_pivot_step",
-                        lambda *args: calls.append(1) or step(*args))
+    nodes = [s for d in range(1, n + 1)
+             for s in itertools.combinations(range(k), d)
+             if s[-1] < k - (n - d) and mat_rank([rows[i] for i in s]) == d]
+    reductions = k - n + 1 + sum(k - (n - len(s)) - s[-1]
+                                 for s in nodes if len(s) < n)
+    counts = {"_pivot_step": 0, "_reduce_row": 0}
+    for name in counts:
+        def counted(*args, f=getattr(cones, name), name=name):
+            counts[name] += 1
+            return f(*args)
+        monkeypatch.setattr(cones, name, counted)
     assert len(P.vertices_bruteforce()) == 16
-    assert len(calls) == expect
+    assert counts == {"_pivot_step": len(nodes), "_reduce_row": reductions}
 
 
 # per-dimension entry caps keep |det|, the number of points, small

@@ -275,12 +275,30 @@ def z2_coeffs(draw):
     return Coeff(num)
 
 
-# s * s^-1 == 1 to the precision of the product: 300 examples from seed 2016
+def test_series_invert_roundtrip_random():
+    rng = random.Random(5)
+    for _ in range(10):
+        n = 4
+        coeffs = {0: Coeff(TPoly.const(rng.choice([1, -1, 2])))}
+        for e in range(1, n + 1):
+            if rng.random() < 0.7:
+                coeffs[e] = Coeff(LaurentPoly.from_monomial(
+                    Monomial({"z": rng.randint(-1, 1)}),
+                    TPoly.from_list([rng.randint(-2, 2), rng.randint(-2, 2)])))
+        s = TruncatedSeries(n, coeffs)
+        if s.coeffs.get(0, Coeff.zero()).is_zero():
+            continue
+        prod = s * s.invert()
+        assert prod.equals(TruncatedSeries.one(prod.order))
+
+
+# s * s^-1 == 1 to the precision of the product, up to relative precision 4
+# as in the seeded loop above: 300 examples from seed 2016
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @seed(2016)
-@given(st.integers(-1, 1), st.integers(0, 3), z2_coeffs(),
-       st.lists(z2_coeffs(), min_size=3, max_size=3))
-def test_series_invert_roundtrip_random(d, length, lead, tail):
+@given(st.integers(-1, 1), st.integers(0, 4), z2_coeffs(),
+       st.lists(z2_coeffs(), min_size=4, max_size=4))
+def test_series_invert_roundtrip_property(d, length, lead, tail):
     # the leading coefficient is a nonzero fraction, so it is invertible
     assume(not lead.is_zero())
     coeffs = {d: lead}
