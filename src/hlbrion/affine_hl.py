@@ -252,8 +252,6 @@ def enumerate_pi(weight, qmax):
                 room = k - sum(st)
                 for v in range(room + 1):
                     nxt = st[1:] + (v,) if n > 2 else (v,)
-                    if n == 2:
-                        nxt = (v,)
                     rem = min_rem[idx + 1].get(nxt)
                     if rem is None:
                         continue

@@ -170,79 +170,6 @@ def primitive(vec):
     return tuple(x // g for x in ints)
 
 
-def smith_diagonal(rows):
-    """Diagonalize an integer matrix M (k x D) of full row rank.
-
-    Returns (diag, vinv_rows) where diag has the k nonzero diagonal entries of
-    U M V and vinv_rows are the first k rows of V^{-1}; the Z-span of those
-    rows is the saturation lattice of the row space of M.
-    """
-    k = len(rows)
-    d = len(rows[0])
-    a = [list(r) for r in rows]
-    v = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, q):
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-
-    def addmul_col(dst, src, q):
-        for row in a:
-            row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
-
-    for t in range(k):
-        piv = None
-        best = None
-        for i in range(t, k):
-            for j in range(t, d):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    piv = (i, j)
-        if piv is None:
-            raise ValueError("matrix does not have full row rank")
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            done = True
-            for i in range(t + 1, k):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    addmul_row(i, t, q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, d):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    addmul_col(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        done = False
-            if done:
-                break
-    diag = [a[i][i] for i in range(k)]
-    # invert V exactly; V is unimodular so the inverse is integral
-    vinv = _invert_unimodular(v)
-    return diag, vinv[:k]
-
-
-def _invert_unimodular(v):
-    inv = _adjugate(v)
-    if inv is None or inv[2] != 1:
-        raise InvariantError("matrix is not unimodular")
-    return inv[1]
-
-
 # ---------------------------------------------------------------------------
 # polyhedra
 # ---------------------------------------------------------------------------
@@ -360,10 +287,10 @@ class Polyhedron:
         if self.recession_direction_axis() is not None:
             raise Unbounded("axis recession direction found")
         verts = self.vertices_bruteforce()
-        if not verts:
-            return []
         if not assume_bounded and not self._bounded_check(verts):
             raise Unbounded("recession direction found")
+        if not verts:
+            return []
         los = [min(v[i] for v in verts) for i in range(self.dim)]
         his = [max(v[i] for v in verts) for i in range(self.dim)]
         out = []
@@ -374,12 +301,26 @@ class Polyhedron:
         return out
 
     def _bounded_check(self, verts):
-        # P is bounded iff its recession cone {d : Ad <= 0, Ed = 0} is {0}.
-        rows = [list(a) for a, _ in self.eqs] + [list(a) for a, _ in self.ineqs]
-        if mat_rank(rows) < self.dim:
-            return False
-        return _recession_trivial([list(a) for a, _ in self.ineqs],
-                                  [list(a) for a, _ in self.eqs], self.dim)
+        """Whether P, with vertices verts, is bounded; an empty P is."""
+        a_rows = [a for a, _ in self.ineqs]
+        e_rows = [e for e, _ in self.eqs]
+        pivots = _eliminate(e_rows + a_rows, self.dim)[1]
+        if len(pivots) < self.dim:
+            # P holds the lines along the kernel of [A; E], and each point
+            # of P moves along them to one with 0 off the pivot columns
+            axes = [(tuple(int(i == j) for i in range(self.dim)), 0)
+                    for j in range(self.dim) if j not in pivots]
+            return not Polyhedron(self.dim, self.ineqs,
+                                  self.eqs + axes).vertices_bruteforce()
+        if not verts:
+            return True
+        # [A; E] has full rank, so u = -(sum of the rows of A) is positive
+        # on the recession cone C = {d : Ad <= 0, Ed = 0} off 0: C is {0}
+        # iff its section u.d = 1, a polytope, has no vertex
+        u = [-sum(a[i] for a in a_rows) for i in range(self.dim)]
+        section = Polyhedron(self.dim, [(a, 0) for a in a_rows],
+                             [(e, 0) for e in e_rows] + [(u, 1)])
+        return not section.vertices_bruteforce()
 
 
 def _dot(a, x):
@@ -394,62 +335,6 @@ def _ceil(x):
 def _floor(x):
     f = Fraction(x)
     return f.numerator // f.denominator
-
-
-def _recession_trivial(ineq_rows, eq_rows, dim, _depth=0):
-    """Decide {d : ineq.d <= 0, eq.d = 0} == {0} by Fourier-Motzkin."""
-    rows = []
-    for a in eq_rows:
-        rows.append(list(a))
-        rows.append([-x for x in a])
-    rows.extend(list(a) for a in ineq_rows)
-    # eliminate variables one by one; the cone is trivial iff for every
-    # coordinate both d_i > 0 and d_i < 0 are infeasible
-    for i in range(dim):
-        for sgn in (1, -1):
-            if _homog_feasible(rows, i, sgn, dim):
-                return False
-    return True
-
-
-def _homog_feasible(rows, idx, sgn, dim):
-    """Feasibility of {a.d <= 0 for all rows, d_idx = sgn} by elimination."""
-    cons = [list(r) + [0] for r in rows]      # a.d <= last entry
-    # substitute d_idx = sgn
-    cons2 = []
-    for c in cons:
-        c = list(c)
-        c[-1] -= c[idx] * sgn
-        c[idx] = 0
-        cons2.append(c)
-    keep = [i for i in range(dim) if i != idx]
-    return _fm_feasible(cons2, keep)
-
-
-def _fm_feasible(cons, keep):
-    """Fourier-Motzkin feasibility for constraints a.d <= b over vars in keep."""
-    for var in keep:
-        pos = [c for c in cons if c[var] > 0]
-        neg = [c for c in cons if c[var] < 0]
-        zero = [c for c in cons if c[var] == 0]
-        new = list(zero)
-        for p in pos:
-            for q in neg:
-                row = [p[i] * (-q[var]) + q[i] * p[var] for i in range(len(p))]
-                row[var] = 0
-                new.append(row)
-        # dedupe to keep growth in check
-        seen = set()
-        cons = []
-        for c in new:
-            g = math.gcd(*c)
-            if g:
-                c = [x // g for x in c]
-            key = tuple(c)
-            if key not in seen:
-                seen.add(key)
-                cons.append(c)
-    return all(c[-1] >= 0 for c in cons)
 
 
 # ---------------------------------------------------------------------------
@@ -516,39 +401,34 @@ def parallelepiped_points(apex, rays, open_idx=frozenset()):
     k = len(rays)
     if k == 0:
         return [tuple(apex)]
-    # a lattice point x of the span is alpha . rays, alpha = x[cols] . adj / det
+    # a lattice point x of the span is alpha . rays with det * alpha =
+    # x[cols] . adj, so det * alpha mod det lies in the group that the rows
+    # of adj generate in (Z/det)^k, of at most det elements; each element g
+    # names one point of the parallelepiped, a lattice point when integral
     inv = _adjugate(rays)
     if inv is None:
         raise NotSimplicial("rays are linearly dependent")
     cols, adj, det = inv
-    diag, lat_rows = smith_diagonal([list(r) for r in rays])
+    group = {(0,) * k}
+    todo = list(group)
+    while todo:
+        g = todo.pop()
+        for row in adj:
+            h = tuple((a + b) % det for a, b in zip(g, row))
+            if h not in group:
+                group.add(h)
+                todo.append(h)
     pts = []
-    for combo in itertools.product(*[range(abs(s)) for s in diag]):
-        x = [0] * len(apex)
-        for ci, li in zip(combo, lat_rows):
-            if ci:
-                x = [a + ci * b for a, b in zip(x, li)]
-        xs = [x[c] for c in cols]
-        # det * (fractional part of alpha_i), with 0 read as 1 on open facets
-        frac = []
-        for i in range(k):
-            f = sum(xs[j] * adj[j][i] for j in range(k)) % det
+    for g in group:
+        # g_i = det * (fractional part of alpha_i), 0 read as det on open facets
+        p = [det * a for a in apex]
+        for i, (f, r) in enumerate(zip(g, rays)):
             if f == 0 and i in open_idx:
                 f = det
-            frac.append(f)
-        p = [det * a for a in apex]
-        for f, r in zip(frac, rays):
             if f:
                 p = [a + f * b for a, b in zip(p, r)]
-        ip = []
-        for a in p:
-            q, rem = divmod(a, det)
-            if rem:
-                raise InvariantError("parallelepiped point not integral")
-            ip.append(q)
-        pts.append(tuple(ip))
-    if len(set(pts)) != len(pts):
-        raise InvariantError("parallelepiped point listed twice")
+        if all(a % det == 0 for a in p):
+            pts.append(tuple(a // det for a in p))
     return sorted(pts)
 
 
@@ -623,7 +503,8 @@ def half_open_cells(rays, cells):
     """Assign open facet sets so the half-open cells partition the cone."""
     rays = [tuple(r) for r in rays]
     rank = len(cells[0])
-    proj = [[r[c] for c in _eliminate(rays)[1]] for r in rays]
+    cols = _eliminate(rays)[1]
+    proj = [[r[c] for c in cols] for r in rays]
     for salt in range(64):
         gen = [Fraction(1 + ((i + 2) * 40503 + salt * 131) % 9973,
                         1 + ((i + 1) * (salt + 3)) % 89)

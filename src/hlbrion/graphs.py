@@ -1169,13 +1169,17 @@ def weighted_brion_instance(G, b):
     P = polyhedron_of(G, b)
     fixed = {v: b[k] for k, v in enumerate(G.top)}
     free = [v for v in sorted(G.vertices) if v not in fixed]
+    weights = {}    # tight set -> weight, at most one entry per face of P
 
     def phi(face):
-        dsu = _DSU(G.vertices)
-        for idx in face.tight:
-            hi, lo = G.edges[idx]
-            dsu.union(hi, lo)
-        return FaceSubgraph(G, dsu.blocks()).phi()
+        w = weights.get(face.tight)
+        if w is None:
+            dsu = _DSU(G.vertices)
+            for idx in face.tight:
+                hi, lo = G.edges[idx]
+                dsu.union(hi, lo)
+            w = weights[face.tight] = FaceSubgraph(G, dsu.blocks()).phi()
+        return w
 
     vertices = []
     for f in enumerate_faces(G, b):

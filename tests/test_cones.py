@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,17 +8,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hlbrion import cones
 from hlbrion.cones import (
-    Face, Polyhedron, Unbounded, WeightedCone, _invert_unimodular,
-    face_lattice, ipt_cone, ipt_simplicial, ipt_weighted, mat_rank,
-    parallelepiped_points, primitive, product_cone, sigma_relint_cone,
-    smith_diagonal, solve_affine, tangent_cone_at_vertex, triangulate,
-    verify_weighted_brion, weighted_sum_bruteforce,
+    Face, Polyhedron, Unbounded, WeightedCone, face_lattice, ipt_cone,
+    ipt_simplicial, ipt_weighted, mat_rank, parallelepiped_points, primitive,
+    product_cone, sigma_relint_cone, solve_affine, tangent_cone_at_vertex,
+    triangulate, verify_weighted_brion, weighted_sum_bruteforce,
 )
 from hlbrion.graphs import (
     BSeq, polyhedron_of, triangle_graph, weighted_brion_instance,
 )
 from hlbrion.ring import (
-    InvariantError, LaurentPoly, Monomial, RationalFn, TPoly, random_point,
+    LaurentPoly, Monomial, RationalFn, TPoly, random_point,
 )
 
 
@@ -43,6 +43,24 @@ def test_lattice_points_unbounded():
     P = Polyhedron(1, [((-1,), 0)], labels=["x"])
     with pytest.raises(Unbounded):
         P.lattice_points()
+
+
+def test_lattice_points_unbounded_without_axis_direction():
+    # the wedge y >= 0, y <= x <= y + 1 has the vertices (0, 0) and (1, 0)
+    # and recedes along (1, 1) only
+    wedge = Polyhedron(2, [((0, -1), 0), ((-1, 1), 0), ((1, -1), 1)])
+    assert wedge.recession_direction_axis() is None
+    assert wedge.vertices_bruteforce() == [(0, 0), (1, 0)]
+    with pytest.raises(Unbounded):
+        wedge.lattice_points()
+    # the strip 0 <= x - y <= 1 holds (5, 5) and has no vertex
+    strip = Polyhedron(2, [((1, -1), 1), ((-1, 1), 0)])
+    assert strip.recession_direction_axis() is None
+    assert strip.contains((5, 5)) and strip.vertices_bruteforce() == []
+    with pytest.raises(Unbounded):
+        strip.lattice_points()
+    # the empty strip 1 <= x - y <= 0 has no points
+    assert Polyhedron(2, [((1, -1), 0), ((-1, 1), -1)]).lattice_points() == []
 
 
 def test_minimal_face():
@@ -99,16 +117,6 @@ def test_weighted_sum_single_point():
     P = Polyhedron(1, [((1,), 3), ((-1,), -3)], labels=["x"])
     s = weighted_sum_bruteforce(P, lambda f: TPoly.from_list([1, 1]))
     assert s == LaurentPoly.var("x", 3) * TPoly.from_list([1, 1])
-
-
-def test_smith_diagonal_lattice():
-    diag, rows = smith_diagonal([[2, 0], [0, 3]])
-    assert sorted(abs(x) for x in diag) in ([1, 6], [2, 3])
-    # index of the sublattice is preserved
-    prod = 1
-    for x in diag:
-        prod *= abs(x)
-    assert prod == 6
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +327,9 @@ def square_rays(draw):
     return apex, rays, open_idx
 
 
-@KERNEL_SETTINGS
-@given(square_rays())
-def test_parallelepiped_points_count_and_box(cone):
-    apex, rays, open_idx = cone
-    pts = parallelepiped_points(apex, rays, open_idx)
-    assert len(pts) == len(set(pts)) == abs(det_reference(rays))
+def assert_in_half_open_box(pts, apex, rays, open_idx):
+    """Each point is apex + sum alpha_i r_i, alpha_i in (0, 1] on the open
+    facets and in [0, 1) on the others, by the reference solve."""
     cols = [list(c) for c in zip(*rays)]
     for p in pts:
         alpha, basis = solve_reference(cols, [a - b for a, b in zip(p, apex)])
@@ -334,29 +339,39 @@ def test_parallelepiped_points_count_and_box(cone):
 
 
 @KERNEL_SETTINGS
-@given(st.integers(1, 4), st.lists(
-    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3),
-              st.booleans()), max_size=12))
-def test_invert_unimodular_round_trip(d, ops):
-    # a product of elementary integer row operations is unimodular
-    v = [[int(i == j) for j in range(d)] for i in range(d)]
-    for i, j, c, swap in ops:
-        i, j = i % d, j % d
-        if swap:
-            v[i], v[j] = v[j], v[i]
-        elif i != j:
-            v[i] = [a + c * b for a, b in zip(v[i], v[j])]
-    inv = _invert_unimodular(v)
-    ident = [[int(i == j) for j in range(d)] for i in range(d)]
-    assert [[sum(v[i][k] * inv[k][j] for k in range(d)) for j in range(d)]
-            for i in range(d)] == ident
+@given(square_rays())
+def test_parallelepiped_points_count_and_box(cone):
+    apex, rays, open_idx = cone
+    pts = parallelepiped_points(apex, rays, open_idx)
+    assert len(pts) == len(set(pts)) == abs(det_reference(rays))
+    assert_in_half_open_box(pts, apex, rays, open_idx)
 
 
-def test_invert_unimodular_rejects_non_unimodular():
-    with pytest.raises(InvariantError):
-        _invert_unimodular([[2]])
-    with pytest.raises(InvariantError):
-        _invert_unimodular([[1, 2], [2, 4]])
+@st.composite
+def face_rays(draw):
+    """k < d <= 5 independent rays, as the face cones of a vertex cone have,
+    with the index of their lattice span in Z^d: the gcd of the k x k
+    minors."""
+    d = draw(st.integers(2, 5))
+    k = draw(st.integers(1, d - 1))
+    cap = RAY_CAPS[k]
+    rays = draw(st.lists(
+        st.tuples(*[st.integers(-cap, cap)] * d), min_size=k, max_size=k))
+    index = math.gcd(*[det_reference([[r[c] for c in cols] for r in rays])
+                       for cols in itertools.combinations(range(d), k)])
+    assume(index != 0)
+    apex = draw(st.tuples(*[st.integers(-2, 2)] * d))
+    open_idx = frozenset(draw(st.sets(st.integers(0, k - 1))))
+    return apex, rays, open_idx, index
+
+
+@KERNEL_SETTINGS
+@given(face_rays())
+def test_parallelepiped_points_of_face_cones(cone):
+    apex, rays, open_idx, index = cone
+    pts = parallelepiped_points(apex, rays, open_idx)
+    assert len(pts) == len(set(pts)) == index
+    assert_in_half_open_box(pts, apex, rays, open_idx)
 
 
 def test_parallelepiped_unimodular():
