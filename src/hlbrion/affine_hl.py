@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import random as _random
 
-from .graphs import ConeTransform, OrdinaryGraph, _DSU, svar, t_factorial
+from .graphs import ConeTransform, OrdinaryGraph, _DSU, svar, t_factorials
 from .ring import (
     Coeff, CollapseError, EVALUATED, InvariantError, LaurentPoly, Monomial,
     SYMBOLIC_Z, TPoly, TruncatedSeries, T_ONE, random_point, zq_coeff,
@@ -86,10 +86,7 @@ class AffineWeight:
         return len(self.cycle_paths())
 
     def wlambda(self):
-        out = T_ONE
-        for l in self.cycle_paths():
-            out = out * t_factorial(l)
-        return out
+        return t_factorials(self.cycle_paths())
 
     def is_regular(self):
         return all(x > 0 for x in self.a)

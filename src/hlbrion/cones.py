@@ -2,10 +2,13 @@
 
 Rational polyhedra are given by integer inequality systems a.x <= b (plus
 equalities).  The module computes lattice points, vertex sets, face lattices,
-integer-point transforms of pointed cones (via regular triangulation into
-half-open simplicial pieces, so every lattice point is counted exactly once)
-and weighted transforms where a weight from Z[t] is attached to every face.
-All arithmetic is exact.
+integer-point transforms of pointed cones and weighted transforms where a
+weight from Z[t] is attached to every face.  A cone with linearly independent
+rays is simplicial and its own closed cell; any other is split by a regular
+triangulation into half-open simplicial cells, so every lattice point is
+counted exactly once.  Pointedness is decided by the vertex search: a cone
+holds a line iff the polytope of its nonnegative ray combinations that sum to
+zero, with coefficients summing to one, has a vertex.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -446,16 +449,13 @@ def ipt_simplicial(apex, rays, labels, open_idx=frozenset()):
 def triangulate(rays):
     """Regular triangulation of a ray list into full-rank simplicial cells.
 
-    Deterministic: heights come from a fixed hash; degenerate height vectors
-    are perturbed by retrying with a new salt.
+    The rays must span the space of their coordinates, as they do once
+    projected onto their pivot columns (see `ipt_cone`).  Deterministic:
+    heights come from a fixed hash; degenerate height vectors are perturbed
+    by retrying with a new salt.
     """
-    rays = [tuple(r) for r in rays]
-    m = len(rays)
-    cols = _eliminate(rays)[1]
-    rank = len(cols)
-    if m == rank:
-        return [tuple(range(m))]
-    proj = [[r[c] for c in cols] for r in rays]
+    rays = [list(r) for r in rays]
+    m, rank = len(rays), len(rays[0])
     for salt in range(64):
         heights = [Fraction(1 + ((i + 1) * 2654435761 + salt * 97003) % 1000003,
                             1 + ((i + salt) * 7919) % 503)
@@ -463,10 +463,10 @@ def triangulate(rays):
         cells = []
         degenerate = False
         for subset in itertools.combinations(range(m), rank):
-            # the linear form w with w . proj[i] = heights[i] on the subset
+            # the linear form w with w . rays[i] = heights[i] on the subset
             # is w = red[:, rank] / det
             red, piv, det = _eliminate(
-                [proj[i] + [heights[i]] for i in subset], rank)
+                [rays[i] + [heights[i]] for i in subset], rank)
             if len(piv) < rank:
                 continue
             sign = 1 if det > 0 else -1
@@ -475,9 +475,9 @@ def triangulate(rays):
             for j in range(m):
                 if j in subset:
                     continue
-                # w . proj[j] against heights[j], both times |det| * den
+                # w . rays[j] against heights[j], both times |det| * den
                 h = heights[j]
-                val = sum(a * b for a, b in zip(w, proj[j])) * h.denominator
+                val = sum(a * b for a, b in zip(w, rays[j])) * h.denominator
                 bound = h.numerator * sign * det
                 if val == bound:
                     degenerate = True
@@ -495,73 +495,71 @@ def triangulate(rays):
     raise RuntimeError("triangulation failed to find generic heights")
 
 
-def _transpose(m):
-    return [list(col) for col in zip(*m)]
-
-
 def half_open_cells(rays, cells):
-    """Assign open facet sets so the half-open cells partition the cone."""
-    rays = [tuple(r) for r in rays]
-    rank = len(cells[0])
-    cols = _eliminate(rays)[1]
-    proj = [[r[c] for c in cols] for r in rays]
+    """Assign open facet sets so the half-open cells partition the cone.
+
+    The rays span the space of their coordinates, as for `triangulate`.  A
+    generic point y = sum gen_i rays_i of the cone lies in the interior of
+    one cell; each cell is open on the facets whose side faces away from y,
+    the rays i with beta_i < 0 in y = sum beta_i rays_i over the cell.
+    """
+    rank = len(rays[0])
     for salt in range(64):
         gen = [Fraction(1 + ((i + 2) * 40503 + salt * 131) % 9973,
                         1 + ((i + 1) * (salt + 3)) % 89)
                for i in range(len(rays))]
-        y = [sum(gen[i] * proj[i][c] for i in range(len(rays)))
-             for c in range(rank)]
+        y = _int_row([sum(g * r[c] for g, r in zip(gen, rays))
+                      for c in range(rank)])
         out = []
-        ok = True
         for cell in cells:
-            # y = sum beta_i proj[i] over the cell: beta = red[:, rank] / det
-            sub = _transpose([proj[i] for i in cell])
-            red, piv, det = _eliminate(
-                [row + [yc] for row, yc in zip(sub, y)], rank)
-            if len(piv) < rank:
-                ok = False
+            inv = _adjugate([rays[i] for i in cell])
+            if inv is None:
+                raise NotSimplicial("cell rays are linearly dependent")
+            # beta = y . adj / det with det > 0: the signs of y . adj
+            beta = [sum(a * b for a, b in zip(y, col)) for col in zip(*inv[1])]
+            if 0 in beta:
                 break
-            beta = [row[rank] for row in red]
-            if any(b == 0 for b in beta):
-                ok = False
-                break
-            open_idx = frozenset(i for i, b in enumerate(beta)
-                                 if (b < 0) != (det < 0))
-            out.append((cell, open_idx))
-        if ok:
+            out.append((cell, frozenset(i for i, b in enumerate(beta)
+                                        if b < 0)))
+        else:
             return out
     raise RuntimeError("half-open decomposition failed to find a generic point")
 
 
 def check_pointed(rays):
-    """Certify pointedness where cheaply possible; raise NotPointed on a
-    definite line."""
+    """Raise NotPointed when the cone spanned by the rays holds a line.
+
+    It does iff some lambda >= 0, not 0, has sum lambda_i rays_i = 0, that is
+    iff the polytope {lambda >= 0, sum lambda_i rays_i = 0, sum lambda_i = 1}
+    is nonempty, which a polytope is iff it has a vertex.
+    """
     if not rays:
         return
-    cols = _eliminate(rays)[1]
-    rank = len(cols)
-    if rank == len(rays):
-        return
-    # nonneg kernel vector => contains a line
-    rows = _transpose([[r[c] for c in cols] for r in rays])
-    sol = solve_affine(rows, [0] * rank)
-    if sol is not None:
-        for v in sol[1]:
-            if all(x >= 0 for x in v) or all(x <= 0 for x in v):
-                if any(x != 0 for x in v):
-                    raise NotPointed("rays admit a nonnegative circuit")
+    k = len(rays)
+    nonneg = [(tuple(-int(i == j) for j in range(k)), 0) for i in range(k)]
+    eqs = [(col, 0) for col in zip(*rays)] + [((1,) * k, 1)]
+    if Polyhedron(k, nonneg, eqs).vertices_bruteforce():
+        raise NotPointed("a nonnegative combination of the rays is zero")
 
 
 def ipt_cone(apex, rays, labels):
-    """IPT of a pointed cone with integral apex, as a RationalFn."""
+    """IPT of a pointed cone with integral apex, as a RationalFn.
+
+    Independent rays span a simplicial cone that is its own closed cell.
+    Dependent rays are projected once onto their pivot columns, an injective
+    map on their span, and the projection is checked for pointedness,
+    triangulated and split into half-open cells.
+    """
     rays = sorted(set(tuple(r) for r in rays))
     if not rays:
         return RationalFn(LaurentPoly.from_monomial(_point_monomial(apex, labels)))
-    check_pointed(rays)
-    cells = triangulate(rays)
-    pieces = half_open_cells(rays, cells)
+    cols = _eliminate(rays)[1]
+    if len(cols) == len(rays):
+        return ipt_simplicial(apex, rays, labels)
+    proj = [[r[c] for c in cols] for r in rays]
+    check_pointed(proj)
     total = None
-    for cell, open_idx in pieces:
+    for cell, open_idx in half_open_cells(proj, triangulate(proj)):
         f = ipt_simplicial(apex, [rays[i] for i in cell], labels, open_idx)
         total = f if total is None else total + f
     return total

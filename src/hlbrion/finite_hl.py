@@ -14,7 +14,7 @@ import random as _random
 from collections import Counter
 
 from .graphs import (
-    BSeq, psi_terms, t_factorial, triangle_graph, xvar,
+    BSeq, psi_terms, t_factorials, triangle_graph, xvar,
 )
 from .ring import (
     LaurentPoly, Monomial, TPoly, T_ONE,
@@ -109,10 +109,7 @@ def hl_gt(weight):
 def wlambda_poincare(weight):
     """Poincare series of the stabilizer: product of t-factorials of the
     part multiplicities."""
-    out = T_ONE
-    for l in weight.type_multiplicities():
-        out = out * t_factorial(l)
-    return out
+    return t_factorials(weight.type_multiplicities())
 
 
 def _perm_sign(perm):

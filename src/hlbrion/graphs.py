@@ -437,19 +437,22 @@ _plan_cache = {}
 
 
 def t_factorial(l):
+    return t_factorials([l])
+
+
+def t_factorials(lengths):
+    """The product of the t-factorials [l]_t! = [2]_t [3]_t ... [l]_t."""
     out = T_ONE
-    for j in range(2, l + 1):
-        out = out * TPoly({e: 1 for e in range(j)})
+    for l in lengths:
+        for j in range(2, l + 1):
+            out = out * TPoly({e: 1 for e in range(j)})
     return out
 
 
 def t_multinomial(n, parts):
     if sum(parts) != n:
         raise ValueError("parts must sum to n")
-    num = t_factorial(n)
-    for l in parts:
-        num = num.exact_div(t_factorial(l))
-    return num
+    return t_factorial(n).exact_div(t_factorials(parts))
 
 
 class ConePlan:
@@ -1030,9 +1033,7 @@ def verify_graphsum(G, b, b2, face2=None):
     """
     b = BSeq(b) if not isinstance(b, BSeq) else b
     b2 = BSeq(b2) if not isinstance(b2, BSeq) else b2
-    fac = T_ONE
-    for l in b2.run_lengths():
-        fac = fac * t_factorial(l)
+    fac = t_factorials(b2.run_lengths())
     faces_b = enumerate_faces(G, b)
     faces_b2 = enumerate_faces(G, b2)
     sums = {f: TPoly.zero() for f in faces_b2}
@@ -1057,9 +1058,7 @@ def verify_gensingular(G, b, b2, trials=3, seed=0):
     rng = random.Random(seed)
     b = BSeq(b) if not isinstance(b, BSeq) else b
     b2 = BSeq(b2) if not isinstance(b2, BSeq) else b2
-    fac = T_ONE
-    for l in b2.run_lengths():
-        fac = fac * t_factorial(l)
+    fac = t_factorials(b2.run_lengths())
     lhs = [fn * fac for _, fn in vertex_contributions(G, b2)]
     rhs = []
     for f, fn in vertex_contributions(G, b):

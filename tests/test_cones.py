@@ -8,10 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hlbrion import cones
 from hlbrion.cones import (
-    Face, Polyhedron, Unbounded, WeightedCone, face_lattice, ipt_cone,
-    ipt_simplicial, ipt_weighted, mat_rank, parallelepiped_points, primitive,
-    product_cone, sigma_relint_cone, solve_affine, tangent_cone_at_vertex,
-    triangulate, verify_weighted_brion, weighted_sum_bruteforce,
+    Face, NotPointed, Polyhedron, Unbounded, WeightedCone, check_pointed,
+    face_lattice, ipt_cone, ipt_simplicial, ipt_weighted, mat_rank,
+    parallelepiped_points, primitive, product_cone, sigma_relint_cone,
+    solve_affine, tangent_cone_at_vertex, triangulate, verify_weighted_brion,
+    weighted_sum_bruteforce,
 )
 from hlbrion.graphs import (
     BSeq, polyhedron_of, triangle_graph, weighted_brion_instance,
@@ -425,17 +426,6 @@ def test_triangulate_square_cone():
     assert len(cells) == 2
 
 
-def box_truncation_oracle(fn, labels, box, rng, trials=2):
-    """Compare fn against the truncated lattice sum of its cone numerically.
-
-    Only valid when the evaluation point makes every geometric series beyond
-    the box negligible -- instead we check the stronger exact statement
-    num = sum * prod(1 - ray) restricted to the box window, so we avoid
-    analytic arguments and compare LaurentPoly coefficients in the window.
-    """
-    raise NotImplementedError
-
-
 def test_ipt_cone_square_base_box_oracle():
     # cone over a square base in 3-d, apex at origin
     rays = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
@@ -484,6 +474,78 @@ def test_ipt_cone_matches_simplicial():
     b = ipt_simplicial((1, 2), [(1, 0), (0, 1)], labels)
     pt = random_point(labels, rng, a.den_list() + b.den_list())
     assert a.eval(pt) == b.eval(pt)
+
+
+def holds_line_reference(rays):
+    """Whether the cone of the rays holds a line, by conformal decomposition:
+    a nonnegative kernel vector of the rays, not 0, is a sum of sign-conformal
+    circuits, so the cone holds a line iff some minimal dependent subset of
+    the rays has a kernel vector of one strict sign."""
+    for size in range(1, len(rays) + 1):
+        for subset in itertools.combinations(rays, size):
+            basis = solve_affine([list(c) for c in zip(*subset)],
+                                 [0] * len(rays[0]))[1]
+            if len(basis) == 1 and (all(x > 0 for x in basis[0])
+                                    or all(x < 0 for x in basis[0])):
+                return True
+    return False
+
+
+def test_line_hidden_by_redundant_rays_is_not_pointed():
+    # (0, 1) + (0, -1) = 0 and (-1, 1) + (1, -1) = 0; the other rays hide
+    # these circuits from the signs of a nullspace basis
+    for rays in ([(-1, -1), (-1, 0), (0, -1), (0, 1)],
+                 [(-1, -1), (-1, 0), (-1, 1), (1, -1)]):
+        with pytest.raises(NotPointed):
+            check_pointed(rays)
+        with pytest.raises(NotPointed):
+            ipt_cone((0, 0), rays, ["x", "y"])
+    # the pointed cone over a square of test_ipt_cone_square_base_box_oracle
+    square = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    check_pointed(square)
+    assert ipt_cone((0, 0, 0), square, ["x", "y", "z"]).den_list()
+
+
+def test_pointedness_matches_circuit_reference():
+    # 1000 ray sets of 1-5 rays in dimension 1-3, entries in [-2, 2] (zero
+    # rays and repeats included), drawn from seed 20261018: 411 hold a line
+    rng = random.Random(20261018)
+    lines = 0
+    for _ in range(1000):
+        d = rng.randint(1, 3)
+        rays = [tuple(rng.randint(-2, 2) for _ in range(d))
+                for _ in range(rng.randint(1, 5))]
+        line = holds_line_reference(rays)
+        lines += line
+        labels = [f"x{i}" for i in range(d)]
+        if line:
+            with pytest.raises(NotPointed):
+                check_pointed(rays)
+            with pytest.raises(NotPointed):
+                ipt_cone((0,) * d, rays, labels)
+        else:
+            check_pointed(rays)
+            ipt_cone((0,) * d, rays, labels)
+    assert lines == 411
+
+
+def test_ipt_cone_of_independent_rays_eliminates_twice(monkeypatch):
+    # the pivot columns of the rays, then the adjugate of the one cell
+    calls = []
+
+    def counted(*args, f=cones._eliminate):
+        calls.append(len(args[0]))
+        return f(*args)
+
+    def refused(*args):
+        raise AssertionError("independent rays need no triangulation")
+    monkeypatch.setattr(cones, "_eliminate", counted)
+    monkeypatch.setattr(cones, "triangulate", refused)
+    monkeypatch.setattr(cones, "half_open_cells", refused)
+    rays = [(1, 1, 0), (0, 1, 2), (1, 0, 1)]
+    f = ipt_cone((0, 1, 0), rays, ["x", "y", "z"])
+    assert calls == [3, 3]
+    assert f.num == ipt_simplicial((0, 1, 0), sorted(rays), ["x", "y", "z"]).num
 
 
 def ray_cone_weighted(apex=(0,)):
