@@ -5,6 +5,13 @@ triangles with their t-weights, the symmetrized ratio over the symmetric
 group, and the vertex decomposition of the associated polytope.  Weights are
 given by the fundamental-coordinate vector a = (a_1, ..., a_{n-1}); the
 polynomial lives in x_1, ..., x_{n-1} (the last variable is pinned to 1).
+
+The symmetrized ratio is computed without its n! terms: the Weyl
+symmetrizer of g / prod_{alpha>0} (1 - e^{-alpha}) is the Demazure operator
+pi_{w0} of g, a product of n(n-1)/2 isobaric divided differences, each one
+exact division by a binomial (Demazure 1974; Macdonald, Symmetric Functions
+and Hall Polynomials, ch. III).  The per-element Weyl terms stay for the
+vertex-contribution check, which compares them orbit weight by orbit weight.
 """
 
 from __future__ import annotations
@@ -100,10 +107,8 @@ def p_of(pattern):
 
 def hl_gt(weight):
     """The combinatorial route: sum of p_A e^{mu_A} over patterns."""
-    total = LaurentPoly.zero()
-    for a in enumerate_gt(weight):
-        total = total + LaurentPoly.from_monomial(mu_exponent(a), p_of(a))
-    return total
+    return LaurentPoly.sum_terms((mu_exponent(a), p_of(a))
+                                 for a in enumerate_gt(weight))
 
 
 def wlambda_poincare(weight):
@@ -161,19 +166,32 @@ def _weyl_term(weight, w, factors):
     return term
 
 
-def hl_def(weight, max_n=5):
-    """The symmetrization route, with every term put over the common
-    denominator prod (1 - x_i^{-1} x_j) and divided out exactly."""
+def hl_def(weight, max_n=6):
+    """The symmetrization route, by Demazure operators.
+
+    The Weyl symmetrization sum_w w(g / prod_{i<j} (1 - x_i^{-1} x_j)) of
+    g = e^lam prod_{i<j} (1 - t x_i^{-1} x_j) equals pi_{w0}(g), with
+    pi_i g = (g - y_i s_i g) / (1 - y_i), y_i = x_i^{-1} x_{i+1} and s_i
+    swapping x_i and x_{i+1} (Demazure 1974; Macdonald, Symmetric Functions
+    and Hall Polynomials, ch. III).  Along the reduced word s_1; s_2 s_1;
+    s_3 s_2 s_1; ... of w0 that is n(n-1)/2 exact divisions by one binomial
+    each, in place of the n!-term sum.  Then divide by W_lam(t) and pin x_n.
+    """
     n = weight.n
     if n > max_n:
         raise TooLarge(f"n={n} exceeds the guard {max_n}")
-    factors = _root_factors(n)
-    total = LaurentPoly.zero()
-    for w in itertools.permutations(range(n)):
-        total = total + _weyl_term(weight, w, factors)
-    quotient = exact_div_binomials(total, [y for _, y, _, _ in factors])
+    g = LaurentPoly.from_monomial(_orbit_monomial(weight, range(n)))
+    for _, _, one_minus_ty, _ in _root_factors(n):
+        g = g * one_minus_ty
+    for k in range(1, n):
+        for i in range(k, 0, -1):
+            xi, xj = xvar(i), xvar(i + 1)
+            y = Monomial({xi: -1, xj: 1})
+            swapped = g.subs_monomials({xi: Monomial.var(xj),
+                                        xj: Monomial.var(xi)})
+            g = exact_div_binomials(g - swapped * y, [y])
     wl = wlambda_poincare(weight)
-    divided = LaurentPoly({m: c.exact_div(wl) for m, c in quotient.terms.items()})
+    divided = LaurentPoly({m: c.exact_div(wl) for m, c in g.terms.items()})
     return divided.subs_monomials({xvar(n): Monomial.unit()})
 
 
@@ -182,15 +200,14 @@ def schur_bialternant(weight):
     end."""
     n = weight.n
     mus = [weight.parts[j] + n - 1 - j for j in range(n)]
-    num = LaurentPoly.zero()
     den_monos = []
     for i in range(n):
         for j in range(i + 1, n):
             den_monos.append(Monomial({xvar(i + 1): 1, xvar(j + 1): -1}))
-    for w in itertools.permutations(range(n)):
-        sign = _perm_sign(w)
-        m = Monomial({xvar(i + 1): mus[w[i]] for i in range(n) if mus[w[i]]})
-        num = num + LaurentPoly.from_monomial(m, TPoly.const(sign))
+    num = LaurentPoly.sum_terms(
+        (Monomial({xvar(i + 1): mus[w[i]] for i in range(n) if mus[w[i]]}),
+         TPoly.const(_perm_sign(w)))
+        for w in itertools.permutations(range(n)))
     # det(x_i^{n-j}) = prod_{i<j} (x_i - x_j) = prod -x_j (1 - x_i x_j^{-1})
     quotient = exact_div_binomials(num, den_monos)
     shift = Monomial.unit()
@@ -205,22 +222,17 @@ def schur_bialternant(weight):
 
 def orbit_sum(weight):
     """Sum of e^mu over the distinct permutations of the parts, x_n = 1."""
-    total = LaurentPoly.zero()
-    for perm in set(itertools.permutations(weight.parts)):
-        m = Monomial({xvar(i + 1): perm[i]
-                      for i in range(weight.n - 1) if perm[i]})
-        total = total + LaurentPoly.from_monomial(m)
-    return total
+    return LaurentPoly.sum_terms(
+        (Monomial({xvar(i + 1): perm[i] for i in range(weight.n - 1) if perm[i]}),
+         T_ONE)
+        for perm in set(itertools.permutations(weight.parts)))
 
 
 def subs_t(p, value):
     """Specialize the deformation parameter to an integer."""
-    out = LaurentPoly.zero()
-    for m, c in p.terms.items():
-        v = sum(coeff * value ** e for e, coeff in c.c.items())
-        if v:
-            out = out + LaurentPoly.from_monomial(m, TPoly.const(v))
-    return out
+    return LaurentPoly({m: TPoly.const(sum(coeff * value ** e
+                                           for e, coeff in c.c.items()))
+                        for m, c in p.terms.items()})
 
 
 def hl_branching(parts, nvars, _memo=None):

@@ -268,18 +268,36 @@ class Monomial:
         return 0
 
     def __mul__(self, other):
-        if not self.e:
+        # merge the two sorted exponent tuples; equal names add, and a zero
+        # sum drops out, so the result is sorted without a dict or a sort
+        a = self.e
+        b = other.e
+        if not a:
             return other
-        if not other.e:
+        if not b:
             return self
-        out = dict(self.e)
-        for v, x in other.e:
-            w = out.get(v, 0) + x
-            if w:
-                out[v] = w
+        out = []
+        i = j = 0
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
+            va = a[i][0]
+            vb = b[j][0]
+            if va < vb:
+                out.append(a[i])
+                i += 1
+            elif vb < va:
+                out.append(b[j])
+                j += 1
             else:
-                del out[v]
-        return Monomial(out)
+                x = a[i][1] + b[j][1]
+                if x:
+                    out.append((va, x))
+                i += 1
+                j += 1
+        r = Monomial.__new__(Monomial)
+        r.e = e = tuple(out) + a[i:] + b[j:]
+        r._hash = hash(e)
+        return r
 
     def __pow__(self, k):
         if k == 0 or not self.e:
@@ -324,10 +342,15 @@ class Monomial:
 
     def subs(self, varmap):
         """Substitute variables by monomials: var -> Monomial."""
-        out = _M_UNIT
+        out = {}
         for v, x in self.e:
-            out = out * (varmap[v] ** x if v in varmap else Monomial.var(v, x))
-        return out
+            m = varmap.get(v)
+            if m is None:
+                out[v] = out.get(v, 0) + x
+            else:
+                for u, y in m.e:
+                    out[u] = out.get(u, 0) + x * y
+        return Monomial(out)
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.e == other.e
@@ -387,6 +410,17 @@ class LaurentPoly:
     @staticmethod
     def var(name, exp=1):
         return LaurentPoly.from_monomial(Monomial.var(name, exp))
+
+    @staticmethod
+    def sum_terms(pairs):
+        """Sum of c * m over the (m, c) pairs, accumulated in one dict:
+        linear in the number of pairs, where a chain of `+` copies the
+        partial sum once per term."""
+        out = {}
+        for m, c in pairs:
+            w = out.get(m)
+            out[m] = c if w is None else w + c
+        return LaurentPoly(out)
 
     def is_zero(self):
         return not self.terms
@@ -463,10 +497,8 @@ class LaurentPoly:
 
     def subs_monomials(self, varmap):
         """Apply a monomial substitution var -> Monomial to every term."""
-        out = LaurentPoly()
-        for m, c in self.terms.items():
-            out = out + LaurentPoly({m.subs(varmap): c})
-        return out
+        return LaurentPoly.sum_terms((m.subs(varmap), c)
+                                     for m, c in self.terms.items())
 
     def eval_at(self, point, memo=None):
         """Exact evaluation at {var: Fraction}; t stays symbolic -> TPoly."""

@@ -2,13 +2,14 @@ import itertools
 
 import pytest
 
+from hlbrion import finite_hl, ring
 from hlbrion.finite_hl import (
-    FiniteWeight, TooLarge, enumerate_gt, hl_branching, hl_def, hl_gt,
-    mu_exponent, orbit_sum, p_of, schur_bialternant, subs_t,
-    verify_contribfin, wlambda_poincare,
+    FiniteWeight, TooLarge, _root_factors, _weyl_term, enumerate_gt,
+    hl_branching, hl_def, hl_gt, mu_exponent, orbit_sum, p_of,
+    schur_bialternant, subs_t, verify_contribfin, wlambda_poincare,
 )
-from hlbrion.graphs import BSeq, enumerate_faces, triangle_graph
-from hlbrion.ring import LaurentPoly, Monomial, TPoly
+from hlbrion.graphs import BSeq, enumerate_faces, triangle_graph, xvar
+from hlbrion.ring import LaurentPoly, Monomial, TPoly, exact_div_binomials
 
 
 def tp(*coeffs):
@@ -69,6 +70,60 @@ def test_hl_def_matches_gt():
                  (4, [1, 0, 1])]:
         w = FiniteWeight(n, a)
         assert hl_gt(w) == hl_def(w), (n, a)
+
+
+def hl_def_reference(weight):
+    """The n!-term Weyl sum: every group element's term over the common
+    denominator, divided by each root binomial, by W_lam(t), then x_n
+    pinned to 1."""
+    n = weight.n
+    factors = _root_factors(n)
+    total = LaurentPoly.zero()
+    for w in itertools.permutations(range(n)):
+        total = total + _weyl_term(weight, w, factors)
+    quotient = exact_div_binomials(total, [y for _, y, _, _ in factors])
+    wl = wlambda_poincare(weight)
+    divided = LaurentPoly({m: c.exact_div(wl) for m, c in quotient.terms.items()})
+    return divided.subs_monomials({xvar(n): Monomial.unit()})
+
+
+# every n = 4 weight of level 1 to 4, the weights of the finite benchmark
+LEVEL4_N4 = [a for a in itertools.product(range(5), repeat=3) if 0 < sum(a) <= 4]
+
+
+def test_hl_def_matches_weyl_sum_reference():
+    assert len(LEVEL4_N4) == 34
+    for n, a in [(4, a) for a in LEVEL4_N4] + [(5, (1, 0, 1, 0)),
+                                                (5, (1, 1, 0, 1))]:
+        w = FiniteWeight(n, a)
+        assert hl_def(w) == hl_def_reference(w), (n, a)
+
+
+def test_hl_def_divides_once_per_reduced_word_letter(monkeypatch):
+    # pi_{w0} along s_1; s_2 s_1; s_3 s_2 s_1: n(n-1)/2 = 6 divisions, each
+    # by one simple root, and no Weyl term is ever built
+    dens = []
+
+    def counted(p, den, f=ring.exact_div_binomial):
+        dens.append(den)
+        return f(p, den)
+
+    def refused(*args):
+        raise AssertionError("hl_def sums no Weyl terms")
+    monkeypatch.setattr(ring, "exact_div_binomial", counted)
+    monkeypatch.setattr(finite_hl, "_weyl_term", refused)
+    w = FiniteWeight(4, (2, 1, 1))
+    d = hl_def(w)
+    simple = [Monomial({xvar(i): -1, xvar(i + 1): 1}) for i in (1, 2, 1, 3, 2, 1)]
+    assert dens == simple
+    assert d == hl_gt(w)
+
+
+def test_hl_def_guard_is_six():
+    w = FiniteWeight(6, (1, 0, 0, 0, 0))
+    assert hl_def(w) == hl_gt(w)
+    with pytest.raises(TooLarge):
+        hl_def(FiniteWeight(7, [1] * 6))
 
 
 def test_hl_def_branching_oracle():

@@ -140,6 +140,86 @@ def test_ring_axioms_random(a, b, c):
     assert (a + b) * c == a * c + b * c
 
 
+def mul_reference(a, b):
+    """Exponent dict of a product, added name by name in a dict."""
+    out = dict(a)
+    for v, x in b.items():
+        out[v] = out.get(v, 0) + x
+    return {v: x for v, x in out.items() if x}
+
+
+def subs_reference(m, varmap):
+    """Exponent dict of m with each variable replaced, one factor at a time."""
+    out = {}
+    for v, x in m.e:
+        image = varmap[v].e if v in varmap else ((v, 1),)
+        out = mul_reference(out, {u: y * x for u, y in image})
+    return out
+
+
+def subs_poly_reference(p, varmap):
+    out = LaurentPoly.zero()
+    for m, c in p.terms.items():
+        out = out + LaurentPoly.from_monomial(Monomial(subs_reference(m, varmap)), c)
+    return out
+
+
+KERNEL_NAMES = ("x1", "x2", "x3", "x4", "x5", "x6")
+monomials = st.dictionaries(st.sampled_from(KERNEL_NAMES), st.integers(-3, 3),
+                            max_size=6).map(Monomial)
+
+
+@st.composite
+def substitutions(draw, names=NAMES):
+    """A permutation of the names, some of them pinned to 1 or sent to a
+    monomial in the names."""
+    perm = draw(st.permutations(names))
+    varmap = {v: Monomial.var(u) for v, u in zip(names, perm) if v != u}
+    for v in names:
+        kind = draw(st.sampled_from(("keep", "pin", "monomial")))
+        if kind == "pin":
+            varmap[v] = Monomial.unit()
+        elif kind == "monomial":
+            varmap[v] = Monomial({u: draw(st.integers(-2, 2)) for u in names})
+    return varmap
+
+
+# the merged product and the one-dict substitution against dict references:
+# 300 examples from seed 2017
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@seed(2017)
+@given(monomials, monomials, substitutions(KERNEL_NAMES[:3]))
+def test_monomial_kernel_property(a, b, varmap):
+    p = a * b
+    ref = mul_reference(a.exps(), b.exps())
+    assert p == Monomial(ref) and hash(p) == hash(Monomial(ref))
+    names = [v for v, _ in p.e]
+    assert names == sorted(set(names))
+    assert all(x for _, x in p.e)
+    assert p.subs(varmap) == Monomial(subs_reference(p, varmap))
+
+
+# a substitution of a Laurent polynomial, term by term: 300 examples from
+# seed 2018
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@seed(2018)
+@given(laurent_polys(NAMES), substitutions(), st.permutations(NAMES))
+def test_subs_monomials_property(p, varmap, perm):
+    assert p.subs_monomials(varmap) == subs_poly_reference(p, varmap)
+    # the pin x_n -> 1 merges the terms that differ only in z
+    pin = {"z": Monomial.unit()}
+    assert p.subs_monomials(pin) == subs_poly_reference(p, pin)
+    # p - s(p) for the swap s of x and y: folding x onto y sends each term
+    # and its swapped partner to one monomial, where they cancel
+    swap = {"x": Monomial.var("y"), "y": Monomial.var("x")}
+    q = p - p.subs_monomials(swap)
+    assert q == subs_poly_reference(p, {}) - subs_poly_reference(p, swap)
+    assert q.subs_monomials({"x": Monomial.var("y")}).is_zero()
+    # a permutation of the variables is a bijection on terms
+    sigma = {v: Monomial.var(u) for v, u in zip(NAMES, perm)}
+    assert len(p.subs_monomials(sigma).terms) == len(p.terms)
+
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
