@@ -19,8 +19,8 @@ import random as _random
 
 from .graphs import ConeTransform, OrdinaryGraph, _DSU, svar, t_factorials
 from .ring import (
-    Coeff, CollapseError, EVALUATED, InvariantError, LaurentPoly, Monomial,
-    SYMBOLIC_Z, TPoly, TruncatedSeries, T_ONE, random_point, zq_coeff,
+    Coeff, CollapseError, EVALUATED, InvariantError, Monomial, SYMBOLIC_Z,
+    TPoly, TruncatedSeries, T_ONE, random_point, zq_coeff,
 )
 
 
@@ -498,10 +498,10 @@ def _root_factors(n, qmax, domain, zpoint):
 
 def lhs_series(weight, qmax, domain=None, zpoint=None):
     """W_lam(t) P_lam e^{-lam} truncated: the symmetrized sum over the common
-    denominator, then divided by it as a series."""
+    denominator, then divided by it as in `_over_den`, so every coefficient
+    is a Laurent polynomial over d0, the product of the (1 - y) over the
+    positive finite roots."""
     domain = default_domain(weight, domain)
-    if domain == SYMBOLIC_Z and weight.n != 2:
-        raise ValueError("symbolic z-coefficients only for n = 2")
     factors = _root_factors(weight.n, qmax, domain, zpoint)
     total = None
     for sigma, tau, shift_mono, _ in weyl_elements(weight, qmax):
@@ -762,12 +762,19 @@ def _weyl_term_series(weight, sigma, tau, shift_mono, factors, qmax, domain,
 
 
 def _over_den(numer, factors, qmax):
-    """`numer` divided by the common denominator: the product of the (1 - y)
-    of `factors`."""
-    den = TruncatedSeries.one(qmax, numer.domain)
-    for *_, one_minus_y in factors:
-        den = den * one_minus_y
-    out = numer * den.invert()
+    """`numer` divided by the common denominator, the product of the (1 - y)
+    of `factors`.  Only the q-degree-0 factors, keyed ((i, j), 0), have a
+    constant term other than 1: their product d0 stays one coefficient, and
+    the rest, a series with constant term 1, inverts with Laurent-polynomial
+    coefficients."""
+    d0 = Coeff.one()
+    rest = TruncatedSeries.one(qmax, numer.domain)
+    for key, *_, one_minus_y in factors:
+        if key is not None and key[1] == 0:
+            d0 = d0 * one_minus_y.coeff(0)
+        else:
+            rest = rest * one_minus_y
+    out = (numer * rest.invert()).scale(d0.inv())
     if out.order < qmax:
         raise InvariantError("precision loss in the series division")
     return out.truncate(qmax)
@@ -922,9 +929,7 @@ def verify_contrib(weight, qmax, trials=2, seed=0, nonrelevant_extra=1):
                     tau1 = tau_truncated(aux, v1, qmax + headroom, domain,
                                          zpoint)
                     agg = agg + tau1.scale(c).shift(q).truncate(qmax)
-                agg = agg.scale(Coeff(LaurentPoly.one(),
-                                      LaurentPoly.const(wl)))
-                if not taus[v].equals(agg, up_to=qmax):
+                if not taus[v].scale(wl).equals(agg, up_to=qmax):
                     report["ok"] = False
                     report["failures"].append(f"aggregation mismatch at {v}")
             report["checks"].append(f"{len(taus)} fiber aggregations")

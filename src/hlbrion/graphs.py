@@ -745,17 +745,15 @@ class ConeTransform:
             # deg m = 0: a single coefficient in the fraction field.
             coeffs = {}
             if q > 0:
-                j = 1
-                while j * q <= order:
-                    coeffs[j * q] = _coeff_pow(coeff, j)
-                    j += 1
+                power = coeff
+                for e in range(q, order + 1, q):
+                    coeffs[e] = power
+                    power = power * coeff
             elif q < 0:
-                j = 0
-                while -j * q <= order:
-                    c = _coeff_pow(coeff, -j)
-                    prev = coeffs.get(-j * q)
-                    coeffs[-j * q] = -c if prev is None else prev - c
-                    j += 1
+                power, step = -Coeff.one(), coeff.inv()
+                for e in range(0, order + 1, -q):
+                    coeffs[e] = power
+                    power = power * step
             else:
                 coeffs[0] = coeff / (Coeff.one() - coeff)
             return TruncatedSeries(order, coeffs, domain)
@@ -763,20 +761,6 @@ class ConeTransform:
         return self._fold(TruncatedSeries.one(order, domain),
                           TruncatedSeries.zero(order, domain),
                           lambda val, phi: val.scale(phi), cut_series)
-
-
-def _coeff_pow(coeff, k):
-    if k < 0:
-        coeff = coeff.inv()
-        k = -k
-    out = Coeff.one()
-    base = coeff
-    while k:
-        if k & 1:
-            out = out * base
-        base = base * base
-        k >>= 1
-    return out
 
 
 class FactoredTransform:

@@ -7,9 +7,11 @@ points keeps t symbolic and gives a `TPoly` with rational coefficients.
 Rational functions are stored with their denominators in factored binomial
 form (1 - m) and are never expanded unless an exact division is requested.
 Truncated series live in the ring of Laurent series in q with finitely many
-negative powers; their coefficients are drawn from a fraction field
-(`Coeff`), either symbolic in the z-variables or with the z-variables already
-evaluated at rationals.
+negative powers.  Their coefficients (`Coeff`) are fractions of Laurent
+polynomials, either symbolic in the z-variables or with the z-variables
+already evaluated at rationals.  A `Coeff` has no normal form: numerator and
+denominator are kept as the arithmetic made them, two of them are equal when
+their cross products are, and none is hashed or printed symbolically.
 """
 
 from __future__ import annotations
@@ -751,7 +753,13 @@ EVALUATED = "EVALUATED"
 
 
 class Coeff:
-    """Element of the fraction field of Z[t][z^(+-1)] used as series coefficient."""
+    """Element of the fraction field of Z[t][z^(+-1)] used as series coefficient.
+
+    An unnormalised fraction num/den of Laurent polynomials: no common factor,
+    not even a monomial, is cancelled, so `num` and `den` are what the
+    arithmetic built.  Equality is by cross-multiplication; a Coeff is never
+    hashed, and no command prints a symbolic one.
+    """
 
     __slots__ = ("num", "den")
 
@@ -766,8 +774,6 @@ class Coeff:
             raise ZeroDivisionError("Coeff with zero denominator")
         if num.is_zero():
             den = LaurentPoly.one()
-        else:
-            num, den = _strip_common_monomial(num, den)
         self.num = num
         self.den = den
 
@@ -823,50 +829,12 @@ class Coeff:
     def __hash__(self):
         raise TypeError("Coeff is unhashable")
 
-    def eval(self, point):
-        n = self.num.eval_at(point)
-        d = self.den.eval_at(point)
-        if len(d.c) != 1 or 0 not in d.c:
-            # symbolic t in the denominator: only unit denominators expected here
-            raise NotDivisible("Coeff.eval with non-constant denominator in t")
-        return n * (Fraction(1) / d.c[0])
-
     def __str__(self):
         if self.den.is_one():
             return self.num.to_text()
         return f"[{self.num.to_text()}] / [{self.den.to_text()}]"
 
     __repr__ = __str__
-
-
-def _strip_common_monomial(num, den):
-    """Cancel the common monomial content (units of the Laurent ring)."""
-    def content(p):
-        mins = {}
-        first = True
-        for m in p.terms:
-            e = m.exps()
-            if first:
-                mins = dict(e)
-                first = False
-            else:
-                for v in list(mins):
-                    mins[v] = min(mins[v], e.get(v, 0))
-                for v in list(mins):
-                    if v not in e:
-                        mins[v] = min(mins[v], 0)
-        return {v: x for v, x in mins.items() if x != 0}
-
-    cn, cd = content(num), content(den)
-    common = {}
-    for v in set(cn) | set(cd):
-        x = min(cn.get(v, 0), cd.get(v, 0))
-        if x:
-            common[v] = x
-    if not common:
-        return num, den
-    shift = Monomial({v: -x for v, x in common.items()})
-    return num * shift, den * shift
 
 
 class TruncatedSeries:

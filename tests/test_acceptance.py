@@ -12,7 +12,7 @@ import pytest
 from hlbrion import affine_hl, finite_hl, graphs
 from hlbrion.cones import verify_weighted_brion
 from hlbrion.graphs import BSeq, FaceSubgraph, _DSU, triangle_graph
-from hlbrion.ring import TPoly, random_point
+from hlbrion.ring import SYMBOLIC_Z, TPoly, random_point
 
 
 def _verdict(num, label, ok, started):
@@ -160,6 +160,11 @@ def test_criterion_7_affine_main_theorem():
     for a in ([1, 0], [1, 1], [2, 0]):
         w = affine_hl.AffineWeight(2, a)
         if not affine_hl.verify_main(w, 6):
+            ok = False
+            print("  symbolic mismatch at a =", a)
+    for a, qmax in (([1, 0, 0], 3), ([1, 1, 1], 2)):
+        w = affine_hl.AffineWeight(3, a)
+        if not affine_hl.verify_main(w, qmax, domain=SYMBOLIC_Z):
             ok = False
             print("  symbolic mismatch at a =", a)
     w3 = affine_hl.AffineWeight(3, [1, 0, 0])

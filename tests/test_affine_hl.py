@@ -9,10 +9,10 @@ from hlbrion.affine_hl import (
     match_weyl_element, nonrelevant_vertices, p_weight, PiSequence,
     random_zpoint, rhs_series, rhs_table, s_ij, t0_sequence, tau_truncated,
     vertex_from_cuts, vertices_relevant, verify_contrib, verify_main,
-    weyl_elements, zvar,
+    weyl_elements, zq_of_shift, zvar,
 )
 from hlbrion.ring import (
-    Coeff, EVALUATED, InvariantError, LaurentPoly, Monomial, TPoly,
+    Coeff, EVALUATED, InvariantError, LaurentPoly, Monomial, SYMBOLIC_Z, TPoly,
     TruncatedSeries,
 )
 
@@ -287,3 +287,40 @@ def test_lhs_series_q0():
     # q^0 coefficient of the Weyl side for the basic weight: 1 + t
     s = lhs_series(L0, 1)
     assert s.coeff(0) == Coeff(LaurentPoly.const(tp(1, 1)))
+
+
+def d0_expanded(n):
+    """prod over the positive finite roots e_i - e_j of (1 - e^{-(e_i - e_j)})."""
+    out = LaurentPoly.one()
+    for i in range(n):
+        for j in range(i + 1, n):
+            u = [0] * n
+            u[i], u[j] = -1, 1
+            out = out * (LaurentPoly.one()
+                         - LaurentPoly.from_monomial(zq_of_shift(tuple(u), 0)))
+    return out
+
+
+def test_weyl_side_fractions_stay_over_d0(monkeypatch):
+    # only the q-degree-0 root factors are a denominator: every coefficient
+    # is a Laurent polynomial over d0 itself, and the series that is inverted
+    # has constant term 1
+    inverted = []
+    original = TruncatedSeries.invert
+
+    def spy(self):
+        inverted.append(self.coeff(0) == Coeff.one())
+        return original(self)
+
+    monkeypatch.setattr(TruncatedSeries, "invert", spy)
+    cases = [(L01, lhs_series(L01, 6, SYMBOLIC_Z)),
+             (AffineWeight(3, [1, 1, 1]),
+              lhs_series(AffineWeight(3, [1, 1, 1]), 2, SYMBOLIC_Z))]
+    cases += [(L01, closed_form_contribution(L01, sigma, tau, 3, SYMBOLIC_Z))
+              for sigma, tau, _, _ in weyl_elements(L01, 3)]
+    assert inverted and all(inverted)
+    for weight, series in cases:
+        d0 = d0_expanded(weight.n)
+        assert series.coeffs
+        for c in series.coeffs.values():
+            assert c.den == d0

@@ -141,6 +141,14 @@ def test_verify_main_small(capsys):
     assert "PASS" in out
 
 
+def test_verify_main_symbolic_n3(capsys):
+    # the default --z symbolic at n = 3, inside the affine guard
+    code, out = run(capsys, "verify", "main", "--n", "3", "--a", "1,0,0",
+                    "--qmax", "2")
+    assert code == 0
+    assert "PASS" in out
+
+
 def test_verify_main_redraws_pole_points(capsys):
     # seed 13 first draws z2 = 1, a pole of the degree-0 factor (1 - z2)
     code, out = run(capsys, "verify", "main", "--n", "3", "--a", "1,0,0",
@@ -185,6 +193,8 @@ def test_closed_stdout_pipe_is_not_an_identity_failure():
     ("verify", "contrib", "--n", "2", "--a", "1,1", "--qmax", "1"),
     ("verify", "main", "--n", "3", "--a", "1,0,0", "--qmax", "2",
      "--z", "rand:1", "--trials", "1"),
+    pytest.param(("verify", "main", "--n", "3", "--a", "1,0,0", "--qmax", "2"),
+                 id="main-symbolic"),
     ("verify", "contribfin", "--n", "3", "--a", "1,1"),
     ("verify", "graphsum", "--max-vertices", "5"),
     ("verify", "tmultinomial", "--n", "3", "--a", "1,0"),

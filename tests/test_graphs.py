@@ -4,15 +4,19 @@ from fractions import Fraction
 import pytest
 
 from hlbrion import graphs
+from hlbrion.affine_hl import random_zpoint
 from hlbrion.cones import face_lattice, Polyhedron
 from hlbrion.graphs import (
-    BSeq, FaceSubgraph, NotClosedDown, OrdinaryGraph, degeneration_map,
-    enumerate_faces, enumerate_ordinary_graphs, is_bounded, minimal_face,
-    polyhedron_of, psi_is_zero, psi_terms, sigma_cone,
+    BSeq, ConeTransform, FaceSubgraph, NotClosedDown, OrdinaryGraph,
+    degeneration_map, enumerate_faces, enumerate_ordinary_graphs, is_bounded,
+    minimal_face, polyhedron_of, psi_is_zero, psi_terms, sigma_cone,
     t_factorial, t_multinomial, triangle_graph, verify_face_euler_sum,
     verify_gensingular, verify_graphsum, x_variables, svar,
 )
-from hlbrion.ring import LaurentPoly, Monomial, TPoly, random_point
+from hlbrion.ring import (
+    EVALUATED, LaurentPoly, Monomial, SYMBOLIC_Z, TPoly, TruncatedSeries,
+    random_point, zq_coeff,
+)
 
 # the three example shapes from the worked figures
 FIG1 = [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (2, 1), (2, 2),
@@ -196,6 +200,30 @@ def test_cone_eval_raises_where_a_cut_factor_vanishes():
     G = OrdinaryGraph([(0, 1), (1, 1), (2, 0), (2, 1), (3, 0)])
     with pytest.raises(ZeroDivisionError):
         sigma_cone(G, 0).eval({svar(v): Fraction(1) for v in G.vertices})
+
+
+@pytest.mark.parametrize("qdeg", [2, 1, 0, -1, -2])
+def test_series_unit_geometric_sums(qdeg):
+    # a two-vertex path is one block below the pin, so its transform is
+    # 1 + (1 - t) m/(1 - m) for the cut monomial m = y^-1 of the free
+    # coordinate y; m of positive, zero and negative q-degree against
+    # m (1 - m)^-1 built through TruncatedSeries.invert
+    G = OrdinaryGraph([(0, 1), (1, 1)])
+    m = Monomial({"z1": -1 if qdeg % 2 else 1, "q": qdeg})
+    ct = ConeTransform.of_cone(G, 0).subs_monomials(
+        {svar((0, 1)): Monomial.unit(), svar((1, 1)): m.inv()})
+    assert ct.cut_monomials() == [m]
+    order = 5
+    for domain, zpoint in ((SYMBOLIC_Z, None),
+                           (EVALUATED, random_zpoint(2, random.Random(qdeg)))):
+        c, q = zq_coeff(m, zpoint)
+        mono = TruncatedSeries(order, {q: c}, domain)
+        one = TruncatedSeries.one(order, domain)
+        geo = mono * (one - mono).invert()
+        expect = one + geo.scale(TPoly.one() - TPoly.t())
+        got = ct.series_unit(order, domain, zpoint)
+        assert got.order == order
+        assert got.equals(expect, up_to=order)
 
 
 def test_psi_triangle_n2_matches_hl():
