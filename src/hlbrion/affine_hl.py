@@ -522,18 +522,18 @@ def random_zpoint(n, rng):
     return random_point([zvar(r) for r in range(1, n)], rng, poles)
 
 
+def _zpoints(n, domain, trials, rng):
+    """[None] when symbolic, else `trials` draws of random_zpoint."""
+    if domain == SYMBOLIC_Z:
+        return [None]
+    return [random_zpoint(n, rng) for _ in range(trials)]
+
+
 def verify_main(weight, qmax, domain=None, trials=3, seed=0):
     """W_lam(t) * rhs = lhs coefficient by coefficient up to q^qmax."""
-    n = weight.n
     domain = default_domain(weight, domain)
     wl = weight.wlambda()
-    if domain == SYMBOLIC_Z:
-        lhs = lhs_series(weight, qmax, domain)
-        rhs = rhs_series(weight, qmax, domain).scale(wl)
-        return lhs.equals(rhs, up_to=qmax)
-    rng = _random.Random(seed)
-    for _ in range(trials):
-        zpoint = random_zpoint(n, rng)
+    for zpoint in _zpoints(weight.n, domain, trials, _random.Random(seed)):
         lhs = lhs_series(weight, qmax, domain, zpoint)
         rhs = rhs_series(weight, qmax, domain, zpoint).scale(wl)
         if not lhs.equals(rhs, up_to=qmax):
@@ -544,6 +544,10 @@ def verify_main(weight, qmax, domain=None, trials=3, seed=0):
 # ---------------------------------------------------------------------------
 # vertex machinery
 # ---------------------------------------------------------------------------
+
+DELTA_SPAN = 8          # span of the equality graphs of the vertex scans
+TAU_MAX_STEPS = 12      # sections tau_truncated grows before giving up
+
 
 class DeltaGraph:
     """Embedded equality graph of a vertex, one lattice vertex per position.
@@ -730,13 +734,13 @@ def tau_section(dgraph, l, order, domain, zpoint=None):
     return out
 
 
-def tau_truncated(weight, v, order, domain=None, zpoint=None, max_steps=12):
+def tau_truncated(weight, v, order, domain=None, zpoint=None):
     """Stabilized truncated transform of a vertex: sections grow until two
-    consecutive ones agree up to the order."""
+    consecutive ones agree up to the order, for at most TAU_MAX_STEPS."""
     domain = default_domain(weight, domain)
-    dg = DeltaGraph(weight, v, span=max_steps + 4)
+    dg = DeltaGraph(weight, v, span=TAU_MAX_STEPS + 4)
     prev = None
-    for l in range(dg.lmin, dg.lmin + max_steps):
+    for l in range(dg.lmin, dg.lmin + TAU_MAX_STEPS):
         cur = tau_section(dg, l, order, domain, zpoint)
         if prev is not None and cur.equals(prev, up_to=order):
             return cur
@@ -887,14 +891,9 @@ def verify_contrib(weight, qmax, trials=2, seed=0, nonrelevant_extra=1):
     rng = _random.Random(seed)
     report = {"ok": True, "checks": [], "failures": []}
 
-    def points():
-        if domain == SYMBOLIC_Z:
-            return [None]
-        return [random_zpoint(n, rng) for _ in range(trials)]
-
     relevant = vertices_relevant(weight, qmax)
     taus = {}
-    for zpoint in points():
+    for zpoint in _zpoints(n, domain, trials, rng):
         for v in relevant:
             taus[v] = tau_truncated(weight, v, qmax, domain, zpoint)
         if weight.is_regular():
@@ -958,9 +957,9 @@ def verify_contrib(weight, qmax, trials=2, seed=0, nonrelevant_extra=1):
     return report
 
 
-def is_relevant_vertex(weight, v, span=8):
+def is_relevant_vertex(weight, v):
     """No equality-graph component gains vertices from one row to the next."""
-    dg = DeltaGraph(weight, v, span)
+    dg = DeltaGraph(weight, v, DELTA_SPAN)
     safe = (min(-dg.p0, dg.p1) - 2 * weight.n ** 2) // weight.n
     counts = {}
     for p in range(dg.p0, dg.p1 + 1):
@@ -1008,14 +1007,14 @@ def apply_G(weight, exps):
     return Monomial({k: v for k, v in out.items() if v})
 
 
-def p_weight_via_delta(weight, A, span=8):
+def p_weight_via_delta(weight, A):
     """Face weight of a point computed from its equality-graph components.
 
     Independent of the row-value-run route: the weight is read off from the
     per-row vertex counts of the component representatives, so it manifestly
     depends only on the set of tight constraints at the point.
     """
-    dg = DeltaGraph(weight, A, span, require_vertex=False)
+    dg = DeltaGraph(weight, A, DELTA_SPAN, require_vertex=False)
     n = weight.n
     safe = (min(-dg.p0, dg.p1) - 2 * n * n) // n
     counts = {}

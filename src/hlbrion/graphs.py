@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -164,6 +165,16 @@ class BSeq:
 # face subgraphs
 # ---------------------------------------------------------------------------
 
+def _component_weight(counts, a):
+    """Weight of a component from its row counts: a factor (1 - t^l) for
+    each row i > a holding l vertices below a row holding l - 1."""
+    out = T_ONE
+    for i, l in counts.items():
+        if i > a and counts.get(i - 1, 0) == l - 1:
+            out = out * TPoly({0: 1, l: -1})
+    return out
+
+
 class FaceSubgraph:
     """A face of D_Gamma(b), stored as the partition into components."""
 
@@ -196,14 +207,9 @@ class FaceSubgraph:
     def phi(self):
         """prod (1 - t^l)^{d_l} from component row counts."""
         out = T_ONE
-        a = self.graph.a
         for blk in self.blocks:
-            counts = {}
-            for (i, _) in blk:
-                counts[i] = counts.get(i, 0) + 1
-            for i, l in counts.items():
-                if i > a and counts.get(i - 1, 0) == l - 1:
-                    out = out * (T_ONE - TPoly.t(l))
+            out = out * _component_weight(Counter(i for i, _ in blk),
+                                          self.graph.a)
         return out
 
     def top_values(self, b):
@@ -275,6 +281,16 @@ def _closure(G, dsu, forbidden):
     return True
 
 
+def _top_pairs(G, b):
+    """(tied, untied) pairs of top vertices under the top values b."""
+    if len(b) != G.l:
+        raise ValueError("b length must match the top row")
+    ties, untied = [], []
+    for p, q in itertools.combinations(range(G.l), 2):
+        (ties if b[p] == b[q] else untied).append((G.top[p], G.top[q]))
+    return ties, untied
+
+
 def enumerate_faces(G, b, only_vertices=False):
     """Faces of D_G(b), as FaceSubgraph partitions.
 
@@ -285,16 +301,7 @@ def enumerate_faces(G, b, only_vertices=False):
     faces only.
     """
     b = BSeq(b) if not isinstance(b, BSeq) else b
-    if len(b) != G.l:
-        raise ValueError("b length must match the top row")
-    forbidden = []
-    ties = []
-    for p in range(G.l):
-        for q in range(p + 1, G.l):
-            if b[p] == b[q]:
-                ties.append((G.top[p], G.top[q]))
-            else:
-                forbidden.append((G.top[p], G.top[q]))
+    ties, forbidden = _top_pairs(G, b)
     out = []
     edges = G.edges
     top = set(G.top)
@@ -383,16 +390,24 @@ def polyhedron_of(G, b):
 
 
 def minimal_face(G, b):
-    """The face subgraph of D_G(b) itself (no tight edges beyond the forced)."""
+    """The face subgraph of D_G(b) itself (no tight edges beyond the forced).
+
+    It is the diamond closure of the tied top vertices, which must keep the
+    top vertices of distinct values apart.
+    """
     b = BSeq(b) if not isinstance(b, BSeq) else b
-    faces = enumerate_faces(G, b)
-    return max(faces, key=lambda f: f.dim)
+    ties, forbidden = _top_pairs(G, b)
+    dsu = _DSU(G.vertices)
+    for x, y in ties:
+        dsu.union(x, y)
+    if not _closure(G, dsu, forbidden):
+        raise InvariantError("the closure of the ties joins distinct values")
+    return FaceSubgraph(G, dsu.blocks())
 
 
 def is_bounded(G, b):
     """Boundedness of D_G(b) by the chain criterion on its minimal subgraph."""
-    mf = minimal_face(G, BSeq(b) if not isinstance(b, BSeq) else b)
-    es = mf.edge_set()
+    es = minimal_face(G, b).edge_set()
     for i in range(G.a, G.d):
         jl = G.rows[i][0]
         if (i + 1) in G.rows:
@@ -463,7 +478,9 @@ class ConePlan:
     are up-sets, the run weights multiply, and consecutive runs contribute a
     geometric cut factor that depends only on the prefix.  The transform is
     therefore a sum over chains of up-sets (Stanley's P-partition
-    recursion), which `schedule` lists once for every evaluator.
+    recursion), which `schedule` lists once for every evaluator.  A set R
+    is a run from the up-set U exactly when U | R is an up-set, so the runs
+    from U are the differences V - U over the up-sets V above U.
     """
 
     def __init__(self, G):
@@ -479,73 +496,49 @@ class ConePlan:
             for v in blk:
                 block_of[v] = bi
         self.pin = block_of[G.top[0]]
-        covers = {(block_of[hi], block_of[lo]) for hi, lo in G.edges
-                  if block_of[hi] != block_of[lo]}
-        self.parents = {b: set() for b in range(self.n)}
-        children = {b: [] for b in range(self.n)}
-        for bh, bl in covers:
-            self.parents[bl].add(bh)
-            children[bh].append(bl)
-        indeg = {b: len(self.parents[b]) for b in range(self.n)}
-        ready = sorted(b for b in range(self.n) if indeg[b] == 0)
-        self.topo = []
-        while ready:
-            b = ready.pop()
-            self.topo.append(b)
-            for c in children[b]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-        if len(self.topo) < self.n:
+        self.block_rows = [Counter(i for i, _ in blk) for blk in self.blocks]
+        self.neighbours = [set() for _ in self.blocks]
+        parents = [set() for _ in self.blocks]
+        for hi, lo in G.edges:
+            bh, bl = block_of[hi], block_of[lo]
+            if bh != bl:
+                parents[bl].add(bh)
+                self.neighbours[bh].add(bl)
+                self.neighbours[bl].add(bh)
+        # grow the up-sets one block at a time, a block whose parents are in
+        level = {frozenset()}
+        upsets = set(level)
+        while level:
+            level = {u | {b} for u in level for b in range(self.n)
+                     if b not in u and parents[b] <= u}
+            upsets |= level
+        self.upsets = sorted(upsets, key=lambda s: (len(s), sorted(s)))
+        if len(self.upsets[-1]) < self.n:
             raise InvariantError("block order relation has a cycle")
-        # from the empty set the runs are exactly the nonempty up-sets
-        self.upsets = sorted([frozenset()] + self.next_runs(frozenset()),
-                             key=lambda s: (len(s), sorted(s)))
         self.schedule = self._build_schedule()
 
     def phi_run(self, run):
-        """Weight factor of a run: the face components inside the run."""
-        verts = set()
-        for b in run:
-            verts |= self.blocks[b]
-        a = self.graph.a
+        """Weight factor of a run: the face components inside the run.
+
+        The components are those of the block graph, whose edges are the
+        covers, restricted to the run, and their row counts are the sums of
+        their blocks'.  This is exact because every block is connected in G:
+        the diamond rule that builds the blocks adds (i+1, j), which is
+        adjacent to both (i, j) and (i, j+1).
+        """
         out = T_ONE
-        remaining = set(verts)
+        remaining = set(run)
         while remaining:
-            start = remaining.pop()
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in self.graph._adj[v]:
-                    if u in remaining:
-                        remaining.remove(u)
-                        comp.add(u)
-                        stack.append(u)
+            stack = [remaining.pop()]
             counts = {}
-            for (i, _) in comp:
-                counts[i] = counts.get(i, 0) + 1
-            for i, l in counts.items():
-                if i > a and counts.get(i - 1, 0) == l - 1:
-                    out = out * (T_ONE - TPoly.t(l))
-        return out
-
-    def next_runs(self, placed):
-        """Valid next runs: nonempty sets whose parents lie in placed + run."""
-        rest = [b for b in self.topo if b not in placed]
-        out = []
-
-        def rec(current, idx):
-            if current:
-                out.append(frozenset(current))
-            for k in range(idx, len(rest)):
-                b = rest[k]
-                if self.parents[b] - placed <= current:
-                    current.add(b)
-                    rec(current, k + 1)
-                    current.remove(b)
-
-        rec(set(), 0)
+            while stack:
+                b = stack.pop()
+                for i, l in self.block_rows[b].items():
+                    counts[i] = counts.get(i, 0) + l
+                for c in self.neighbours[b] & remaining:
+                    remaining.remove(c)
+                    stack.append(c)
+            out = out * _component_weight(counts, self.graph.a)
         return out
 
     def _build_schedule(self):
@@ -553,21 +546,24 @@ class ConePlan:
 
         One step per up-set U other than the full set, the largest first, as
         (index of U in upsets, width, groups).  Each group is (coefficient
-        tuple of phi_run(run), indices of U | run) over the runs of that
-        weight; width bounds the length of the coefficient list of U.
+        tuple of phi_run(V - U), indices of the up-sets V above U with that
+        run weight, in index order); width bounds the length of the
+        coefficient list of U.
         """
         ups = self.upsets
-        index = {u: k for k, u in enumerate(ups)}
         phis = {}
         widths = [1] * len(ups)
         steps = []
         for k in range(len(ups) - 2, -1, -1):
             groups = {}
-            for run in self.next_runs(ups[k]):
-                phi = phis.get(run)
-                if phi is None:
-                    phi = phis[run] = tuple(self.phi_run(run).to_list())
-                groups.setdefault(phi, []).append(index[ups[k] | run])
+            # the up-sets above U come after it in the (size, blocks) order
+            for j in range(k + 1, len(ups)):
+                if ups[k] < ups[j]:
+                    run = ups[j] - ups[k]
+                    phi = phis.get(run)
+                    if phi is None:
+                        phi = phis[run] = tuple(self.phi_run(run).to_list())
+                    groups.setdefault(phi, []).append(j)
             widths[k] = max(len(phi) - 1 + widths[j]
                             for phi, kids in groups.items() for j in kids)
             steps.append((k, widths[k],
@@ -1150,8 +1146,7 @@ def weighted_brion_instance(G, b):
     """
     b = BSeq(b) if not isinstance(b, BSeq) else b
     P = polyhedron_of(G, b)
-    fixed = {v: b[k] for k, v in enumerate(G.top)}
-    free = [v for v in sorted(G.vertices) if v not in fixed]
+    free = sorted(G.vertices - set(G.top))
     weights = {}    # tight set -> weight, at most one entry per face of P
 
     def phi(face):
@@ -1165,16 +1160,18 @@ def weighted_brion_instance(G, b):
         return w
 
     vertices = []
-    for f in enumerate_faces(G, b):
-        if f.dim == 0:
-            coords = f.vertex_coordinates(b)
-            vertices.append(tuple(coords[v] for v in free))
+    for f in enumerate_faces(G, b, only_vertices=True):
+        coords = f.vertex_coordinates(b)
+        vertices.append(tuple(coords[v] for v in free))
     vertices.sort()
     return P, phi, vertices
 
 
-def random_bounded_instances(count, seed, max_dim=8, pool_max_vertices=8,
-                             value_range=3):
+INSTANCE_POOL_VERTICES = 8      # size bound of the wider sampled graphs
+INSTANCE_VALUE_RANGE = 3        # top values are drawn from [0, 3]
+
+
+def random_bounded_instances(count, seed, max_dim=8):
     """Random bounded polyhedron instances (graph, b) for identity checks.
 
     Bounded members of the family are dominated by the triangle shapes (the
@@ -1183,7 +1180,7 @@ def random_bounded_instances(count, seed, max_dim=8, pool_max_vertices=8,
     """
     rng = random.Random(seed)
     triangles = [triangle_graph(n) for n in (2, 3, 4)]
-    pool = [g for g in enumerate_ordinary_graphs(pool_max_vertices)
+    pool = [g for g in enumerate_ordinary_graphs(INSTANCE_POOL_VERTICES)
             if 1 <= len(g.vertices) - g.l <= max_dim]
     out = []
     attempts = 0
@@ -1193,8 +1190,8 @@ def random_bounded_instances(count, seed, max_dim=8, pool_max_vertices=8,
             G = rng.choice(triangles)
         else:
             G = rng.choice(pool)
-        vals = sorted((rng.randint(0, value_range) for _ in range(G.l)),
-                      reverse=True)
+        vals = sorted((rng.randint(0, INSTANCE_VALUE_RANGE)
+                       for _ in range(G.l)), reverse=True)
         if len(set(vals)) == 1:
             continue
         b = BSeq(vals)

@@ -720,14 +720,17 @@ class RationalFn:
     __repr__ = __str__
 
 
-def random_point(variables, rng, dens=(), max_tries=500):
+RANDOM_POINT_TRIES = 500        # draws before random_point gives up
+
+
+def random_point(variables, rng, dens=()):
     """Seeded random rational point avoiding the poles of the given factors.
 
     Numerators and denominators are drawn from [2, 97] per the design of the
     randomized identity tests.
     """
     variables = sorted(variables)
-    for _ in range(max_tries):
+    for _ in range(RANDOM_POINT_TRIES):
         point = {v: Fraction(rng.randint(2, 97), rng.randint(2, 97)) for v in variables}
         ok = True
         for m in dens:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from hlbrion.affine_hl import (
     AffineWeight, DeltaGraph, _weyl_shift, apply_G, closed_form_contribution,
@@ -42,6 +43,47 @@ def test_t0_sequence():
     t1 = t0_sequence(L0, 1)
     assert [t1.get(i) for i in range(-1, 4)] == [0, 1, 0, 1, 0]
     assert t1.get(2) == L0.a[0]
+
+
+@st.composite
+def pi_windows(draw):
+    """(raw function, its PiSequence, the same function over a wider window).
+
+    The wider window prepends periodic-tail values, appends zeros, or, for a
+    sequence that is only a cut of the tail, moves the cut through a run of
+    zero tail values.
+    """
+    n = draw(st.integers(2, 4))
+    a = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any))
+    w = AffineWeight(n, a)
+    start = draw(st.integers(-6, 6))
+    values = draw(st.lists(st.integers(0, 3), max_size=6))
+
+    def f(i):
+        if i < start:
+            return a[i % n]
+        return values[i - start] if i < start + len(values) else 0
+
+    seq = PiSequence(w, start, values)
+    up = 0
+    if not seq.values:
+        while a[(seq.start + up) % n] == 0:
+            up += 1
+    lo = seq.start + draw(st.integers(-2 * n, up))
+    hi = max(lo, seq.start + len(seq.values)) + draw(st.integers(0, 3))
+    return f, seq, PiSequence(w, lo, [f(i) for i in range(lo, hi)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@seed(2019)
+@given(pi_windows())
+def test_pi_sequence_key_is_window_independent(case):
+    f, seq, wide = case
+    lo = min(seq.start, wide.start) - 8
+    hi = max(seq.window()[1], wide.window()[1]) + 8
+    assert all(seq.get(i) == f(i) == wide.get(i) for i in range(lo, hi))
+    assert wide.key() == seq.key()
+    assert wide == seq and hash(wide) == hash(seq)
 
 
 def s_ij_reference(A, i, j):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hlbrion import graphs
 from hlbrion.affine_hl import random_zpoint
 from hlbrion.cones import face_lattice, Polyhedron
 from hlbrion.graphs import (
-    BSeq, ConeTransform, FaceSubgraph, NotClosedDown, OrdinaryGraph,
+    BSeq, ConePlan, ConeTransform, FaceSubgraph, NotClosedDown, OrdinaryGraph,
     degeneration_map, enumerate_faces, enumerate_ordinary_graphs, is_bounded,
     minimal_face, polyhedron_of, psi_is_zero, psi_terms, sigma_cone,
     t_factorial, t_multinomial, triangle_graph, verify_face_euler_sum,
@@ -152,6 +153,118 @@ def test_is_bounded():
     assert is_bounded(triangle_graph(4), BSeq([3, 2, 1, 0]))
     G2 = OrdinaryGraph(FIG2)
     assert not is_bounded(G2, BSeq([1]))
+
+
+def minimal_face_reference(G, b):
+    """The face of largest dimension among all faces of D_G(b)."""
+    return max(enumerate_faces(G, b), key=lambda f: f.dim)
+
+
+def test_minimal_face_matches_face_enumeration():
+    # every graph with at most 7 vertices and every top row with values <= 3
+    cases = 0
+    for G in enumerate_ordinary_graphs(7):
+        for vals in itertools.combinations_with_replacement(range(3, -1, -1),
+                                                            G.l):
+            b = BSeq(vals)
+            assert minimal_face(G, b) == minimal_face_reference(G, b), (G, b)
+            cases += 1
+    assert cases > 1000
+    with pytest.raises(ValueError):
+        minimal_face(triangle_graph(3), BSeq([1, 0]))
+
+
+# the run search and run weights that ConePlan replaced, kept as references:
+# runs from each up-set by a search over the blocks in topological order,
+# and run weights from a breadth-first search over the run's vertices
+
+def block_parents_reference(G, blocks):
+    block_of = {v: bi for bi, blk in enumerate(blocks) for v in blk}
+    parents = {b: set() for b in range(len(blocks))}
+    for hi, lo in G.edges:
+        if block_of[hi] != block_of[lo]:
+            parents[block_of[lo]].add(block_of[hi])
+    return parents
+
+
+def next_runs_reference(parents, topo, placed):
+    """Nonempty sets of blocks whose parents lie in placed + run."""
+    rest = [b for b in topo if b not in placed]
+    out = []
+
+    def rec(current, idx):
+        if current:
+            out.append(frozenset(current))
+        for k in range(idx, len(rest)):
+            b = rest[k]
+            if parents[b] - placed <= current:
+                current.add(b)
+                rec(current, k + 1)
+                current.remove(b)
+
+    rec(set(), 0)
+    return out
+
+
+def phi_run_reference(G, blocks, run):
+    verts = set().union(*(blocks[b] for b in run))
+    out = TPoly.one()
+    while verts:
+        comp, stack = set(), [verts.pop()]
+        while stack:
+            v = stack.pop()
+            comp.add(v)
+            for u in G._adj[v]:
+                if u in verts:
+                    verts.remove(u)
+                    stack.append(u)
+        counts = {}
+        for (i, _) in comp:
+            counts[i] = counts.get(i, 0) + 1
+        for i, l in counts.items():
+            if i > G.a and counts.get(i - 1, 0) == l - 1:
+                out = out * one_minus_t_pow(l)
+    return out
+
+
+def plan_reference(G, blocks):
+    """(up-sets, schedule with each group's kids as a set)."""
+    parents = block_parents_reference(G, blocks)
+    topo = []
+    while len(topo) < len(blocks):
+        topo.append(min(b for b in parents
+                        if b not in topo and parents[b] <= set(topo)))
+    ups = sorted([frozenset()] + next_runs_reference(parents, topo,
+                                                     frozenset()),
+                 key=lambda s: (len(s), sorted(s)))
+    index = {u: k for k, u in enumerate(ups)}
+    widths = [1] * len(ups)
+    steps = []
+    for k in range(len(ups) - 2, -1, -1):
+        groups = {}
+        for run in next_runs_reference(parents, topo, ups[k]):
+            phi = tuple(phi_run_reference(G, blocks, run).to_list())
+            groups.setdefault(phi, set()).add(index[ups[k] | run])
+        widths[k] = max(len(phi) - 1 + widths[j]
+                        for phi, kids in groups.items() for j in kids)
+        steps.append((k, widths[k], groups))
+    return ups, steps
+
+
+def test_cone_plans_match_the_run_search_reference():
+    graphs_checked = 0
+    for G in enumerate_ordinary_graphs(7):
+        plan = ConePlan(G)
+        ups, steps = plan_reference(G, plan.blocks)
+        assert plan.upsets == ups, G
+        got = [(k, width, {phi: set(kids) for phi, kids in groups})
+               for k, width, groups in plan.schedule]
+        assert got == steps, G
+        for _, _, groups in plan.schedule:
+            for _, kids in groups:
+                assert list(kids) == sorted(set(kids))
+        graphs_checked += 1
+    assert graphs_checked > 100
 
 
 def test_sigma_cone_single_vertex():
