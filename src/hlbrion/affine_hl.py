@@ -225,75 +225,64 @@ def s_ij(A, i, j):
     return head - _periodic_sum(weight, (i + j) * n)
 
 
-def enumerate_pi(weight, qmax):
-    """All sequences with weight q-degree at most qmax.
+def _q_window(n, qmax):
+    """(L, H) = (-n(n-1)(qmax+1), (n-1)(qmax+1)), the window outside which
+    every sequence of weight q-degree at most qmax equals the base."""
+    return -n * (n - 1) * (qmax + 1), (n - 1) * (qmax + 1)
 
-    Depth-first over a window with an admissible bound on the remaining
-    q-contribution; the window grows until the result set stabilizes, plus
-    one extra growth step.
+
+def enumerate_pi(weight, qmax):
+    """All sequences with weight q-degree at most qmax, sorted by
+    (q-degree, key()).
+
+    Each one deviates from the base t0 only inside the window [L, H],
+    L = -n(n-1)(qmax+1), H = (n-1)(qmax+1).  Write D = A - t0 and
+    S(x) = sum_{i <= x} D_i.
+    - For x <= 0 every window sum of A is at most k, which is the base's
+      window sum, so S(x) <= S(x - n) <= ... <= 0.
+    - Abel summation gives qdeg(A) = sum_{i >= 1} qshift(i) A_i
+      - sum_{x <= 0, (n-1) | x} S(x).  Both parts are >= 0.
+    - So A_i = 0 for every i > H, where qshift(i) > qmax.
+    - If p <= 0 is the leftmost deviation, then S <= -1 at p, p + n,
+      p + 2n, ... up to 0.  As n = 1 mod (n-1), one in every n-1 of these
+      positions is a multiple of n-1, so p >= L.
+
+    One depth-first search over [L, H] finds them all.  It keeps every entry
+    >= 0 and every window sum <= k, exactly the conditions of `is_valid`,
+    and prunes by the least q-degree any completion adds (a dynamic program
+    over the last n-1 entries), so each leaf is valid and the accumulated
+    q-degree is its own.
     """
     n, k, a = weight.n, weight.k, weight.a
-
-    def collect(lo, hi):
-        qcoef = {i: qshift(i, n) for i in range(lo, hi + 1)}
-        base = {i: (a[i % n] if i <= 0 else 0) for i in range(lo, hi + 1)}
-        # backward minimal remaining contribution per (position, suffix state)
-        states = list(itertools.product(range(k + 1), repeat=n - 1))
-        min_rem = [{} for _ in range(hi - lo + 2)]
+    lo, hi = _q_window(n, qmax)
+    qcoef = [qshift(i, n) for i in range(lo, hi + 1)]
+    base = [a[i % n] if i <= 0 else 0 for i in range(lo, hi + 1)]
+    # least remaining q-degree per (position, last n-1 entries)
+    states = [st for st in itertools.product(range(k + 1), repeat=n - 1)
+              if sum(st) <= k]
+    min_rem = [{} for _ in range(hi - lo + 1)] + [dict.fromkeys(states, 0)]
+    for idx in range(hi - lo, -1, -1):
         for st in states:
-            min_rem[hi - lo + 1][st] = 0
-        for pos in range(hi, lo - 1, -1):
-            idx = pos - lo
-            for st in states:
-                best = None
-                room = k - sum(st)
-                for v in range(room + 1):
-                    nxt = st[1:] + (v,) if n > 2 else (v,)
-                    rem = min_rem[idx + 1].get(nxt)
-                    if rem is None:
-                        continue
-                    val = qcoef[pos] * (v - base[pos]) + rem
-                    if best is None or val < best:
-                        best = val
-                if best is not None:
-                    min_rem[idx][st] = best
-        out = []
-        init = tuple(a[(lo - j) % n] for j in range(n - 1, 0, -1))
-        seq = []
+            min_rem[idx][st] = min(
+                qcoef[idx] * (v - base[idx]) + min_rem[idx + 1][st[1:] + (v,)]
+                for v in range(k - sum(st) + 1))
+    found = []
+    seq = []
 
-        def rec(pos, st, acc):
-            idx = pos - lo
-            rem = min_rem[idx].get(st)
-            if rem is None or acc + rem > qmax:
-                return
-            if pos > hi:
-                cand = PiSequence(weight, lo, tuple(seq))
-                if cand.is_valid():
-                    _, qd = cand.mu_exponent()
-                    if 0 <= qd <= qmax:
-                        out.append(cand)
-                return
-            room = k - sum(st)
-            for v in range(room + 1):
-                nxt = (st[1:] + (v,)) if n > 2 else (v,)
-                seq.append(v)
-                rec(pos + 1, nxt, acc + qcoef[pos] * (v - base[pos]))
-                seq.pop()
+    def rec(idx, st, acc):
+        if acc + min_rem[idx][st] > qmax:
+            return
+        if idx > hi - lo:
+            found.append((acc, PiSequence(weight, lo, tuple(seq))))
+            return
+        for v in range(k - sum(st) + 1):
+            seq.append(v)
+            rec(idx + 1, st[1:] + (v,), acc + qcoef[idx] * (v - base[idx]))
+            seq.pop()
 
-        rec(lo, init, 0)
-        return set(out)
-
-    hi = (n - 1) * (qmax + 2) + n
-    lo = -n * (qmax + 3)
-    prev = None
-    for _ in range(30):
-        cur = collect(lo, hi)
-        if prev is not None and cur == prev:
-            return sorted(cur, key=lambda s: (s.mu_exponent()[1], s.key()))
-        prev = cur
-        lo -= n
-        hi += n - 1
-    raise RuntimeError("sequence window failed to stabilize")
+    rec(0, tuple(a[(lo - j) % n] for j in range(n - 1, 0, -1)), 0)
+    found.sort(key=lambda e: (e[0], e[1].key()))
+    return [A for _, A in found]
 
 
 # ---------------------------------------------------------------------------
@@ -623,39 +612,40 @@ class DeltaGraph:
         for p in rng:
             if self.row[p] * n + self.col[p] * (n - 1) != p:
                 raise InvariantError(f"position {p} is off its row")
+        # rows within safe of row 0 are scanned for component row counts
+        self.safe = (min(-self.p0, self.p1) - 2 * n * n) // n
         self.lmin = self._section_floor() if require_vertex else None
 
-    def _section_floor(self):
-        """Smallest valid section radius: single vertex per bottom row,
-        stable per-component counts in the top rows, and index signs aligned
-        with the rows."""
-        n = self.weight.n
-        safe = (min(-self.p0, self.p1) - 2 * n * n) // n
-        if safe < 2:
-            raise InvariantError("index range too small")
-        by_row = {}
+    def row_counts(self):
+        """{component: {row: vertex count}} over the rows within safe + 1
+        of row 0."""
+        counts = {}
         for p in range(self.p0, self.p1 + 1):
             r = self.row[p]
-            if -safe <= r <= safe:
-                by_row.setdefault(r, []).append(p)
+            if abs(r) <= self.safe + 1:
+                rows = counts.setdefault(self.comp[p], {})
+                rows[r] = rows.get(r, 0) + 1
+        return counts
+
+    def _section_floor(self):
+        """Smallest valid section radius l: each bottom row l..safe holds a
+        single vertex, at a position >= 1, and each top row -safe..-l holds
+        the cycle path sizes as its per-component counts, at positions <= 0.
+        A row r that fails its condition forces l > |r|."""
+        counts = self.row_counts().values()
         paths = sorted(self.weight.cycle_paths(), reverse=True)
-        for m in range(1, safe):
-            ok = True
-            for r in range(m, safe + 1):
-                if len(by_row.get(r, [])) != 1 or any(p < 1 for p in by_row[r]):
-                    ok = False
-                    break
-            if ok:
-                for r in range(-safe, -m + 1):
-                    counts = sorted((sum(1 for p in by_row.get(r, [])
-                                         if self.comp[p] == c)
-                                     for c in range(self.m)), reverse=True)
-                    if counts != paths or any(p > 0 for p in by_row[r]):
-                        ok = False
-                        break
-            if ok:
-                return m
-        raise RuntimeError("no valid section radius found")
+        bad = {r for p, r in self.row.items()
+               if r and (r > 0) != (p > 0) and abs(r) <= self.safe}
+        for r in range(1, self.safe + 1):
+            if sum(rows.get(r, 0) for rows in counts) != 1:
+                bad.add(r)
+            if sorted((rows.get(-r, 0) for rows in counts),
+                      reverse=True) != paths:
+                bad.add(-r)
+        lmin = 1 + max((abs(r) for r in bad), default=0)
+        if lmin >= self.safe:
+            raise InvariantError("no valid section radius in the index range")
+        return lmin
 
     def vertices_in_rows(self, rlo, rhi):
         return [p for p in range(self.p0, self.p1 + 1)
@@ -838,30 +828,33 @@ def vertex_from_cuts(weight, cuts):
 def vertices_relevant(weight, qmax):
     """Relevant vertices with weight q-degree at most qmax, with their cut
     fibers (several parametrizations can share a vertex for singular
-    weights).  Returns {vertex: [cut tuples]}."""
+    weights).  Returns {vertex: [cut tuples]}.
+
+    One product of cut positions covers them: c_r = r mod (n-1) and
+    L - n(n-1) <= c_r <= H + n - 1, with L = -n(n-1)(qmax+1) and
+    H = (n-1)(qmax+1).
+    - A sequence of q-degree at most qmax equals the base outside [L, H],
+      as `enumerate_pi` proves: the partial sums S(x) of A - t0 are <= 0
+      for x <= 0, Abel summation writes qdeg(A) as
+      sum_{i >= 1} qshift(i) A_i - sum_{x <= 0, (n-1) | x} S(x) with both
+      parts >= 0, so A vanishes above H, and S <= -1 at the leftmost
+      deviation p and at p + n, p + 2n, ... up to 0, which puts p >= L.
+    - A cut above H + n - 1 would force A = k at the cut, as the n-1
+      entries before it lie above H and vanish.
+    - A cut below L - n(n-1) would force zeros at the n positions
+      c_r + j(n-1), j = 1..n, all below L.  These cover every residue
+      mod n, but some a_j != 0.
+    """
     n = weight.n
+    lo, hi = _q_window(n, qmax)
+    lo -= n * (n - 1)
+    spans = [range(lo + (r - lo) % (n - 1), hi + n, n - 1)
+             for r in range(1, n)]
     out = {}
-    reach = 2
-    prev_keys = None
-    while True:
-        found = {}
-        spans = [range(r - reach * (n - 1) * n, r + reach * (n - 1) * n + 1,
-                       n - 1) for r in range(1, n)]
-        for cuts in itertools.product(*spans):
-            v = vertex_from_cuts(weight, cuts)
-            if v is None:
-                continue
-            _, qd = v.mu_exponent()
-            if 0 <= qd <= qmax:
-                found.setdefault(v, []).append(cuts)
-        keys = set(found)
-        if prev_keys is not None and keys == prev_keys:
-            out = found
-            break
-        prev_keys = keys
-        reach += 1
-        if reach > 8:
-            raise RuntimeError("relevant vertex window failed to stabilize")
+    for cuts in itertools.product(*spans):
+        v = vertex_from_cuts(weight, cuts)
+        if v is not None and v.mu_exponent()[1] <= qmax:
+            out.setdefault(v, []).append(cuts)
     return out
 
 
@@ -960,18 +953,9 @@ def verify_contrib(weight, qmax, trials=2, seed=0, nonrelevant_extra=1):
 def is_relevant_vertex(weight, v):
     """No equality-graph component gains vertices from one row to the next."""
     dg = DeltaGraph(weight, v, DELTA_SPAN)
-    safe = (min(-dg.p0, dg.p1) - 2 * weight.n ** 2) // weight.n
-    counts = {}
-    for p in range(dg.p0, dg.p1 + 1):
-        r = dg.row[p]
-        if -safe <= r <= safe:
-            counts.setdefault(dg.comp[p], {}).setdefault(r, 0)
-            counts[dg.comp[p]][r] += 1
-    for rows in counts.values():
-        for r, c in rows.items():
-            if -safe < r <= safe and c > rows.get(r - 1, 0):
-                return False
-    return True
+    return not any(-dg.safe < r <= dg.safe and c > rows.get(r - 1, 0)
+                   for rows in dg.row_counts().values()
+                   for r, c in rows.items())
 
 
 def nonrelevant_vertices(weight, count):
@@ -1015,22 +999,14 @@ def p_weight_via_delta(weight, A):
     depends only on the set of tight constraints at the point.
     """
     dg = DeltaGraph(weight, A, DELTA_SPAN, require_vertex=False)
-    n = weight.n
-    safe = (min(-dg.p0, dg.p1) - 2 * n * n) // n
-    counts = {}
-    for p in range(dg.p0, dg.p1 + 1):
-        r = dg.row[p]
-        if -safe - n <= r <= safe + n:
-            counts.setdefault(dg.comp[p], {}).setdefault(r, 0)
-            counts[dg.comp[p]][r] += 1
     out = T_ONE
-    for rows in counts.values():
+    for rows in dg.row_counts().values():
         # stability at the scan boundary: the contributing row pairs must
         # lie well inside the window
-        for r in range(-safe, safe + 1):
+        for r in range(-dg.safe, dg.safe + 1):
             l = rows.get(r, 0)
             if l and rows.get(r - 1, 0) == l - 1:
-                if r == -safe:
+                if r == -dg.safe:
                     raise InvariantError(
                         "unstable top boundary in face weight scan")
                 out = out * (T_ONE - TPoly.t(l))

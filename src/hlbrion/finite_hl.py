@@ -33,6 +33,11 @@ class TooLarge(ValueError):
     pass
 
 
+GT_MAX_N = 6            # largest n enumerate_gt accepts
+HL_DEF_MAX_N = 6        # largest n hl_def accepts
+CONTRIBFIN_MAX_N = 4    # largest n verify_contribfin accepts
+
+
 class FiniteWeight:
     """Dominant integral weight of the special linear algebra of rank n-1."""
 
@@ -57,10 +62,10 @@ class FiniteWeight:
         return f"FiniteWeight(n={self.n}, a={self.a})"
 
 
-def enumerate_gt(weight, max_n=6):
+def enumerate_gt(weight):
     """All interlacing triangles with the given top row."""
-    if weight.n > max_n:
-        raise TooLarge(f"n={weight.n} exceeds the guard {max_n}")
+    if weight.n > GT_MAX_N:
+        raise TooLarge(f"n={weight.n} exceeds the guard {GT_MAX_N}")
     rows = [weight.parts]
     patterns = []
 
@@ -166,7 +171,7 @@ def _weyl_term(weight, w, factors):
     return term
 
 
-def hl_def(weight, max_n=6):
+def hl_def(weight):
     """The symmetrization route, by Demazure operators.
 
     The Weyl symmetrization sum_w w(g / prod_{i<j} (1 - x_i^{-1} x_j)) of
@@ -178,8 +183,8 @@ def hl_def(weight, max_n=6):
     each, in place of the n!-term sum.  Then divide by W_lam(t) and pin x_n.
     """
     n = weight.n
-    if n > max_n:
-        raise TooLarge(f"n={n} exceeds the guard {max_n}")
+    if n > HL_DEF_MAX_N:
+        raise TooLarge(f"n={n} exceeds the guard {HL_DEF_MAX_N}")
     g = LaurentPoly.from_monomial(_orbit_monomial(weight, range(n)))
     for _, _, one_minus_ty, _ in _root_factors(n):
         g = g * one_minus_ty
@@ -314,14 +319,14 @@ def vertex_monomial(face, b, n):
     return Monomial(exps)
 
 
-def verify_contribfin(weight, trials=3, seed=0, max_n=4):
+def verify_contribfin(weight, trials=3, seed=0):
     """Check the classification and values of the polytope vertex
     contributions against the per-orbit-element symmetrization sums.
 
     Returns a report dict; report["ok"] is the verdict.
     """
-    if weight.n > max_n:
-        raise TooLarge(f"n={weight.n} exceeds the guard {max_n}")
+    if weight.n > CONTRIBFIN_MAX_N:
+        raise TooLarge(f"n={weight.n} exceeds the guard {CONTRIBFIN_MAX_N}")
     rng = _random.Random(seed)
     n = weight.n
     G = triangle_graph(n)

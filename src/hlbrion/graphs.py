@@ -75,10 +75,6 @@ class OrdinaryGraph:
             if (i - 1, j + 1) in vs:
                 edges.append(((i, j), (i - 1, j + 1)))  # lower >= upper-right
         self.edges = edges                               # (hi, lo) pairs
-        self._adj = {v: [] for v in vs}
-        for hi, lo in edges:
-            self._adj[hi].append(lo)
-            self._adj[lo].append(hi)
         # same-row pairs with their forced diamond completions
         self.row_pairs = []
         for (i, j) in sorted(vs):
@@ -938,69 +934,27 @@ def psi_is_zero(G, b, trials=5, seed=0, rng=None):
 # ---------------------------------------------------------------------------
 
 def degeneration_map(G, b, b2, face):
-    """Image of a (G, b)-face under degeneration to the values b2.
+    """Image of a (G, b)-face under degeneration to the values b2, which
+    must coarsen b: equal values of b stay equal in b2.
 
-    The image is the smallest valid-for-b2 subgraph containing the edges of
-    the given face.
+    The image is the smallest face of D_G(b2) whose subgraph contains the
+    edges of the given face.  As in `minimal_face`, it is the diamond
+    closure of those edges and the ties of b2, which must keep the top
+    vertices of distinct b2-values apart.
     """
     b = BSeq(b) if not isinstance(b, BSeq) else b
     b2 = BSeq(b2) if not isinstance(b2, BSeq) else b2
     if len(b) != len(b2):
         raise ValueError("b and b2 must have the same length")
+    if any(b[p] == b[p + 1] and b2[p] != b2[p + 1] for p in range(len(b) - 1)):
+        raise ValueError("b2 must coarsen b")
+    ties, forbidden = _top_pairs(G, b2)
     dsu = _DSU(G.vertices)
-    for hi, lo in face.edge_set():
-        dsu.union(hi, lo)
-    # join equal new values along the top row
-    groups = {}
-    for k, v in enumerate(G.top):
-        groups.setdefault(b2[k], []).append(v)
-    for vs in groups.values():
-        for u in vs[1:]:
-            dsu.union(vs[0], u)
-    _closure(G, dsu, [])            # no forbidden pairs, so it cannot fail
-    img = FaceSubgraph(G, dsu.blocks())
-    # blocks joined only through a tie must be reconnected through edges;
-    # when the closure alone does not produce a valid face, fall back to
-    # searching the degenerate face lattice for the minimal edge superset
-    for p in range(G.l):
-        for q in range(p + 1, G.l):
-            same = img.same_block(G.top[p], G.top[q])
-            if (b2[p] == b2[q]) != same:
-                # connect through the unique minimal face containing both:
-                # fall back to searching the b2-face lattice
-                return _smallest_face_containing(G, b2, face.edge_set())
-    if not _blocks_connected(G, img):
-        return _smallest_face_containing(G, b2, face.edge_set())
-    return img
-
-
-def _blocks_connected(G, face):
-    for blk in face.blocks:
-        seen = set()
-        start = next(iter(blk))
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            for u in G._adj[v]:
-                if u in blk and u not in seen:
-                    stack.append(u)
-        if seen != blk:
-            return False
-    return True
-
-
-def _smallest_face_containing(G, b2, edge_set):
-    cands = [f for f in enumerate_faces(G, b2) if f.edge_set() >= edge_set]
-    if not cands:
-        raise InvariantError(
-            "no face of the degenerate polyhedron contains the edges")
-    best = min(cands, key=lambda f: len(f.edge_set()))
-    if not all(f.edge_set() >= best.edge_set() for f in cands):
-        raise InvariantError("no smallest face contains the edges")
-    return best
+    for x, y in itertools.chain(face.edge_set(), ties):
+        dsu.union(x, y)
+    if not _closure(G, dsu, forbidden):
+        raise InvariantError("the closure joins distinct values of b2")
+    return FaceSubgraph(G, dsu.blocks())
 
 
 def verify_graphsum(G, b, b2, face2=None):

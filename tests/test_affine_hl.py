@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, seed, settings, strategies as st
 from hlbrion.affine_hl import (
     AffineWeight, DeltaGraph, _weyl_shift, apply_G, closed_form_contribution,
     d_stats, enumerate_pi, is_relevant_vertex, lhs_series,
-    match_weyl_element, nonrelevant_vertices, p_weight, PiSequence,
+    match_weyl_element, nonrelevant_vertices, p_weight, PiSequence, qshift,
     random_zpoint, rhs_series, rhs_table, s_ij, t0_sequence, tau_truncated,
     vertex_from_cuts, vertices_relevant, verify_contrib, verify_main,
     weyl_elements, zq_of_shift, zvar,
@@ -143,6 +144,110 @@ def test_enumerate_pi_small():
     assert special.get(0) == 0 and special.get(1) == 1
 
 
+# the grow-until-stable searches that the proven q-windows replaced, kept as
+# references: each searches a guessed window, then grows it until two
+# consecutive searches agree
+
+def enumerate_pi_reference(weight, qmax):
+    n, k, a = weight.n, weight.k, weight.a
+
+    def collect(lo, hi):
+        qcoef = {i: qshift(i, n) for i in range(lo, hi + 1)}
+        base = {i: (a[i % n] if i <= 0 else 0) for i in range(lo, hi + 1)}
+        states = list(itertools.product(range(k + 1), repeat=n - 1))
+        min_rem = [{} for _ in range(hi - lo + 2)]
+        for st in states:
+            min_rem[hi - lo + 1][st] = 0
+        for pos in range(hi, lo - 1, -1):
+            for st in states:
+                vals = [qcoef[pos] * (v - base[pos])
+                        + min_rem[pos - lo + 1][st[1:] + (v,)]
+                        for v in range(k - sum(st) + 1)
+                        if st[1:] + (v,) in min_rem[pos - lo + 1]]
+                if vals:
+                    min_rem[pos - lo][st] = min(vals)
+        out = []
+        seq = []
+
+        def rec(pos, st, acc):
+            rem = min_rem[pos - lo].get(st)
+            if rem is None or acc + rem > qmax:
+                return
+            if pos > hi:
+                cand = PiSequence(weight, lo, tuple(seq))
+                if cand.is_valid() and 0 <= cand.mu_exponent()[1] <= qmax:
+                    out.append(cand)
+                return
+            for v in range(k - sum(st) + 1):
+                seq.append(v)
+                rec(pos + 1, st[1:] + (v,), acc + qcoef[pos] * (v - base[pos]))
+                seq.pop()
+
+        rec(lo, tuple(a[(lo - j) % n] for j in range(n - 1, 0, -1)), 0)
+        return set(out)
+
+    hi, lo = (n - 1) * (qmax + 2) + n, -n * (qmax + 3)
+    prev = None
+    for _ in range(30):
+        cur = collect(lo, hi)
+        if cur == prev:
+            return sorted(cur, key=lambda s: (s.mu_exponent()[1], s.key()))
+        prev = cur
+        lo -= n
+        hi += n - 1
+    raise RuntimeError("sequence window failed to stabilize")
+
+
+def vertices_relevant_reference(weight, qmax):
+    n = weight.n
+    prev_keys = None
+    for reach in range(2, 9):
+        found = {}
+        spans = [range(r - reach * (n - 1) * n, r + reach * (n - 1) * n + 1,
+                       n - 1) for r in range(1, n)]
+        for cuts in itertools.product(*spans):
+            v = vertex_from_cuts(weight, cuts)
+            if v is not None and 0 <= v.mu_exponent()[1] <= qmax:
+                found.setdefault(v, []).append(cuts)
+        if set(found) == prev_keys:
+            return found
+        prev_keys = set(found)
+    raise RuntimeError("relevant vertex window failed to stabilize")
+
+
+def small_weights(n, level):
+    for a in itertools.product(range(level + 1), repeat=n):
+        if 0 < sum(a) <= level:
+            yield AffineWeight(n, a)
+
+
+def test_enumerate_pi_matches_the_growing_window_reference():
+    cases = 0
+    for n, level, qmax in ((2, 3, 5), (3, 2, 3), (4, 1, 2)):
+        for weight in small_weights(n, level):
+            for q in range(qmax + 1):
+                assert enumerate_pi(weight, q) == \
+                    enumerate_pi_reference(weight, q), (weight, q)
+                cases += 1
+    assert cases == 102
+
+
+def test_enumerate_pi_stays_in_its_window():
+    # valid, equal to the base outside [L, H], and sorted by the q-degree of
+    # mu_exponent
+    for n, level, qmax in ((2, 3, 6), (3, 3, 3), (4, 2, 2), (5, 1, 1)):
+        lo, hi = -n * (n - 1) * (qmax + 1), (n - 1) * (qmax + 1)
+        for weight in small_weights(n, level):
+            t0 = t0_sequence(weight)
+            els = enumerate_pi(weight, qmax)
+            for A in els:
+                assert A.is_valid(), A
+                assert all(lo <= i <= hi for i in A.support_diff()), A
+            keys = [(A.mu_exponent()[1], A.key()) for A in els]
+            assert keys == sorted(set(keys)) and keys[-1][0] <= qmax
+            assert t0 in els
+
+
 def test_d_stats_and_p_weight():
     assert d_stats(t0_sequence(L0)) == {}
     assert p_weight(t0_sequence(L0)) == TPoly.one()
@@ -239,6 +344,18 @@ def test_vertices_relevant():
     assert len([v for v in rel2 if v.mu_exponent()[1] == 0]) == 2
     for v in rel2:
         assert v.is_vertex() and is_relevant_vertex(L01, v)
+
+
+def test_vertices_relevant_match_the_growing_window_reference():
+    cases = 0
+    for n, level, qmax in ((2, 3, 3), (3, 2, 2)):
+        for weight in small_weights(n, level):
+            for q in range(qmax + 1):
+                got = vertices_relevant(weight, q)
+                want = vertices_relevant_reference(weight, q)
+                assert list(got.items()) == list(want.items()), (weight, q)
+                cases += 1
+    assert cases == 63
 
 
 def test_delta_graph_structure():

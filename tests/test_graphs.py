@@ -207,6 +207,10 @@ def next_runs_reference(parents, topo, placed):
 
 
 def phi_run_reference(G, blocks, run):
+    adj = {}
+    for hi, lo in G.edges:
+        adj.setdefault(hi, []).append(lo)
+        adj.setdefault(lo, []).append(hi)
     verts = set().union(*(blocks[b] for b in run))
     out = TPoly.one()
     while verts:
@@ -214,7 +218,7 @@ def phi_run_reference(G, blocks, run):
         while stack:
             v = stack.pop()
             comp.add(v)
-            for u in G._adj[v]:
+            for u in adj.get(v, ()):
                 if u in verts:
                     verts.remove(u)
                     stack.append(u)
@@ -440,6 +444,47 @@ def test_degeneration_map_fixed_point():
         assert g.dim >= img.dim
         img2 = degeneration_map(G, b2, b2, img)
         assert img2.blocks == img.blocks
+
+
+def smallest_face_containing_reference(G, b2, edge_set):
+    """The face of D_G(b2) with the fewest edges among those containing
+    edge_set, which must contain every other one."""
+    cands = [f for f in enumerate_faces(G, b2) if f.edge_set() >= edge_set]
+    best = min(cands, key=lambda f: len(f.edge_set()))
+    assert all(f.edge_set() >= best.edge_set() for f in cands)
+    return best
+
+
+def tie_patterns(l):
+    """One nonincreasing top row per way to tie consecutive positions:
+    b_p = b_(p+1) exactly where cut p is 0."""
+    for cuts in itertools.product((0, 1), repeat=l - 1):
+        yield BSeq(sum(cuts[p:]) for p in range(l))
+
+
+def test_degeneration_map_matches_smallest_face_search():
+    # every graph with at most 6 vertices, every tie pattern of b and every
+    # coarsening b2 of it
+    cases = 0
+    for G in enumerate_ordinary_graphs(6):
+        for b in tie_patterns(G.l):
+            faces = enumerate_faces(G, b)
+            for b2 in tie_patterns(G.l):
+                if any(b[p] == b[p + 1] and b2[p] != b2[p + 1]
+                       for p in range(G.l - 1)):
+                    with pytest.raises(ValueError):
+                        degeneration_map(G, b, b2, faces[0])
+                    continue
+                for f in faces:
+                    assert degeneration_map(G, b, b2, f) == \
+                        smallest_face_containing_reference(
+                            G, b2, f.edge_set()), (G, b, b2, f)
+                    cases += 1
+    assert cases > 1000
+    with pytest.raises(ValueError):
+        G = triangle_graph(3)
+        degeneration_map(G, BSeq([1, 1, 0]), BSeq([2, 1, 0]),
+                         minimal_face(G, BSeq([1, 1, 0])))
 
 
 def test_graphsum_base_case():
