@@ -97,27 +97,36 @@ class AffineWeight:
 
 class PiSequence:
     """Two-sided sequence with periodic left tail and zero right tail,
-    stored by a finite window."""
+    stored by a finite window and the partial sums over it."""
 
-    __slots__ = ("weight", "start", "values")
+    __slots__ = ("weight", "start", "values", "sums")
 
     def __init__(self, weight, start, values):
         self.weight = weight
         a, n = weight.a, weight.n
-        vals = list(values)
-        lo = start
-        while vals and vals[0] == a[lo % n]:
-            vals.pop(0)
-            lo += 1
-        while vals and vals[-1] == 0:
-            vals.pop()
+        vals = tuple(values)
+        # the window runs from the first entry off the periodic tail to the
+        # last nonzero entry after it; the tail is compared a period at a time
+        period = a[start % n:] + a[:start % n]
+        first, last = 0, len(vals)
+        while vals[first:first + n] == period:
+            first += n
+        while first < last and vals[first] == period[first % n]:
+            first += 1
+        while last > first and vals[last - 1] == 0:
+            last -= 1
+        lo = start + first
+        vals = vals[first:last]
         if not vals:
             # pure tail-cut sequences: move the cut to the lowest equivalent
             # position so equal functions get equal keys
             while a[(lo - 1) % n] == 0:
                 lo -= 1
         self.start = lo
-        self.values = tuple(vals)
+        self.values = vals
+        # sums[p] = S_A(start - 1 + p) for 0 <= p <= len(values)
+        self.sums = tuple(itertools.accumulate(
+            vals, initial=_periodic_sum(weight, lo - 1)))
 
     def get(self, i):
         if i < self.start:
@@ -129,9 +138,16 @@ class PiSequence:
     def window(self):
         return self.start, self.start + len(self.values) - 1
 
+    def partial_sum(self, x):
+        """S_A(x), the sum of the entries up to position x normalised like
+        S_a, with which it agrees below the window."""
+        if x < self.start:
+            return _periodic_sum(self.weight, x)
+        return self.sums[min(x - self.start + 1, len(self.values))]
+
     def chi(self, i):
         """Sum of the n consecutive terms ending at position i."""
-        return sum(self.get(j) for j in range(i - self.weight.n + 1, i + 1))
+        return self.partial_sum(i) - self.partial_sum(i - self.weight.n)
 
     def is_valid(self):
         lo = self.start
@@ -144,13 +160,13 @@ class PiSequence:
         return True
 
     def support_diff(self):
-        """Nonzero differences against the base sequence, as {i: d_i}."""
-        t0 = t0_sequence(self.weight, 0)
-        lo = min(self.start, t0.start) - 1
-        hi = max(self.window()[1], t0.window()[1]) + 1
+        """Nonzero differences against the base sequence, as {i: d_i}; the
+        base equals the tail at and below 0 and vanishes above."""
+        a, n = self.weight.a, self.weight.n
         out = {}
-        for i in range(lo, hi + 1):
-            d = self.get(i) - t0.get(i)
+        for i in range(min(self.start, 1),
+                       max(self.start + len(self.values), 1)):
+            d = self.get(i) - (a[i % n] if i <= 0 else 0)
             if d:
                 out[i] = d
         return out
@@ -212,17 +228,10 @@ def _periodic_sum(weight, x):
 
 def s_ij(A, i, j):
     """Plane-pattern entry: partial sums of the sequence against the shifted
-    base, S_A(i n + j (n-1)) - S_a((i + j) n).  S_A is the partial sum of A
-    normalised like S_a, with which it agrees below A.start."""
-    weight = A.weight
-    n = weight.n
-    cut = i * n + j * (n - 1)
-    if cut < A.start:
-        head = _periodic_sum(weight, cut)
-    else:
-        head = (_periodic_sum(weight, A.start - 1)
-                + sum(A.values[:cut - A.start + 1]))
-    return head - _periodic_sum(weight, (i + j) * n)
+    base, S_A(i n + j (n-1)) - S_a((i + j) n), where S_a((i + j) n) is
+    (i + j) k."""
+    n = A.weight.n
+    return A.partial_sum(i * n + j * (n - 1)) - (i + j) * A.weight.k
 
 
 def _q_window(n, qmax):
@@ -281,6 +290,9 @@ def enumerate_pi(weight, qmax):
             seq.pop()
 
     rec(0, tuple(a[(lo - j) % n] for j in range(n - 1, 0, -1)), 0)
+    # rec reaches itself through its closure cell; clearing the cell frees
+    # the search's tables now rather than at the next cycle collection
+    del rec
     found.sort(key=lambda e: (e[0], e[1].key()))
     return [A for _, A in found]
 
@@ -492,12 +504,9 @@ def lhs_series(weight, qmax, domain=None, zpoint=None):
     positive finite roots."""
     domain = default_domain(weight, domain)
     factors = _root_factors(weight.n, qmax, domain, zpoint)
-    total = None
-    for sigma, tau, shift_mono, _ in weyl_elements(weight, qmax):
-        term = _weyl_term_series(weight, sigma, tau, shift_mono, factors,
-                                 qmax, domain, zpoint)
-        total = term if total is None else total + term
-    return _over_den(total, factors, qmax)
+    numer = _weyl_numerator(weight, weyl_elements(weight, qmax), factors, qmax,
+                            domain, zpoint)
+    return _over_den(numer, factors, qmax)
 
 
 def random_zpoint(n, rng):
@@ -738,21 +747,36 @@ def tau_truncated(weight, v, order, domain=None, zpoint=None):
     raise NoStabilization(f"no agreement below section cap for {v}")
 
 
-def _weyl_term_series(weight, sigma, tau, shift_mono, factors, qmax, domain,
-                      zpoint):
-    """Numerator of one group element's term over the common denominator:
-    (t - y) over the flipped roots of `factors`, (1 - t y) over the others."""
-    flips = flip_set(weight, sigma, tau, qmax)
-    c, q = zq_coeff(shift_mono, zpoint)
-    # flipped factors beyond the truncation still contribute their constant
-    # term t
-    deep = sum(1 for (_, m) in flips if m > qmax)
-    if deep:
-        c = c * TPoly.t(deep)
-    term = TruncatedSeries(qmax, {q: c}, domain)
-    for key, one_minus_ty, t_minus_y, _ in factors:
-        term = term * (t_minus_y if key in flips else one_minus_ty)
-    return term
+def _weyl_numerator(weight, elements, factors, qmax, domain, zpoint):
+    """Sum of the group elements' terms over the common denominator: each
+    element's shift monomial times (t - y) over the roots of `factors` it
+    flips and (1 - t y) over the others.
+
+    The elements are grouped by their flip pattern over `factors`, and the
+    factors are multiplied in one at a time; after each one, the groups
+    whose patterns agree on the factors still to come are merged, so a
+    step costs one series product per distinct remaining pattern."""
+    groups = {}
+    for sigma, tau, shift_mono, _ in elements:
+        flips = flip_set(weight, sigma, tau, qmax)
+        c, q = zq_coeff(shift_mono, zpoint)
+        # flipped factors beyond the truncation still contribute their
+        # constant term t
+        deep = sum(1 for (_, m) in flips if m > qmax)
+        if deep:
+            c = c * TPoly.t(deep)
+        term = TruncatedSeries(qmax, {q: c}, domain)
+        pattern = tuple(key in flips for key, *_ in factors)
+        prev = groups.get(pattern)
+        groups[pattern] = term if prev is None else prev + term
+    for _, one_minus_ty, t_minus_y, _ in factors:
+        merged = {}
+        for pattern, term in groups.items():
+            term = term * (t_minus_y if pattern[0] else one_minus_ty)
+            prev = merged.get(pattern[1:])
+            merged[pattern[1:]] = term if prev is None else prev + term
+        groups = merged
+    return groups.get((), TruncatedSeries.zero(qmax, domain))
 
 
 def _over_den(numer, factors, qmax):
@@ -781,9 +805,9 @@ def closed_form_contribution(weight, sigma, tau, qmax, domain=None,
     domain = default_domain(weight, domain)
     u, qdeg = _weyl_shift(weight, weight.finite_part(), sigma, tau)
     factors = _root_factors(weight.n, qmax, domain, zpoint)
-    term = _weyl_term_series(weight, sigma, tau, zq_of_shift(u, qdeg),
-                             factors, qmax, domain, zpoint)
-    return _over_den(term, factors, qmax)
+    numer = _weyl_numerator(weight, [(sigma, tau, zq_of_shift(u, qdeg), qdeg)],
+                            factors, qmax, domain, zpoint)
+    return _over_den(numer, factors, qmax)
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from hlbrion.affine_hl import (
-    AffineWeight, DeltaGraph, _weyl_shift, apply_G, closed_form_contribution,
-    d_stats, enumerate_pi, is_relevant_vertex, lhs_series,
-    match_weyl_element, nonrelevant_vertices, p_weight, PiSequence, qshift,
-    random_zpoint, rhs_series, rhs_table, s_ij, t0_sequence, tau_truncated,
-    vertex_from_cuts, vertices_relevant, verify_contrib, verify_main,
-    weyl_elements, zq_of_shift, zvar,
+    AffineWeight, DeltaGraph, _over_den, _root_factors, _weyl_numerator,
+    _weyl_shift, apply_G, closed_form_contribution, d_stats, enumerate_pi,
+    flip_set, is_relevant_vertex, lhs_series, match_weyl_element,
+    nonrelevant_vertices, p_weight, PiSequence, qshift, random_zpoint,
+    rhs_series, rhs_table, s_ij, t0_sequence, tau_truncated, vertex_from_cuts,
+    vertices_relevant, verify_contrib, verify_main, weyl_elements,
+    zq_of_shift, zvar,
 )
 from hlbrion.ring import (
     Coeff, EVALUATED, InvariantError, LaurentPoly, Monomial, SYMBOLIC_Z, TPoly,
-    TruncatedSeries,
+    TruncatedSeries, zq_coeff,
 )
 
 
@@ -85,6 +86,37 @@ def test_pi_sequence_key_is_window_independent(case):
     assert all(seq.get(i) == f(i) == wide.get(i) for i in range(lo, hi))
     assert wide.key() == seq.key()
     assert wide == seq and hash(wide) == hash(seq)
+
+
+def test_pi_sequence_strips_a_long_padded_window():
+    # a window padded with thousands of tail entries on the left and zeros
+    # on the right is cut back to the same key
+    w = AffineWeight(3, (1, 0, 2))
+    for A in enumerate_pi(w, 2) + [t0_sequence(w, m) for m in (-2, 0, 3)]:
+        lo = A.start - 6000
+        hi = A.window()[1] + 6000
+        wide = PiSequence(w, lo, [A.get(i) for i in range(lo, hi + 1)])
+        assert wide.key() == A.key() and hash(wide) == hash(A)
+        assert wide.sums == A.sums
+
+
+def chi_reference(A, i):
+    """chi summed term by term over the n positions ending at i."""
+    return sum(A.get(j) for j in range(i - A.weight.n + 1, i + 1))
+
+
+def test_chi_and_s_ij_match_term_by_term_references():
+    for weight in (L0, L01, AffineWeight(3, (1, 1, 0))):
+        n = weight.n
+        bases = [PiSequence(weight, start, ()) for start in range(-4, 5)]
+        assert all(not A.values for A in bases)
+        for A in enumerate_pi(weight, 3) + bases:
+            lo, hi = A.window()
+            for i in range(lo - 3 * n, hi + 3 * n):
+                assert A.chi(i) == chi_reference(A, i), (A, i)
+            for i in range(-4, 5):
+                for j in range(-3 * n, 3 * n):
+                    assert s_ij(A, i, j) == s_ij_reference(A, i, j), (A, i, j)
 
 
 def s_ij_reference(A, i, j):
@@ -483,3 +515,71 @@ def test_weyl_side_fractions_stay_over_d0(monkeypatch):
         assert series.coeffs
         for c in series.coeffs.values():
             assert c.den == d0
+
+
+def weyl_numerator_reference(weight, elements, factors, qmax, domain, zpoint):
+    """The per-element loop that `_weyl_numerator` replaced: each element's
+    term multiplied out over every factor, then the terms summed."""
+    total = TruncatedSeries.zero(qmax, domain)
+    for sigma, tau, shift_mono, _ in elements:
+        flips = flip_set(weight, sigma, tau, qmax)
+        c, q = zq_coeff(shift_mono, zpoint)
+        deep = sum(1 for (_, m) in flips if m > qmax)
+        if deep:
+            c = c * TPoly.t(deep)
+        term = TruncatedSeries(qmax, {q: c}, domain)
+        for key, one_minus_ty, t_minus_y, _ in factors:
+            term = term * (t_minus_y if key in flips else one_minus_ty)
+        total = total + term
+    return total
+
+
+def test_weyl_numerator_matches_the_per_element_reference():
+    rng = random.Random(15)
+    cases = [(w, 5, SYMBOLIC_Z, None) for w in small_weights(2, 3)]
+    cases += [(w, 2, EVALUATED, random_zpoint(3, rng))
+              for w in small_weights(3, 2)]
+    assert len(cases) == 18
+    for weight, qmax, domain, zpoint in cases:
+        factors = _root_factors(weight.n, qmax, domain, zpoint)
+        want = weyl_numerator_reference(weight, weyl_elements(weight, qmax),
+                                        factors, qmax, domain, zpoint)
+        got = lhs_series(weight, qmax, domain, zpoint)
+        assert got.equals(_over_den(want, factors, qmax), up_to=qmax), weight
+    factors = _root_factors(2, 3, SYMBOLIC_Z, None)
+    for element in weyl_elements(L01, 3):
+        want = weyl_numerator_reference(L01, [element], factors, 3,
+                                        SYMBOLIC_Z, None)
+        got = closed_form_contribution(L01, element[0], element[1], 3)
+        assert got.equals(_over_den(want, factors, 3), up_to=3), element
+
+
+def test_weyl_numerator_makes_one_product_per_remaining_pattern(monkeypatch):
+    # a factor step multiplies once per distinct flip pattern over the
+    # factors still to come; the per-element loop made one product per
+    # element and factor (72 x 19 = 1368 for the first case)
+    calls = []
+    original = TruncatedSeries.__mul__
+
+    def spy(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", spy)
+    cases = [(AffineWeight(3, (0, 0, 1)), 2, 383), (L0, 5, None),
+             (L01, 5, None), (AffineWeight(3, (1, 1, 0)), 2, None)]
+    for weight, qmax, want in cases:
+        zpoint = random_zpoint(weight.n, random.Random(7))
+        factors = _root_factors(weight.n, qmax, EVALUATED, zpoint)
+        elements = weyl_elements(weight, qmax)
+        keys = [key for key, *_ in factors]
+        patterns = {tuple(key in flip_set(weight, sigma, tau, qmax)
+                          for key in keys)
+                    for sigma, tau, _, _ in elements}
+        expected = sum(len({p[r:] for p in patterns})
+                       for r in range(len(keys)))
+        calls.clear()
+        _weyl_numerator(weight, elements, factors, qmax, EVALUATED, zpoint)
+        assert len(calls) == expected < len(elements) * len(keys), weight
+        if want is not None:
+            assert expected == want
