@@ -28,10 +28,6 @@ class GCollapse(CollapseError):
     """The z/q specialization sent a denominator factor to 1."""
 
 
-class NoStabilization(RuntimeError):
-    """Truncated cone transform failed to stabilize below the section cap."""
-
-
 def zvar(r):
     return f"z{r}"
 
@@ -544,7 +540,6 @@ def verify_main(weight, qmax, domain=None, trials=3, seed=0):
 # ---------------------------------------------------------------------------
 
 DELTA_SPAN = 8          # span of the equality graphs of the vertex scans
-TAU_MAX_STEPS = 12      # sections tau_truncated grows before giving up
 
 
 class DeltaGraph:
@@ -662,8 +657,8 @@ class DeltaGraph:
 
     def section_graphs(self, l):
         """Per component: the ordinary graph of rows [-l, l] and its s-value."""
-        if l < self.lmin:
-            raise InvariantError(f"section radius {l} below {self.lmin}")
+        if not self.lmin <= l <= self.safe:
+            raise InvariantError(f"radius {l} not in {self.lmin}..{self.safe}")
         comps = {}
         for p in self.vertices_in_rows(-l, l):
             comps.setdefault(self.comp[p], []).append(p)
@@ -712,39 +707,54 @@ class DeltaGraph:
             out[svar((self.row[p], self.col[p]))] = Monomial.unit()
         return out
 
-    def apex_monomial(self):
-        return self.v.zq_monomial()
-
 
 def tau_section(dgraph, l, order, domain, zpoint=None):
-    """Truncated series of the weighted transform of one finite section."""
-    gmap = dgraph.gw_map(l)
-    total = TruncatedSeries.one(order, domain)
-    for G, _b in dgraph.section_graphs(l):
-        ct = ConeTransform.of_cone(G, 0).subs_monomials(gmap, GCollapse)
-        total = total * ct.series_unit(order, domain, zpoint)
-    c, q = zq_coeff(dgraph.apex_monomial(), zpoint)
+    """Truncated series of the weighted transform of one finite section; the
+    apex shifts it by q^q(v), so the cone part is needed to order - q(v)."""
+    c, q = zq_coeff(dgraph.v.zq_monomial(), zpoint)
     if q < 0:
         raise InvariantError(
             "vertex weight shift must have nonnegative q-degree")
-    out = total.scale(c)
-    if q:
-        out = out.shift(q).truncate(order)
-    return out
+    part = max(order - q, 0)
+    gmap = dgraph.gw_map(l)
+    total = TruncatedSeries.one(part, domain)
+    for G, _b in dgraph.section_graphs(l):
+        ct = ConeTransform.of_cone(G, 0).subs_monomials(gmap, GCollapse)
+        total = total * ct.series_unit(part, domain, zpoint)
+    return total.scale(c).shift(q).truncate(order)
 
 
 def tau_truncated(weight, v, order, domain=None, zpoint=None):
-    """Stabilized truncated transform of a vertex: sections grow until two
-    consecutive ones agree up to the order, for at most TAU_MAX_STEPS."""
+    """Truncated transform of a vertex: one section, at the radius
+    l* = max(lmin, (n-1)(order - q(v) + 2)), q(v) the vertex's q-degree.
+
+    Sections l and l+1 differ by a series of q-valuation at least
+    q(v) + floor(l/(n-1)) - 1, so every section from l* on, and their
+    limit, agree up to q^order.  Proof: the coordinates of a section are
+    the partial sums S of the displacement from v.  `gw_map` gives
+    position p the factor z_{r(p)}/z_{r(p+1)}, times q^-1 when (n-1) | p
+    (Abel summation of the entry weights z_{r(i)} q^{Q(i)}), and the one
+    vertex of the bottom row, which stands for every position below it,
+    z_{r(l)} q^ccount.  Section l is the slice of section l+1 where S
+    vanishes on row -l and is constant from row l on, so each term of
+    their difference moves a vertex of row -l or of row l+1.
+    - Row l+1 lies below the window of v, one position per row.  A step
+      there carries the bottom factor, and ccount counts the multiples of
+      n-1 among the l or so positions from 1 to the bottom row.
+    - Row -l lies in the periodic tail, where every window sum of v is
+      saturated, so S(p) <= S(p - n).  A nonzero S at p in row -l, p about
+      -ln, stays nonzero at p + n, p + 2n, ... up to 0: a chain through
+      about l rows.  As n = 1 mod (n-1), one in every n-1 of its positions
+      is a multiple of n-1, each a factor q^-S with -S >= 1.
+    The bound is reached by (1, 0) at n = 2 and by the tail-cut vertex of
+    (1, 1) at q-degree 3.  The span DELTA_SPAN + radius gives safe >=
+    radius + 11 - n, and `_section_floor` keeps lmin below safe, so safe
+    holds l* for n <= 11; `section_graphs` raises where it does not.
+    """
     domain = default_domain(weight, domain)
-    dg = DeltaGraph(weight, v, span=TAU_MAX_STEPS + 4)
-    prev = None
-    for l in range(dg.lmin, dg.lmin + TAU_MAX_STEPS):
-        cur = tau_section(dg, l, order, domain, zpoint)
-        if prev is not None and cur.equals(prev, up_to=order):
-            return cur
-        prev = cur
-    raise NoStabilization(f"no agreement below section cap for {v}")
+    radius = (weight.n - 1) * max(0, order - v.mu_exponent()[1] + 2)
+    dg = DeltaGraph(weight, v, DELTA_SPAN + radius)
+    return tau_section(dg, max(dg.lmin, radius), order, domain, zpoint)
 
 
 def _weyl_numerator(weight, elements, factors, qmax, domain, zpoint):
@@ -893,20 +903,21 @@ def match_weyl_element(weight, v, qmax):
     return hits
 
 
-def verify_contrib(weight, qmax, trials=2, seed=0, nonrelevant_extra=1):
+def verify_contrib(weight, qmax, trials=2, seed=0):
     """Check the vertex contribution theorem at the given truncation.
 
-    (a) every relevant vertex's stabilized transform equals the closed
+    (a) every relevant vertex's truncated transform equals the closed
         contribution of its group element (regular weight) or the
         factorial-scaled aggregation over the auxiliary regular weight
         (singular weight);
-    (b) constructed non-relevant vertices give zero;
+    (b) constructed non-relevant vertices give zero, to order qmax + 1;
     (c) the relevant transforms sum to the Weyl-side series.
     """
     n = weight.n
     domain = default_domain(weight)
     rng = _random.Random(seed)
-    report = {"ok": True, "checks": [], "failures": []}
+    wl = weight.wlambda()
+    checks, failures = [], []
 
     relevant = vertices_relevant(weight, qmax)
     taus = {}
@@ -917,19 +928,16 @@ def verify_contrib(weight, qmax, trials=2, seed=0, nonrelevant_extra=1):
             for v, tau in taus.items():
                 hits = match_weyl_element(weight, v, qmax)
                 if len(hits) != 1:
-                    report["ok"] = False
-                    report["failures"].append(f"vertex {v}: {len(hits)} elements")
+                    failures.append(f"vertex {v}: {len(hits)} elements")
                     continue
                 closed = closed_form_contribution(weight, hits[0][0],
                                                   hits[0][1], qmax, domain,
                                                   zpoint)
                 if not tau.equals(closed, up_to=qmax):
-                    report["ok"] = False
-                    report["failures"].append(f"closed form mismatch at {v}")
-            report["checks"].append(f"{len(taus)} closed forms")
+                    failures.append(f"closed form mismatch at {v}")
+            checks.append(f"{len(taus)} closed forms")
         else:
             aux = AffineWeight(n, [x + 1 for x in weight.a])
-            wl = weight.wlambda()
             for v, fiber in relevant.items():
                 shifts = []
                 for cuts in fiber:
@@ -946,32 +954,23 @@ def verify_contrib(weight, qmax, trials=2, seed=0, nonrelevant_extra=1):
                                          zpoint)
                     agg = agg + tau1.scale(c).shift(q).truncate(qmax)
                 if not taus[v].scale(wl).equals(agg, up_to=qmax):
-                    report["ok"] = False
-                    report["failures"].append(f"aggregation mismatch at {v}")
-            report["checks"].append(f"{len(taus)} fiber aggregations")
+                    failures.append(f"aggregation mismatch at {v}")
+            checks.append(f"{len(taus)} fiber aggregations")
         # (b) constructed non-relevant vertices vanish
-        zeros = 0
-        for v in nonrelevant_vertices(weight, 3):
-            tau = tau_truncated(weight, v, qmax + nonrelevant_extra, domain,
-                                zpoint)
-            if not tau.equals(TruncatedSeries.zero(qmax + nonrelevant_extra,
-                                                   domain),
-                              up_to=qmax + nonrelevant_extra):
-                report["ok"] = False
-                report["failures"].append(f"nonzero irrelevant vertex {v}")
-            zeros += 1
-        report["checks"].append(f"{zeros} irrelevant vertices vanish")
+        irrelevant = nonrelevant_vertices(weight, 3)
+        for v in irrelevant:
+            if not tau_truncated(weight, v, qmax + 1, domain,
+                                 zpoint).is_zero():
+                failures.append(f"nonzero irrelevant vertex {v}")
+        checks.append(f"{len(irrelevant)} irrelevant vertices vanish")
         # (c) the relevant transforms sum to the Weyl side
-        total = TruncatedSeries.zero(qmax, domain)
-        for tau in taus.values():
-            total = total + tau
+        total = sum(taus.values(), TruncatedSeries.zero(qmax, domain))
         lhs = lhs_series(weight, qmax, domain, zpoint)
-        if not total.scale(weight.wlambda()).equals(lhs, up_to=qmax):
-            report["ok"] = False
-            report["failures"].append("vertex sum != Weyl sum")
+        if not total.scale(wl).equals(lhs, up_to=qmax):
+            failures.append("vertex sum != Weyl sum")
         else:
-            report["checks"].append("vertex sum matches Weyl sum")
-    return report
+            checks.append("vertex sum matches Weyl sum")
+    return {"ok": not failures, "checks": checks, "failures": failures}
 
 
 def is_relevant_vertex(weight, v):

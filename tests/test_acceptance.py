@@ -177,13 +177,11 @@ def test_criterion_7_affine_main_theorem():
 def test_criterion_8_vertex_contributions():
     started = time.time()
     ok = True
-    rep = affine_hl.verify_contrib(affine_hl.AffineWeight(2, [1, 1]), 3,
-                                   nonrelevant_extra=1)
+    rep = affine_hl.verify_contrib(affine_hl.AffineWeight(2, [1, 1]), 3)
     if not rep["ok"]:
         ok = False
         print("  regular:", rep["failures"])
-    rep = affine_hl.verify_contrib(affine_hl.AffineWeight(2, [1, 0]), 3,
-                                   nonrelevant_extra=1)
+    rep = affine_hl.verify_contrib(affine_hl.AffineWeight(2, [1, 0]), 3)
     if not rep["ok"]:
         ok = False
         print("  singular:", rep["failures"])

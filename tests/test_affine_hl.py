@@ -5,14 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from hlbrion import affine_hl
 from hlbrion.affine_hl import (
-    AffineWeight, DeltaGraph, _over_den, _root_factors, _weyl_numerator,
-    _weyl_shift, apply_G, closed_form_contribution, d_stats, enumerate_pi,
-    flip_set, is_relevant_vertex, lhs_series, match_weyl_element,
-    nonrelevant_vertices, p_weight, PiSequence, qshift, random_zpoint,
-    rhs_series, rhs_table, s_ij, t0_sequence, tau_truncated, vertex_from_cuts,
-    vertices_relevant, verify_contrib, verify_main, weyl_elements,
-    zq_of_shift, zvar,
+    DELTA_SPAN, AffineWeight, DeltaGraph, _over_den, _root_factors,
+    _weyl_numerator, _weyl_shift, apply_G, closed_form_contribution, d_stats,
+    enumerate_pi, flip_set, is_relevant_vertex, lhs_series,
+    match_weyl_element, nonrelevant_vertices, p_weight, PiSequence, qshift,
+    random_zpoint, rhs_series, rhs_table, s_ij, t0_sequence, tau_section,
+    tau_truncated, vertex_from_cuts, vertices_relevant, verify_contrib,
+    verify_main, weyl_elements, zq_of_shift, zvar,
 )
 from hlbrion.ring import (
     Coeff, EVALUATED, InvariantError, LaurentPoly, Monomial, SYMBOLIC_Z, TPoly,
@@ -462,6 +463,48 @@ def test_tau_nonrelevant_vanishes():
     for v in nonrelevant_vertices(L01, 2):
         tau = tau_truncated(L01, v, 3)
         assert tau.is_zero()
+
+
+def test_tau_truncated_is_one_section_at_its_radius(monkeypatch):
+    # one section per call, at l* = max(lmin, (n-1)(order - q(v) + 2)), and
+    # the sections at l* + 1 and l* + 2 agree with it up to the order: on
+    # the relevant vertices (order qmax) and the constructed non-relevant
+    # ones (order qmax + 1, as in verify_contrib) of every n = 2 weight of
+    # level <= 2 at qmax 2, and on the relevant vertices of (1, 1, 1)
+    radii = []
+
+    def spy(dg, l, order, domain, zpoint=None):
+        radii.append(l)
+        return tau_section(dg, l, order, domain, zpoint)
+
+    monkeypatch.setattr(affine_hl, "tau_section", spy)
+    cases = [(AffineWeight(2, a), 2, True)
+             for a in ([1, 0], [0, 1], [2, 0], [1, 1], [0, 2])]
+    cases.append((AffineWeight(3, [1, 1, 1]), 1, False))
+    zpoint = random_zpoint(3, random.Random(5))
+    for weight, qmax, with_irrelevant in cases:
+        n = weight.n
+        domain = SYMBOLIC_Z if n == 2 else EVALUATED
+        point = None if n == 2 else zpoint
+        orders = {v: qmax for v in vertices_relevant(weight, qmax)}
+        if with_irrelevant:
+            orders.update((v, qmax + 1)
+                          for v in nonrelevant_vertices(weight, 3))
+        for v, order in orders.items():
+            radii.clear()
+            tau = tau_truncated(weight, v, order, domain, point)
+            (l,) = radii
+            dg = DeltaGraph(weight, v, DELTA_SPAN + l)
+            assert l == max(dg.lmin,
+                            (n - 1) * (order - v.mu_exponent()[1] + 2))
+            for m in (l + 1, l + 2):
+                further = tau_section(dg, m, order, domain, point)
+                assert further.equals(tau, up_to=order), (weight, v, m)
+
+
+def test_verify_contrib_regular_n3():
+    r = verify_contrib(AffineWeight(3, [1, 1, 1]), 1, trials=1)
+    assert r["ok"], r["failures"]
 
 
 def test_verify_contrib_regular():
