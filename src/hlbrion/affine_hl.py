@@ -179,10 +179,7 @@ class PiSequence:
 
     def zq_monomial(self):
         zvec, qdeg = self.mu_exponent()
-        exps = {zvar(r + 1): e for r, e in enumerate(zvec) if e}
-        if qdeg:
-            exps["q"] = qdeg
-        return Monomial(exps)
+        return zq_of_shift((0,) + zvec, qdeg)
 
     def is_vertex(self):
         """Every position is at zero or at a saturated window sum."""
@@ -301,48 +298,30 @@ def d_stats(A):
     """Counts d_l of values appearing l times in row i and l-1 times in row
     i-1, over shift-class representatives 1 <= i <= n-1.
 
-    The scan window per row pair is certified: on the left the two rows are
-    equal (saturated window sums), on the right they match after an index
-    shift (zero sequence entries); both ends are cut at strict drops so no
-    value run straddles the boundary.
+    Row i holds s(i, j) at x = i n + j (n-1) and row i-1 holds s(i-1, j) at
+    x - n, so rows 1..n-1 cover every position once.  For a valid sequence
+    (entries >= 0, window sums chi <= k) the definition of `s_ij` gives
+    s(i, j) - s(i, j+1) = A_x + k - chi(x + n - 1) >= 0, zero iff A_x = 0
+    and chi(x + n - 1) = k, and the interlacing
+    s(i-1, j+1) = s(i, j) - A_x <= s(i, j) <= s(i, j) + k - chi(x) = s(i-1, j).
+    So a value's l entries in row i are one run, at columns j0..j0 + l - 1
+    and positions x0, ..., y = x0 + (l-1)(n-1); row i-1 holds it at columns
+    j0 + 1..j0 + l - 1, at j0 iff chi(x0) = k, at j0 + l iff A_y = 0, and
+    nowhere else.  It counts for d_l iff chi(x0) < k (which makes x0 a run
+    start) and A_y > 0.  Below the window every chi is k; above it every
+    entry is 0, so a run starting there has l = 1 and A_y = 0.  Only starts
+    in the window count.
     """
-    weight = A.weight
-    n, k = weight.n, weight.k
-    lo, hi = A.window()
-    if not A.values:
-        lo, hi = A.start - 1, A.start
+    n, k = A.weight.n, A.weight.k
     out = {}
-    for i in range(1, n):
-        # left: saturated zone once positions drop below the deviation window
-        jl = (lo - n - i * n) // (n - 1) - 2
-        while not (A.chi(i * n + jl * (n - 1)) == k and
-                   A.chi((i - 1) * n + jl * (n - 1)) == k and
-                   s_ij(A, i, jl) == s_ij(A, i - 1, jl)):
-            jl -= 1
-        # right: zero zone
-        jr = (hi + n - i * n) // (n - 1) + 2
-        while not (A.get(i * n + jr * (n - 1)) == 0 and
-                   s_ij(A, i, jr) == s_ij(A, i - 1, jr + 1)):
-            jr += 1
-        # cut at strict drops so runs do not straddle
-        while s_ij(A, i, jl - 1) == s_ij(A, i, jl):
-            jl -= 1
-        while s_ij(A, i, jr) == s_ij(A, i, jr + 1):
-            jr += 1
-        if not (s_ij(A, i, jl - 1) > s_ij(A, i, jl) and
-                s_ij(A, i, jr) > s_ij(A, i, jr + 1)):
-            raise InvariantError(f"row {i} scan window not cut at strict drops")
-        row_i = [s_ij(A, i, j) for j in range(jl, jr + 1)]
-        row_up = [s_ij(A, i - 1, j) for j in range(jl, jr + 2)]
-        counts_i = {}
-        for v in row_i:
-            counts_i[v] = counts_i.get(v, 0) + 1
-        counts_up = {}
-        for v in row_up:
-            counts_up[v] = counts_up.get(v, 0) + 1
-        for v, l in counts_i.items():
-            if counts_up.get(v, 0) == l - 1:
-                out[l] = out.get(l, 0) + 1
+    for x0 in range(A.start, A.start + len(A.values)):
+        if A.chi(x0) == k:
+            continue
+        y, l = x0, 1
+        while A.get(y) == 0 and A.chi(y + n - 1) == k:
+            y, l = y + n - 1, l + 1
+        if A.get(y):
+            out[l] = out.get(l, 0) + 1
     return out
 
 
@@ -364,10 +343,12 @@ def rhs_table(weight, qmax):
 
 
 def rhs_series(weight, qmax, domain=None, zpoint=None):
+    """The basis sum: rhs_table's rows, each weight times its z/q monomial,
+    summed in the table's order."""
     coeffs = {}
-    for A in enumerate_pi(weight, qmax):
-        c, qd = zq_coeff(A.zq_monomial(), zpoint)
-        coeffs[qd] = coeffs.get(qd, Coeff.zero()) + c * p_weight(A)
+    for qdeg, zvec, w in rhs_table(weight, qmax):
+        c, qd = zq_coeff(zq_of_shift((0,) + zvec, qdeg), zpoint)
+        coeffs[qd] = coeffs.get(qd, Coeff.zero()) + c * w
     return TruncatedSeries(qmax, coeffs, default_domain(weight, domain))
 
 
@@ -475,22 +456,27 @@ def _root_factors(n, qmax, domain, zpoint):
     """One entry per positive root of q-degree <= qmax: the real roots
     e_i - e_j + m delta keyed ((i, j), m), then the imaginary roots m delta,
     n - 1 times each, keyed None.  Each entry holds its key and the series
-    (1 - t y), (t - y) and (1 - y) for y = e^{-root}."""
+    s (1 - t y), s (t - y) and s (1 - y) for y = e^{-root} = p/s, that is
+    s - t p, t s - p and s - p.  s is 1 for symbolic z; at a z-point it
+    clears y's denominator, so no coefficient of a factor has one.  A group
+    element's term takes one of the first two per root and the common
+    denominator takes the third, so the scaling cancels in their ratio."""
     roots = [(((i, j), m), zq_coeff(_root_monomial(n, i, j, m), zpoint))
              for (i, j) in finite_roots(n)
              for m in range((0 if i < j else 1), qmax + 1)]
     roots += [(None, (Coeff.one(), m))
               for m in range(1, qmax + 1) for _ in range(n - 1)]
-    one, t = Coeff.one(), Coeff(TPoly.t())
+    t = TPoly.t()
 
     def binomial(c0, cq, q):
         if q == 0:
             return TruncatedSeries(qmax, {0: c0 + cq}, domain)
         return TruncatedSeries(qmax, {0: c0, q: cq}, domain)
 
-    return [(key, binomial(one, -(t * c), q), binomial(t, -c, q),
-             binomial(one, -c, q))
-            for key, (c, q) in roots]
+    return [(key, binomial(s, -(p * t), q), binomial(s * t, -p, q),
+             binomial(s, -p, q))
+            for key, (c, q) in roots
+            for p, s in [(Coeff(c.num), Coeff(c.den))]]
 
 
 def lhs_series(weight, qmax, domain=None, zpoint=None):
@@ -792,8 +778,9 @@ def _weyl_numerator(weight, elements, factors, qmax, domain, zpoint):
 def _over_den(numer, factors, qmax):
     """`numer` divided by the common denominator, the product of the (1 - y)
     of `factors`.  Only the q-degree-0 factors, keyed ((i, j), 0), have a
-    constant term other than 1: their product d0 stays one coefficient, and
-    the rest, a series with constant term 1, inverts with Laurent-polynomial
+    constant term other than their scaling s: their product d0 stays one
+    coefficient, and the rest, a series whose constant term is the product
+    of the other scalings (1 for symbolic z), inverts with Laurent-polynomial
     coefficients."""
     d0 = Coeff.one()
     rest = TruncatedSeries.one(qmax, numer.domain)
@@ -910,7 +897,8 @@ def verify_contrib(weight, qmax, trials=2, seed=0):
         contribution of its group element (regular weight) or the
         factorial-scaled aggregation over the auxiliary regular weight
         (singular weight);
-    (b) constructed non-relevant vertices give zero, to order qmax + 1;
+    (b) constructed non-relevant vertices give zero, to order qmax + 1 or
+        their q-degree q(v), whichever is larger;
     (c) the relevant transforms sum to the Weyl-side series.
     """
     n = weight.n
@@ -956,11 +944,12 @@ def verify_contrib(weight, qmax, trials=2, seed=0):
                 if not taus[v].scale(wl).equals(agg, up_to=qmax):
                     failures.append(f"aggregation mismatch at {v}")
             checks.append(f"{len(taus)} fiber aggregations")
-        # (b) constructed non-relevant vertices vanish
+        # (b) constructed non-relevant vertices vanish; the apex shift
+        # q^q(v) would empty a truncation below q(v) whatever the section
         irrelevant = nonrelevant_vertices(weight, 3)
         for v in irrelevant:
-            if not tau_truncated(weight, v, qmax + 1, domain,
-                                 zpoint).is_zero():
+            order = max(qmax + 1, v.mu_exponent()[1])
+            if not tau_truncated(weight, v, order, domain, zpoint).is_zero():
                 failures.append(f"nonzero irrelevant vertex {v}")
         checks.append(f"{len(irrelevant)} irrelevant vertices vanish")
         # (c) the relevant transforms sum to the Weyl side

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -296,12 +297,64 @@ def test_d_stats_and_p_weight():
         assert w.c.get(0) == 1
 
 
+def d_stats_reference(A):
+    """d_stats by materialised rows over a certified scan window: on the
+    left the two rows are equal (saturated window sums), on the right they
+    match after an index shift (zero sequence entries); both ends are cut
+    at strict drops so no value run straddles the boundary."""
+    weight = A.weight
+    n, k = weight.n, weight.k
+    lo, hi = A.window()
+    if not A.values:
+        lo, hi = A.start - 1, A.start
+    out = {}
+    for i in range(1, n):
+        # left: saturated zone once positions drop below the deviation window
+        jl = (lo - n - i * n) // (n - 1) - 2
+        while not (A.chi(i * n + jl * (n - 1)) == k and
+                   A.chi((i - 1) * n + jl * (n - 1)) == k and
+                   s_ij(A, i, jl) == s_ij(A, i - 1, jl)):
+            jl -= 1
+        # right: zero zone
+        jr = (hi + n - i * n) // (n - 1) + 2
+        while not (A.get(i * n + jr * (n - 1)) == 0 and
+                   s_ij(A, i, jr) == s_ij(A, i - 1, jr + 1)):
+            jr += 1
+        # cut at strict drops so runs do not straddle
+        while s_ij(A, i, jl - 1) == s_ij(A, i, jl):
+            jl -= 1
+        while s_ij(A, i, jr) == s_ij(A, i, jr + 1):
+            jr += 1
+        if not (s_ij(A, i, jl - 1) > s_ij(A, i, jl) and
+                s_ij(A, i, jr) > s_ij(A, i, jr + 1)):
+            raise InvariantError(f"row {i} scan window not cut at strict drops")
+        counts_i = Counter(s_ij(A, i, j) for j in range(jl, jr + 1))
+        counts_up = Counter(s_ij(A, i - 1, j) for j in range(jl, jr + 2))
+        for v, l in counts_i.items():
+            if counts_up[v] == l - 1:
+                out[l] = out.get(l, 0) + 1
+    return out
+
+
+def test_d_stats_matches_the_certified_scan_reference():
+    cases = 0
+    for n, level, qmax in ((2, 3, 5), (3, 2, 3), (4, 1, 2), (5, 1, 2)):
+        for weight in small_weights(n, level):
+            for A in enumerate_pi(weight, qmax):
+                assert d_stats(A) == d_stats_reference(A), A
+                cases += 1
+    assert cases == 6068
+
+
 def test_p_weight_face_invariance():
     # the weight only sees the tight constraints: the component-count route
     # agrees with the row-run route, and equal tightness patterns give equal
     # weights
     from hlbrion.affine_hl import p_weight_via_delta
-    for weight, qmax in [(L0, 4), (L01, 3)]:
+    cases = [(L0, 4), (L01, 3)]
+    cases += [(w, 2) for w in small_weights(3, 2)]
+    cases += [(w, 2) for w in small_weights(4, 1)]
+    for weight, qmax in cases:
         els = enumerate_pi(weight, qmax)
         lo = min(A.window()[0] for A in els) - weight.n
         hi = max(A.window()[1] for A in els) + weight.n
@@ -347,6 +400,15 @@ def test_verify_main_small():
     assert verify_main(L0, 4)
     assert verify_main(L01, 3)
     assert verify_main(L0_3, 2, trials=2, seed=11)
+
+
+def test_verify_main_evaluated_n4():
+    # at a z-point every root factor has integer coefficients, which keeps
+    # the Weyl side's integers small enough for n = 4 at qmax 3
+    zpoint = random_zpoint(4, random.Random(5))
+    for _, *series in _root_factors(4, 3, EVALUATED, zpoint):
+        assert all(c.den.is_one() for f in series for c in f.coeffs.values())
+    assert verify_main(AffineWeight(4, [1, 0, 0, 0]), 3, trials=1, seed=5)
 
 
 def test_verify_main_evaluated_matches_symbolic():
@@ -469,8 +531,9 @@ def test_tau_truncated_is_one_section_at_its_radius(monkeypatch):
     # one section per call, at l* = max(lmin, (n-1)(order - q(v) + 2)), and
     # the sections at l* + 1 and l* + 2 agree with it up to the order: on
     # the relevant vertices (order qmax) and the constructed non-relevant
-    # ones (order qmax + 1, as in verify_contrib) of every n = 2 weight of
-    # level <= 2 at qmax 2, and on the relevant vertices of (1, 1, 1)
+    # ones (orders qmax + 1 and max(qmax + 1, q(v)), the second as in
+    # verify_contrib) of every n = 2 weight of level <= 2 at qmax 2, and on
+    # the relevant vertices of (1, 1, 1)
     radii = []
 
     def spy(dg, l, order, domain, zpoint=None):
@@ -486,11 +549,12 @@ def test_tau_truncated_is_one_section_at_its_radius(monkeypatch):
         n = weight.n
         domain = SYMBOLIC_Z if n == 2 else EVALUATED
         point = None if n == 2 else zpoint
-        orders = {v: qmax for v in vertices_relevant(weight, qmax)}
+        orders = [(v, qmax) for v in vertices_relevant(weight, qmax)]
         if with_irrelevant:
-            orders.update((v, qmax + 1)
-                          for v in nonrelevant_vertices(weight, 3))
-        for v, order in orders.items():
+            orders += [(v, order) for v in nonrelevant_vertices(weight, 3)
+                       for order in {qmax + 1,
+                                     max(qmax + 1, v.mu_exponent()[1])}]
+        for v, order in orders:
             radii.clear()
             tau = tau_truncated(weight, v, order, domain, point)
             (l,) = radii
@@ -515,6 +579,28 @@ def test_verify_contrib_regular():
 def test_verify_contrib_singular():
     r = verify_contrib(L0, 2)
     assert r["ok"], r["failures"]
+
+
+def test_verify_contrib_checks_nonrelevant_vertices_up_to_their_degree(
+        monkeypatch):
+    # check (b) truncates each constructed non-relevant vertex at an order
+    # >= q(v), so its apex shift q^q(v) cannot empty the truncation
+    orders = {}
+
+    def spy(weight, v, order, domain=None, zpoint=None):
+        orders.setdefault(v, []).append(order)
+        return tau_truncated(weight, v, order, domain, zpoint)
+
+    monkeypatch.setattr(affine_hl, "tau_truncated", spy)
+    for weight in (L01, L0, AffineWeight(3, [1, 1, 1])):
+        orders.clear()
+        r = verify_contrib(weight, 1, trials=1)
+        assert r["ok"], r["failures"]
+        irrelevant = nonrelevant_vertices(weight, 3)
+        assert any(v.mu_exponent()[1] > 2 for v in irrelevant)
+        for v in irrelevant:
+            assert orders[v] and all(o >= max(2, v.mu_exponent()[1])
+                                     for o in orders[v]), (weight, v)
 
 
 def test_lhs_series_q0():
