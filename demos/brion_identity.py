@@ -25,7 +25,7 @@ faces = face_lattice(segment, vertices)
 total = None
 for vid, v in enumerate(vertices):
     cone = tangent_cone_at_vertex(segment, faces, vid, vertices, phi)
-    f = ipt_weighted(cone)
+    f = ipt_weighted(cone).expand()
     print(f"cone at {v}:", f)
     total = f if total is None else total + f
 

@@ -6,9 +6,12 @@ integer-point transforms of pointed cones and weighted transforms where a
 weight from Z[t] is attached to every face.  A cone with linearly independent
 rays is simplicial and its own closed cell; any other is split by a regular
 triangulation into half-open simplicial cells, so every lattice point is
-counted exactly once.  Pointedness is decided by the vertex search: a cone
-holds a line iff the polytope of its nonnegative ray combinations that sum to
-zero, with coefficients summing to one, has a vertex.  All arithmetic is exact.
+counted exactly once.  A weighted transform stays a sum over those cells
+(`CellSum`), evaluated at a point over one integer denominator and expanded
+into a rational function only on request.  Pointedness is decided by the
+vertex search: a cone holds a line iff the polytope of its nonnegative ray
+combinations that sum to zero, with coefficients summing to one, has a
+vertex.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -375,13 +378,13 @@ def face_lattice(P, vertices=None):
 
 def weighted_sum_bruteforce(P, phi, assume_bounded=False):
     """Sum of phi(minimal face containing a) * e^a over lattice points a."""
-    total = LaurentPoly.zero()
-    for pt in P.lattice_points(assume_bounded=assume_bounded):
-        w = phi(P.minimal_face(pt))
-        if isinstance(w, int):
-            w = TPoly.const(w)
-        total = total + LaurentPoly.from_monomial(_point_monomial(pt, P.labels), w)
-    return total
+    return LaurentPoly.sum_terms(
+        (_point_monomial(pt, P.labels), _as_tpoly(phi(P.minimal_face(pt))))
+        for pt in P.lattice_points(assume_bounded=assume_bounded))
+
+
+def _as_tpoly(w):
+    return TPoly.const(w) if isinstance(w, int) else w
 
 
 def _point_monomial(pt, labels):
@@ -433,17 +436,6 @@ def parallelepiped_points(apex, rays, open_idx=frozenset()):
         if all(a % det == 0 for a in p):
             pts.append(tuple(a // det for a in p))
     return sorted(pts)
-
-
-def ipt_simplicial(apex, rays, labels, open_idx=frozenset()):
-    """IPT of a (half-open) simplicial cone: parallelepiped numerator over
-    prod (1 - e^ray)."""
-    rays = [tuple(r) for r in rays]
-    num = LaurentPoly.zero()
-    for p in parallelepiped_points(apex, rays, open_idx):
-        num = num + LaurentPoly.from_monomial(_point_monomial(p, labels))
-    dens = [_point_monomial(r, labels) for r in rays]
-    return RationalFn(num, [(m, 1) for m in dens])
 
 
 def triangulate(rays):
@@ -542,31 +534,134 @@ def check_pointed(rays):
         raise NotPointed("a nonnegative combination of the rays is zero")
 
 
-def ipt_cone(apex, rays, labels):
-    """IPT of a pointed cone with integral apex, as a RationalFn.
+def _cells(apex, rays):
+    """Half-open simplicial cells that partition the pointed cone
+    apex + cone(rays), for distinct rays.
 
-    Independent rays span a simplicial cone that is its own closed cell.
-    Dependent rays are projected once onto their pivot columns, an injective
-    map on their span, and the projection is checked for pointedness,
-    triangulated and split into half-open cells.
+    Returns (cell, open_idx, points) triples: cell indexes rays, open_idx
+    holds the positions in cell of its open facets, and points are the
+    lattice points of its half-open parallelepiped.  Independent rays span a
+    simplicial cone that is its own closed cell.  Dependent rays are
+    projected once onto their pivot columns, an injective map on their span,
+    and the projection is checked for pointedness, triangulated and split
+    into half-open cells.
     """
-    rays = sorted(set(tuple(r) for r in rays))
-    if not rays:
-        return RationalFn(LaurentPoly.from_monomial(_point_monomial(apex, labels)))
     cols = _eliminate(rays)[1]
     if len(cols) == len(rays):
-        return ipt_simplicial(apex, rays, labels)
-    proj = [[r[c] for c in cols] for r in rays]
-    check_pointed(proj)
-    total = None
-    for cell, open_idx in half_open_cells(proj, triangulate(proj)):
-        f = ipt_simplicial(apex, [rays[i] for i in cell], labels, open_idx)
-        total = f if total is None else total + f
-    return total
+        cells = [(tuple(range(len(rays))), frozenset())]
+    else:
+        proj = [[r[c] for c in cols] for r in rays]
+        check_pointed(proj)
+        cells = half_open_cells(proj, triangulate(proj))
+    return [(cell, open_idx,
+             parallelepiped_points(apex, [rays[i] for i in cell], open_idx))
+            for cell, open_idx in cells]
 
 
-def sigma_relint_cone(apex, rays, labels, face_ray_sets=None, cache=None):
-    """IPT of the relative interior, via the signed sum over face cones.
+class CellSum:
+    """A sum of coeff * IPT(face cone) over faces of one cone, kept as the
+    half-open simplicial cells of each face cone instead of one RationalFn.
+
+    rays holds x^r for the rays that some cell uses.  A cell's corner is the
+    apex plus its open rays, and its points are the corner plus each monomial
+    in offsets (None: the corner alone, as in every unimodular cell).  At
+    x^r = p_r / q_r the cell's transform is x^apex * (sum of the offsets) *
+    prod_{r open} p_r * prod_{r closed} q_r / prod_{r in cell} (q_r - p_r),
+    so over the common denominator prod_r (q_r - p_r) its numerator is an
+    integer times the offset sum: sel picks, for each ray, q_r, p_r or
+    q_r - p_r (closed, open, not in the cell) from a flat list of the three.
+    """
+
+    __slots__ = ("apex", "rays", "terms")
+
+    def __init__(self, apex, rays, labels, faces):
+        """faces: (coeff, ray ids) pairs, ids indexing rays; each distinct
+        face cone is decomposed once."""
+        rays = [tuple(r) for r in rays]
+        found = {}      # ray ids -> (cell rays, open rays, points) per cell
+        for _, ids in faces:
+            key = frozenset(ids)
+            if key not in found:
+                face = sorted({rays[i] for i in key})
+                found[key] = [([face[i] for i in cell],
+                               [face[cell[i]] for i in open_idx], pts)
+                              for cell, open_idx, pts in _cells(apex, face)]
+        used = sorted({r for cells in found.values()
+                       for cell, _, _ in cells for r in cell})
+        stored = {}
+        for key, cells in found.items():
+            stored[key] = out = []
+            for cell, opened, pts in cells:
+                corner = [a + sum(r[c] for r in opened)
+                          for c, a in enumerate(apex)]
+                sel = tuple(3 * i + (1 if r in opened else 0 if r in cell
+                                     else 2) for i, r in enumerate(used))
+                offsets = None if pts == [tuple(corner)] else tuple(
+                    _point_monomial([a - b for a, b in zip(p, corner)], labels)
+                    for p in pts)
+                out.append((sel, offsets))
+        self.apex = _point_monomial(apex, labels)
+        self.rays = [_point_monomial(r, labels) for r in used]
+        self.terms = [(coeff, stored[frozenset(ids)]) for coeff, ids in faces]
+
+    def den_list(self):
+        """The monomials m of the denominator factors (1 - m)."""
+        return list(self.rays)
+
+    def eval(self, point):
+        """Exact value at {var: Fraction} -> TPoly, t symbolic: an integer
+        numerator per cell, divided once by the common denominator.  Raises
+        ZeroDivisionError where some 1 - x^r vanishes."""
+        vals = []
+        den = 1
+        for m in self.rays:
+            p, q = m.ratio(point)
+            if p == q:
+                raise ZeroDivisionError(
+                    f"denominator factor vanishes at point: {m}")
+            vals += (q, p, q - p)
+            den *= q - p
+        get = vals.__getitem__
+        acc = {}
+        for coeff, cells in self.terms:
+            s = 0
+            for sel, offsets in cells:
+                v = math.prod(map(get, sel))
+                if offsets is not None:
+                    v *= sum(Fraction(*o.ratio(point)) for o in offsets)
+                s += v
+            for e, c in coeff.c.items():
+                acc[e] = acc.get(e, 0) + c * s
+        a, b = self.apex.ratio(point)
+        den *= b
+        return TPoly({e: Fraction(v * a, den) for e, v in acc.items()})
+
+    def expand(self):
+        """The sum as one RationalFn over prod (1 - x^r) of its rays."""
+        total = RationalFn.zero()
+        for coeff, cells in self.terms:
+            face = RationalFn.zero()
+            for sel, offsets in cells:
+                corner = self.apex
+                for r, i in zip(self.rays, sel):
+                    if i % 3 == 1:
+                        corner = corner * r
+                pts = LaurentPoly.sum_terms(
+                    (corner * o, T_ONE) for o in offsets or (Monomial.unit(),))
+                face = face + RationalFn(pts, [r for r, i in zip(self.rays, sel)
+                                               if i % 3 != 2])
+            total = total + face * coeff
+        return total
+
+
+def ipt_cone(apex, rays, labels):
+    """IPT of a pointed cone with integral apex, as a RationalFn."""
+    return CellSum(apex, rays, labels, [(T_ONE, range(len(rays)))]).expand()
+
+
+def sigma_relint_cone(apex, rays, labels, face_ray_sets=None):
+    """IPT of the relative interior, as the CellSum of the signed sum over
+    face cones.
 
     face_ray_sets: list of (frozenset ray-ids, dim) for all faces of the cone;
     computed for simplicial cones automatically when omitted.
@@ -580,23 +675,9 @@ def sigma_relint_cone(apex, rays, labels, face_ray_sets=None, cache=None):
                          for m in range(k + 1)
                          for s in itertools.combinations(range(k), m)]
     dim_top = max(d for _, d in face_ray_sets)
-    total = None
-    for rs, d in face_ray_sets:
-        sigma = _sigma_span(apex, rays, rs, labels, cache)
-        sign = 1 if (dim_top - d) % 2 == 0 else -1
-        term = sigma * TPoly.const(sign)
-        total = term if total is None else total + term
-    return total
-
-
-def _sigma_span(apex, rays, ray_set, labels, cache=None):
-    key = frozenset(ray_set)
-    if cache is not None and key in cache:
-        return cache[key]
-    val = ipt_cone(apex, [rays[i] for i in ray_set], labels)
-    if cache is not None:
-        cache[key] = val
-    return val
+    return CellSum(apex, rays, labels,
+                   [(T_ONE if (dim_top - d) % 2 == 0 else -T_ONE, rs)
+                    for rs, d in face_ray_sets])
 
 
 @dataclass
@@ -622,36 +703,31 @@ class WeightedCone:
 
 
 def ipt_weighted(cone, form="moebius"):
-    """Weighted IPT via the face-coefficient (Moebius) or relint-sum form."""
+    """Weighted IPT via the face-coefficient (Moebius) or relint-sum form.
+
+    Returns a CellSum: `eval` evaluates it at a point, `expand` gives the
+    RationalFn.  The Moebius form weighs each face cone by the alternating
+    sum of the weights of the faces above it; the relint form sums, over
+    faces of nonzero weight, the weight times the signed face cones below.
+    """
     check_pointed(cone.rays)
-    cache = {}
     faces = [(frozenset(rs), d, w) for rs, d, w in cone.faces]
     if form == "moebius":
-        total = None
+        terms = []
         for rs, d, _ in faces:
-            coeff = TPoly.zero()
+            coeff = T_ZERO
             for rs2, d2, w2 in faces:
                 if rs2 >= rs:
-                    sign = 1 if (d2 - d) % 2 == 0 else -1
-                    coeff = coeff + (w2 if sign > 0 else -w2)
-            if coeff.is_zero():
-                continue
-            sigma = _sigma_span(cone.apex, cone.rays, rs, cone.labels, cache)
-            term = sigma * coeff
-            total = term if total is None else total + term
-        return total if total is not None else RationalFn.zero()
-    if form == "relint":
-        total = None
-        for rs, d, w in faces:
-            if w.is_zero():
-                continue
-            sub = [(rs2, d2) for rs2, d2, _ in faces if rs2 <= rs]
-            sigma = sigma_relint_cone(cone.apex, cone.rays, cone.labels,
-                                      face_ray_sets=sub, cache=cache)
-            term = sigma * w
-            total = term if total is None else total + term
-        return total if total is not None else RationalFn.zero()
-    raise ValueError(f"unknown form {form!r}")
+                    coeff = coeff + (w2 if (d2 - d) % 2 == 0 else -w2)
+            if not coeff.is_zero():
+                terms.append((coeff, rs))
+    elif form == "relint":
+        terms = [(w if (d - d2) % 2 == 0 else -w, rs2)
+                 for rs, d, w in faces if not w.is_zero()
+                 for rs2, d2, _ in faces if rs2 <= rs]
+    else:
+        raise ValueError(f"unknown form {form!r}")
+    return CellSum(cone.apex, cone.rays, cone.labels, terms)
 
 
 def product_cone(cones):
@@ -709,17 +785,17 @@ def tangent_cone_at_vertex(P, faces, vertex_id, vertices, phi):
     face_records = []
     for f in vfaces:
         rs = frozenset(i for i, t in enumerate(edge_tights) if t >= f.tight)
-        w = phi(f)
-        if isinstance(w, int):
-            w = TPoly.const(w)
-        face_records.append((rs, f.dim, w))
+        face_records.append((rs, f.dim, _as_tpoly(phi(f))))
     return WeightedCone(tuple(int(x) for x in v), rays, face_records, P.labels)
 
 
 def verify_weighted_brion(P, phi, trials=3, seed=0, vertices=None,
                           assume_bounded=False):
     """Check S_phi(P) == sum over vertices of the weighted tangent-cone IPTs
-    at `trials` random rational points."""
+    at `trials` random rational points.
+
+    The lattice sum is a LaurentPoly evaluated term by term; each tangent
+    cone's transform is a CellSum evaluated cell by cell, never expanded."""
     rng = random.Random(seed)
     if vertices is None:
         vertices = P.vertices_bruteforce()
@@ -727,19 +803,15 @@ def verify_weighted_brion(P, phi, trials=3, seed=0, vertices=None,
         raise ValueError("polyhedron has no vertices")
     brute = weighted_sum_bruteforce(P, phi, assume_bounded=assume_bounded)
     faces = face_lattice(P, vertices)
-    fns = []
-    for vid in range(len(vertices)):
-        cone = tangent_cone_at_vertex(P, faces, vid, vertices, phi)
-        fns.append(ipt_weighted(cone))
-    dens = []
-    for f in fns:
-        dens.extend(f.den_list())
+    sums = [ipt_weighted(tangent_cone_at_vertex(P, faces, vid, vertices, phi))
+            for vid in range(len(vertices))]
+    dens = [m for s in sums for m in s.den_list()]
     for _ in range(trials):
         point = random_point(P.labels, rng, dens)
         lhs = brute.eval_at(point)
         rhs = T_ZERO
-        for f in fns:
-            rhs = rhs + f.eval(point)
+        for s in sums:
+            rhs = rhs + s.eval(point)
         if lhs != rhs:
             return False
     return True

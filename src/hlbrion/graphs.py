@@ -814,7 +814,7 @@ def sigma_cone(G, b_value, method="auto"):
     """
     if method == "weighted_cone":
         faces = enumerate_faces(G, BSeq([0] * G.l))
-        fn = ipt_weighted(_cone_weighted(G, faces))
+        fn = ipt_weighted(_cone_weighted(G, faces)).expand()
         if b_value:
             fn = fn * Monomial({svar(v): b_value for v in G.vertices})
         return FactoredTransform([fn])

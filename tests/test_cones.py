@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hlbrion import cones
 from hlbrion.cones import (
-    Face, NotPointed, Polyhedron, Unbounded, WeightedCone, check_pointed,
-    face_lattice, ipt_cone, ipt_simplicial, ipt_weighted, mat_rank,
+    CellSum, Face, NotPointed, Polyhedron, Unbounded, WeightedCone,
+    check_pointed, face_lattice, ipt_cone, ipt_weighted, mat_rank,
     parallelepiped_points, primitive, product_cone, sigma_relint_cone,
     solve_affine, tangent_cone_at_vertex, triangulate, verify_weighted_brion,
     weighted_sum_bruteforce,
@@ -402,19 +402,19 @@ def test_parallelepiped_half_open():
 
 
 def test_ipt_simplicial_ray():
-    f = ipt_simplicial((0,), [(1,)], ["x"])
+    f = ipt_cone((0,), [(1,)], ["x"])
     assert f.num == LaurentPoly.one()
     assert f.den_list() == [Monomial.var("x")]
 
 
 def test_ipt_simplicial_quadrant():
-    f = ipt_simplicial((0, 0), [(1, 0), (0, 1)], ["x", "y"])
+    f = ipt_cone((0, 0), [(1, 0), (0, 1)], ["x", "y"])
     assert f.num == LaurentPoly.one()
     assert sorted(str(m) for m in f.den_list()) == ["x", "y"]
 
 
 def test_ipt_simplicial_index_two():
-    f = ipt_simplicial((0, 0), [(1, 1), (1, -1)], ["x", "y"])
+    f = ipt_cone((0, 0), [(1, 1), (1, -1)], ["x", "y"])
     expect = LaurentPoly.one() + LaurentPoly.var("x")
     assert f.num == expect
 
@@ -468,10 +468,12 @@ def test_ipt_cone_redundant_ray():
 
 
 def test_ipt_cone_matches_simplicial():
+    # the shifted quadrant: x y^2 / ((1 - x)(1 - y))
     labels = ["x", "y"]
     rng = random.Random(1)
     a = ipt_cone((1, 2), [(1, 0), (0, 1)], labels)
-    b = ipt_simplicial((1, 2), [(1, 0), (0, 1)], labels)
+    b = RationalFn(LaurentPoly.from_monomial(Monomial({"x": 1, "y": 2})),
+                   [Monomial.var("x"), Monomial.var("y")])
     pt = random_point(labels, rng, a.den_list() + b.den_list())
     assert a.eval(pt) == b.eval(pt)
 
@@ -545,7 +547,15 @@ def test_ipt_cone_of_independent_rays_eliminates_twice(monkeypatch):
     rays = [(1, 1, 0), (0, 1, 2), (1, 0, 1)]
     f = ipt_cone((0, 1, 0), rays, ["x", "y", "z"])
     assert calls == [3, 3]
-    assert f.num == ipt_simplicial((0, 1, 0), sorted(rays), ["x", "y", "z"]).num
+    # det 3: the apex and apex + (1,1,1), apex + (1,1,2), which are
+    # (2,1,1)/3 and (1,2,2)/3 in the rays (1,1,0), (0,1,2), (1,0,1)
+    expect = LaurentPoly.sum_terms(
+        (Monomial(e), TPoly.one())
+        for e in ({"y": 1}, {"x": 1, "y": 2, "z": 1}, {"x": 1, "y": 2, "z": 2}))
+    assert f.num == expect
+    assert set(f.den_list()) == {Monomial({"x": 1, "y": 1}),
+                                 Monomial({"x": 1, "z": 1}),
+                                 Monomial({"y": 1, "z": 2})}
 
 
 def ray_cone_weighted(apex=(0,)):
@@ -554,7 +564,7 @@ def ray_cone_weighted(apex=(0,)):
 
 
 def test_ipt_weighted_ray():
-    f = ipt_weighted(ray_cone_weighted())
+    f = ipt_weighted(ray_cone_weighted()).expand()
     # (1 - t x)/(1 - x)
     expect_num = LaurentPoly.one() - LaurentPoly.var("x") * TPoly.t()
     assert f.cross_mul_equal(RationalFn(expect_num, [(Monomial.var("x"), 1)]))
@@ -567,7 +577,7 @@ def test_ipt_weighted_2d_product():
                       [(frozenset(), 0, TPoly.one()), (frozenset([0]), 1, one_minus_t())],
                       ["y"])
     prod = product_cone([cx, cy])
-    f = ipt_weighted(prod)
+    f = ipt_weighted(prod).expand()
     x, y = Monomial.var("x"), Monomial.var("y")
     num = (LaurentPoly.one() - LaurentPoly.var("x") * TPoly.t()) * \
           (LaurentPoly.one() - LaurentPoly.var("y") * TPoly.t())
@@ -602,7 +612,35 @@ def test_ipt_weighted_2d_product():
     assert a.eval(pt) == b.eval(pt)
 
 
+def square_pyramid():
+    """|x| + |y| <= z <= 2.  Its tangent cone at the origin is the cone over
+    the square of test_ipt_cone_square_base_box_oracle, two cells of index
+    2; the tangent cones at its other four vertices are simplicial."""
+    return Polyhedron(3, [((1, 1, -1), 0), ((1, -1, -1), 0), ((-1, 1, -1), 0),
+                          ((-1, -1, -1), 0), ((0, 0, 1), 2)],
+                      labels=["x", "y", "z"])
+
+
+def pyramid_phi(face):
+    # a weight that tells apart faces of one dimension
+    return TPoly.from_list([1 + len(face.tight), -1, face.dim])
+
+
+def tangent_cones(P, phi, verts=None):
+    verts = verts or P.vertices_bruteforce()
+    faces = face_lattice(P, verts)
+    return [tangent_cone_at_vertex(P, faces, vid, verts, phi)
+            for vid in range(len(verts))]
+
+
+def square_cone():
+    cone, = [c for c in tangent_cones(square_pyramid(), pyramid_phi)
+             if len(c.rays) == 4]
+    return cone
+
+
 def test_ipt_weighted_forms_agree():
+    # a simplicial product cone, and the non-simplicial cone over a square
     rng = random.Random(3)
     cx = ray_cone_weighted()
     cy = WeightedCone((1,), [(2,)],
@@ -610,10 +648,79 @@ def test_ipt_weighted_forms_agree():
                        (frozenset([0]), 1, TPoly.from_list([0, 0, 1]))],
                       ["y"])
     prod = product_cone([cx, cy])
-    a = ipt_weighted(prod, form="moebius")
-    b = ipt_weighted(prod, form="relint")
-    pt = random_point(prod.labels, rng, a.den_list() + b.den_list())
-    assert a.eval(pt) == b.eval(pt)
+    square = square_cone()
+    assert len(square.rays) == 4 and mat_rank(square.rays) == 3
+    for cone in (prod, square):
+        a = ipt_weighted(cone, form="moebius")
+        b = ipt_weighted(cone, form="relint")
+        for _ in range(3):
+            pt = random_point(cone.labels, rng, a.den_list() + b.den_list())
+            assert a.eval(pt) == b.eval(pt)
+        assert a.expand().cross_mul_equal(b.expand())
+
+
+def test_cell_sum_eval_matches_its_expansion():
+    # every tangent cone of three 4-row interlacing polytopes (16, 6 and 4
+    # vertices, unimodular cells only) and of the square pyramid (cells of
+    # index 2 at its apex), each at 3 seeded points
+    tri = triangle_graph(4)
+    cases = []
+    for b in ((2, 1, 0, 0), (2, 2, 0, 0), (1, 0, 0, 0)):
+        cases += tangent_cones(*weighted_brion_instance(tri, BSeq(b)))
+    cases += tangent_cones(square_pyramid(), pyramid_phi)
+    assert len(cases) == 31
+    rng = random.Random(20261019)
+    for cone in cases:
+        s = ipt_weighted(cone)
+        f = s.expand()
+        assert set(s.den_list()) == set(f.den_list())
+        for _ in range(3):
+            pt = random_point(cone.labels, rng, s.den_list())
+            assert s.eval(pt) == f.eval(pt), (cone.apex, pt)
+
+
+def test_cell_sum_eval_raises_where_a_binomial_vanishes():
+    # x z = 1 at the point: the ray (1, 0, 1) has 1 - x^r = 0
+    s = ipt_weighted(square_cone())
+    pt = {"x": Fraction(1, 2), "y": Fraction(3, 5), "z": Fraction(2)}
+    with pytest.raises(ZeroDivisionError):
+        s.eval(pt)
+    with pytest.raises(ZeroDivisionError):
+        s.expand().eval(pt)
+
+
+def test_brute_force_side_shares_no_cell_code(monkeypatch):
+    # the lattice sum is built and evaluated with the cell decomposition and
+    # the cell evaluator disabled, then compared with the cone side
+    P = square_pyramid()
+    sums = [ipt_weighted(c) for c in tangent_cones(P, pyramid_phi)]
+    pt = random_point(P.labels, random.Random(7),
+                      [m for s in sums for m in s.den_list()])
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the lattice-sum side uses cell code")
+    for name in ("_cells", "triangulate", "half_open_cells",
+                 "parallelepiped_points"):
+        monkeypatch.setattr(cones, name, refused)
+    for name in ("eval", "expand"):
+        monkeypatch.setattr(CellSum, name, refused)
+    value = weighted_sum_bruteforce(P, pyramid_phi).eval_at(pt)
+    monkeypatch.undo()
+    total = TPoly.zero()
+    for s in sums:
+        total = total + s.eval(pt)
+    assert value == total
+
+
+def test_verify_weighted_brion_expands_no_cone(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a tangent cone was expanded")
+    monkeypatch.setattr(CellSum, "expand", refused)
+    monkeypatch.setattr(RationalFn, "__add__", refused)
+    P, phi, verts = weighted_brion_instance(triangle_graph(4),
+                                            BSeq((2, 1, 0, 0)))
+    assert verify_weighted_brion(P, phi, trials=3, seed=8, vertices=verts)
+    assert verify_weighted_brion(square_pyramid(), pyramid_phi, seed=9)
 
 
 def test_stanley_reciprocity_simplicial():
@@ -650,7 +757,7 @@ def test_brion_segment_weighted():
     total = None
     for vid in range(len(verts)):
         c = tangent_cone_at_vertex(P, faces, vid, verts, phi)
-        f = ipt_weighted(c)
+        f = ipt_weighted(c).expand()
         total = f if total is None else total + f
     x = LaurentPoly.var("x")
     expect = LaurentPoly.one() + x * one_minus_t() + LaurentPoly.var("x", 2)
