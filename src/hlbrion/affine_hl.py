@@ -19,8 +19,8 @@ import random as _random
 
 from .graphs import ConeTransform, OrdinaryGraph, _DSU, svar, t_factorials
 from .ring import (
-    Coeff, CollapseError, EVALUATED, InvariantError, Monomial, SYMBOLIC_Z,
-    TPoly, TruncatedSeries, T_ONE, random_point, zq_coeff,
+    Coeff, CollapseError, DomainMismatch, EVALUATED, InvariantError, Monomial,
+    SYMBOLIC_Z, TPoly, TruncatedSeries, T_ONE, random_point, zq_coeff,
 )
 
 
@@ -32,10 +32,10 @@ def zvar(r):
     return f"z{r}"
 
 
-def default_domain(weight, domain=None):
-    """`domain` if given; else symbolic z-coefficients for n = 2 and
-    z evaluated at rationals for larger n."""
-    return domain or (SYMBOLIC_Z if weight.n == 2 else EVALUATED)
+def _check_domain(domain, zpoint):
+    """Raise DomainMismatch unless `domain` is None or names zpoint's kind."""
+    if domain not in (None, SYMBOLIC_Z if zpoint is None else EVALUATED):
+        raise DomainMismatch(f"{domain} with z-point {zpoint}")
 
 
 def residue(i, n):
@@ -344,12 +344,13 @@ def rhs_table(weight, qmax):
 
 def rhs_series(weight, qmax, domain=None, zpoint=None):
     """The basis sum: rhs_table's rows, each weight times its z/q monomial,
-    summed in the table's order."""
+    summed in the table's order; `domain` is checked as in `lhs_series`."""
+    _check_domain(domain, zpoint)
     coeffs = {}
     for qdeg, zvec, w in rhs_table(weight, qmax):
         c, qd = zq_coeff(zq_of_shift((0,) + zvec, qdeg), zpoint)
         coeffs[qd] = coeffs.get(qd, Coeff.zero()) + c * w
-    return TruncatedSeries(qmax, coeffs, default_domain(weight, domain))
+    return TruncatedSeries(qmax, coeffs, zpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +453,7 @@ def _root_monomial(n, i, j, m):
     return zq_of_shift(tuple(u), m)
 
 
-def _root_factors(n, qmax, domain, zpoint):
+def _root_factors(n, qmax, zpoint):
     """One entry per positive root of q-degree <= qmax: the real roots
     e_i - e_j + m delta keyed ((i, j), m), then the imaginary roots m delta,
     n - 1 times each, keyed None.  Each entry holds its key and the series
@@ -470,8 +471,8 @@ def _root_factors(n, qmax, domain, zpoint):
 
     def binomial(c0, cq, q):
         if q == 0:
-            return TruncatedSeries(qmax, {0: c0 + cq}, domain)
-        return TruncatedSeries(qmax, {0: c0, q: cq}, domain)
+            return TruncatedSeries(qmax, {0: c0 + cq}, zpoint)
+        return TruncatedSeries(qmax, {0: c0, q: cq}, zpoint)
 
     return [(key, binomial(s, -(p * t), q), binomial(s * t, -p, q),
              binomial(s, -p, q))
@@ -483,11 +484,12 @@ def lhs_series(weight, qmax, domain=None, zpoint=None):
     """W_lam(t) P_lam e^{-lam} truncated: the symmetrized sum over the common
     denominator, then divided by it as in `_over_den`, so every coefficient
     is a Laurent polynomial over d0, the product of the (1 - y) over the
-    positive finite roots."""
-    domain = default_domain(weight, domain)
-    factors = _root_factors(weight.n, qmax, domain, zpoint)
+    positive finite roots.  z is symbolic without `zpoint`, for every n; a
+    `domain` that disagrees with `zpoint` raises DomainMismatch."""
+    _check_domain(domain, zpoint)
+    factors = _root_factors(weight.n, qmax, zpoint)
     numer = _weyl_numerator(weight, weyl_elements(weight, qmax), factors, qmax,
-                            domain, zpoint)
+                            zpoint)
     return _over_den(numer, factors, qmax)
 
 
@@ -502,20 +504,21 @@ def random_zpoint(n, rng):
     return random_point([zvar(r) for r in range(1, n)], rng, poles)
 
 
-def _zpoints(n, domain, trials, rng):
-    """[None] when symbolic, else `trials` draws of random_zpoint."""
-    if domain == SYMBOLIC_Z:
+def _zpoints(weight, domain, trials, rng):
+    """[None], z symbolic, for SYMBOLIC_Z (the default at n = 2); else
+    `trials` draws of random_zpoint (the default for n >= 3)."""
+    if domain == SYMBOLIC_Z or (domain is None and weight.n == 2):
         return [None]
-    return [random_zpoint(n, rng) for _ in range(trials)]
+    return [random_zpoint(weight.n, rng) for _ in range(trials)]
 
 
 def verify_main(weight, qmax, domain=None, trials=3, seed=0):
-    """W_lam(t) * rhs = lhs coefficient by coefficient up to q^qmax."""
-    domain = default_domain(weight, domain)
+    """W_lam(t) * rhs = lhs coefficient by coefficient up to q^qmax, at each
+    z-point of `_zpoints`."""
     wl = weight.wlambda()
-    for zpoint in _zpoints(weight.n, domain, trials, _random.Random(seed)):
-        lhs = lhs_series(weight, qmax, domain, zpoint)
-        rhs = rhs_series(weight, qmax, domain, zpoint).scale(wl)
+    for zpoint in _zpoints(weight, domain, trials, _random.Random(seed)):
+        lhs = lhs_series(weight, qmax, zpoint=zpoint)
+        rhs = rhs_series(weight, qmax, zpoint=zpoint).scale(wl)
         if not lhs.equals(rhs, up_to=qmax):
             return False
     return True
@@ -694,7 +697,7 @@ class DeltaGraph:
         return out
 
 
-def tau_section(dgraph, l, order, domain, zpoint=None):
+def tau_section(dgraph, l, order, zpoint=None):
     """Truncated series of the weighted transform of one finite section; the
     apex shifts it by q^q(v), so the cone part is needed to order - q(v)."""
     c, q = zq_coeff(dgraph.v.zq_monomial(), zpoint)
@@ -703,14 +706,14 @@ def tau_section(dgraph, l, order, domain, zpoint=None):
             "vertex weight shift must have nonnegative q-degree")
     part = max(order - q, 0)
     gmap = dgraph.gw_map(l)
-    total = TruncatedSeries.one(part, domain)
+    total = TruncatedSeries.one(part, zpoint)
     for G, _b in dgraph.section_graphs(l):
         ct = ConeTransform.of_cone(G, 0).subs_monomials(gmap, GCollapse)
-        total = total * ct.series_unit(part, domain, zpoint)
+        total = total * ct.series_unit(part, zpoint)
     return total.scale(c).shift(q).truncate(order)
 
 
-def tau_truncated(weight, v, order, domain=None, zpoint=None):
+def tau_truncated(weight, v, order, zpoint=None):
     """Truncated transform of a vertex: one section, at the radius
     l* = max(lmin, (n-1)(order - q(v) + 2)), q(v) the vertex's q-degree.
 
@@ -737,13 +740,12 @@ def tau_truncated(weight, v, order, domain=None, zpoint=None):
     radius + 11 - n, and `_section_floor` keeps lmin below safe, so safe
     holds l* for n <= 11; `section_graphs` raises where it does not.
     """
-    domain = default_domain(weight, domain)
     radius = (weight.n - 1) * max(0, order - v.mu_exponent()[1] + 2)
     dg = DeltaGraph(weight, v, DELTA_SPAN + radius)
-    return tau_section(dg, max(dg.lmin, radius), order, domain, zpoint)
+    return tau_section(dg, max(dg.lmin, radius), order, zpoint)
 
 
-def _weyl_numerator(weight, elements, factors, qmax, domain, zpoint):
+def _weyl_numerator(weight, elements, factors, qmax, zpoint):
     """Sum of the group elements' terms over the common denominator: each
     element's shift monomial times (t - y) over the roots of `factors` it
     flips and (1 - t y) over the others.
@@ -761,7 +763,7 @@ def _weyl_numerator(weight, elements, factors, qmax, domain, zpoint):
         deep = sum(1 for (_, m) in flips if m > qmax)
         if deep:
             c = c * TPoly.t(deep)
-        term = TruncatedSeries(qmax, {q: c}, domain)
+        term = TruncatedSeries(qmax, {q: c}, zpoint)
         pattern = tuple(key in flips for key, *_ in factors)
         prev = groups.get(pattern)
         groups[pattern] = term if prev is None else prev + term
@@ -772,7 +774,7 @@ def _weyl_numerator(weight, elements, factors, qmax, domain, zpoint):
             prev = merged.get(pattern[1:])
             merged[pattern[1:]] = term if prev is None else prev + term
         groups = merged
-    return groups.get((), TruncatedSeries.zero(qmax, domain))
+    return groups.get((), TruncatedSeries.zero(qmax, zpoint))
 
 
 def _over_den(numer, factors, qmax):
@@ -783,7 +785,7 @@ def _over_den(numer, factors, qmax):
     of the other scalings (1 for symbolic z), inverts with Laurent-polynomial
     coefficients."""
     d0 = Coeff.one()
-    rest = TruncatedSeries.one(qmax, numer.domain)
+    rest = TruncatedSeries.one(qmax, numer.zpoint)
     for key, *_, one_minus_y in factors:
         if key is not None and key[1] == 0:
             d0 = d0 * one_minus_y.coeff(0)
@@ -795,15 +797,13 @@ def _over_den(numer, factors, qmax):
     return out.truncate(qmax)
 
 
-def closed_form_contribution(weight, sigma, tau, qmax, domain=None,
-                             zpoint=None):
+def closed_form_contribution(weight, sigma, tau, qmax, zpoint=None):
     """Contribution of one group element: shifted flipped root factors over
     the common denominator."""
-    domain = default_domain(weight, domain)
     u, qdeg = _weyl_shift(weight, weight.finite_part(), sigma, tau)
-    factors = _root_factors(weight.n, qmax, domain, zpoint)
+    factors = _root_factors(weight.n, qmax, zpoint)
     numer = _weyl_numerator(weight, [(sigma, tau, zq_of_shift(u, qdeg), qdeg)],
-                            factors, qmax, domain, zpoint)
+                            factors, qmax, zpoint)
     return _over_den(numer, factors, qmax)
 
 
@@ -902,16 +902,15 @@ def verify_contrib(weight, qmax, trials=2, seed=0):
     (c) the relevant transforms sum to the Weyl-side series.
     """
     n = weight.n
-    domain = default_domain(weight)
     rng = _random.Random(seed)
     wl = weight.wlambda()
     checks, failures = [], []
 
     relevant = vertices_relevant(weight, qmax)
     taus = {}
-    for zpoint in _zpoints(n, domain, trials, rng):
+    for zpoint in _zpoints(weight, None, trials, rng):
         for v in relevant:
-            taus[v] = tau_truncated(weight, v, qmax, domain, zpoint)
+            taus[v] = tau_truncated(weight, v, qmax, zpoint)
         if weight.is_regular():
             for v, tau in taus.items():
                 hits = match_weyl_element(weight, v, qmax)
@@ -919,8 +918,7 @@ def verify_contrib(weight, qmax, trials=2, seed=0):
                     failures.append(f"vertex {v}: {len(hits)} elements")
                     continue
                 closed = closed_form_contribution(weight, hits[0][0],
-                                                  hits[0][1], qmax, domain,
-                                                  zpoint)
+                                                  hits[0][1], qmax, zpoint)
                 if not tau.equals(closed, up_to=qmax):
                     failures.append(f"closed form mismatch at {v}")
             checks.append(f"{len(taus)} closed forms")
@@ -936,10 +934,9 @@ def verify_contrib(weight, qmax, trials=2, seed=0):
                     shift = v.zq_monomial() * v1.zq_monomial().inv()
                     shifts.append((v1, zq_coeff(shift, zpoint)))
                 headroom = max(0, max(-q for _, (_, q) in shifts))
-                agg = TruncatedSeries.zero(qmax, domain)
+                agg = TruncatedSeries.zero(qmax, zpoint)
                 for v1, (c, q) in shifts:
-                    tau1 = tau_truncated(aux, v1, qmax + headroom, domain,
-                                         zpoint)
+                    tau1 = tau_truncated(aux, v1, qmax + headroom, zpoint)
                     agg = agg + tau1.scale(c).shift(q).truncate(qmax)
                 if not taus[v].scale(wl).equals(agg, up_to=qmax):
                     failures.append(f"aggregation mismatch at {v}")
@@ -949,12 +946,12 @@ def verify_contrib(weight, qmax, trials=2, seed=0):
         irrelevant = nonrelevant_vertices(weight, 3)
         for v in irrelevant:
             order = max(qmax + 1, v.mu_exponent()[1])
-            if not tau_truncated(weight, v, order, domain, zpoint).is_zero():
+            if not tau_truncated(weight, v, order, zpoint).is_zero():
                 failures.append(f"nonzero irrelevant vertex {v}")
         checks.append(f"{len(irrelevant)} irrelevant vertices vanish")
         # (c) the relevant transforms sum to the Weyl side
-        total = sum(taus.values(), TruncatedSeries.zero(qmax, domain))
-        lhs = lhs_series(weight, qmax, domain, zpoint)
+        total = sum(taus.values(), TruncatedSeries.zero(qmax, zpoint))
+        lhs = lhs_series(weight, qmax, zpoint=zpoint)
         if not total.scale(wl).equals(lhs, up_to=qmax):
             failures.append("vertex sum != Weyl sum")
         else:

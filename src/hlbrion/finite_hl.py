@@ -371,20 +371,19 @@ def verify_contribfin(weight, trials=3, seed=0):
     wl = wlambda_poincare(weight)
     for _ in range(trials):
         point = random_point(variables, rng, all_dens)
-        memo = {}
         den_val = T_ONE
         for d in dens:
-            den_val = den_val * (1 - d.eval(point, memo))
+            den_val = den_val * (1 - d.eval(point))
         # (a) irrelevant vertices contribute zero
         for f, fn in others:
-            if not fn.eval(point, memo).is_zero():
+            if not fn.eval(point).is_zero():
                 report["ok"] = False
                 report["failures"].append(f"nonzero irrelevant vertex {f}")
         # (b) each relevant vertex matches its orbit-element sum, up to the
         # stabilizer factor (the orbit-grouped sum overcounts by W_lam(t))
         for mu, fns in by_mu.items():
-            lhs = fns[0].eval(point, memo) * den_val * wl
-            rhs = weyl_by_mu.get(mu, LaurentPoly.zero()).eval_at(point, memo)
+            lhs = fns[0].eval(point) * den_val * wl
+            rhs = weyl_by_mu.get(mu, LaurentPoly.zero()).eval_at(point)
             if lhs != rhs:
                 report["ok"] = False
                 report["failures"].append(f"orbit weight {mu} mismatch")

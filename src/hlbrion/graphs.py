@@ -481,22 +481,16 @@ class ConePlan:
 
     def __init__(self, G):
         self.graph = G
-        dsu = _DSU(G.vertices)
-        for v in G.top[1:]:
-            dsu.union(G.top[0], v)
-        _closure(G, dsu, [])        # no forbidden pairs, so it cannot fail
-        self.blocks = [frozenset(b) for b in sorted(dsu.blocks(), key=min)]
+        face = minimal_face(G, BSeq([0] * G.l))
+        self.blocks = face.blocks
         self.n = len(self.blocks)
-        block_of = {}
-        for bi, blk in enumerate(self.blocks):
-            for v in blk:
-                block_of[v] = bi
-        self.pin = block_of[G.top[0]]
+        block_of = face.block_of
+        self.pin = block_of(G.top[0])
         self.block_rows = [Counter(i for i, _ in blk) for blk in self.blocks]
         self.neighbours = [set() for _ in self.blocks]
         parents = [set() for _ in self.blocks]
         for hi, lo in G.edges:
-            bh, bl = block_of[hi], block_of[lo]
+            bh, bl = block_of(hi), block_of(lo)
             if bh != bl:
                 parents[bl].add(bh)
                 self.neighbours[bh].add(bl)
@@ -630,7 +624,7 @@ class ConeTransform:
         return [self._cut_mono(u) for u in self.plan.upsets
                 if u and u != full]
 
-    def eval(self, point, memo=None, shared=None):
+    def eval(self, point, shared=None):
         """Exact value at a rational point, t symbolic.
 
         The up-set recursion runs on integer polynomials in t.  Each node is
@@ -643,15 +637,13 @@ class ConeTransform:
         returned as a TPoly with rational coefficients.  `shared` caches
         whole-transform values across calls with one point.
         """
-        if memo is None:
-            memo = {}
         key = None
         if shared is not None:
             # the apex only scales the transform, so cache the cone part
             key = (id(self.plan), tuple(self.block_monos))
             got = shared.get(key)
             if got is not None:
-                return got * self.apex.eval(point, memo)
+                return got * self.apex.eval(point)
         plan = self.plan
         ups = plan.upsets
         nums = [None] * len(ups)
@@ -687,7 +679,7 @@ class ConeTransform:
         out = TPoly({e: Fraction(c, den) for e, c in enumerate(num)})
         if shared is not None:
             shared[key] = out
-        return out * self.apex.eval(point, memo)
+        return out * self.apex.eval(point)
 
     def _fold(self, one, zero, scale, cut):
         """The up-set recursion of `eval` in another ring.
@@ -720,7 +712,7 @@ class ConeTransform:
             lambda m: RationalFn(LaurentPoly.from_monomial(m), [(m, 1)]),
         ) * self.apex
 
-    def series_unit(self, order, domain, zpoint=None):
+    def series_unit(self, order, zpoint=None):
         """Truncated q-series of the transform without its apex monomial.
 
         The block monomials must already live in the z/q variables (apply a
@@ -748,10 +740,10 @@ class ConeTransform:
                     power = power * step
             else:
                 coeffs[0] = coeff / (Coeff.one() - coeff)
-            return TruncatedSeries(order, coeffs, domain)
+            return TruncatedSeries(order, coeffs, zpoint)
 
-        return self._fold(TruncatedSeries.one(order, domain),
-                          TruncatedSeries.zero(order, domain),
+        return self._fold(TruncatedSeries.one(order, zpoint),
+                          TruncatedSeries.zero(order, zpoint),
                           lambda val, phi: val.scale(phi), cut_series)
 
 
@@ -786,15 +778,13 @@ class FactoredTransform:
         return FactoredTransform(
             [fac.subs_monomials(varmap, collapse) for fac in self.factors])
 
-    def eval(self, point, memo=None, shared=None):
-        if memo is None:
-            memo = {}
+    def eval(self, point, shared=None):
         total = T_ONE
         for fac in self.factors:
             if isinstance(fac, ConeTransform):
-                total = total * fac.eval(point, memo, shared)
+                total = total * fac.eval(point, shared)
             else:
-                total = total * fac.eval(point, memo)
+                total = total * fac.eval(point)
         return total
 
     def expand(self):
@@ -919,11 +909,10 @@ def psi_is_zero(G, b, trials=5, seed=0, rng=None):
     variables = x_variables(G)
     for _ in range(trials):
         point = random_point(variables, rng, dens)
-        memo = {}
         shared = {}
         total = T_ZERO
         for _, fn in terms:
-            total = total + fn.eval(point, memo, shared)
+            total = total + fn.eval(point, shared)
         if not total.is_zero():
             return False
     return True
@@ -957,13 +946,12 @@ def degeneration_map(G, b, b2, face):
     return FaceSubgraph(G, dsu.blocks())
 
 
-def verify_graphsum(G, b, b2, face2=None):
+def verify_graphsum(G, b, b2):
     """Exact check of the factorial-weighted face identity for a degeneration.
 
     For every face f of D_G(b2):
       prod [l_i]_t! * phi_G(b2)(f) = sum over preimages g of
       (-1)^{dim g - dim f} phi_G(b)(g).
-    When face2 is given only that face is checked.
     """
     b = BSeq(b) if not isinstance(b, BSeq) else b
     b2 = BSeq(b2) if not isinstance(b2, BSeq) else b2
@@ -975,11 +963,7 @@ def verify_graphsum(G, b, b2, face2=None):
         img = degeneration_map(G, b, b2, g)
         sign = 1 if (g.dim - img.dim) % 2 == 0 else -1
         sums[img] = sums[img] + (g.phi() if sign > 0 else -g.phi())
-    targets = [face2] if face2 is not None else faces_b2
-    for f in targets:
-        if sums[f] != fac * f.phi():
-            return False
-    return True
+    return all(sums[f] == fac * f.phi() for f in faces_b2)
 
 
 def verify_gensingular(G, b, b2, trials=3, seed=0):
@@ -1011,14 +995,13 @@ def verify_gensingular(G, b, b2, trials=3, seed=0):
     variables = [svar(v) for v in G.vertices]
     for _ in range(trials):
         point = random_point(variables, rng, dens)
-        memo = {}
         shared = {}
         va = T_ZERO
         for fn in lhs:
-            va = va + fn.eval(point, memo, shared)
+            va = va + fn.eval(point, shared)
         vb = T_ZERO
         for fn in rhs:
-            vb = vb + fn.eval(point, memo, shared)
+            vb = vb + fn.eval(point, shared)
         if va != vb:
             return False
     return True
@@ -1039,7 +1022,7 @@ def verify_face_euler_sum(n, lam):
 # exhaustive generation of ordinary graphs
 # ---------------------------------------------------------------------------
 
-def enumerate_ordinary_graphs(max_vertices, min_vertices=1):
+def enumerate_ordinary_graphs(max_vertices):
     """All ordinary graphs with at most max_vertices vertices, up to lattice
     translation (top row pinned to 0, leftmost column to j = 1)."""
     out = []
@@ -1051,8 +1034,6 @@ def enumerate_ordinary_graphs(max_vertices, min_vertices=1):
         if norm in seen:
             continue
         seen.add(norm)
-        if len(norm) < min_vertices:
-            continue
         try:
             out.append(OrdinaryGraph(norm))
         except (NotConnected, NotClosedDown, NotClosedUp):

@@ -29,7 +29,8 @@ class MissingVariable(KeyError):
 
 
 class DomainMismatch(ValueError):
-    """Series operands have different truncation orders or domains."""
+    """Series operands have different z-points, or a series is asked for
+    more precision than its order holds."""
 
 
 class NonInvertibleLeadingCoefficient(ArithmeticError):
@@ -312,16 +313,9 @@ class Monomial:
     def degree(self):
         return sum(x for _, x in self.e)
 
-    def eval(self, point, memo=None):
+    def eval(self, point):
         """Evaluate at {var: Fraction}; raises MissingVariable."""
-        if memo is not None:
-            val = memo.get(self)
-            if val is not None:
-                return val
-        val = Fraction(*self.ratio(point))
-        if memo is not None:
-            memo[self] = val
-        return val
+        return Fraction(*self.ratio(point))
 
     def ratio(self, point):
         """Value at {var: int or Fraction} as integers (p, q), q != 0: the
@@ -502,11 +496,11 @@ class LaurentPoly:
         return LaurentPoly.sum_terms((m.subs(varmap), c)
                                      for m, c in self.terms.items())
 
-    def eval_at(self, point, memo=None):
+    def eval_at(self, point):
         """Exact evaluation at {var: Fraction}; t stays symbolic -> TPoly."""
         out = {}
         for m, c in self.terms.items():
-            s = m.eval(point, memo)
+            s = m.eval(point)
             for e, v in c.c.items():
                 w = out.get(e, 0) + v * s
                 if w:
@@ -689,12 +683,12 @@ class RationalFn:
             den.append((mm, k))
         return RationalFn(self.num.subs_monomials(varmap), den)
 
-    def eval(self, point, memo=None):
+    def eval(self, point):
         """Exact evaluation -> TPoly; the point must avoid denominator zeros."""
-        val = self.num.eval_at(point, memo)
+        val = self.num.eval_at(point)
         scale = Fraction(1)
         for m, k in self.den.items():
-            d = 1 - m.eval(point, memo)
+            d = 1 - m.eval(point)
             if d == 0:
                 raise ZeroDivisionError(f"denominator factor vanishes at point: {m}")
             scale /= d ** k
@@ -751,6 +745,7 @@ def random_point(variables, rng, dens=()):
 # Fraction-field coefficients and truncated q-series
 # ---------------------------------------------------------------------------
 
+# names of the two kinds of series: z symbolic (z-point None) or evaluated
 SYMBOLIC_Z = "SYMBOLIC_Z"
 EVALUATED = "EVALUATED"
 
@@ -845,14 +840,16 @@ class TruncatedSeries:
 
     coeffs maps q-exponents (possibly negative, finitely many) to Coeff.
     `order` is the largest exponent whose coefficient is exact; arithmetic
-    tracks how much precision survives each operation.
+    tracks how much precision survives each operation.  `zpoint` is the
+    {z-variable: Fraction} point the coefficients were evaluated at, None
+    when z is symbolic; operands must share it.
     """
 
-    __slots__ = ("order", "coeffs", "domain")
+    __slots__ = ("order", "coeffs", "zpoint")
 
-    def __init__(self, order, coeffs=None, domain=SYMBOLIC_Z):
+    def __init__(self, order, coeffs=None, zpoint=None):
         self.order = order
-        self.domain = domain
+        self.zpoint = zpoint
         cc = {}
         for e, c in (coeffs or {}).items():
             if e <= order and not c.is_zero():
@@ -860,18 +857,18 @@ class TruncatedSeries:
         self.coeffs = cc
 
     @staticmethod
-    def one(order, domain=SYMBOLIC_Z):
-        return TruncatedSeries(order, {0: Coeff.one()}, domain)
+    def one(order, zpoint=None):
+        return TruncatedSeries(order, {0: Coeff.one()}, zpoint)
 
     @staticmethod
-    def zero(order, domain=SYMBOLIC_Z):
-        return TruncatedSeries(order, {}, domain)
+    def zero(order, zpoint=None):
+        return TruncatedSeries(order, {}, zpoint)
 
     @staticmethod
-    def monomial(order, qexp, coeff, domain=SYMBOLIC_Z):
+    def monomial(order, qexp, coeff, zpoint=None):
         if isinstance(coeff, (int, TPoly, LaurentPoly)):
             coeff = Coeff(coeff)
-        return TruncatedSeries(order, {qexp: coeff}, domain)
+        return TruncatedSeries(order, {qexp: coeff}, zpoint)
 
     def min_deg(self):
         """First exponent that can carry a nonzero coefficient."""
@@ -883,8 +880,9 @@ class TruncatedSeries:
         return not self.coeffs
 
     def _check(self, other):
-        if self.domain != other.domain:
-            raise DomainMismatch(f"{self.domain} vs {other.domain}")
+        a, b = self.zpoint, other.zpoint
+        if a is not b and a != b:
+            raise DomainMismatch(f"z-point {a} vs {b}")
 
     def __add__(self, other):
         self._check(other)
@@ -893,25 +891,25 @@ class TruncatedSeries:
         for e, c in other.coeffs.items():
             w = out.get(e)
             out[e] = c if w is None else w + c
-        return TruncatedSeries(order, out, self.domain)
+        return TruncatedSeries(order, out, self.zpoint)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         return TruncatedSeries(self.order, {e: -c for e, c in self.coeffs.items()},
-                               self.domain)
+                               self.zpoint)
 
     def scale(self, c):
         if isinstance(c, (int, TPoly, LaurentPoly)):
             c = Coeff(c)
         return TruncatedSeries(self.order,
-                               {e: c * v for e, v in self.coeffs.items()}, self.domain)
+                               {e: c * v for e, v in self.coeffs.items()}, self.zpoint)
 
     def shift(self, d):
         """Multiply by q^d."""
         return TruncatedSeries(self.order + d,
-                               {e + d: c for e, c in self.coeffs.items()}, self.domain)
+                               {e + d: c for e, c in self.coeffs.items()}, self.zpoint)
 
     def __mul__(self, other):
         self._check(other)
@@ -926,7 +924,7 @@ class TruncatedSeries:
                 c = c1 * c2
                 w = out.get(e)
                 out[e] = c if w is None else w + c
-        return TruncatedSeries(order, out, self.domain)
+        return TruncatedSeries(order, out, self.zpoint)
 
     def invert(self):
         """Multiplicative inverse; requires an invertible lowest coefficient."""
@@ -951,12 +949,12 @@ class TruncatedSeries:
                         acc = acc + c * prev
             if not acc.is_zero():
                 out[m - d] = -(lead_inv * acc)
-        return TruncatedSeries(order, out, self.domain)
+        return TruncatedSeries(order, out, self.zpoint)
 
     def truncate(self, order):
         if order > self.order:
             raise DomainMismatch("cannot raise order of a truncated series")
-        return TruncatedSeries(order, self.coeffs, self.domain)
+        return TruncatedSeries(order, self.coeffs, self.zpoint)
 
     def coeff(self, e):
         if e > self.order:

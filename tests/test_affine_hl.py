@@ -17,8 +17,8 @@ from hlbrion.affine_hl import (
     verify_main, weyl_elements, zq_of_shift, zvar,
 )
 from hlbrion.ring import (
-    Coeff, EVALUATED, InvariantError, LaurentPoly, Monomial, SYMBOLIC_Z, TPoly,
-    TruncatedSeries, zq_coeff,
+    Coeff, DomainMismatch, EVALUATED, InvariantError, LaurentPoly, Monomial,
+    SYMBOLIC_Z, TPoly, TruncatedSeries, zq_coeff,
 )
 
 
@@ -406,7 +406,7 @@ def test_verify_main_evaluated_n4():
     # at a z-point every root factor has integer coefficients, which keeps
     # the Weyl side's integers small enough for n = 4 at qmax 3
     zpoint = random_zpoint(4, random.Random(5))
-    for _, *series in _root_factors(4, 3, EVALUATED, zpoint):
+    for _, *series in _root_factors(4, 3, zpoint):
         assert all(c.den.is_one() for f in series for c in f.coeffs.values())
     assert verify_main(AffineWeight(4, [1, 0, 0, 0]), 3, trials=1, seed=5)
 
@@ -414,6 +414,37 @@ def test_verify_main_evaluated_n4():
 def test_verify_main_evaluated_matches_symbolic():
     # same identity through the evaluated domain
     assert verify_main(L0, 3, domain="EVALUATED", trials=2, seed=3)
+
+
+def test_series_without_a_point_are_symbolic_for_every_n():
+    # the z-point alone decides: no point means symbolic z, also at n = 3
+    w = AffineWeight(3, (1, 0, 0))
+    assert lhs_series(w, 1).equals(lhs_series(w, 1, SYMBOLIC_Z))
+    assert rhs_series(w, 1).equals(rhs_series(w, 1, SYMBOLIC_Z))
+
+
+def test_series_at_different_zpoints_do_not_combine():
+    w = AffineWeight(3, (1, 0, 0))
+    rng = random.Random(4)
+    p1, p2 = random_zpoint(3, rng), random_zpoint(3, rng)
+    assert p1 != p2
+    a = rhs_series(w, 1, EVALUATED, p1)
+    b = rhs_series(w, 1, EVALUATED, p2)
+    for op in (lambda: a + b, lambda: a * b, lambda: a.equals(b)):
+        with pytest.raises(DomainMismatch):
+            op()
+    # an equal point combines, whether or not it is the same dict
+    assert a.equals(rhs_series(w, 1, EVALUATED, dict(p1)))
+
+
+def test_a_domain_that_disagrees_with_the_point_raises():
+    w = AffineWeight(3, (1, 0, 0))
+    zpoint = random_zpoint(3, random.Random(4))
+    for series in (lhs_series, rhs_series):
+        with pytest.raises(DomainMismatch):
+            series(w, 1, EVALUATED)
+        with pytest.raises(DomainMismatch):
+            series(w, 1, SYMBOLIC_Z, zpoint)
 
 
 def test_is_vertex():
@@ -515,9 +546,8 @@ def test_tau_matches_closed_form():
     zpoint = random_zpoint(2, random.Random(3))
     for v in vertices_relevant(L01, 2):
         (sigma, tau_el), = match_weyl_element(L01, v, 2)
-        tau = tau_truncated(L01, v, 2, EVALUATED, zpoint)
-        closed = closed_form_contribution(L01, sigma, tau_el, 2, EVALUATED,
-                                          zpoint)
+        tau = tau_truncated(L01, v, 2, zpoint)
+        closed = closed_form_contribution(L01, sigma, tau_el, 2, zpoint)
         assert tau.equals(closed, up_to=2)
 
 
@@ -536,9 +566,9 @@ def test_tau_truncated_is_one_section_at_its_radius(monkeypatch):
     # the relevant vertices of (1, 1, 1)
     radii = []
 
-    def spy(dg, l, order, domain, zpoint=None):
+    def spy(dg, l, order, zpoint=None):
         radii.append(l)
-        return tau_section(dg, l, order, domain, zpoint)
+        return tau_section(dg, l, order, zpoint)
 
     monkeypatch.setattr(affine_hl, "tau_section", spy)
     cases = [(AffineWeight(2, a), 2, True)
@@ -547,7 +577,6 @@ def test_tau_truncated_is_one_section_at_its_radius(monkeypatch):
     zpoint = random_zpoint(3, random.Random(5))
     for weight, qmax, with_irrelevant in cases:
         n = weight.n
-        domain = SYMBOLIC_Z if n == 2 else EVALUATED
         point = None if n == 2 else zpoint
         orders = [(v, qmax) for v in vertices_relevant(weight, qmax)]
         if with_irrelevant:
@@ -556,13 +585,13 @@ def test_tau_truncated_is_one_section_at_its_radius(monkeypatch):
                                      max(qmax + 1, v.mu_exponent()[1])}]
         for v, order in orders:
             radii.clear()
-            tau = tau_truncated(weight, v, order, domain, point)
+            tau = tau_truncated(weight, v, order, point)
             (l,) = radii
             dg = DeltaGraph(weight, v, DELTA_SPAN + l)
             assert l == max(dg.lmin,
                             (n - 1) * (order - v.mu_exponent()[1] + 2))
             for m in (l + 1, l + 2):
-                further = tau_section(dg, m, order, domain, point)
+                further = tau_section(dg, m, order, point)
                 assert further.equals(tau, up_to=order), (weight, v, m)
 
 
@@ -587,9 +616,9 @@ def test_verify_contrib_checks_nonrelevant_vertices_up_to_their_degree(
     # >= q(v), so its apex shift q^q(v) cannot empty the truncation
     orders = {}
 
-    def spy(weight, v, order, domain=None, zpoint=None):
+    def spy(weight, v, order, zpoint=None):
         orders.setdefault(v, []).append(order)
-        return tau_truncated(weight, v, order, domain, zpoint)
+        return tau_truncated(weight, v, order, zpoint)
 
     monkeypatch.setattr(affine_hl, "tau_truncated", spy)
     for weight in (L01, L0, AffineWeight(3, [1, 1, 1])):
@@ -636,7 +665,7 @@ def test_weyl_side_fractions_stay_over_d0(monkeypatch):
     cases = [(L01, lhs_series(L01, 6, SYMBOLIC_Z)),
              (AffineWeight(3, [1, 1, 1]),
               lhs_series(AffineWeight(3, [1, 1, 1]), 2, SYMBOLIC_Z))]
-    cases += [(L01, closed_form_contribution(L01, sigma, tau, 3, SYMBOLIC_Z))
+    cases += [(L01, closed_form_contribution(L01, sigma, tau, 3))
               for sigma, tau, _, _ in weyl_elements(L01, 3)]
     assert inverted and all(inverted)
     for weight, series in cases:
@@ -646,17 +675,17 @@ def test_weyl_side_fractions_stay_over_d0(monkeypatch):
             assert c.den == d0
 
 
-def weyl_numerator_reference(weight, elements, factors, qmax, domain, zpoint):
+def weyl_numerator_reference(weight, elements, factors, qmax, zpoint):
     """The per-element loop that `_weyl_numerator` replaced: each element's
     term multiplied out over every factor, then the terms summed."""
-    total = TruncatedSeries.zero(qmax, domain)
+    total = TruncatedSeries.zero(qmax, zpoint)
     for sigma, tau, shift_mono, _ in elements:
         flips = flip_set(weight, sigma, tau, qmax)
         c, q = zq_coeff(shift_mono, zpoint)
         deep = sum(1 for (_, m) in flips if m > qmax)
         if deep:
             c = c * TPoly.t(deep)
-        term = TruncatedSeries(qmax, {q: c}, domain)
+        term = TruncatedSeries(qmax, {q: c}, zpoint)
         for key, one_minus_ty, t_minus_y, _ in factors:
             term = term * (t_minus_y if key in flips else one_minus_ty)
         total = total + term
@@ -670,15 +699,14 @@ def test_weyl_numerator_matches_the_per_element_reference():
               for w in small_weights(3, 2)]
     assert len(cases) == 18
     for weight, qmax, domain, zpoint in cases:
-        factors = _root_factors(weight.n, qmax, domain, zpoint)
+        factors = _root_factors(weight.n, qmax, zpoint)
         want = weyl_numerator_reference(weight, weyl_elements(weight, qmax),
-                                        factors, qmax, domain, zpoint)
+                                        factors, qmax, zpoint)
         got = lhs_series(weight, qmax, domain, zpoint)
         assert got.equals(_over_den(want, factors, qmax), up_to=qmax), weight
-    factors = _root_factors(2, 3, SYMBOLIC_Z, None)
+    factors = _root_factors(2, 3, None)
     for element in weyl_elements(L01, 3):
-        want = weyl_numerator_reference(L01, [element], factors, 3,
-                                        SYMBOLIC_Z, None)
+        want = weyl_numerator_reference(L01, [element], factors, 3, None)
         got = closed_form_contribution(L01, element[0], element[1], 3)
         assert got.equals(_over_den(want, factors, 3), up_to=3), element
 
@@ -699,7 +727,7 @@ def test_weyl_numerator_makes_one_product_per_remaining_pattern(monkeypatch):
              (L01, 5, None), (AffineWeight(3, (1, 1, 0)), 2, None)]
     for weight, qmax, want in cases:
         zpoint = random_zpoint(weight.n, random.Random(7))
-        factors = _root_factors(weight.n, qmax, EVALUATED, zpoint)
+        factors = _root_factors(weight.n, qmax, zpoint)
         elements = weyl_elements(weight, qmax)
         keys = [key for key, *_ in factors]
         patterns = {tuple(key in flip_set(weight, sigma, tau, qmax)
@@ -708,7 +736,7 @@ def test_weyl_numerator_makes_one_product_per_remaining_pattern(monkeypatch):
         expected = sum(len({p[r:] for p in patterns})
                        for r in range(len(keys)))
         calls.clear()
-        _weyl_numerator(weight, elements, factors, qmax, EVALUATED, zpoint)
+        _weyl_numerator(weight, elements, factors, qmax, zpoint)
         assert len(calls) == expected < len(elements) * len(keys), weight
         if want is not None:
             assert expected == want

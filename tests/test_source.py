@@ -2,8 +2,9 @@
 
 `assert` vanishes under `python -O`, so invariants raise typed errors
 instead; imports stay at module level, where the dependencies between the
-modules can be read off; and every module-level name the package defines is
-used somewhere, so nothing is left behind when its last caller goes.
+modules can be read off; and every module-level name and method the
+package defines is used somewhere, so nothing is left behind when its last
+caller goes.
 """
 
 import ast
@@ -30,8 +31,13 @@ def test_src_has_no_assert_and_no_function_local_import():
 
 
 def _definitions(path):
-    """(name, first line, last line) of each module-level definition."""
+    """(name, first line, last line) of each module-level definition and of
+    each method of a module-level class."""
     for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield sub.name, sub.lineno, sub.end_lineno
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             names = [node.name]
