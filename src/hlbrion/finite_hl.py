@@ -8,10 +8,12 @@ polynomial lives in x_1, ..., x_{n-1} (the last variable is pinned to 1).
 
 The symmetrized ratio is computed without its n! terms: the Weyl
 symmetrizer of g / prod_{alpha>0} (1 - e^{-alpha}) is the Demazure operator
-pi_{w0} of g, a product of n(n-1)/2 isobaric divided differences, each one
-exact division by a binomial (Demazure 1974; Macdonald, Symmetric Functions
-and Hall Polynomials, ch. III).  The per-element Weyl terms stay for the
-vertex-contribution check, which compares them orbit weight by orbit weight.
+pi_{w0} of g, a product of n(n-1)/2 isobaric divided differences (Demazure
+1974; Macdonald, Symmetric Functions and Hall Polynomials, ch. III).  On a
+monomial each is a finite geometric sum, so the steps rewrite exponent
+vectors term by term and divide nothing.  The per-element Weyl terms stay
+for the vertex-contribution check, which compares them orbit weight by orbit
+weight.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .graphs import (
     BSeq, psi_terms, t_factorials, triangle_graph, xvar,
 )
 from .ring import (
-    LaurentPoly, Monomial, TPoly, T_ONE,
+    LaurentPoly, Monomial, TPoly, T_ONE, T_ZERO,
     exact_div_binomials, random_point,
 )
 
@@ -171,6 +173,22 @@ def _weyl_term(weight, w, factors):
     return term
 
 
+def _pi_step(g, i):
+    """pi_i on g = {exponent tuple: TPoly}, by its closed form (`hl_def`)."""
+    a = i - 1
+    out = {}
+    for b, c in g.items():
+        d = b[a] - b[a + 1]
+        if d < 0:
+            c = -c
+        head, tail = b[:a], b[a + 2:]
+        for m in (range(d + 1) if d >= 0 else range(d + 1, 0)):
+            key = head + (b[a] - m, b[a + 1] + m) + tail
+            w = out.get(key)
+            out[key] = c if w is None else w + c
+    return {b: c for b, c in out.items() if not c.is_zero()}
+
+
 def hl_def(weight):
     """The symmetrization route, by Demazure operators.
 
@@ -178,26 +196,32 @@ def hl_def(weight):
     g = e^lam prod_{i<j} (1 - t x_i^{-1} x_j) equals pi_{w0}(g), with
     pi_i g = (g - y_i s_i g) / (1 - y_i), y_i = x_i^{-1} x_{i+1} and s_i
     swapping x_i and x_{i+1} (Demazure 1974; Macdonald, Symmetric Functions
-    and Hall Polynomials, ch. III).  Along the reduced word s_1; s_2 s_1;
-    s_3 s_2 s_1; ... of w0 that is n(n-1)/2 exact divisions by one binomial
-    each, in place of the n!-term sum.  Then divide by W_lam(t) and pin x_n.
+    and Hall Polynomials, ch. III).  pi_i is linear, and s_i x^b = x^b y_i^d
+    with d = b_i - b_{i+1}, so pi_i x^b = x^b (1 - y_i^{d+1}) / (1 - y_i):
+    x^b (1 + y_i + ... + y_i^d) for d >= 0, zero for d = -1 and
+    -x^b (y_i^{d+1} + ... + y_i^{-1}) for d <= -2.  g is a dict from dense
+    exponent tuples to t-polynomials, rewritten term by term along the
+    reduced word s_1; s_2 s_1; s_3 s_2 s_1; ... of w0, n(n-1)/2 steps with
+    no division.  Then divide by W_lam(t) and pin x_n.
     """
     n = weight.n
     if n > HL_DEF_MAX_N:
         raise TooLarge(f"n={n} exceeds the guard {HL_DEF_MAX_N}")
-    g = LaurentPoly.from_monomial(_orbit_monomial(weight, range(n)))
-    for _, _, one_minus_ty, _ in _root_factors(n):
-        g = g * one_minus_ty
+    g = {weight.parts: T_ONE}
+    minus_t = -TPoly.t()
+    for i in range(n):
+        for j in range(i + 1, n):
+            # g * (1 - t x_i^{-1} x_j); nothing cancels, as t^k carries (-1)^k
+            for b, c in list(g.items()):
+                key = b[:i] + (b[i] - 1,) + b[i + 1:j] + (b[j] + 1,) + b[j + 1:]
+                g[key] = g.get(key, T_ZERO) + c * minus_t
     for k in range(1, n):
         for i in range(k, 0, -1):
-            xi, xj = xvar(i), xvar(i + 1)
-            y = Monomial({xi: -1, xj: 1})
-            swapped = g.subs_monomials({xi: Monomial.var(xj),
-                                        xj: Monomial.var(xi)})
-            g = exact_div_binomials(g - swapped * y, [y])
+            g = _pi_step(g, i)
     wl = wlambda_poincare(weight)
-    divided = LaurentPoly({m: c.exact_div(wl) for m, c in g.terms.items()})
-    return divided.subs_monomials({xvar(n): Monomial.unit()})
+    names = [xvar(i) for i in range(1, n)]
+    return LaurentPoly.sum_terms((Monomial(dict(zip(names, b))), c.exact_div(wl))
+                                 for b, c in g.items())
 
 
 def schur_bialternant(weight):

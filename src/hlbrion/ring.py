@@ -29,8 +29,12 @@ class MissingVariable(KeyError):
 
 
 class DomainMismatch(ValueError):
-    """Series operands have different z-points, or a series is asked for
-    more precision than its order holds."""
+    """Series operands have different z-points, or a domain names the other
+    kind of z-point."""
+
+
+class PrecisionExceeded(ArithmeticError):
+    """A truncated series is asked for more precision than its order holds."""
 
 
 class NonInvertibleLeadingCoefficient(ArithmeticError):
@@ -549,23 +553,24 @@ def exact_div_binomial(p, den):
     base is u * den^-k.  On one chain the division is a division by (1 - x)
     in one variable: the quotient coefficient at position k is the sum of the
     chain's coefficients up to k, and the quotient exists iff every chain
-    sums to zero.
+    sums to zero.  A run of equal sums is walked from its first term's u.
     """
     if den.is_unit():
         raise UnitFactor("binomial factor (1 - 1) is zero")
     v, e = den.e[0]
+    ks = {u: u.exp_of(v) // e for u in p.terms}
+    inverse_powers = {k: den ** -k for k in set(ks.values())}
     chains = {}
     for u, c in p.terms.items():
-        k = u.exp_of(v) // e
-        chains.setdefault(u * den ** -k, []).append((k, c))
+        k = ks[u]
+        chains.setdefault(u * inverse_powers[k], []).append((k, c, u))
     quo = {}
-    for base, run in chains.items():
-        run.sort(key=lambda kc: kc[0])
+    for run in chains.values():
+        run.sort(key=lambda kcu: kcu[0])
         total = T_ZERO
-        for (k, c), (k_next, _) in zip(run, run[1:]):
+        for (k, c, m), (k_next, _, _) in zip(run, run[1:]):
             total = total + c
             if not total.is_zero():
-                m = base * den ** k
                 for _ in range(k, k_next):
                     quo[m] = total
                     m = m * den
@@ -953,12 +958,12 @@ class TruncatedSeries:
 
     def truncate(self, order):
         if order > self.order:
-            raise DomainMismatch("cannot raise order of a truncated series")
+            raise PrecisionExceeded("cannot raise order of a truncated series")
         return TruncatedSeries(order, self.coeffs, self.zpoint)
 
     def coeff(self, e):
         if e > self.order:
-            raise DomainMismatch(f"coefficient q^{e} beyond order {self.order}")
+            raise PrecisionExceeded(f"coefficient q^{e} beyond order {self.order}")
         return self.coeffs.get(e, Coeff.zero())
 
     def equals(self, other, up_to=None):
@@ -966,7 +971,7 @@ class TruncatedSeries:
         order = min(self.order, other.order)
         if up_to is not None:
             if up_to > order:
-                raise DomainMismatch("comparison beyond exact order")
+                raise PrecisionExceeded("comparison beyond exact order")
             order = up_to
         exps = {e for e in self.coeffs if e <= order} | \
                {e for e in other.coeffs if e <= order}

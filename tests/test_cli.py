@@ -7,7 +7,7 @@ import pytest
 
 from hlbrion import affine_hl
 from hlbrion.cli import main
-from hlbrion.ring import InvariantError
+from hlbrion.ring import InvariantError, PrecisionExceeded
 
 
 def run(capsys, *argv):
@@ -122,7 +122,8 @@ def test_verify_zero_bad_input(capsys, argv):
 
 
 @pytest.mark.parametrize("exc", [affine_hl.GCollapse("z2 -> 1"),
-                                 InvariantError("broken invariant")],
+                                 InvariantError("broken invariant"),
+                                 PrecisionExceeded("coefficient q^3 beyond order 2")],
                          ids=lambda exc: type(exc).__name__)
 def test_internal_error_is_not_bad_input(capsys, monkeypatch, exc):
     def fail(*args):

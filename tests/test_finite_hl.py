@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -99,24 +100,73 @@ def test_hl_def_matches_weyl_sum_reference():
         assert hl_def(w) == hl_def_reference(w), (n, a)
 
 
-def test_hl_def_divides_once_per_reduced_word_letter(monkeypatch):
-    # pi_{w0} along s_1; s_2 s_1; s_3 s_2 s_1: n(n-1)/2 = 6 divisions, each
-    # by one simple root, and no Weyl term is ever built
-    dens = []
+def test_hl_def_applies_one_pi_step_per_reduced_word_letter(monkeypatch):
+    # pi_{w0} along s_1; s_2 s_1; s_3 s_2 s_1: n(n-1)/2 = 6 termwise steps,
+    # one per simple root; no binomial is divided and no Weyl term is built
+    steps = []
 
-    def counted(p, den, f=ring.exact_div_binomial):
-        dens.append(den)
-        return f(p, den)
+    def spied(g, i, f=finite_hl._pi_step):
+        steps.append(i)
+        return f(g, i)
 
     def refused(*args):
-        raise AssertionError("hl_def sums no Weyl terms")
-    monkeypatch.setattr(ring, "exact_div_binomial", counted)
-    monkeypatch.setattr(finite_hl, "_weyl_term", refused)
+        raise AssertionError("hl_def divides by no binomial and sums no Weyl terms")
+    monkeypatch.setattr(finite_hl, "_pi_step", spied)
+    for module, name in [(ring, "exact_div_binomial"), (ring, "exact_div_binomials"),
+                         (finite_hl, "exact_div_binomials"), (finite_hl, "_weyl_term")]:
+        monkeypatch.setattr(module, name, refused)
     w = FiniteWeight(4, (2, 1, 1))
     d = hl_def(w)
-    simple = [Monomial({xvar(i): -1, xvar(i + 1): 1}) for i in (1, 2, 1, 3, 2, 1)]
-    assert dens == simple
+    assert steps == [1, 2, 1, 3, 2, 1]
     assert d == hl_gt(w)
+
+
+def as_laurent(g):
+    """{exponent tuple: TPoly} as a Laurent polynomial in x1, x2, ..."""
+    return LaurentPoly.sum_terms(
+        (Monomial({xvar(k + 1): e for k, e in enumerate(b)}), c)
+        for b, c in g.items())
+
+
+def pi_by_division(p, i):
+    """(p - y s_i p) / (1 - y), y = x_i^{-1} x_{i+1}, by exact division."""
+    xi, xj = xvar(i), xvar(i + 1)
+    y = Monomial({xi: -1, xj: 1})
+    swapped = p.subs_monomials({xi: Monomial.var(xj), xj: Monomial.var(xi)})
+    return exact_div_binomials(p - swapped * y, [y])
+
+
+def test_pi_step_is_the_defining_quotient():
+    # single monomials, d = b_i - b_{i+1} from -4 to 4, at both positions
+    for i in (1, 2):
+        for d in range(-4, 5):
+            b = [2, -1, 3]
+            b[i - 1] = b[i] + d
+            for c in (tp(2, -1, 3), tp(0, 0, -5)):
+                g = {tuple(b): c}
+                got = finite_hl._pi_step(g, i)
+                assert as_laurent(got) == pi_by_division(as_laurent(g), i), (i, d)
+                assert (got == {}) == (d == -1), (i, d)
+    # one seeded random sum of 12 terms in four variables, every position
+    rng = random.Random(2020)
+    g = {tuple(rng.randint(-3, 3) for _ in range(4)):
+         tp(*(rng.randint(-4, 4) for _ in range(3))) for _ in range(12)}
+    g = {b: c for b, c in g.items() if not c.is_zero()}
+    assert len(g) >= 10
+    for i in (1, 2, 3):
+        assert as_laurent(finite_hl._pi_step(g, i)) == \
+            pi_by_division(as_laurent(g), i), i
+
+
+# every n = 5 weight of level 1 or 2
+LEVEL2_N5 = [a for a in itertools.product(range(3), repeat=4) if 0 < sum(a) <= 2]
+
+
+def test_hl_def_matches_gt_on_n5_level2():
+    assert len(LEVEL2_N5) == 14
+    for a in LEVEL2_N5:
+        w = FiniteWeight(5, a)
+        assert hl_def(w) == hl_gt(w), a
 
 
 def test_hl_def_guard_is_six():

@@ -9,8 +9,8 @@ from hypothesis import assume, given, seed, settings, strategies as st
 
 from hlbrion.ring import (
     Coeff, DomainMismatch, LaurentPoly, Monomial, NonInvertibleLeadingCoefficient,
-    NotDivisible, TPoly, TruncatedSeries, UnitFactor,
-    exact_div_binomials, mul_binomials, random_point,
+    NotDivisible, PrecisionExceeded, TPoly, TruncatedSeries, UnitFactor,
+    exact_div_binomial, exact_div_binomials, mul_binomials, random_point,
 )
 
 
@@ -116,6 +116,63 @@ def test_exact_div_random_roundtrip(case):
     # one more term leaves a chain with a nonzero sum
     with pytest.raises(NotDivisible):
         exact_div_binomials(mul_binomials(p, dens[:1]) + term, dens[:1])
+
+
+def exact_div_binomial_reference(p, den):
+    """Division by (1 - den) along den-chains, each chain base rebuilt as
+    u * den^-k and each quotient run walked from base * den^k."""
+    if den.is_unit():
+        raise UnitFactor("binomial factor (1 - 1) is zero")
+    v, e = den.e[0]
+    chains = {}
+    for u, c in p.terms.items():
+        k = u.exp_of(v) // e
+        chains.setdefault(u * den ** -k, []).append((k, c))
+    quo = {}
+    for base, run in chains.items():
+        run.sort(key=lambda kc: kc[0])
+        total = TPoly.zero()
+        for (k, c), (k_next, _) in zip(run, run[1:]):
+            total = total + c
+            if not total.is_zero():
+                m = base * den ** k
+                for _ in range(k, k_next):
+                    quo[m] = total
+                    m = m * den
+        if not (total + run[-1][1]).is_zero():
+            raise NotDivisible(f"no exact quotient by (1 - {den})")
+    return LaurentPoly(quo)
+
+
+def test_exact_div_binomial_matches_reference():
+    # 200 seeded products prod (1 - m) * p; each divisor has two or three
+    # variables and a first exponent of -3, -2, 2 or 3
+    rng = random.Random(2019)
+    for trial in range(200):
+        p = LaurentPoly.sum_terms(
+            (Monomial({v: rng.randint(-3, 3) for v in NAMES}),
+             TPoly.from_list([rng.randint(-4, 4) for _ in range(3)]))
+            for _ in range(rng.randint(1, 6)))
+        dens = []
+        for _ in range(rng.randint(1, 3)):
+            exps = {"x": rng.choice((-3, -2, 2, 3))}
+            for v in rng.choice((("y",), ("z",), ("y", "z"))):
+                exps[v] = rng.choice((-2, -1, 1, 2))
+            dens.append(Monomial(exps))
+        q = mul_binomials(p, dens)
+        for den in reversed(dens):
+            got = exact_div_binomial(q, den)
+            assert got == exact_div_binomial_reference(q, den), trial
+            q = got
+        assert q == p, trial
+        # one more term leaves a chain with a nonzero sum
+        term = LaurentPoly.from_monomial(
+            Monomial({v: rng.randint(-3, 3) for v in NAMES}),
+            TPoly.from_list([rng.randint(1, 4)]))
+        perturbed = mul_binomials(p, dens[:1]) + term
+        for divide in (exact_div_binomial, exact_div_binomial_reference):
+            with pytest.raises(NotDivisible):
+                divide(perturbed, dens[0])
 
 
 @st.composite
@@ -319,6 +376,27 @@ def test_series_domain_mismatch():
     b = TruncatedSeries.one(2, zpoint={"z1": Fraction(2)})
     with pytest.raises(DomainMismatch):
         a * b
+
+
+def test_truncate_above_the_order_exceeds_precision():
+    with pytest.raises(PrecisionExceeded) as info:
+        TruncatedSeries.one(2).truncate(3)
+    assert not isinstance(info.value, DomainMismatch)
+
+
+def test_coefficient_beyond_the_order_exceeds_precision():
+    assert TruncatedSeries.one(2).coeff(2).is_zero()
+    with pytest.raises(PrecisionExceeded) as info:
+        TruncatedSeries.one(2).coeff(3)
+    assert not isinstance(info.value, DomainMismatch)
+
+
+def test_comparison_beyond_the_exact_order_exceeds_precision():
+    a, b = TruncatedSeries.one(2), TruncatedSeries.one(3)
+    assert a.equals(b, up_to=2)
+    with pytest.raises(PrecisionExceeded) as info:
+        a.equals(b, up_to=3)
+    assert not isinstance(info.value, DomainMismatch)
 
 
 def test_series_invert_geometric():
