@@ -325,11 +325,16 @@ def d_stats(A):
     return out
 
 
-def p_weight(A):
+def _profile_weight(profile):
+    """prod (1 - t^l)^{d_l} over the sorted (l, d_l) pairs of a profile."""
     out = T_ONE
-    for l, d in sorted(d_stats(A).items()):
+    for l, d in profile:
         out = out * (T_ONE - TPoly.t(l)) ** d
     return out
+
+
+def p_weight(A):
+    return _profile_weight(sorted(d_stats(A).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +342,20 @@ def p_weight(A):
 # ---------------------------------------------------------------------------
 
 def rhs_table(weight, qmax):
-    """(q-degree, z-vector, weight polynomial) for every basis element."""
-    return [(qdeg, zvec, p_weight(A)) for A in enumerate_pi(weight, qmax)
-            for zvec, qdeg in [A.mu_exponent()]]
+    """(q-degree, z-vector, weight polynomial) for every basis element.
+
+    Few weights are distinct, so each is built once per call, keyed by its
+    sorted d_stats profile."""
+    weights = {}
+    rows = []
+    for A in enumerate_pi(weight, qmax):
+        profile = tuple(sorted(d_stats(A).items()))
+        w = weights.get(profile)
+        if w is None:
+            w = weights[profile] = _profile_weight(profile)
+        zvec, qdeg = A.mu_exponent()
+        rows.append((qdeg, zvec, w))
+    return rows
 
 
 def rhs_series(weight, qmax, domain=None, zpoint=None):

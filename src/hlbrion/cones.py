@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ring import (
-    InvariantError, LaurentPoly, Monomial, RationalFn, TPoly, T_ONE, T_ZERO,
-    random_point,
+    InvariantError, LaurentPoly, Monomial, RationalFn, SearchExhausted, TPoly,
+    T_ONE, T_ZERO, random_point,
 )
 
 
@@ -288,11 +288,14 @@ class Polyhedron:
                     return tuple(d)
         return None
 
-    def lattice_points(self, assume_bounded=False):
-        """All integer points, sorted; requires a bounded polyhedron."""
+    def lattice_points(self, assume_bounded=False, vertices=None):
+        """All integer points, sorted; requires a bounded polyhedron.
+
+        `vertices`, when given, are P's vertices and replace the vertex
+        search that sizes the box."""
         if self.recession_direction_axis() is not None:
             raise Unbounded("axis recession direction found")
-        verts = self.vertices_bruteforce()
+        verts = self.vertices_bruteforce() if vertices is None else vertices
         if not assume_bounded and not self._bounded_check(verts):
             raise Unbounded("recession direction found")
         if not verts:
@@ -376,11 +379,13 @@ def face_lattice(P, vertices=None):
     return faces
 
 
-def weighted_sum_bruteforce(P, phi, assume_bounded=False):
-    """Sum of phi(minimal face containing a) * e^a over lattice points a."""
+def weighted_sum_bruteforce(P, phi, assume_bounded=False, vertices=None):
+    """Sum of phi(minimal face containing a) * e^a over lattice points a;
+    `vertices` as for `Polyhedron.lattice_points`."""
     return LaurentPoly.sum_terms(
         (_point_monomial(pt, P.labels), _as_tpoly(phi(P.minimal_face(pt))))
-        for pt in P.lattice_points(assume_bounded=assume_bounded))
+        for pt in P.lattice_points(assume_bounded=assume_bounded,
+                                   vertices=vertices))
 
 
 def _as_tpoly(w):
@@ -484,7 +489,7 @@ def triangulate(rays):
                 cells.append(tuple(subset))
         if not degenerate and cells:
             return cells
-    raise RuntimeError("triangulation failed to find generic heights")
+    raise SearchExhausted("triangulation failed to find generic heights")
 
 
 def half_open_cells(rays, cells):
@@ -515,7 +520,7 @@ def half_open_cells(rays, cells):
                                         if b < 0)))
         else:
             return out
-    raise RuntimeError("half-open decomposition failed to find a generic point")
+    raise SearchExhausted("half-open decomposition failed to find a generic point")
 
 
 def check_pointed(rays):
@@ -801,7 +806,8 @@ def verify_weighted_brion(P, phi, trials=3, seed=0, vertices=None,
         vertices = P.vertices_bruteforce()
     if not vertices:
         raise ValueError("polyhedron has no vertices")
-    brute = weighted_sum_bruteforce(P, phi, assume_bounded=assume_bounded)
+    brute = weighted_sum_bruteforce(P, phi, assume_bounded=assume_bounded,
+                                    vertices=vertices)
     faces = face_lattice(P, vertices)
     sums = [ipt_weighted(tangent_cone_at_vertex(P, faces, vid, vertices, phi))
             for vid in range(len(vertices))]

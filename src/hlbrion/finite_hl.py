@@ -99,23 +99,58 @@ def mu_exponent(pattern):
     return Monomial(exps)
 
 
-def p_of(pattern):
-    """prod (1 - t^l)^{d_l}: d_l counts values occurring l times in a row and
-    l-1 times in the row above."""
+def pattern_ls(pattern):
+    """The sorted l's of p_of: one per value occurring l times in a row and
+    l-1 times in the row above.
+
+    Rows are weakly decreasing and interlace, above[j] >= here[j] >=
+    above[j+1], so a value's l entries in a row are one run, at columns
+    j0..j0 + l - 1, and the row above holds it at j0 + 1..j0 + l - 1, at j0
+    iff above[j0] equals it, at j0 + l iff above[j0 + l] does, and nowhere
+    else.
+    """
+    ls = []
+    for above, here in zip(pattern, pattern[1:]):
+        j, width = 0, len(here)
+        while j < width:
+            value, l = here[j], 1
+            while j + l < width and here[j + l] == value:
+                l += 1
+            if above[j] != value and above[j + l] != value:
+                ls.append(l)
+            j += l
+    ls.sort()
+    return tuple(ls)
+
+
+def _ls_weight(ls):
+    """prod (1 - t^l) over the l's."""
     out = T_ONE
-    for i in range(1, len(pattern)):
-        above = Counter(pattern[i - 1])
-        here = Counter(pattern[i])
-        for value, l in here.items():
-            if above.get(value, 0) == l - 1:
-                out = out * (T_ONE - TPoly.t(l))
+    for l in ls:
+        out = out * (T_ONE - TPoly.t(l))
     return out
 
 
+def p_of(pattern):
+    """prod (1 - t^l)^{d_l}: d_l counts values occurring l times in a row and
+    l-1 times in the row above."""
+    return _ls_weight(pattern_ls(pattern))
+
+
 def hl_gt(weight):
-    """The combinatorial route: sum of p_A e^{mu_A} over patterns."""
-    return LaurentPoly.sum_terms((mu_exponent(a), p_of(a))
-                                 for a in enumerate_gt(weight))
+    """The combinatorial route: sum of p_A e^{mu_A} over patterns.
+
+    Patterns are counted per weight monomial and statistic `pattern_ls`;
+    each distinct p = prod (1 - t^l) is built once per call, and each
+    monomial gets count * p summed over its statistics.
+    """
+    counts = {}
+    for a in enumerate_gt(weight):
+        key = (mu_exponent(a), pattern_ls(a))
+        counts[key] = counts.get(key, 0) + 1
+    weights = {ls: _ls_weight(ls) for ls in {ls for _, ls in counts}}
+    return LaurentPoly.sum_terms((mu, weights[ls] * c)
+                                 for (mu, ls), c in counts.items())
 
 
 def wlambda_poincare(weight):
@@ -225,28 +260,26 @@ def hl_def(weight):
 
 
 def schur_bialternant(weight):
-    """Independent t=0 oracle: ratio of alternants, with x_n set to 1 at the
-    end."""
+    """Independent t=0 oracle: ratio of alternants, with x_n set to 1.
+
+    det(x_i^{n-j}) = prod_{i<j} (x_i - x_j)
+    = (-1)^{n(n-1)/2} prod_j x_j^{j-1} prod_{i<j} (1 - x_i x_j^{-1}),
+    so the alternant is shifted by prod_j x_j^{1-j}, signed and pinned in
+    one pass and then divided by the pinned binomials; the quotient is
+    unique, so pinning before the division gives the pinned ratio.
+    """
     n = weight.n
     mus = [weight.parts[j] + n - 1 - j for j in range(n)]
-    den_monos = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            den_monos.append(Monomial({xvar(i + 1): 1, xvar(j + 1): -1}))
+    sign = -1 if n * (n - 1) // 2 % 2 else 1
+    names = [xvar(i + 1) for i in range(n - 1)]
     num = LaurentPoly.sum_terms(
-        (Monomial({xvar(i + 1): mus[w[i]] for i in range(n) if mus[w[i]]}),
-         TPoly.const(_perm_sign(w)))
+        (Monomial(dict(zip(names, (mus[w[i]] - i for i in range(n - 1))))),
+         TPoly.const(sign * _perm_sign(w)))
         for w in itertools.permutations(range(n)))
-    # det(x_i^{n-j}) = prod_{i<j} (x_i - x_j) = prod -x_j (1 - x_i x_j^{-1})
-    quotient = exact_div_binomials(num, den_monos)
-    shift = Monomial.unit()
-    sign = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            shift = shift * Monomial.var(xvar(j + 1), -1)
-            sign = -sign
-    out = quotient * shift * TPoly.const(sign)
-    return out.subs_monomials({xvar(n): Monomial.unit()})
+    dens = [Monomial({xvar(i + 1): 1, xvar(j + 1): -1} if j < n - 1
+                     else {xvar(i + 1): 1})
+            for i in range(n) for j in range(i + 1, n)]
+    return exact_div_binomials(num, dens)
 
 
 def orbit_sum(weight):

@@ -49,6 +49,11 @@ class CollapseError(ValueError):
     """A monomial specialization sent a denominator factor to 1."""
 
 
+class SearchExhausted(RuntimeError):
+    """A seeded search for a generic choice (a pole-free point, generic
+    heights or a generic point of a cone) ran out of tries."""
+
+
 class InvariantError(ArithmeticError):
     """A mathematical invariant the computation relies on does not hold.
 
@@ -545,52 +550,67 @@ class LaurentPoly:
     __repr__ = __str__
 
 
-def exact_div_binomial(p, den):
-    """Divide p exactly by (1 - den); raises NotDivisible.
-
-    The support of p falls into den-chains {b * den^k}.  With v a variable of
-    den of exponent e, the chain position of u is k = floor(u_v / e) and its
-    base is u * den^-k.  On one chain the division is a division by (1 - x)
-    in one variable: the quotient coefficient at position k is the sum of the
-    chain's coefficients up to k, and the quotient exists iff every chain
-    sums to zero.  A run of equal sums is walked from its first term's u.
-    """
-    if den.is_unit():
-        raise UnitFactor("binomial factor (1 - 1) is zero")
-    v, e = den.e[0]
-    ks = {u: u.exp_of(v) // e for u in p.terms}
-    inverse_powers = {k: den ** -k for k in set(ks.values())}
-    chains = {}
-    for u, c in p.terms.items():
-        k = ks[u]
-        chains.setdefault(u * inverse_powers[k], []).append((k, c, u))
-    quo = {}
-    for run in chains.values():
-        run.sort(key=lambda kcu: kcu[0])
-        total = T_ZERO
-        for (k, c, m), (k_next, _, _) in zip(run, run[1:]):
-            total = total + c
-            if not total.is_zero():
-                for _ in range(k, k_next):
-                    quo[m] = total
-                    m = m * den
-        if not (total + run[-1][1]).is_zero():
-            raise NotDivisible(f"no exact quotient by (1 - {den})")
-    r = LaurentPoly.__new__(LaurentPoly)
-    r.terms = quo
-    return r
-
-
 def exact_div_binomials(p, dens):
-    """Divide p exactly by prod (1 - m) over m in dens.
+    """Divide p exactly by prod (1 - m) over m in dens, one factor at a time
+    in list order.
 
-    Raises NotDivisible when no exact Laurent-polynomial quotient exists and
-    UnitFactor when some m is the unit monomial.
+    p is converted once into a dict from dense integer keys to scalar
+    coefficients: the exponent vector over the sorted union of the variables
+    of p and dens, then the t-degree.  For each factor den the support falls
+    into den-chains {b * den^k}.  With v the first variable of den, of
+    exponent e, the chain position of u is k = floor(u_v / e) and its base is
+    u * den^-k.  On one chain the division is a division by (1 - x) in one
+    variable: the quotient coefficient at position k is the sum of the
+    chain's coefficients up to k, and the quotient exists iff every chain
+    sums to zero.  Bases and quotient runs change only the coordinates in
+    den's support, and a run of equal sums is walked from its first term.
+    The quotient becomes a LaurentPoly once, at the end.
+
+    Raises UnitFactor when a factor is the unit monomial and NotDivisible at
+    the first factor that leaves a chain with a nonzero sum.
     """
-    q = p
+    names = sorted({v for m in p.terms for v, _ in m.e}
+                   | {v for m in dens for v, _ in m.e})
+    pos = {v: i for i, v in enumerate(names)}
+    g = {}
+    for m, c in p.terms.items():
+        vec = [0] * len(names)
+        for v, x in m.e:
+            vec[pos[v]] = x
+        for e, val in c.c.items():
+            g[tuple(vec) + (e,)] = val
     for den in dens:
-        q = exact_div_binomial(q, den)
-    return q
+        if den.is_unit():
+            raise UnitFactor("binomial factor (1 - 1) is zero")
+        support = [(pos[v], x) for v, x in den.e]
+        j, e = support[0]
+        chains = {}
+        for u, c in g.items():
+            k = u[j] // e
+            base = list(u)
+            for i, x in support:
+                base[i] -= k * x
+            chains.setdefault(tuple(base), []).append((k, c, u))
+        g = {}
+        for run in chains.values():
+            run.sort()
+            total = 0
+            for (k, c, u), (k_next, _, _) in zip(run, run[1:]):
+                total += c
+                if total:
+                    key = list(u)
+                    g[u] = total
+                    for _ in range(k + 1, k_next):
+                        for i, x in support:
+                            key[i] += x
+                        g[tuple(key)] = total
+            if total + run[-1][1]:
+                raise NotDivisible(f"no exact quotient by (1 - {den})")
+    coeffs = {}
+    for key, val in g.items():
+        coeffs.setdefault(key[:-1], {})[key[-1]] = val
+    return LaurentPoly({Monomial(tuple((v, x) for v, x in zip(names, vec) if x)):
+                        TPoly(c) for vec, c in coeffs.items()})
 
 
 def mul_binomials(p, dens):
@@ -743,7 +763,7 @@ def random_point(variables, rng, dens=()):
                 break
         if ok:
             return point
-    raise RuntimeError("could not find a pole-free evaluation point")
+    raise SearchExhausted("could not find a pole-free evaluation point")
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,20 @@ def test_d_stats_and_p_weight():
         assert w.c.get(0) == 1
 
 
+def test_rhs_table_rows_are_the_per_sequence_weights():
+    # rhs_table builds each distinct weight once; the rows are those of one
+    # p_weight per basis element: nine n = 2 weights of level <= 3 at qmax 5
+    weights = [AffineWeight(2, a) for a in itertools.product(range(4), repeat=2)
+               if 0 < sum(a) <= 3]
+    rows = 0
+    for w in weights:
+        table = rhs_table(w, 5)
+        assert table == [(A.mu_exponent()[1], A.mu_exponent()[0], p_weight(A))
+                         for A in enumerate_pi(w, 5)], w.a
+        rows += len(table)
+    assert rows == 1580
+
+
 def d_stats_reference(A):
     """d_stats by materialised rows over a certified scan window: on the
     left the two rows are equal (saturated window sums), on the right they

@@ -7,7 +7,7 @@ import pytest
 
 from hlbrion import affine_hl
 from hlbrion.cli import main
-from hlbrion.ring import InvariantError, PrecisionExceeded
+from hlbrion.ring import InvariantError, PrecisionExceeded, SearchExhausted
 
 
 def run(capsys, *argv):
@@ -123,7 +123,8 @@ def test_verify_zero_bad_input(capsys, argv):
 
 @pytest.mark.parametrize("exc", [affine_hl.GCollapse("z2 -> 1"),
                                  InvariantError("broken invariant"),
-                                 PrecisionExceeded("coefficient q^3 beyond order 2")],
+                                 PrecisionExceeded("coefficient q^3 beyond order 2"),
+                                 SearchExhausted("could not find a pole-free evaluation point")],
                          ids=lambda exc: type(exc).__name__)
 def test_internal_error_is_not_bad_input(capsys, monkeypatch, exc):
     def fail(*args):

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hlbrion import cones
+from hlbrion import cones, graphs
 from hlbrion.cones import (
     CellSum, Face, NotPointed, Polyhedron, Unbounded, WeightedCone,
-    check_pointed, face_lattice, ipt_cone, ipt_weighted, mat_rank,
-    parallelepiped_points, primitive, product_cone, sigma_relint_cone,
+    check_pointed, face_lattice, half_open_cells, ipt_cone, ipt_weighted,
+    mat_rank, parallelepiped_points, primitive, product_cone, sigma_relint_cone,
     solve_affine, tangent_cone_at_vertex, triangulate, verify_weighted_brion,
     weighted_sum_bruteforce,
 )
@@ -18,7 +18,7 @@ from hlbrion.graphs import (
     BSeq, polyhedron_of, triangle_graph, weighted_brion_instance,
 )
 from hlbrion.ring import (
-    LaurentPoly, Monomial, RationalFn, TPoly, random_point,
+    LaurentPoly, Monomial, RationalFn, SearchExhausted, TPoly, random_point,
 )
 
 
@@ -62,6 +62,28 @@ def test_lattice_points_unbounded_without_axis_direction():
         strip.lattice_points()
     # the empty strip 1 <= x - y <= 0 has no points
     assert Polyhedron(2, [((1, -1), 0), ((-1, 1), -1)]).lattice_points() == []
+
+
+def test_lattice_points_reuse_given_vertices(monkeypatch):
+    # the graph instances' vertices are P's vertices, so lattice_points
+    # given them finds the same points without a vertex search
+    instances = graphs.random_bounded_instances(12, seed=11)
+    expected = []
+    for G, b in instances:
+        P, _, verts = weighted_brion_instance(G, b)
+        assert sorted(verts) == P.vertices_bruteforce()
+        expected.append((P, verts, P.lattice_points(assume_bounded=True)))
+
+    def refused(self):
+        raise AssertionError("vertices were given")
+    monkeypatch.setattr(Polyhedron, "vertices_bruteforce", refused)
+    for P, verts, points in expected:
+        assert P.lattice_points(assume_bounded=True, vertices=verts) == points
+    monkeypatch.undo()
+    # given vertices do not stand in for the boundedness check
+    wedge = Polyhedron(2, [((0, -1), 0), ((-1, 1), 0), ((1, -1), 1)])
+    with pytest.raises(Unbounded):
+        wedge.lattice_points(vertices=[(0, 0), (1, 0)])
 
 
 def test_minimal_face():
@@ -424,6 +446,25 @@ def test_triangulate_square_cone():
     cells = triangulate(rays)
     assert all(len(c) == 3 for c in cells)
     assert len(cells) == 2
+
+
+def test_triangulate_without_a_full_rank_cell_raises_search_exhausted():
+    # rays on one line span no 2-d cell, whatever the heights
+    with pytest.raises(SearchExhausted) as exc:
+        triangulate([(1, 0), (2, 0)])
+    assert isinstance(exc.value, RuntimeError)
+
+
+def test_half_open_cells_without_a_generic_point_raises_search_exhausted(monkeypatch):
+    rays = [(1, 0), (0, 1), (1, 1)]
+    cells = triangulate(rays)
+    assert len(half_open_cells(rays, cells)) == len(cells)
+    # a zero adjugate puts every candidate point on a facet of the cell
+    monkeypatch.setattr(cones, "_adjugate",
+                        lambda rows: ([0, 1], [[0, 0], [0, 0]], 1))
+    with pytest.raises(SearchExhausted) as exc:
+        half_open_cells(rays, cells)
+    assert isinstance(exc.value, RuntimeError)
 
 
 def test_ipt_cone_square_base_box_oracle():

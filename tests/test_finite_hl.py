@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -65,6 +66,54 @@ def test_hl_gt_small():
     assert hl_gt(FiniteWeight(3, [1, 0])) == LaurentPoly.one() + x(1) + x(2)
 
 
+def p_of_reference(pattern):
+    """prod (1 - t^l) over the values occurring l times in a row and l-1
+    times in the row above, counted with Counters."""
+    out = TPoly.one()
+    for above, here in zip(pattern, pattern[1:]):
+        counts = Counter(above)
+        for value, l in Counter(here).items():
+            if counts[value] == l - 1:
+                out = out * (TPoly.one() - TPoly.t(l))
+    return out
+
+
+# every weight with n <= 5 and level <= 3
+LEVEL3_N5 = [(n, a) for n in range(2, 6)
+             for a in itertools.product(range(4), repeat=n - 1) if 0 < sum(a) <= 3]
+
+
+def test_hl_gt_is_the_pattern_sum():
+    # hl_gt groups the patterns by weight monomial and statistic; the plain
+    # sum of p_of(A) e^{mu_A}, and p_of against its Counter definition
+    assert len(LEVEL3_N5) == 65
+    for n, a in LEVEL3_N5:
+        w = FiniteWeight(n, a)
+        total = LaurentPoly.zero()
+        for pat in enumerate_gt(w):
+            p = p_of(pat)
+            assert p == p_of_reference(pat), pat
+            total = total + LaurentPoly.from_monomial(mu_exponent(pat), p)
+        assert hl_gt(w) == total, (n, a)
+
+
+def test_finite_routes_share_no_kernel(monkeypatch):
+    # the pattern sum divides nothing and applies no Demazure step; the t = 0
+    # oracle applies no Demazure step and enumerates no pattern
+    def refused(*args):
+        raise AssertionError("route independence")
+    w = FiniteWeight(4, (1, 0, 2))
+    gt, schur = hl_gt(w), schur_bialternant(w)
+    for module, name in [(ring, "exact_div_binomials"),
+                         (finite_hl, "exact_div_binomials"), (finite_hl, "_pi_step")]:
+        monkeypatch.setattr(module, name, refused)
+    assert hl_gt(w) == gt
+    monkeypatch.undo()
+    for name in ("_pi_step", "enumerate_gt"):
+        monkeypatch.setattr(finite_hl, name, refused)
+    assert schur_bialternant(w) == schur == subs_t(gt, 0)
+
+
 def test_hl_def_matches_gt():
     for n, a in [(2, [1]), (2, [2]), (2, [3]), (3, [1, 0]), (3, [0, 1]),
                  (3, [1, 1]), (3, [2, 1]), (4, [1, 0, 0]), (4, [0, 1, 0]),
@@ -112,7 +161,7 @@ def test_hl_def_applies_one_pi_step_per_reduced_word_letter(monkeypatch):
     def refused(*args):
         raise AssertionError("hl_def divides by no binomial and sums no Weyl terms")
     monkeypatch.setattr(finite_hl, "_pi_step", spied)
-    for module, name in [(ring, "exact_div_binomial"), (ring, "exact_div_binomials"),
+    for module, name in [(ring, "exact_div_binomials"),
                          (finite_hl, "exact_div_binomials"), (finite_hl, "_weyl_term")]:
         monkeypatch.setattr(module, name, refused)
     w = FiniteWeight(4, (2, 1, 1))

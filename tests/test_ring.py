@@ -9,8 +9,8 @@ from hypothesis import assume, given, seed, settings, strategies as st
 
 from hlbrion.ring import (
     Coeff, DomainMismatch, LaurentPoly, Monomial, NonInvertibleLeadingCoefficient,
-    NotDivisible, PrecisionExceeded, TPoly, TruncatedSeries, UnitFactor,
-    exact_div_binomial, exact_div_binomials, mul_binomials, random_point,
+    NotDivisible, PrecisionExceeded, SearchExhausted, TPoly, TruncatedSeries,
+    UnitFactor, exact_div_binomials, mul_binomials, random_point,
 )
 
 
@@ -161,7 +161,7 @@ def test_exact_div_binomial_matches_reference():
             dens.append(Monomial(exps))
         q = mul_binomials(p, dens)
         for den in reversed(dens):
-            got = exact_div_binomial(q, den)
+            got = exact_div_binomials(q, [den])
             assert got == exact_div_binomial_reference(q, den), trial
             q = got
         assert q == p, trial
@@ -170,9 +170,62 @@ def test_exact_div_binomial_matches_reference():
             Monomial({v: rng.randint(-3, 3) for v in NAMES}),
             TPoly.from_list([rng.randint(1, 4)]))
         perturbed = mul_binomials(p, dens[:1]) + term
-        for divide in (exact_div_binomial, exact_div_binomial_reference):
-            with pytest.raises(NotDivisible):
-                divide(perturbed, dens[0])
+        with pytest.raises(NotDivisible):
+            exact_div_binomials(perturbed, dens[:1])
+        with pytest.raises(NotDivisible):
+            exact_div_binomial_reference(perturbed, dens[0])
+
+
+def divide_by_reference(p, dens):
+    for den in dens:
+        p = exact_div_binomial_reference(p, den)
+    return p
+
+
+frac_tpolys = st.lists(st.fractions(-4, 4, max_denominator=6), min_size=1,
+                       max_size=3).map(TPoly.from_list)
+
+
+@st.composite
+def shared_factor_cases(draw):
+    # p with int or Fraction t-coefficients, and two to four factors, each
+    # in two or three of x, y, z, so consecutive factors share variables
+    coeffs = draw(st.sampled_from((tpolys, frac_tpolys)))
+
+    def monomial(names, bound):
+        return Monomial({v: draw(st.integers(-bound, bound)) for v in names})
+
+    p = LaurentPoly.sum_terms(
+        (monomial(NAMES, 3), draw(coeffs)) for _ in range(draw(st.integers(1, 6))))
+    dens = []
+    for _ in range(draw(st.integers(2, 4))):
+        names = draw(st.sampled_from((("x", "y"), ("y", "z"), ("x", "z"), NAMES)))
+        m = monomial(names, 2)
+        assume(not m.is_unit())
+        dens.append(m)
+    return p, dens, LaurentPoly.from_monomial(
+        monomial(NAMES, 3), draw(coeffs.filter(lambda c: not c.is_zero())))
+
+
+# 200 examples from seed 2021: the dense division of several factors at once
+# equals the per-factor reference, and both refuse the same perturbation
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@seed(2021)
+@given(shared_factor_cases())
+def test_exact_div_binomials_several_factors_property(case):
+    p, dens, term = case
+    prod = mul_binomials(p, dens)
+    assert exact_div_binomials(prod, dens) == divide_by_reference(prod, dens) == p
+    # a sub-list of the factors, taken in another order
+    assert exact_div_binomials(prod, dens[::-1][:2]) == \
+        divide_by_reference(prod, dens[::-1][:2])
+    # (1 - d0) divides, (1 - d1) leaves the term's chain with a nonzero sum:
+    # both refuse at d1
+    perturbed = mul_binomials(mul_binomials(p, dens[1:]) + term, dens[:1])
+    for divide in (exact_div_binomials, divide_by_reference):
+        with pytest.raises(NotDivisible) as exc:
+            divide(perturbed, dens)
+        assert str(exc.value) == f"no exact quotient by (1 - {dens[1]})"
 
 
 @st.composite
@@ -505,3 +558,10 @@ def test_random_point_avoids_poles():
     rng = random.Random(1)
     pt = random_point(["x"], rng, dens=[mono(x=1)])
     assert pt["x"] != 1
+
+
+def test_random_point_without_a_pole_free_draw_raises_search_exhausted():
+    # the unit monomial as a factor makes every draw a pole
+    with pytest.raises(SearchExhausted) as exc:
+        random_point(["x"], random.Random(1), dens=[mono(x=1), Monomial.unit()])
+    assert isinstance(exc.value, RuntimeError)
