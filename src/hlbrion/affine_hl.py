@@ -15,12 +15,16 @@ truncated transforms and the closed contribution formulas).
 from __future__ import annotations
 
 import itertools
+import math
 import random as _random
+from fractions import Fraction
+from operator import add
 
 from .graphs import ConeTransform, OrdinaryGraph, _DSU, svar, t_factorials
 from .ring import (
-    Coeff, CollapseError, DomainMismatch, EVALUATED, InvariantError, Monomial,
-    SYMBOLIC_Z, TPoly, TruncatedSeries, T_ONE, random_point, zq_coeff,
+    Coeff, CollapseError, DomainMismatch, EVALUATED, InvariantError,
+    LaurentPoly, Monomial, SYMBOLIC_Z, TPoly, TruncatedSeries, T_ONE,
+    random_point, zq_coeff,
 )
 
 
@@ -412,15 +416,21 @@ def finite_roots(n):
 
 
 def weyl_elements(weight, qmax):
-    """All (sigma, tau, shift monomial, qdeg) with weight q-shift <= qmax."""
+    """All (sigma, tau, shift monomial, qdeg) with weight q-shift <= qmax.
+
+    lam is nonincreasing, so by the rearrangement inequality pairing it with
+    tau ascending gives the least q-degree over sigma; a tau whose least
+    q-degree exceeds qmax skips its sigmas."""
     n, k = weight.n, weight.k
     lam = weight.finite_part()
-    lam_max = max(lam)
     out = []
     bound = 1
-    while k * bound * bound - 2 * lam_max * n * bound <= 2 * qmax:
+    while k * bound * bound - 2 * lam[0] * n * bound <= 2 * qmax:
         bound += 1
     for tau in _zero_sum_vectors(n, bound):
+        half_norm = k * sum(t * t for t in tau) // 2
+        if sum(x * t for x, t in zip(lam, sorted(tau))) + half_norm > qmax:
+            continue
         for sigma in itertools.permutations(range(n)):
             u, qdeg = _weyl_shift(weight, lam, sigma, tau)
             if 0 <= qdeg <= qmax:
@@ -461,39 +471,60 @@ def flip_set(weight, sigma, tau, qmax):
     return flips
 
 
-def _root_monomial(n, i, j, m):
-    """Realization of e^{-(e_i - e_j + m delta)}."""
-    u = [0] * n
-    u[i] -= 1
-    u[j] += 1
-    return zq_of_shift(tuple(u), m)
+def _zsplit(z, zpoint):
+    """(a, b, key z-part) of the z-monomial of exponents z: 1, 1 and z for
+    symbolic z; at a z-point its value a/b in lowest terms and ()."""
+    if zpoint is None:
+        return 1, 1, tuple(z)
+    val = math.prod((Fraction(zpoint[zvar(r)]) ** e
+                     for r, e in enumerate(z, 1) if e), start=Fraction(1))
+    return val.numerator, val.denominator, ()
 
 
-def _root_factors(n, qmax, zpoint):
-    """One entry per positive root of q-degree <= qmax: the real roots
-    e_i - e_j + m delta keyed ((i, j), m), then the imaginary roots m delta,
-    n - 1 times each, keyed None.  Each entry holds its key and the series
-    s (1 - t y), s (t - y) and s (1 - y) for y = e^{-root} = p/s, that is
-    s - t p, t s - p and s - p.  s is 1 for symbolic z; at a z-point it
-    clears y's denominator, so no coefficient of a factor has one.  A group
-    element's term takes one of the first two per root and the common
-    denominator takes the third, so the scaling cancels in their ratio."""
-    roots = [(((i, j), m), zq_coeff(_root_monomial(n, i, j, m), zpoint))
-             for (i, j) in finite_roots(n)
-             for m in range((0 if i < j else 1), qmax + 1)]
-    roots += [(None, (Coeff.one(), m))
+def _root_binomials(n, qmax, zpoint):
+    """Per positive root of q-degree <= qmax (the real roots e_i - e_j +
+    m delta keyed ((i, j), m), then the imaginary m delta, n - 1 times each,
+    keyed None) with y = e^{-root} = p/s: its key and s (1 - t y),
+    s (t - y) and s (1 - y), each two (integer, key shift) terms.  p and s
+    are 1 for symbolic z, with y's z-exponents in the shift, and y's
+    integers at a z-point.  An element's term takes one of the first two per
+    root and the denominator the third, so the scaling s cancels."""
+    roots = [(((i, j), m), [(r == j) - (r == i) for r in range(1, n)], m)
+             for (i, j) in finite_roots(n) for m in range(i > j, qmax + 1)]
+    roots += [(None, [0] * (n - 1), m)
               for m in range(1, qmax + 1) for _ in range(n - 1)]
-    t = TPoly.t()
+    out = []
+    for key, z, m in roots:
+        p, s, v = _zsplit(z, zpoint)
+        one, t = (0, 0) + (0,) * len(v), (0, 1) + (0,) * len(v)
+        out.append((key, ((s, one), (-p, (m, 1) + v)),
+                    ((s, t), (-p, (m, 0) + v)), ((s, one), (-p, (m, 0) + v))))
+    return out
 
-    def binomial(c0, cq, q):
-        if q == 0:
-            return TruncatedSeries(qmax, {0: c0 + cq}, zpoint)
-        return TruncatedSeries(qmax, {0: c0, q: cq}, zpoint)
 
-    return [(key, binomial(s, -(p * t), q), binomial(s * t, -p, q),
-             binomial(s, -p, q))
-            for key, (c, q) in roots
-            for p, s in [(Coeff(c.num), Coeff(c.den))]]
+def _mul_terms(g, terms, out, qmax):
+    """Add g times the sum of c x^shift over the (c, shift) `terms` into
+    out, dropping q-degrees above qmax, and return out.  g and out map keys
+    (q-degree, t-degree, z-exponents...) to integers."""
+    for c, shift in terms:
+        dq = shift[0]
+        for key, v in g.items():
+            if key[0] + dq <= qmax:
+                k = tuple(map(add, key, shift))
+                out[k] = out.get(k, 0) + c * v
+    return out
+
+
+def _series(g, den, qmax, zpoint):
+    """The TruncatedSeries of a key dict, every coefficient over `den`."""
+    rows = {}
+    for (q, d, *z), v in g.items():
+        if v:
+            row = rows.setdefault(q, {})
+            row.setdefault(zq_of_shift((0, *z), 0), {})[d] = v
+    return TruncatedSeries(qmax, {q: Coeff(LaurentPoly(
+        {m: TPoly(c) for m, c in row.items()}), den)
+        for q, row in rows.items()}, zpoint)
 
 
 def lhs_series(weight, qmax, domain=None, zpoint=None):
@@ -503,10 +534,10 @@ def lhs_series(weight, qmax, domain=None, zpoint=None):
     positive finite roots.  z is symbolic without `zpoint`, for every n; a
     `domain` that disagrees with `zpoint` raises DomainMismatch."""
     _check_domain(domain, zpoint)
-    factors = _root_factors(weight.n, qmax, zpoint)
+    factors = _root_binomials(weight.n, qmax, zpoint)
     numer = _weyl_numerator(weight, weyl_elements(weight, qmax), factors, qmax,
                             zpoint)
-    return _over_den(numer, factors, qmax)
+    return _over_den(weight.n, numer, factors, qmax, zpoint)
 
 
 def random_zpoint(n, rng):
@@ -516,7 +547,8 @@ def random_zpoint(n, rng):
     finite roots, vanish where y is 1 (z1 = 1, z2 = 1 or z1 = z2 for n = 3);
     such draws are redrawn.
     """
-    poles = [_root_monomial(n, i, j, 0) for (i, j) in finite_roots(n) if i < j]
+    poles = [zq_of_shift(tuple((x == j) - (x == i) for x in range(n)), 0)
+             for (i, j) in finite_roots(n) if i < j]
     return random_point([zvar(r) for r in range(1, n)], rng, poles)
 
 
@@ -762,65 +794,71 @@ def tau_truncated(weight, v, order, zpoint=None):
 
 
 def _weyl_numerator(weight, elements, factors, qmax, zpoint):
-    """Sum of the group elements' terms over the common denominator: each
-    element's shift monomial times (t - y) over the roots of `factors` it
-    flips and (1 - t y) over the others.
-
-    The elements are grouped by their flip pattern over `factors`, and the
-    factors are multiplied in one at a time; after each one, the groups
-    whose patterns agree on the factors still to come are merged, so a
-    step costs one series product per distinct remaining pattern."""
-    groups = {}
-    for sigma, tau, shift_mono, _ in elements:
+    """The group elements' terms over the common denominator, each shift
+    monomial times (t - y) over the roots of `factors` it flips and
+    (1 - t y) over the others, as (key dict, D): the integers are over D,
+    the lcm of the denominators of the evaluated shift monomials.  Elements
+    are grouped by flip pattern; after each factor the groups that agree on
+    the factors still to come merge, so a step costs one `_mul_terms` per
+    distinct remaining pattern."""
+    keys = [key for key, *_ in factors]
+    terms = []
+    for sigma, tau, shift_mono, qdeg in elements:
         flips = flip_set(weight, sigma, tau, qmax)
-        c, q = zq_coeff(shift_mono, zpoint)
-        # flipped factors beyond the truncation still contribute their
-        # constant term t
+        # flipped factors beyond the truncation contribute their constant t
         deep = sum(1 for (_, m) in flips if m > qmax)
-        if deep:
-            c = c * TPoly.t(deep)
-        term = TruncatedSeries(qmax, {q: c}, zpoint)
-        pattern = tuple(key in flips for key, *_ in factors)
-        prev = groups.get(pattern)
-        groups[pattern] = term if prev is None else prev + term
+        a, b, z = _zsplit([shift_mono.exp_of(zvar(r))
+                           for r in range(1, weight.n)], zpoint)
+        pattern = tuple(map(flips.__contains__, keys))
+        terms.append((pattern, (qdeg, deep) + z, a, b))
+    D = math.lcm(*(b for *_, b in terms))
+    groups = {}
+    for pattern, key, a, b in terms:
+        g = groups.setdefault(pattern, {})
+        g[key] = g.get(key, 0) + a * (D // b)
     for _, one_minus_ty, t_minus_y, _ in factors:
         merged = {}
-        for pattern, term in groups.items():
-            term = term * (t_minus_y if pattern[0] else one_minus_ty)
-            prev = merged.get(pattern[1:])
-            merged[pattern[1:]] = term if prev is None else prev + term
-        groups = merged
-    return groups.get((), TruncatedSeries.zero(qmax, zpoint))
+        for pattern, g in groups.items():
+            _mul_terms(g, t_minus_y if pattern[0] else one_minus_ty,
+                       merged.setdefault(pattern[1:], {}), qmax)
+        groups = {p: {k: v for k, v in g.items() if v}
+                  for p, g in merged.items()}
+    return groups.get((), {}), D
 
 
-def _over_den(numer, factors, qmax):
-    """`numer` divided by the common denominator, the product of the (1 - y)
-    of `factors`.  Only the q-degree-0 factors, keyed ((i, j), 0), have a
-    constant term other than their scaling s: their product d0 stays one
-    coefficient, and the rest, a series whose constant term is the product
-    of the other scalings (1 for symbolic z), inverts with Laurent-polynomial
-    coefficients."""
-    d0 = Coeff.one()
-    rest = TruncatedSeries.one(qmax, numer.zpoint)
+def _over_den(n, numer, factors, qmax, zpoint):
+    """`numer`, a (key dict, D) pair, over the product of the (1 - y) of
+    `factors`.  The q-degree-0 ones, keyed ((i, j), 0), make d0; the rest
+    has constant term the product of their scalings (1 for symbolic z) and
+    is inverted once as a TruncatedSeries, whose coefficients come back
+    over their integer lcm E.  The result is over d0 D E: d0 for symbolic z."""
+    g, D = numer
+    nz = n - 1 if zpoint is None else 0
+    d0 = rest = {(0,) * (2 + nz): 1}
     for key, *_, one_minus_y in factors:
         if key is not None and key[1] == 0:
-            d0 = d0 * one_minus_y.coeff(0)
+            d0 = _mul_terms(d0, one_minus_y, {}, qmax)
         else:
-            rest = rest * one_minus_y
-    out = (numer * rest.invert()).scale(d0.inv())
-    if out.order < qmax:
-        raise InvariantError("precision loss in the series division")
-    return out.truncate(qmax)
+            rest = _mul_terms(rest, one_minus_y, {}, qmax)
+    inv = _series(rest, 1, qmax, zpoint).invert()
+    dens = {q: c.den.terms[Monomial.unit()].c[0] for q, c in inv.coeffs.items()}
+    E = math.lcm(*dens.values())
+    inverse = [(v * (E // dens[q]),
+                (q, d) + tuple(m.exp_of(zvar(r)) for r in range(1, nz + 1)))
+               for q, c in inv.coeffs.items()
+               for m, tp in c.num.terms.items() for d, v in tp.c.items()]
+    den = _series(d0, 1, 0, zpoint).coeff(0).num * (D * E)
+    return _series(_mul_terms(g, inverse, {}, qmax), den, qmax, zpoint)
 
 
 def closed_form_contribution(weight, sigma, tau, qmax, zpoint=None):
     """Contribution of one group element: shifted flipped root factors over
     the common denominator."""
     u, qdeg = _weyl_shift(weight, weight.finite_part(), sigma, tau)
-    factors = _root_factors(weight.n, qmax, zpoint)
+    factors = _root_binomials(weight.n, qmax, zpoint)
     numer = _weyl_numerator(weight, [(sigma, tau, zq_of_shift(u, qdeg), qdeg)],
                             factors, qmax, zpoint)
-    return _over_den(numer, factors, qmax)
+    return _over_den(weight.n, numer, factors, qmax, zpoint)
 
 
 # ---------------------------------------------------------------------------

@@ -90,13 +90,13 @@ def enumerate_gt(weight):
 def mu_exponent(pattern):
     """Weight monomial of a pattern: the x_i exponent is the difference of
     the row sums above and at row i (boundary variables pinned to 1)."""
-    n = len(pattern[0])
-    exps = {}
-    for i in range(1, n):
-        d = sum(pattern[i - 1]) - sum(pattern[i])
-        if d:
-            exps[xvar(i)] = d
-    return Monomial(exps)
+    return _row_sum_monomial(tuple(map(sum, pattern)))
+
+
+def _row_sum_monomial(sums):
+    """The monomial with x_i exponent sums[i-1] - sums[i]."""
+    return Monomial({xvar(i): sums[i - 1] - sums[i]
+                     for i in range(1, len(sums))})
 
 
 def pattern_ls(pattern):
@@ -140,17 +140,19 @@ def p_of(pattern):
 def hl_gt(weight):
     """The combinatorial route: sum of p_A e^{mu_A} over patterns.
 
-    Patterns are counted per weight monomial and statistic `pattern_ls`;
-    each distinct p = prod (1 - t^l) is built once per call, and each
-    monomial gets count * p summed over its statistics.
+    Patterns are counted per tuple of row sums, which fixes the weight
+    monomial, and statistic `pattern_ls`; each distinct monomial and each
+    distinct p = prod (1 - t^l) is built once per call, and each monomial
+    gets count * p summed over its statistics.
     """
     counts = {}
     for a in enumerate_gt(weight):
-        key = (mu_exponent(a), pattern_ls(a))
+        key = (tuple(map(sum, a)), pattern_ls(a))
         counts[key] = counts.get(key, 0) + 1
+    monos = {sums: _row_sum_monomial(sums) for sums in {s for s, _ in counts}}
     weights = {ls: _ls_weight(ls) for ls in {ls for _, ls in counts}}
-    return LaurentPoly.sum_terms((mu, weights[ls] * c)
-                                 for (mu, ls), c in counts.items())
+    return LaurentPoly.sum_terms((monos[sums], weights[ls] * c)
+                                 for (sums, ls), c in counts.items())
 
 
 def wlambda_poincare(weight):

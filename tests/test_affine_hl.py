@@ -8,9 +8,9 @@ from hypothesis import given, seed, settings, strategies as st
 
 from hlbrion import affine_hl
 from hlbrion.affine_hl import (
-    DELTA_SPAN, AffineWeight, DeltaGraph, _over_den, _root_factors,
-    _weyl_numerator, _weyl_shift, apply_G, closed_form_contribution, d_stats,
-    enumerate_pi, flip_set, is_relevant_vertex, lhs_series,
+    DELTA_SPAN, AffineWeight, DeltaGraph, _root_binomials, _weyl_numerator,
+    _weyl_shift, _zero_sum_vectors, apply_G, closed_form_contribution,
+    d_stats, enumerate_pi, flip_set, is_relevant_vertex, lhs_series,
     match_weyl_element, nonrelevant_vertices, p_weight, PiSequence, qshift,
     random_zpoint, rhs_series, rhs_table, s_ij, t0_sequence, tau_section,
     tau_truncated, vertex_from_cuts, vertices_relevant, verify_contrib,
@@ -417,12 +417,19 @@ def test_verify_main_small():
 
 
 def test_verify_main_evaluated_n4():
-    # at a z-point every root factor has integer coefficients, which keeps
+    # at a z-point every root binomial has integer coefficients, which keeps
     # the Weyl side's integers small enough for n = 4 at qmax 3
     zpoint = random_zpoint(4, random.Random(5))
-    for _, *series in _root_factors(4, 3, zpoint):
-        assert all(c.den.is_one() for f in series for c in f.coeffs.values())
+    for _, *binomials in _root_binomials(4, 3, zpoint):
+        assert all(type(c) is int for b in binomials for c, _ in b)
     assert verify_main(AffineWeight(4, [1, 0, 0, 0]), 3, trials=1, seed=5)
+
+
+@pytest.mark.parametrize("n, qmax", [(4, 4), (5, 2)])
+def test_verify_main_evaluated_reaches_n4_qmax4_and_n5(n, qmax):
+    # one seeded trial each, the reach targets of the Weyl side
+    a = (1,) + (0,) * (n - 1)
+    assert verify_main(AffineWeight(n, a), qmax, trials=1, seed=5)
 
 
 def test_verify_main_evaluated_matches_symbolic():
@@ -689,59 +696,141 @@ def test_weyl_side_fractions_stay_over_d0(monkeypatch):
             assert c.den == d0
 
 
+def root_factors_reference(n, qmax, zpoint):
+    """The root factors the Weyl side used as Coeff series: per positive
+    root its key and s (1 - t y), s (t - y) and s (1 - y) for y = p/s."""
+    roots = [(((i, j), m),
+              zq_coeff(zq_of_shift(tuple((x == j) - (x == i)
+                                         for x in range(n)), m), zpoint))
+             for (i, j) in affine_hl.finite_roots(n)
+             for m in range((0 if i < j else 1), qmax + 1)]
+    roots += [(None, (Coeff.one(), m))
+              for m in range(1, qmax + 1) for _ in range(n - 1)]
+    t = TPoly.t()
+
+    def binomial(c0, cq, q):
+        if q == 0:
+            return TruncatedSeries(qmax, {0: c0 + cq}, zpoint)
+        return TruncatedSeries(qmax, {0: c0, q: cq}, zpoint)
+
+    return [(key, binomial(s, -(p * t), q), binomial(s * t, -p, q),
+             binomial(s, -p, q))
+            for key, (c, q) in roots
+            for p, s in [(Coeff(c.num), Coeff(c.den))]]
+
+
+def over_den_reference(numer, factors, qmax):
+    """A Coeff series numerator divided by the product of the (1 - y) of
+    `factors`: the q-degree-0 ones as one coefficient, the rest by series
+    inversion."""
+    d0 = Coeff.one()
+    rest = TruncatedSeries.one(qmax, numer.zpoint)
+    for key, *_, one_minus_y in factors:
+        if key is not None and key[1] == 0:
+            d0 = d0 * one_minus_y.coeff(0)
+        else:
+            rest = rest * one_minus_y
+    return (numer * rest.invert()).scale(d0.inv()).truncate(qmax)
+
+
+def term_reference(weight, element, qmax, zpoint):
+    """(flips, shift term) of one group element as a Coeff series."""
+    sigma, tau, shift_mono, _ = element
+    flips = flip_set(weight, sigma, tau, qmax)
+    c, q = zq_coeff(shift_mono, zpoint)
+    deep = sum(1 for (_, m) in flips if m > qmax)
+    if deep:
+        c = c * TPoly.t(deep)
+    return flips, TruncatedSeries(qmax, {q: c}, zpoint)
+
+
 def weyl_numerator_reference(weight, elements, factors, qmax, zpoint):
-    """The per-element loop that `_weyl_numerator` replaced: each element's
-    term multiplied out over every factor, then the terms summed."""
+    """The per-element loop on Coeff series: each element's term multiplied
+    out over every factor, then the terms summed."""
     total = TruncatedSeries.zero(qmax, zpoint)
-    for sigma, tau, shift_mono, _ in elements:
-        flips = flip_set(weight, sigma, tau, qmax)
-        c, q = zq_coeff(shift_mono, zpoint)
-        deep = sum(1 for (_, m) in flips if m > qmax)
-        if deep:
-            c = c * TPoly.t(deep)
-        term = TruncatedSeries(qmax, {q: c}, zpoint)
+    for element in elements:
+        flips, term = term_reference(weight, element, qmax, zpoint)
         for key, one_minus_ty, t_minus_y, _ in factors:
             term = term * (t_minus_y if key in flips else one_minus_ty)
         total = total + term
     return total
 
 
+def grouped_numerator_reference(weight, elements, factors, qmax, zpoint):
+    """The same sum on Coeff series, grouped by flip pattern: after each
+    factor the groups that agree on the factors still to come merge."""
+    groups = {}
+    for element in elements:
+        flips, term = term_reference(weight, element, qmax, zpoint)
+        pattern = tuple(key in flips for key, *_ in factors)
+        prev = groups.get(pattern)
+        groups[pattern] = term if prev is None else prev + term
+    for _, one_minus_ty, t_minus_y, _ in factors:
+        merged = {}
+        for pattern, term in groups.items():
+            term = term * (t_minus_y if pattern[0] else one_minus_ty)
+            prev = merged.get(pattern[1:])
+            merged[pattern[1:]] = term if prev is None else prev + term
+        groups = merged
+    return groups[()]
+
+
 def test_weyl_numerator_matches_the_per_element_reference():
+    # the key-dict kernel against the Coeff series it replaced: per element
+    # on the 18 small cases and n = 4, grouped by flip pattern at n = 5,
+    # where the per-element loop takes over ten seconds
     rng = random.Random(15)
     cases = [(w, 5, SYMBOLIC_Z, None) for w in small_weights(2, 3)]
     cases += [(w, 2, EVALUATED, random_zpoint(3, rng))
               for w in small_weights(3, 2)]
     assert len(cases) == 18
+    cases += [(AffineWeight(4, (1, 0, 0, 0)), 3, EVALUATED,
+               random_zpoint(4, rng)),
+              (AffineWeight(5, (1, 0, 0, 0, 0)), 2, EVALUATED,
+               random_zpoint(5, rng))]
     for weight, qmax, domain, zpoint in cases:
-        factors = _root_factors(weight.n, qmax, zpoint)
-        want = weyl_numerator_reference(weight, weyl_elements(weight, qmax),
-                                        factors, qmax, zpoint)
+        factors = root_factors_reference(weight.n, qmax, zpoint)
+        reference = (grouped_numerator_reference if weight.n == 5
+                     else weyl_numerator_reference)
+        want = reference(weight, weyl_elements(weight, qmax), factors, qmax,
+                         zpoint)
         got = lhs_series(weight, qmax, domain, zpoint)
-        assert got.equals(_over_den(want, factors, qmax), up_to=qmax), weight
-    factors = _root_factors(2, 3, None)
+        assert got.equals(over_den_reference(want, factors, qmax),
+                          up_to=qmax), weight
+    factors = root_factors_reference(2, 3, None)
     for element in weyl_elements(L01, 3):
         want = weyl_numerator_reference(L01, [element], factors, 3, None)
         got = closed_form_contribution(L01, element[0], element[1], 3)
-        assert got.equals(_over_den(want, factors, 3), up_to=3), element
+        assert got.equals(over_den_reference(want, factors, 3), up_to=3), \
+            element
+    zpoint = random_zpoint(3, rng)
+    factors = root_factors_reference(3, 2, zpoint)
+    for element in weyl_elements(AffineWeight(3, (1, 1, 0)), 2)[::7]:
+        want = weyl_numerator_reference(AffineWeight(3, (1, 1, 0)), [element],
+                                        factors, 2, zpoint)
+        got = closed_form_contribution(AffineWeight(3, (1, 1, 0)), element[0],
+                                       element[1], 2, zpoint)
+        assert got.equals(over_den_reference(want, factors, 2), up_to=2), \
+            element
 
 
 def test_weyl_numerator_makes_one_product_per_remaining_pattern(monkeypatch):
-    # a factor step multiplies once per distinct flip pattern over the
+    # a factor step applies one binomial per distinct flip pattern over the
     # factors still to come; the per-element loop made one product per
     # element and factor (72 x 19 = 1368 for the first case)
     calls = []
-    original = TruncatedSeries.__mul__
+    original = affine_hl._mul_terms
 
-    def spy(self, other):
+    def spy(g, terms, out, qmax):
         calls.append(None)
-        return original(self, other)
+        return original(g, terms, out, qmax)
 
-    monkeypatch.setattr(TruncatedSeries, "__mul__", spy)
+    monkeypatch.setattr(affine_hl, "_mul_terms", spy)
     cases = [(AffineWeight(3, (0, 0, 1)), 2, 383), (L0, 5, None),
              (L01, 5, None), (AffineWeight(3, (1, 1, 0)), 2, None)]
     for weight, qmax, want in cases:
         zpoint = random_zpoint(weight.n, random.Random(7))
-        factors = _root_factors(weight.n, qmax, zpoint)
+        factors = _root_binomials(weight.n, qmax, zpoint)
         elements = weyl_elements(weight, qmax)
         keys = [key for key, *_ in factors]
         patterns = {tuple(key in flip_set(weight, sigma, tau, qmax)
@@ -754,3 +843,62 @@ def test_weyl_numerator_makes_one_product_per_remaining_pattern(monkeypatch):
         assert len(calls) == expected < len(elements) * len(keys), weight
         if want is not None:
             assert expected == want
+
+
+def test_weyl_numerator_integers_stay_small():
+    # one denominator D for the whole sum keeps the numerator's integers
+    # small: the Coeff sums reached 332,175 bits at n = 4, qmax 4
+    weight = AffineWeight(4, (1, 0, 0, 0))
+    zpoint = random_zpoint(4, random.Random(5))
+    factors = _root_binomials(4, 4, zpoint)
+    numer, D = _weyl_numerator(weight, weyl_elements(weight, 4), factors, 4,
+                               zpoint)
+    assert numer and D > 1
+    assert max(abs(v).bit_length() for v in numer.values()) < 2000
+
+
+def weyl_elements_reference(weight, qmax):
+    """Every permutation and every translation in the box of
+    `weyl_elements`, each q-degree <sigma lam, tau> + k |tau|^2 / 2 computed
+    directly, the ones of q-degree <= qmax kept."""
+    n, k = weight.n, weight.k
+    lam = weight.finite_part()
+    bound = 1
+    while k * bound * bound - 2 * max(lam) * n * bound <= 2 * qmax:
+        bound += 1
+    out = []
+    for tau in _zero_sum_vectors(n, bound):
+        for sigma in itertools.permutations(range(n)):
+            qdeg = (sum(lam[i] * tau[d] for i, d in enumerate(sigma))
+                    + k * sum(t * t for t in tau) // 2)
+            if 0 <= qdeg <= qmax:
+                u, _ = _weyl_shift(weight, lam, sigma, tau)
+                out.append((sigma, tau, zq_of_shift(u, qdeg), qdeg))
+    return out
+
+
+def test_weyl_elements_match_the_box_scan_and_skip_far_translations(
+        monkeypatch):
+    # the same list in the same order as the box scan, while the
+    # rearrangement bound skips the sigmas of every tau beyond qmax
+    cases = [(w, 3) for n in (2, 3, 4) for w in small_weights(n, 2)]
+    cases.append((AffineWeight(5, (1, 0, 0, 0, 0)), 2))
+    assert len(cases) == 29
+    calls = Counter()
+    original = affine_hl._weyl_shift
+
+    def spy(weight, lam, sigma, tau):
+        calls[weight.n] += 1
+        return original(weight, lam, sigma, tau)
+
+    kept = Counter()
+    for weight, qmax in cases:
+        want = weyl_elements_reference(weight, qmax)
+        monkeypatch.setattr(affine_hl, "_weyl_shift", spy)
+        got = weyl_elements(weight, qmax)
+        monkeypatch.undo()
+        assert got == want, weight
+        kept[weight.n] += len(got)
+    # n = 5: 6,120 shifts for 6,120 elements, where the box scan took 174,120
+    assert kept[5] == calls[5] == 6120
+    assert calls[4] < 2 * kept[4]

@@ -114,6 +114,26 @@ def test_finite_routes_share_no_kernel(monkeypatch):
     assert schur_bialternant(w) == schur == subs_t(gt, 0)
 
 
+def test_hl_gt_builds_one_monomial_per_distinct_mu(monkeypatch):
+    # patterns are counted per tuple of row sums, so hl_gt constructs no
+    # more monomials than there are distinct weights mu
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Monomial(*args)
+
+    for n, a in [(3, (2, 1)), (4, (1, 0, 2)), (4, (2, 1, 1))]:
+        w = FiniteWeight(n, a)
+        mus = {mu_exponent(p) for p in enumerate_gt(w)}
+        want = hl_gt(w)
+        made.clear()
+        monkeypatch.setattr(finite_hl, "Monomial", counting)
+        assert hl_gt(w) == want
+        monkeypatch.undo()
+        assert 0 < len(made) <= len(mus) < len(enumerate_gt(w)), (n, a)
+
+
 def test_hl_def_matches_gt():
     for n, a in [(2, [1]), (2, [2]), (2, [3]), (3, [1, 0]), (3, [0, 1]),
                  (3, [1, 1]), (3, [2, 1]), (4, [1, 0, 0]), (4, [0, 1, 0]),
