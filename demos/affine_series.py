@@ -8,7 +8,7 @@ and shows one vertex contribution matching its closed product formula.
 from hlbrion.affine_hl import (
     AffineWeight, closed_form_contribution, enumerate_pi,
     match_weyl_element, p_weight, rhs_series, t0_sequence, tau_truncated,
-    verify_main, vertices_relevant,
+    verify_main, vertices_relevant, weyl_index,
 )
 
 weight = AffineWeight(2, [1, 0])
@@ -26,7 +26,7 @@ print("\nidentity against the Weyl side up to q^6:", verify_main(weight, 6))
 regular = AffineWeight(2, [1, 1])
 v0 = t0_sequence(regular)
 tau = tau_truncated(regular, v0, 2)
-(sigma, tau_vec), = match_weyl_element(regular, v0, 2)
+(sigma, tau_vec), = match_weyl_element(weyl_index(regular, 2), v0)
 closed = closed_form_contribution(regular, sigma, tau_vec, 2)
 print("\nvertex transform of the base vertex (regular weight):")
 print("  sections:  ", tau)

@@ -22,14 +22,10 @@ from operator import add
 
 from .graphs import ConeTransform, OrdinaryGraph, _DSU, svar, t_factorials
 from .ring import (
-    Coeff, CollapseError, DomainMismatch, EVALUATED, InvariantError,
+    Coeff, DomainMismatch, EVALUATED, InvariantError,
     LaurentPoly, Monomial, SYMBOLIC_Z, TPoly, TruncatedSeries, T_ONE,
     random_point, zq_coeff,
 )
-
-
-class GCollapse(CollapseError):
-    """The z/q specialization sent a denominator factor to 1."""
 
 
 def zvar(r):
@@ -203,9 +199,10 @@ class PiSequence:
         return hash((self.weight.a, self.key()))
 
     def __repr__(self):
-        lo, hi = self.window()
         if not self.values:
-            return "PiSequence(<base>)"
+            # a pure tail cut: the periodic tail below start, zeros from it
+            return f"PiSequence(<tail cut at {self.start}>)"
+        lo, hi = self.window()
         return f"PiSequence({lo}..{hi}: {list(self.values)})"
 
 
@@ -756,17 +753,19 @@ def tau_section(dgraph, l, order, zpoint=None):
     gmap = dgraph.gw_map(l)
     total = TruncatedSeries.one(part, zpoint)
     for G, _b in dgraph.section_graphs(l):
-        ct = ConeTransform.of_cone(G, 0).subs_monomials(gmap, GCollapse)
+        ct = ConeTransform.of_cone(G, 0).subs_monomials(gmap)
         total = total * ct.series_unit(part, zpoint)
     return total.scale(c).shift(q).truncate(order)
 
 
 def tau_truncated(weight, v, order, zpoint=None):
     """Truncated transform of a vertex: one section, at the radius
-    l* = max(lmin, (n-1)(order - q(v) + 2)), q(v) the vertex's q-degree.
+    l* = max(lmin, (n-1)(order - q(v) + 2) + e), q(v) the vertex's q-degree,
+    e = max(0, -(s + n - 1)) for a pure tail cut at s (v equals the periodic
+    tail below s and vanishes from s on) and e = 0 for any other vertex.
 
     Sections l and l+1 differ by a series of q-valuation at least
-    q(v) + floor(l/(n-1)) - 1, so every section from l* on, and their
+    q(v) + floor((l - e)/(n-1)) - 1, so every section from l* on, and their
     limit, agree up to q^order.  Proof: the coordinates of a section are
     the partial sums S of the displacement from v.  `gw_map` gives
     position p the factor z_{r(p)}/z_{r(p+1)}, times q^-1 when (n-1) | p
@@ -778,17 +777,34 @@ def tau_truncated(weight, v, order, zpoint=None):
     - Row l+1 lies below the window of v, one position per row.  A step
       there carries the bottom factor, and ccount counts the multiples of
       n-1 among the l or so positions from 1 to the bottom row.
-    - Row -l lies in the periodic tail, where every window sum of v is
-      saturated, so S(p) <= S(p - n).  A nonzero S at p in row -l, p about
-      -ln, stays nonzero at p + n, p + 2n, ... up to 0: a chain through
-      about l rows.  As n = 1 mod (n-1), one in every n-1 of its positions
-      is a multiple of n-1, each a factor q^-S with -S >= 1.
+    - Row -l lies in the periodic tail.  Where a window sum of v is
+      saturated, S(p) <= S(p - n), so a nonzero S at p in row -l stays
+      nonzero at p + n, p + 2n, ... as long as their window sums are
+      saturated: a chain with one position per row.  As n = 1 mod (n-1),
+      one in every n-1 of its positions is a multiple of n-1, each a factor
+      q^-S with -S >= 1.  A chain through the rows -l .. -n has l - (n-1)
+      positions, so at least floor(l/(n-1)) - 1 such factors.
+    - Unless v is a pure tail cut, every window sum of v is saturated up to
+      position 0, and the chain reaches row -n.
+    - A pure tail cut at s vanishes on [s, 0], so each p >= s is joined to
+      p - 1, and the positions from s - 1 on lie on consecutive rows of the
+      component of 0, which is anchored at row 0: position p on row p.  A
+      position on a row <= s - 1 therefore lies below s, in the periodic
+      tail, where every window sum is saturated; the window sums stop being
+      saturated at the first nonzero tail entry at or above s.  So the chain
+      reaches row s - 1 but need not reach row -n.  It misses at most the
+      e rows s .. -n, and holds at least floor((l - e)/(n-1)) - 1 factors.
     The bound is reached by (1, 0) at n = 2 and by the tail-cut vertex of
-    (1, 1) at q-degree 3.  The span DELTA_SPAN + radius gives safe >=
-    radius + 11 - n, and `_section_floor` keeps lmin below safe, so safe
-    holds l* for n <= 11; `section_graphs` raises where it does not.
+    (1, 1) at q-degree 3, and with e > 0 by the tail cuts of (0, 1) at -2,
+    of (1, 0) at -3 and of (0, 0, 1) at -6.  The span DELTA_SPAN + radius
+    gives safe >= radius + 11 - n, and `_section_floor` keeps lmin below
+    safe, so safe holds l* for n <= 11; `section_graphs` raises where it
+    does not.
     """
-    radius = (weight.n - 1) * max(0, order - v.mu_exponent()[1] + 2)
+    n = weight.n
+    radius = (n - 1) * max(0, order - v.mu_exponent()[1] + 2)
+    if not v.values:
+        radius += max(0, -(v.start + n - 1))
     dg = DeltaGraph(weight, v, DELTA_SPAN + radius)
     return tau_section(dg, max(dg.lmin, radius), order, zpoint)
 
@@ -933,15 +949,21 @@ def vertices_relevant(weight, qmax):
     return out
 
 
-def match_weyl_element(weight, v, qmax):
-    """The group element whose weight shift matches the vertex weight."""
-    target = v.mu_exponent()
-    hits = []
+def weyl_index(weight, qmax):
+    """The group elements of q-degree at most qmax by weight shift, keyed
+    as `PiSequence.mu_exponent`:
+    {(z-exponent vector, q-degree): [(sigma, tau)]}."""
+    index = {}
     for sigma, tau, mono, qdeg in weyl_elements(weight, qmax):
         zvec = tuple(mono.exp_of(zvar(r)) for r in range(1, weight.n))
-        if (zvec, qdeg) == target:
-            hits.append((sigma, tau))
-    return hits
+        index.setdefault((zvec, qdeg), []).append((sigma, tau))
+    return index
+
+
+def match_weyl_element(index, v):
+    """The group elements of a `weyl_index` whose weight shift matches the
+    vertex weight."""
+    return index.get(v.mu_exponent(), [])
 
 
 def verify_contrib(weight, qmax, trials=2, seed=0):
@@ -961,13 +983,15 @@ def verify_contrib(weight, qmax, trials=2, seed=0):
     checks, failures = [], []
 
     relevant = vertices_relevant(weight, qmax)
+    irrelevant = nonrelevant_vertices(weight, 3)
+    index = weyl_index(weight, qmax) if weight.is_regular() else None
     taus = {}
     for zpoint in _zpoints(weight, None, trials, rng):
         for v in relevant:
             taus[v] = tau_truncated(weight, v, qmax, zpoint)
         if weight.is_regular():
             for v, tau in taus.items():
-                hits = match_weyl_element(weight, v, qmax)
+                hits = match_weyl_element(index, v)
                 if len(hits) != 1:
                     failures.append(f"vertex {v}: {len(hits)} elements")
                     continue
@@ -997,7 +1021,6 @@ def verify_contrib(weight, qmax, trials=2, seed=0):
             checks.append(f"{len(taus)} fiber aggregations")
         # (b) constructed non-relevant vertices vanish; the apex shift
         # q^q(v) would empty a truncation below q(v) whatever the section
-        irrelevant = nonrelevant_vertices(weight, 3)
         for v in irrelevant:
             order = max(qmax + 1, v.mu_exponent()[1])
             if not tau_truncated(weight, v, order, zpoint).is_zero():

@@ -664,25 +664,17 @@ def ipt_cone(apex, rays, labels):
     return CellSum(apex, rays, labels, [(T_ONE, range(len(rays)))]).expand()
 
 
-def sigma_relint_cone(apex, rays, labels, face_ray_sets=None):
-    """IPT of the relative interior, as the CellSum of the signed sum over
-    face cones.
-
-    face_ray_sets: list of (frozenset ray-ids, dim) for all faces of the cone;
-    computed for simplicial cones automatically when omitted.
-    """
+def sigma_relint_cone(apex, rays, labels):
+    """IPT of the relative interior of a simplicial cone, as the CellSum of
+    the signed sum over its face cones, one per subset of the rays."""
     rays = [tuple(r) for r in rays]
-    if face_ray_sets is None:
-        k = len(rays)
-        if k > 0 and mat_rank(rays) != k:
-            raise NotSimplicial("need explicit face list for non-simplicial cones")
-        face_ray_sets = [(frozenset(s), len(s))
-                         for m in range(k + 1)
-                         for s in itertools.combinations(range(k), m)]
-    dim_top = max(d for _, d in face_ray_sets)
+    k = len(rays)
+    if k > 0 and mat_rank(rays) != k:
+        raise NotSimplicial("the relative interior needs a simplicial cone")
     return CellSum(apex, rays, labels,
-                   [(T_ONE if (dim_top - d) % 2 == 0 else -T_ONE, rs)
-                    for rs, d in face_ray_sets])
+                   [(T_ONE if (k - m) % 2 == 0 else -T_ONE, frozenset(s))
+                    for m in range(k + 1)
+                    for s in itertools.combinations(range(k), m)])
 
 
 @dataclass

@@ -23,7 +23,8 @@ import random as _random
 from collections import Counter
 
 from .graphs import (
-    BSeq, psi_terms, t_factorials, triangle_graph, xvar,
+    BSeq, product_cuts, product_value, psi_terms, t_factorials,
+    triangle_graph, xvar,
 )
 from .ring import (
     LaurentPoly, Monomial, TPoly, T_ONE, T_ZERO,
@@ -391,11 +392,10 @@ def verify_contribfin(weight, trials=3, seed=0):
     G = triangle_graph(n)
     b = BSeq(weight.parts)
     pin = {xvar(0): Monomial.unit(), xvar(n): Monomial.unit()}
-    contribs = []
-    for face, fn in psi_terms(G, b):
-        contribs.append((face, fn.subs_monomials(pin)))
-    relevant = [(f, fn) for f, fn in contribs if face_is_relevant(f)]
-    others = [(f, fn) for f, fn in contribs if not face_is_relevant(f)]
+    contribs = [(face, tuple(ct.subs_monomials(pin) for ct in cones))
+                for face, cones in psi_terms(G, b)]
+    relevant = [(f, cones) for f, cones in contribs if face_is_relevant(f)]
+    others = [(f, cones) for f, cones in contribs if not face_is_relevant(f)]
     orbit = set(itertools.permutations(weight.parts))
     report = {
         "n_vertices": len(contribs),
@@ -408,8 +408,8 @@ def verify_contribfin(weight, trials=3, seed=0):
         report["ok"] = False
         report["failures"].append("relevant vertex count != orbit size")
     by_mu = {}
-    for f, fn in relevant:
-        by_mu.setdefault(vertex_monomial(f, weight.parts, n), []).append(fn)
+    for f, cones in relevant:
+        by_mu.setdefault(vertex_monomial(f, weight.parts, n), []).append(cones)
     if any(len(v) != 1 for v in by_mu.values()):
         report["ok"] = False
         report["failures"].append("orbit weight hit by several relevant vertices")
@@ -423,9 +423,7 @@ def verify_contribfin(weight, trials=3, seed=0):
         term = _weyl_term(weight, w, factors).subs_monomials(pin_n)
         weyl_by_mu[mu] = weyl_by_mu.get(mu, LaurentPoly.zero()) + term
     dens = [y.subs(pin_n) for _, y, _, _ in factors]
-    all_dens = list(dens)
-    for _, fn in contribs:
-        all_dens.extend(fn.den_monomials())
+    all_dens = dens + [m for _, cones in contribs for m in product_cuts(cones)]
     variables = [xvar(i) for i in range(1, n)]
     wl = wlambda_poincare(weight)
     for _ in range(trials):
@@ -434,14 +432,14 @@ def verify_contribfin(weight, trials=3, seed=0):
         for d in dens:
             den_val = den_val * (1 - d.eval(point))
         # (a) irrelevant vertices contribute zero
-        for f, fn in others:
-            if not fn.eval(point).is_zero():
+        for f, cones in others:
+            if not product_value(cones, point).is_zero():
                 report["ok"] = False
                 report["failures"].append(f"nonzero irrelevant vertex {f}")
         # (b) each relevant vertex matches its orbit-element sum, up to the
         # stabilizer factor (the orbit-grouped sum overcounts by W_lam(t))
-        for mu, fns in by_mu.items():
-            lhs = fns[0].eval(point) * den_val * wl
+        for mu, products in by_mu.items():
+            lhs = product_value(products[0], point) * den_val * wl
             rhs = weyl_by_mu.get(mu, LaurentPoly.zero()).eval_at(point)
             if lhs != rhs:
                 report["ok"] = False

@@ -36,10 +36,6 @@ class NotClosedUp(ValueError):
     """Violation of the upper diamond-completion rule."""
 
 
-class FCollapse(CollapseError):
-    """The x-specialization sent a denominator binomial to 1."""
-
-
 def svar(v):
     i, j = v
     return f"s({i},{j})"
@@ -595,12 +591,12 @@ class ConeTransform:
             else Monomial.unit()
         return ConeTransform(plan, monos, apex)
 
-    def subs_monomials(self, varmap, collapse=CollapseError):
+    def subs_monomials(self, varmap):
         monos = [m.subs(varmap) for m in self.block_monos]
         ct = ConeTransform(self.plan, monos, self.apex.subs(varmap))
         for m in ct.cut_monomials():
             if m.is_unit():
-                raise collapse("cut factor collapses to (1 - 1)")
+                raise CollapseError("cut factor collapses to (1 - 1)")
         return ct
 
     def _cut_mono(self, upset):
@@ -624,7 +620,7 @@ class ConeTransform:
         return [self._cut_mono(u) for u in self.plan.upsets
                 if u and u != full]
 
-    def eval(self, point, shared=None):
+    def eval(self, point):
         """Exact value at a rational point, t symbolic.
 
         The up-set recursion runs on integer polynomials in t.  Each node is
@@ -634,16 +630,8 @@ class ConeTransform:
         p/(q - p), applied once per up-set; the children reached by runs of
         equal weight are summed before the multiplication by that weight.
         Every step is integer arithmetic, so the result is the exact value,
-        returned as a TPoly with rational coefficients.  `shared` caches
-        whole-transform values across calls with one point.
+        returned as a TPoly with rational coefficients.
         """
-        key = None
-        if shared is not None:
-            # the apex only scales the transform, so cache the cone part
-            key = (id(self.plan), tuple(self.block_monos))
-            got = shared.get(key)
-            if got is not None:
-                return got * self.apex.eval(point)
         plan = self.plan
         ups = plan.upsets
         nums = [None] * len(ups)
@@ -677,8 +665,6 @@ class ConeTransform:
             nums[k], dens[k] = num, den
         num, den = nums[0], dens[0]
         out = TPoly({e: Fraction(c, den) for e, c in enumerate(num)})
-        if shared is not None:
-            shared[key] = out
         return out * self.apex.eval(point)
 
     def _fold(self, one, zero, scale, cut):
@@ -747,68 +733,27 @@ class ConeTransform:
                           lambda val, phi: val.scale(phi), cut_series)
 
 
-class FactoredTransform:
-    """Product of cone transforms and simple factors, never expanded."""
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors=None):
-        self.factors = list(factors or [])
-
-    def __mul__(self, other):
-        if isinstance(other, FactoredTransform):
-            return FactoredTransform(self.factors + other.factors)
-        if isinstance(other, ConeTransform):
-            return FactoredTransform(self.factors + [other])
-        if isinstance(other, (Monomial, TPoly)):
-            return FactoredTransform(self.factors +
-                                     [RationalFn(LaurentPoly.one()) * other])
-        if isinstance(other, RationalFn):
-            return FactoredTransform(self.factors + [other])
-        raise TypeError(type(other))
-
-    def den_monomials(self):
-        out = []
-        for fac in self.factors:
-            out.extend(fac.cut_monomials() if isinstance(fac, ConeTransform)
-                       else fac.den_list())
-        return out
-
-    def subs_monomials(self, varmap, collapse=CollapseError):
-        return FactoredTransform(
-            [fac.subs_monomials(varmap, collapse) for fac in self.factors])
-
-    def eval(self, point, shared=None):
-        total = T_ONE
-        for fac in self.factors:
-            if isinstance(fac, ConeTransform):
-                total = total * fac.eval(point, shared)
-            else:
-                total = total * fac.eval(point)
-        return total
-
-    def expand(self):
-        total = RationalFn(LaurentPoly.one())
-        for fac in self.factors:
-            part = fac.expand() if isinstance(fac, ConeTransform) else fac
-            total = total * part
-        return total
+def product_value(cones, point):
+    """Value at a point of the product of a tuple of cone transforms."""
+    total = T_ONE
+    for ct in cones:
+        total = total * ct.eval(point)
+    return total
 
 
-def sigma_cone(G, b_value, method="auto"):
-    """sigma_phi of the cone D_G(b,...,b).
+def product_cuts(cones):
+    """The cut monomials of every factor of a tuple of cone transforms."""
+    return [m for ct in cones for m in ct.cut_monomials()]
 
-    The default engine is the up-set dynamic program over run sequences;
-    method="weighted_cone" routes through the generic polyhedral machinery
-    (kept for cross-checks on small graphs) and returns the expanded form.
-    """
-    if method == "weighted_cone":
-        faces = enumerate_faces(G, BSeq([0] * G.l))
-        fn = ipt_weighted(_cone_weighted(G, faces)).expand()
-        if b_value:
-            fn = fn * Monomial({svar(v): b_value for v in G.vertices})
-        return FactoredTransform([fn])
-    return FactoredTransform([ConeTransform.of_cone(G, b_value)])
+
+def sigma_cone_polyhedral(G, b_value):
+    """sigma_phi of the cone D_G(b,...,b) through the generic polyhedral
+    machinery, expanded: an oracle for ConeTransform on small graphs."""
+    faces = enumerate_faces(G, BSeq([0] * G.l))
+    fn = ipt_weighted(_cone_weighted(G, faces)).expand()
+    if b_value:
+        fn = fn * Monomial({svar(v): b_value for v in G.vertices})
+    return fn
 
 
 def _cone_weighted(G, faces):
@@ -854,17 +799,15 @@ def vertex_contributions(G, b):
 
     The tangent cone at a vertex is the direct sum over the components of the
     vertex subgraph, each an all-equal-values cone over a smaller graph; the
-    transform is returned factored.
+    transform is the product of a tuple of ConeTransforms, one per block.
     """
     b = BSeq(b) if not isinstance(b, BSeq) else b
     out = []
     for f in enumerate_faces(G, b, only_vertices=True):
         vals = f.top_values(b)
-        fn = FactoredTransform()
-        for bi, blk in enumerate(f.blocks):
-            sub = OrdinaryGraph(blk)
-            fn = fn * ConeTransform.of_cone(sub, vals[bi])
-        out.append((f, fn))
+        out.append((f, tuple(
+            ConeTransform.of_cone(OrdinaryGraph(blk), vals[bi])
+            for bi, blk in enumerate(f.blocks))))
     return out
 
 
@@ -881,21 +824,20 @@ def _cone_transform_x(blk, b_value):
             _xmapped_cache.clear()
         sub = OrdinaryGraph(blk)
         got = ConeTransform.of_cone(sub, b_value).subs_monomials(
-            f_monomial_map(sub.vertices), FCollapse)
+            f_monomial_map(sub.vertices))
         _xmapped_cache[key] = got
     return got
 
 
 def psi_terms(G, b):
-    """Per-vertex contributions to psi_G(b), already in the x-variables."""
+    """Per-vertex contributions to psi_G(b), already in the x-variables: the
+    vertex face and its tuple of ConeTransforms, one per block."""
     b = BSeq(b) if not isinstance(b, BSeq) else b
     out = []
     for f in enumerate_faces(G, b, only_vertices=True):
         vals = f.top_values(b)
-        fn = FactoredTransform()
-        for bi, blk in enumerate(f.blocks):
-            fn = fn * _cone_transform_x(blk, vals[bi])
-        out.append((f, fn))
+        out.append((f, tuple(_cone_transform_x(blk, vals[bi])
+                             for bi, blk in enumerate(f.blocks))))
     return out
 
 
@@ -903,16 +845,13 @@ def psi_is_zero(G, b, trials=5, seed=0, rng=None):
     """Randomized test that psi_G(b) vanishes identically."""
     rng = rng or random.Random(seed)
     terms = psi_terms(G, b)
-    dens = []
-    for _, fn in terms:
-        dens.extend(fn.den_monomials())
+    dens = [m for _, cones in terms for m in product_cuts(cones)]
     variables = x_variables(G)
     for _ in range(trials):
         point = random_point(variables, rng, dens)
-        shared = {}
         total = T_ZERO
-        for _, fn in terms:
-            total = total + fn.eval(point, shared)
+        for _, cones in terms:
+            total = total + product_value(cones, point)
         if not total.is_zero():
             return False
     return True
@@ -977,9 +916,9 @@ def verify_gensingular(G, b, b2, trials=3, seed=0):
     b = BSeq(b) if not isinstance(b, BSeq) else b
     b2 = BSeq(b2) if not isinstance(b2, BSeq) else b2
     fac = t_factorials(b2.run_lengths())
-    lhs = [fn * fac for _, fn in vertex_contributions(G, b2)]
+    lhs = [cones for _, cones in vertex_contributions(G, b2)]
     rhs = []
-    for f, fn in vertex_contributions(G, b):
+    for f, cones in vertex_contributions(G, b):
         img = degeneration_map(G, b, b2, f)
         if img.dim:
             raise InvariantError("a vertex degenerates to a face of "
@@ -988,21 +927,19 @@ def verify_gensingular(G, b, b2, trials=3, seed=0):
         coords2 = img.vertex_coordinates(b2)
         shift = Monomial({svar(v): coords2[v] - coords[v]
                           for v in G.vertices if coords2[v] != coords[v]})
-        rhs.append(fn * shift)
-    dens = []
-    for fn in lhs + rhs:
-        dens.extend(fn.den_monomials())
+        rhs.append((cones, shift))
+    dens = [m for cones in lhs for m in product_cuts(cones)]
+    dens += [m for cones, _ in rhs for m in product_cuts(cones)]
     variables = [svar(v) for v in G.vertices]
     for _ in range(trials):
         point = random_point(variables, rng, dens)
-        shared = {}
         va = T_ZERO
-        for fn in lhs:
-            va = va + fn.eval(point, shared)
+        for cones in lhs:
+            va = va + product_value(cones, point)
         vb = T_ZERO
-        for fn in rhs:
-            vb = vb + fn.eval(point, shared)
-        if va != vb:
+        for cones, shift in rhs:
+            vb = vb + product_value(cones, point) * shift.eval(point)
+        if va * fac != vb:
             return False
     return True
 

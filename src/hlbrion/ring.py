@@ -695,19 +695,6 @@ class RationalFn:
     def __sub__(self, other):
         return self + (-other)
 
-    def subs_monomials(self, varmap, collapse=CollapseError):
-        """Monomial specialization of numerator and denominator factors.
-
-        Raises `collapse` when a denominator binomial maps to (1 - 1).
-        """
-        den = []
-        for m, k in self.den.items():
-            mm = m.subs(varmap)
-            if mm.is_unit():
-                raise collapse(f"denominator factor collapses: {m}")
-            den.append((mm, k))
-        return RationalFn(self.num.subs_monomials(varmap), den)
-
     def eval(self, point):
         """Exact evaluation -> TPoly; the point must avoid denominator zeros."""
         val = self.num.eval_at(point)
@@ -890,10 +877,10 @@ class TruncatedSeries:
         return TruncatedSeries(order, {}, zpoint)
 
     @staticmethod
-    def monomial(order, qexp, coeff, zpoint=None):
+    def monomial(order, qexp, coeff):
         if isinstance(coeff, (int, TPoly, LaurentPoly)):
             coeff = Coeff(coeff)
-        return TruncatedSeries(order, {qexp: coeff}, zpoint)
+        return TruncatedSeries(order, {qexp: coeff})
 
     def min_deg(self):
         """First exponent that can carry a nonzero coefficient."""

@@ -14,7 +14,7 @@ from hlbrion.affine_hl import (
     match_weyl_element, nonrelevant_vertices, p_weight, PiSequence, qshift,
     random_zpoint, rhs_series, rhs_table, s_ij, t0_sequence, tau_section,
     tau_truncated, vertex_from_cuts, vertices_relevant, verify_contrib,
-    verify_main, weyl_elements, zq_of_shift, zvar,
+    verify_main, weyl_elements, weyl_index, zq_of_shift, zvar,
 )
 from hlbrion.ring import (
     Coeff, DomainMismatch, EVALUATED, InvariantError, LaurentPoly, Monomial,
@@ -555,7 +555,7 @@ def test_apply_G():
 def test_tau_matches_closed_form():
     v0 = t0_sequence(L01)
     tau = tau_truncated(L01, v0, 3)
-    hits = match_weyl_element(L01, v0, 3)
+    hits = match_weyl_element(weyl_index(L01, 3), v0)
     assert len(hits) == 1
     closed = closed_form_contribution(L01, hits[0][0], hits[0][1], 3)
     assert tau.equals(closed, up_to=3)
@@ -565,8 +565,9 @@ def test_tau_matches_closed_form():
                                  LaurentPoly.one() - z)
     # the same at a rational z-point, for every relevant vertex
     zpoint = random_zpoint(2, random.Random(3))
+    index = weyl_index(L01, 2)
     for v in vertices_relevant(L01, 2):
-        (sigma, tau_el), = match_weyl_element(L01, v, 2)
+        (sigma, tau_el), = match_weyl_element(index, v)
         tau = tau_truncated(L01, v, 2, zpoint)
         closed = closed_form_contribution(L01, sigma, tau_el, 2, zpoint)
         assert tau.equals(closed, up_to=2)
@@ -578,13 +579,21 @@ def test_tau_nonrelevant_vanishes():
         assert tau.is_zero()
 
 
+def tail_cut_rows(weight, v):
+    """Rows e that the section radius adds for a pure tail cut at s."""
+    return 0 if v.values else max(0, -(v.start + weight.n - 1))
+
+
 def test_tau_truncated_is_one_section_at_its_radius(monkeypatch):
-    # one section per call, at l* = max(lmin, (n-1)(order - q(v) + 2)), and
-    # the sections at l* + 1 and l* + 2 agree with it up to the order: on
-    # the relevant vertices (order qmax) and the constructed non-relevant
-    # ones (orders qmax + 1 and max(qmax + 1, q(v)), the second as in
-    # verify_contrib) of every n = 2 weight of level <= 2 at qmax 2, and on
-    # the relevant vertices of (1, 1, 1)
+    # one section per call, at l* = max(lmin, (n-1)(order - q(v) + 2) + e),
+    # e > 0 only for pure tail cuts at s < -(n-1), and the sections at l* + 1
+    # and l* + 2 agree with it up to the order: on the relevant vertices
+    # (order qmax) and the constructed non-relevant ones (orders qmax + 1
+    # and max(qmax + 1, q(v)), the second as in verify_contrib) of every
+    # n = 2 weight of level <= 2 at qmax 2; on the relevant vertices of
+    # (1, 1, 1); on the tail cuts of (0, 1) at -2, (1, 0) at -3 and (0, 2) at
+    # -2 at orders q(v) .. q(v) + 2, which need e; and on the auxiliary
+    # fibers that check (a) of verify_contrib takes for (0, 1) at qmax 2
     radii = []
 
     def spy(dg, l, order, zpoint=None):
@@ -592,28 +601,39 @@ def test_tau_truncated_is_one_section_at_its_radius(monkeypatch):
         return tau_section(dg, l, order, zpoint)
 
     monkeypatch.setattr(affine_hl, "tau_section", spy)
-    cases = [(AffineWeight(2, a), 2, True)
-             for a in ([1, 0], [0, 1], [2, 0], [1, 1], [0, 2])]
-    cases.append((AffineWeight(3, [1, 1, 1]), 1, False))
     zpoint = random_zpoint(3, random.Random(5))
-    for weight, qmax, with_irrelevant in cases:
+    cases = []
+    for a in ([1, 0], [0, 1], [2, 0], [1, 1], [0, 2]):
+        weight = AffineWeight(2, a)
+        cases += [(weight, v, 2) for v in vertices_relevant(weight, 2)]
+        cases += [(weight, v, order) for v in nonrelevant_vertices(weight, 3)
+                  for order in {3, max(3, v.mu_exponent()[1])}]
+    weight = AffineWeight(3, [1, 1, 1])
+    cases += [(weight, v, 1) for v in vertices_relevant(weight, 1)]
+    for a, cut in (([0, 1], -2), ([1, 0], -3), ([0, 2], -2)):
+        weight = AffineWeight(2, a)
+        v = PiSequence(weight, cut, ())
+        assert tail_cut_rows(weight, v) > 0
+        cases += [(weight, v, v.mu_exponent()[1] + d) for d in range(3)]
+    aux = AffineWeight(2, [1, 2])
+    for v, fiber in vertices_relevant(AffineWeight(2, [0, 1]), 2).items():
+        v1s = [vertex_from_cuts(aux, cuts) for cuts in fiber]
+        headroom = max(0, max(v1.mu_exponent()[1] - v.mu_exponent()[1]
+                              for v1 in v1s))
+        cases += [(aux, v1, 2 + headroom) for v1 in v1s]
+    assert any(tail_cut_rows(w, v) for w, v, _ in cases if w is aux)
+    for weight, v, order in cases:
         n = weight.n
         point = None if n == 2 else zpoint
-        orders = [(v, qmax) for v in vertices_relevant(weight, qmax)]
-        if with_irrelevant:
-            orders += [(v, order) for v in nonrelevant_vertices(weight, 3)
-                       for order in {qmax + 1,
-                                     max(qmax + 1, v.mu_exponent()[1])}]
-        for v, order in orders:
-            radii.clear()
-            tau = tau_truncated(weight, v, order, point)
-            (l,) = radii
-            dg = DeltaGraph(weight, v, DELTA_SPAN + l)
-            assert l == max(dg.lmin,
-                            (n - 1) * (order - v.mu_exponent()[1] + 2))
-            for m in (l + 1, l + 2):
-                further = tau_section(dg, m, order, point)
-                assert further.equals(tau, up_to=order), (weight, v, m)
+        radii.clear()
+        tau = tau_truncated(weight, v, order, point)
+        (l,) = radii
+        dg = DeltaGraph(weight, v, DELTA_SPAN + l)
+        assert l == max(dg.lmin, (n - 1) * (order - v.mu_exponent()[1] + 2)
+                        + tail_cut_rows(weight, v))
+        for m in (l + 1, l + 2):
+            further = tau_section(dg, m, order, point)
+            assert further.equals(tau, up_to=order), (weight, v, order, m)
 
 
 def test_verify_contrib_regular_n3():
@@ -629,6 +649,19 @@ def test_verify_contrib_regular():
 def test_verify_contrib_singular():
     r = verify_contrib(L0, 2)
     assert r["ok"], r["failures"]
+
+
+def test_verify_contrib_singular_tail_cut():
+    # (0, 1) at qmax 3 has a relevant tail cut at -2, whose section, and
+    # those of its auxiliary fiber, need the extra rows of a tail cut
+    r = verify_contrib(AffineWeight(2, [0, 1]), 3)
+    assert r["ok"], r["failures"]
+
+
+def test_tail_cut_repr_names_the_cut():
+    v = PiSequence(AffineWeight(2, [0, 1]), -2, ())
+    assert repr(v) == "PiSequence(<tail cut at -2>)"
+    assert repr(PiSequence(L01, 1, (0, 1))) == "PiSequence(1..2: [0, 1])"
 
 
 def test_verify_contrib_checks_nonrelevant_vertices_up_to_their_degree(

@@ -7,7 +7,9 @@ import pytest
 
 from hlbrion import affine_hl
 from hlbrion.cli import main
-from hlbrion.ring import InvariantError, PrecisionExceeded, SearchExhausted
+from hlbrion.ring import (
+    CollapseError, InvariantError, PrecisionExceeded, SearchExhausted,
+)
 
 
 def run(capsys, *argv):
@@ -121,7 +123,7 @@ def test_verify_zero_bad_input(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("exc", [affine_hl.GCollapse("z2 -> 1"),
+@pytest.mark.parametrize("exc", [CollapseError("z2 -> 1"),
                                  InvariantError("broken invariant"),
                                  PrecisionExceeded("coefficient q^3 beyond order 2"),
                                  SearchExhausted("could not find a pole-free evaluation point")],

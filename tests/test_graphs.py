@@ -10,12 +10,14 @@ from hlbrion.cones import face_lattice, Polyhedron
 from hlbrion.graphs import (
     BSeq, ConePlan, ConeTransform, FaceSubgraph, NotClosedDown, OrdinaryGraph,
     degeneration_map, enumerate_faces, enumerate_ordinary_graphs, is_bounded,
-    minimal_face, polyhedron_of, psi_is_zero, psi_terms, sigma_cone,
-    t_factorial, t_multinomial, triangle_graph, verify_face_euler_sum,
-    verify_gensingular, verify_graphsum, x_variables, svar,
+    minimal_face, polyhedron_of, product_cuts, product_value, psi_is_zero,
+    psi_terms, sigma_cone_polyhedral, t_factorial, t_multinomial,
+    triangle_graph, verify_face_euler_sum, verify_gensingular,
+    verify_graphsum, x_variables, svar,
 )
 from hlbrion.ring import (
-    LaurentPoly, Monomial, TPoly, TruncatedSeries, random_point, zq_coeff,
+    LaurentPoly, Monomial, RationalFn, TPoly, TruncatedSeries, random_point,
+    zq_coeff,
 )
 
 # the three example shapes from the worked figures
@@ -272,16 +274,15 @@ def test_cone_plans_match_the_run_search_reference():
 
 def test_sigma_cone_single_vertex():
     G = OrdinaryGraph([(0, 1)])
-    f = sigma_cone(G, 3).expand()
+    f = ConeTransform.of_cone(G, 3).expand()
     assert f.num == LaurentPoly.from_monomial(Monomial({svar((0, 1)): 3}))
     assert not f.den
 
 
 def test_sigma_cone_ray():
     # two-vertex path: apex value b, one free coordinate below
-    from hlbrion.ring import RationalFn
     G = OrdinaryGraph([(0, 1), (1, 1)])
-    f = sigma_cone(G, 0).expand()
+    f = ConeTransform.of_cone(G, 0).expand()
     # (1 - t y^{-1})/(1 - y^{-1}) with y the lower coordinate
     y = Monomial({svar((1, 1)): -1})
     num = LaurentPoly.one() - LaurentPoly.from_monomial(y, TPoly.t())
@@ -302,10 +303,10 @@ def test_sigma_cone_methods_agree():
               if len(G.vertices) >= 2]
     assert len(cases) == 3 + 44
     for G, apex in cases:
-        a = sigma_cone(G, apex, method="auto")
-        b = sigma_cone(G, apex, method="weighted_cone")
+        a = ConeTransform.of_cone(G, apex)
+        b = sigma_cone_polyhedral(G, apex)
         variables = [svar(v) for v in G.vertices]
-        pt = random_point(variables, rng, a.den_monomials() + b.den_monomials())
+        pt = random_point(variables, rng, a.cut_monomials() + b.den_list())
         value = a.eval(pt)
         expect = b.eval(pt)
         assert not value.is_zero(), G
@@ -316,7 +317,8 @@ def test_sigma_cone_methods_agree():
 def test_cone_eval_raises_where_a_cut_factor_vanishes():
     G = OrdinaryGraph([(0, 1), (1, 1), (2, 0), (2, 1), (3, 0)])
     with pytest.raises(ZeroDivisionError):
-        sigma_cone(G, 0).eval({svar(v): Fraction(1) for v in G.vertices})
+        ConeTransform.of_cone(G, 0).eval(
+            {svar(v): Fraction(1) for v in G.vertices})
 
 
 @pytest.mark.parametrize("qdeg", [2, 1, 0, -1, -2])
@@ -346,9 +348,12 @@ def test_psi_triangle_n2_matches_hl():
     G = triangle_graph(2)
     terms = psi_terms(G, BSeq([2, 0]))
     assert len(terms) == 2
+    pin = {"x0": Monomial.unit(), "x2": Monomial.unit()}
     total = None
-    for _, fn in terms:
-        pinned = fn.subs_monomials({"x0": Monomial.unit(), "x2": Monomial.unit()}).expand()
+    for _, cones in terms:
+        pinned = RationalFn(LaurentPoly.one())
+        for ct in cones:
+            pinned = pinned * ct.subs_monomials(pin).expand()
         total = pinned if total is None else total + pinned
     got = total.to_laurent()
     x = LaurentPoly.var("x1")
@@ -363,10 +368,9 @@ def test_psi_single_column_path():
     rng = random.Random(3)
     terms = psi_terms(G, b)
     assert len(terms) == 1
-    fn = terms[0][1]
-    dens = fn.den_monomials()
-    pt = random_point(x_variables(G), rng, dens)
-    val = fn.eval(pt)
+    cones = terms[0][1]
+    pt = random_point(x_variables(G), rng, product_cuts(cones))
+    val = product_value(cones, pt)
     # independent oracle by summing the 1-d chain polyhedron directly:
     # points are s(1,1) = 2 - a, s(2,0) = s(1,1) + c with a, c >= 0 and
     # weight (1-t)^{#{a>0}} (1-t)^{#{c>0}}, so the sum separates into two

@@ -80,3 +80,73 @@ def test_every_module_level_name_in_src_is_referenced():
                    for p, line in uses.get(name, ())):
                 unused.append(f"{path.name}:{first}: {name}")
     assert not unused, unused
+
+
+# parameters with a default that only the tests set: the relint oracle of
+# `ipt_weighted`, the shifted base sequences of `t0_sequence` and the shared
+# random stream that criterion 5 hands to `psi_is_zero`
+TEST_FACING_PARAMETERS = {("ipt_weighted", "form"), ("t0_sequence", "m"),
+                          ("psi_is_zero", "rng")}
+
+
+def _defaulted_parameters(path):
+    """(function name, parameter, positional index or None, line) of each
+    parameter with a default of a module-level function or of a method of
+    a module-level class; the index leaves out self and cls, and is None
+    for keyword-only parameters.  A constructor is named by its class."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.ClassDef):
+            funcs = [(node.name if sub.name == "__init__" else sub.name, sub)
+                     for sub in node.body if isinstance(sub, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            funcs = [(node.name, node)]
+        else:
+            continue
+        for name, func in funcs:
+            args = func.args
+            positional = args.posonlyargs + args.args
+            if positional and positional[0].arg in ("self", "cls"):
+                positional = positional[1:]
+            for i, arg in enumerate(positional):
+                if i >= len(positional) - len(args.defaults):
+                    yield name, arg.arg, i, func.lineno
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None, func.lineno
+
+
+def _call_name(call):
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def test_every_defaulted_parameter_in_src_is_set_by_a_caller():
+    """A parameter with a default is set by some call in src, demos or
+    perfbench: by keyword, or by enough positional arguments to reach it
+    (a call that unpacks *args or **kwargs sets them all).  Callers are
+    matched by function name alone, so methods of one name share their
+    callers: the check is lenient there."""
+    set_by = {}
+    for folder in ("src", "demos", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call) or not _call_name(node):
+                    continue
+                got = set_by.setdefault(_call_name(node), [0, set()])
+                if any(isinstance(a, ast.Starred) for a in node.args) or \
+                        any(k.arg is None for k in node.keywords):
+                    got[0] = float("inf")
+                got[0] = max(got[0], len(node.args))
+                got[1].update(k.arg for k in node.keywords)
+    unset = []
+    for path in sorted(SRC.glob("*.py")):
+        for name, param, index, line in _defaulted_parameters(path):
+            positional, keywords = set_by.get(name, (0, set()))
+            if (name, param) in TEST_FACING_PARAMETERS or param in keywords \
+                    or (index is not None and positional > index):
+                continue
+            unset.append(f"{path.name}:{line}: {name}({param})")
+    assert not unset, unset
