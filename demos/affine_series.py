@@ -6,9 +6,9 @@ and shows one vertex contribution matching its closed product formula.
 """
 
 from hlbrion.affine_hl import (
-    AffineWeight, closed_form_contribution, enumerate_pi,
+    AffineWeight, _root_binomials, closed_form_contribution, enumerate_pi,
     match_weyl_element, p_weight, rhs_series, t0_sequence, tau_truncated,
-    verify_main, vertices_relevant, weyl_index,
+    verify_main, vertices_relevant, weyl_elements, weyl_index,
 )
 
 weight = AffineWeight(2, [1, 0])
@@ -26,8 +26,10 @@ print("\nidentity against the Weyl side up to q^6:", verify_main(weight, 6))
 regular = AffineWeight(2, [1, 1])
 v0 = t0_sequence(regular)
 tau = tau_truncated(regular, v0, 2)
-(sigma, tau_vec), = match_weyl_element(weyl_index(regular, 2), v0)
-closed = closed_form_contribution(regular, sigma, tau_vec, 2)
+index = weyl_index(regular, weyl_elements(regular, 2))
+element, = match_weyl_element(index, v0)
+closed = closed_form_contribution(regular, [element],
+                                  _root_binomials(2, 2, None), 2, None)
 print("\nvertex transform of the base vertex (regular weight):")
 print("  sections:  ", tau)
 print("  closed form agrees:", tau.equals(closed, up_to=2))

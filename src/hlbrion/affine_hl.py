@@ -157,7 +157,8 @@ class PiSequence:
 
     def support_diff(self):
         """Nonzero differences against the base sequence, as {i: d_i}; the
-        base equals the tail at and below 0 and vanishes above."""
+        base equals the tail at and below 0 and vanishes above.  The tests'
+        oracle for `mu_exponent`, which walks the same positions itself."""
         a, n = self.weight.a, self.weight.n
         out = {}
         for i in range(min(self.start, 1),
@@ -168,13 +169,27 @@ class PiSequence:
         return out
 
     def mu_exponent(self):
-        """(z-exponent vector of length n-1, q-degree) of the weight shift."""
-        n = self.weight.n
+        """(z-exponent vector of length n-1, q-degree) of the weight shift,
+        the sum of d_i z_{r(i)} q^{Q(i)} over the differences d_i against
+        the base.  They vanish outside [min(start, 1), max(end, 1)), end the
+        first position past the window: A is the tail below start, as the
+        base is at and below 0, and 0 from end on, as the base is above 0."""
+        a, n = self.weight.a, self.weight.n
+        start, vals = self.start, self.values
+        end = start + len(vals)
         zvec = [0] * (n - 1)
         qdeg = 0
-        for i, d in self.support_diff().items():
-            zvec[residue(i, n) - 1] += d
-            qdeg += qshift(i, n) * d
+        for i in range(min(start, 1), max(end, 1)):
+            if i < start:
+                d = a[i % n] if i > 0 else 0
+            elif i < end:
+                d = vals[i - start] - (a[i % n] if i <= 0 else 0)
+            else:
+                d = -a[i % n] if i <= 0 else 0
+            if d:
+                q, r = divmod(i - 1, n - 1)
+                zvec[r] += d
+                qdeg += q * d
         return tuple(zvec), qdeg
 
     def zq_monomial(self):
@@ -193,6 +208,8 @@ class PiSequence:
         return (self.start, self.values)
 
     def __eq__(self, other):
+        if not isinstance(other, PiSequence):
+            return NotImplemented
         return self.weight.a == other.weight.a and self.key() == other.key()
 
     def __hash__(self):
@@ -254,33 +271,43 @@ def enumerate_pi(weight, qmax):
     >= 0 and every window sum <= k, exactly the conditions of `is_valid`,
     and prunes by the least q-degree any completion adds (a dynamic program
     over the last n-1 entries), so each leaf is valid and the accumulated
-    q-degree is its own.
+    q-degree is its own.  Each state lists its children cheapest completion
+    first, so the search stops at the first child that cannot stay within
+    qmax.
     """
     n, k, a = weight.n, weight.k, weight.a
     lo, hi = _q_window(n, qmax)
-    qcoef = [qshift(i, n) for i in range(lo, hi + 1)]
-    base = [a[i % n] if i <= 0 else 0 for i in range(lo, hi + 1)]
-    # least remaining q-degree per (position, last n-1 entries)
+    size = hi - lo + 1
     states = [st for st in itertools.product(range(k + 1), repeat=n - 1)
               if sum(st) <= k]
-    min_rem = [{} for _ in range(hi - lo + 1)] + [dict.fromkeys(states, 0)]
-    for idx in range(hi - lo, -1, -1):
+    # per (position, last n-1 entries): the children (least q-degree of a
+    # completion through the child, value, q increment, next state), sorted
+    kids = [None] * size
+    min_rem = dict.fromkeys(states, 0)
+    for idx in range(size - 1, -1, -1):
+        i = lo + idx
+        qc, b = qshift(i, n), (a[i % n] if i <= 0 else 0)
+        kids[idx] = level = {}
         for st in states:
-            min_rem[idx][st] = min(
-                qcoef[idx] * (v - base[idx]) + min_rem[idx + 1][st[1:] + (v,)]
-                for v in range(k - sum(st) + 1))
+            children = []
+            for v in range(k - sum(st) + 1):
+                inc, nxt = qc * (v - b), st[1:] + (v,)
+                children.append((inc + min_rem[nxt], v, inc, nxt))
+            level[st] = sorted(children)
+        min_rem = {st: children[0][0] for st, children in level.items()}
     found = []
     seq = []
 
     def rec(idx, st, acc):
-        if acc + min_rem[idx][st] > qmax:
-            return
-        if idx > hi - lo:
-            found.append((acc, PiSequence(weight, lo, tuple(seq))))
-            return
-        for v in range(k - sum(st) + 1):
+        leaf = idx == size - 1
+        for cost, v, inc, nxt in kids[idx][st]:
+            if acc + cost > qmax:
+                break
             seq.append(v)
-            rec(idx + 1, st[1:] + (v,), acc + qcoef[idx] * (v - base[idx]))
+            if leaf:
+                found.append((acc + inc, PiSequence(weight, lo, tuple(seq))))
+            else:
+                rec(idx + 1, nxt, acc + inc)
             seq.pop()
 
     rec(0, tuple(a[(lo - j) % n] for j in range(n - 1, 0, -1)), 0)
@@ -312,16 +339,28 @@ def d_stats(A):
     start) and A_y > 0.  Below the window every chi is k; above it every
     entry is 0, so a run starting there has l = 1 and A_y = 0.  Only starts
     in the window count.
+
+    The walk reads partial sums only, from one array S over
+    [start - n - 1, end + 2n), end the first position past the window:
+    A_y = S(y) - S(y - 1) and chi(x) = S(x) - S(x - n).  A run that starts
+    in the window ends below end + n - 1, so its last chi is below
+    end + 2n - 2.
     """
     n, k = A.weight.n, A.weight.k
+    m = len(A.values)
+    # S[u] is S_A(start - n - 1 + u); A.sums starts at u = n
+    S = [_periodic_sum(A.weight, x)
+         for x in range(A.start - n - 1, A.start - 1)]
+    S += A.sums
+    S += [S[-1]] * (2 * n)
     out = {}
-    for x0 in range(A.start, A.start + len(A.values)):
-        if A.chi(x0) == k:
+    for u0 in range(n + 1, n + 1 + m):
+        if S[u0] - S[u0 - n] == k:
             continue
-        y, l = x0, 1
-        while A.get(y) == 0 and A.chi(y + n - 1) == k:
-            y, l = y + n - 1, l + 1
-        if A.get(y):
+        u, l = u0, 1
+        while S[u] == S[u - 1] and S[u + n - 1] - S[u - 1] == k:
+            u, l = u + n - 1, l + 1
+        if S[u] != S[u - 1]:
             out[l] = out.get(l, 0) + 1
     return out
 
@@ -361,13 +400,35 @@ def rhs_table(weight, qmax):
 
 def rhs_series(weight, qmax, domain=None, zpoint=None):
     """The basis sum: rhs_table's rows, each weight times its z/q monomial,
-    summed in the table's order; `domain` is checked as in `lhs_series`."""
+    summed in the table's order; `domain` is checked as in `lhs_series`.
+
+    Each q-degree sums into {(t-degree, z-exponents...): int} over one
+    integer, by `Coeff.__add__`'s rule: a row over the same denominator is
+    added, one over another is cross-multiplied, and a zero sum is over 1.
+    For symbolic z every denominator is 1; at a z-point a row's is that of
+    its z-monomial's value."""
     _check_domain(domain, zpoint)
-    coeffs = {}
+    splits = {}
+    sums = {}
     for qdeg, zvec, w in rhs_table(weight, qmax):
-        c, qd = zq_coeff(zq_of_shift((0,) + zvec, qdeg), zpoint)
-        coeffs[qd] = coeffs.get(qd, Coeff.zero()) + c * w
-    return TruncatedSeries(qmax, coeffs, zpoint)
+        split = splits.get(zvec)
+        if split is None:
+            split = splits[zvec] = _zsplit(zvec, zpoint)
+        p, s, z = split
+        num, den = sums.get(qdeg, ({}, 1))
+        if den != s:
+            num = {key: v * s for key, v in num.items()}
+            p, den = p * den, den * s
+        for d, c in w.c.items():
+            key = (d,) + z
+            v = num.get(key, 0) + p * c
+            if v:
+                num[key] = v
+            else:
+                del num[key]
+        sums[qdeg] = num, den if num else 1
+    return TruncatedSeries(qmax, {q: _coeff(num, den)
+                                  for q, (num, den) in sums.items()}, zpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -512,16 +573,22 @@ def _mul_terms(g, terms, out, qmax):
     return out
 
 
+def _coeff(row, den):
+    """The Coeff of {(t-degree, z-exponents...): int} over `den`."""
+    terms = {}
+    for (d, *z), v in row.items():
+        if v:
+            terms.setdefault(zq_of_shift((0, *z), 0), {})[d] = v
+    return Coeff(LaurentPoly({m: TPoly(c) for m, c in terms.items()}), den)
+
+
 def _series(g, den, qmax, zpoint):
     """The TruncatedSeries of a key dict, every coefficient over `den`."""
     rows = {}
-    for (q, d, *z), v in g.items():
-        if v:
-            row = rows.setdefault(q, {})
-            row.setdefault(zq_of_shift((0, *z), 0), {})[d] = v
-    return TruncatedSeries(qmax, {q: Coeff(LaurentPoly(
-        {m: TPoly(c) for m, c in row.items()}), den)
-        for q, row in rows.items()}, zpoint)
+    for (q, *key), v in g.items():
+        rows.setdefault(q, {})[tuple(key)] = v
+    return TruncatedSeries(qmax, {q: _coeff(row, den)
+                                  for q, row in rows.items()}, zpoint)
 
 
 def lhs_series(weight, qmax, domain=None, zpoint=None):
@@ -531,10 +598,9 @@ def lhs_series(weight, qmax, domain=None, zpoint=None):
     positive finite roots.  z is symbolic without `zpoint`, for every n; a
     `domain` that disagrees with `zpoint` raises DomainMismatch."""
     _check_domain(domain, zpoint)
-    factors = _root_binomials(weight.n, qmax, zpoint)
-    numer = _weyl_numerator(weight, weyl_elements(weight, qmax), factors, qmax,
-                            zpoint)
-    return _over_den(weight.n, numer, factors, qmax, zpoint)
+    return closed_form_contribution(
+        weight, weyl_elements(weight, qmax),
+        _root_binomials(weight.n, qmax, zpoint), qmax, zpoint)
 
 
 def random_zpoint(n, rng):
@@ -867,13 +933,12 @@ def _over_den(n, numer, factors, qmax, zpoint):
     return _series(_mul_terms(g, inverse, {}, qmax), den, qmax, zpoint)
 
 
-def closed_form_contribution(weight, sigma, tau, qmax, zpoint=None):
-    """Contribution of one group element: shifted flipped root factors over
-    the common denominator."""
-    u, qdeg = _weyl_shift(weight, weight.finite_part(), sigma, tau)
-    factors = _root_binomials(weight.n, qmax, zpoint)
-    numer = _weyl_numerator(weight, [(sigma, tau, zq_of_shift(u, qdeg), qdeg)],
-                            factors, qmax, zpoint)
+def closed_form_contribution(weight, elements, factors, qmax, zpoint):
+    """Summed contributions of `weyl_elements` entries, each its shift
+    monomial times its flipped root factors over the common denominator;
+    `factors` are the `_root_binomials` at zpoint.  Over all the elements
+    this is the Weyl side."""
+    numer = _weyl_numerator(weight, elements, factors, qmax, zpoint)
     return _over_den(weight.n, numer, factors, qmax, zpoint)
 
 
@@ -949,14 +1014,14 @@ def vertices_relevant(weight, qmax):
     return out
 
 
-def weyl_index(weight, qmax):
-    """The group elements of q-degree at most qmax by weight shift, keyed
-    as `PiSequence.mu_exponent`:
-    {(z-exponent vector, q-degree): [(sigma, tau)]}."""
+def weyl_index(weight, elements):
+    """The `weyl_elements` entries by weight shift, keyed as
+    `PiSequence.mu_exponent`: {(z-exponent vector, q-degree): [element]}."""
     index = {}
-    for sigma, tau, mono, qdeg in weyl_elements(weight, qmax):
+    for element in elements:
+        mono, qdeg = element[2:]
         zvec = tuple(mono.exp_of(zvar(r)) for r in range(1, weight.n))
-        index.setdefault((zvec, qdeg), []).append((sigma, tau))
+        index.setdefault((zvec, qdeg), []).append(element)
     return index
 
 
@@ -984,9 +1049,11 @@ def verify_contrib(weight, qmax, trials=2, seed=0):
 
     relevant = vertices_relevant(weight, qmax)
     irrelevant = nonrelevant_vertices(weight, 3)
-    index = weyl_index(weight, qmax) if weight.is_regular() else None
+    elements = weyl_elements(weight, qmax)
+    index = weyl_index(weight, elements)
     taus = {}
     for zpoint in _zpoints(weight, None, trials, rng):
+        factors = _root_binomials(n, qmax, zpoint)
         for v in relevant:
             taus[v] = tau_truncated(weight, v, qmax, zpoint)
         if weight.is_regular():
@@ -995,8 +1062,8 @@ def verify_contrib(weight, qmax, trials=2, seed=0):
                 if len(hits) != 1:
                     failures.append(f"vertex {v}: {len(hits)} elements")
                     continue
-                closed = closed_form_contribution(weight, hits[0][0],
-                                                  hits[0][1], qmax, zpoint)
+                closed = closed_form_contribution(weight, hits, factors, qmax,
+                                                  zpoint)
                 if not tau.equals(closed, up_to=qmax):
                     failures.append(f"closed form mismatch at {v}")
             checks.append(f"{len(taus)} closed forms")
@@ -1028,7 +1095,7 @@ def verify_contrib(weight, qmax, trials=2, seed=0):
         checks.append(f"{len(irrelevant)} irrelevant vertices vanish")
         # (c) the relevant transforms sum to the Weyl side
         total = sum(taus.values(), TruncatedSeries.zero(qmax, zpoint))
-        lhs = lhs_series(weight, qmax, zpoint=zpoint)
+        lhs = closed_form_contribution(weight, elements, factors, qmax, zpoint)
         if not total.scale(wl).equals(lhs, up_to=qmax):
             failures.append("vertex sum != Weyl sum")
         else:

@@ -102,6 +102,15 @@ def test_pi_sequence_strips_a_long_padded_window():
         assert wide.sums == A.sums
 
 
+def test_pi_sequence_compares_unequal_to_other_types():
+    # `vertex_from_cuts` returns None for cuts that give no vertex, so a
+    # list of its results can hold None next to sequences
+    A = t0_sequence(L0)
+    assert A.__eq__(None) is NotImplemented
+    assert A != None and not A == None  # noqa: E711
+    assert A != A.key() and A in [None, A] and None not in [A]
+
+
 def chi_reference(A, i):
     """chi summed term by term over the n positions ending at i."""
     return sum(A.get(j) for j in range(i - A.weight.n + 1, i + 1))
@@ -282,6 +291,27 @@ def test_enumerate_pi_stays_in_its_window():
             assert t0 in els
 
 
+def mu_exponent_reference(A):
+    """(z-exponent vector, q-degree) of `apply_G` summed over the entries
+    of `support_diff`."""
+    m = apply_G(A.weight, A.support_diff())
+    return (tuple(m.exp_of(zvar(r)) for r in range(1, A.weight.n)),
+            m.exp_of("q"))
+
+
+def test_mu_exponent_matches_the_support_diff_sum():
+    # every basis sequence for n <= 4, and base sequences shifted up and
+    # down, whose windows start above 1 or end at or below 0
+    cases = 0
+    for n, level, qmax in ((2, 3, 5), (3, 2, 3), (4, 1, 2)):
+        for weight in small_weights(n, level):
+            shifted = [t0_sequence(weight, m) for m in (-2, -1, 1, 3)]
+            for A in enumerate_pi(weight, qmax) + shifted:
+                assert A.mu_exponent() == mu_exponent_reference(A), A
+                cases += 1
+    assert cases == 4707
+
+
 def test_d_stats_and_p_weight():
     assert d_stats(t0_sequence(L0)) == {}
     assert p_weight(t0_sequence(L0)) == TPoly.one()
@@ -393,6 +423,36 @@ def test_rhs_series_values():
         0: Coeff.one(),
         1: Coeff(z + zinv + LaurentPoly.const(tp(1, 0, -1)))})
     assert s.equals(expect)
+
+
+def rhs_series_reference(weight, qmax, zpoint):
+    """The basis sum as Coeff sums: rhs_table's rows, one Coeff per row,
+    added in the table's order; {q-degree: Coeff}."""
+    coeffs = {}
+    for qdeg, zvec, w in rhs_table(weight, qmax):
+        c, qd = zq_coeff(zq_of_shift((0,) + zvec, qdeg), zpoint)
+        coeffs[qd] = coeffs.get(qd, Coeff.zero()) + c * w
+    return coeffs
+
+
+def test_rhs_series_matches_the_row_by_row_coeff_sum():
+    # the integer sums keep the Coeff sums' num and den as accumulated,
+    # which the CLI prints at a z-point: symbolic z and three seeded points
+    rng = random.Random(25)
+    cases = 0
+    for n, level, qmax in ((2, 3, 5), (3, 2, 2), (4, 1, 2)):
+        for weight in small_weights(n, level):
+            for zpoint in [None] + [random_zpoint(n, rng) for _ in range(3)]:
+                got = rhs_series(weight, qmax, zpoint=zpoint)
+                want = {q: c for q, c in
+                        rhs_series_reference(weight, qmax, zpoint).items()
+                        if not c.is_zero()}
+                assert got.coeffs.keys() == want.keys(), (weight, zpoint)
+                for q, c in got.coeffs.items():
+                    assert c.num.to_text() == want[q].num.to_text(), q
+                    assert c.den.to_text() == want[q].den.to_text(), q
+                cases += 1
+    assert cases == 88
 
 
 def test_weyl_act_and_elements():
@@ -555,9 +615,10 @@ def test_apply_G():
 def test_tau_matches_closed_form():
     v0 = t0_sequence(L01)
     tau = tau_truncated(L01, v0, 3)
-    hits = match_weyl_element(weyl_index(L01, 3), v0)
+    hits = match_weyl_element(weyl_index(L01, weyl_elements(L01, 3)), v0)
     assert len(hits) == 1
-    closed = closed_form_contribution(L01, hits[0][0], hits[0][1], 3)
+    closed = closed_form_contribution(L01, hits, _root_binomials(2, 3, None),
+                                      3, None)
     assert tau.equals(closed, up_to=3)
     # identity element: (1 - t z)/(1 - z) at q^0
     z = LaurentPoly.var(zvar(1))
@@ -565,11 +626,12 @@ def test_tau_matches_closed_form():
                                  LaurentPoly.one() - z)
     # the same at a rational z-point, for every relevant vertex
     zpoint = random_zpoint(2, random.Random(3))
-    index = weyl_index(L01, 2)
+    index = weyl_index(L01, weyl_elements(L01, 2))
+    factors = _root_binomials(2, 2, zpoint)
     for v in vertices_relevant(L01, 2):
-        (sigma, tau_el), = match_weyl_element(index, v)
+        element, = match_weyl_element(index, v)
         tau = tau_truncated(L01, v, 2, zpoint)
-        closed = closed_form_contribution(L01, sigma, tau_el, 2, zpoint)
+        closed = closed_form_contribution(L01, [element], factors, 2, zpoint)
         assert tau.equals(closed, up_to=2)
 
 
@@ -639,6 +701,26 @@ def test_tau_truncated_is_one_section_at_its_radius(monkeypatch):
 def test_verify_contrib_regular_n3():
     r = verify_contrib(AffineWeight(3, [1, 1, 1]), 1, trials=1)
     assert r["ok"], r["failures"]
+
+
+def test_verify_contrib_enumerates_the_group_once(monkeypatch):
+    # one element list serves the index of check (a) and the Weyl sum of
+    # check (c), and the root binomials are built once per z-point
+    calls = Counter()
+
+    def spy(name):
+        original = getattr(affine_hl, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(affine_hl, name, counted)
+
+    spy("weyl_elements")
+    spy("_root_binomials")
+    r = verify_contrib(AffineWeight(3, [1, 1, 1]), 1, trials=2)
+    assert r["ok"], r["failures"]
+    assert calls == {"weyl_elements": 1, "_root_binomials": 2}
 
 
 def test_verify_contrib_regular():
@@ -719,8 +801,9 @@ def test_weyl_side_fractions_stay_over_d0(monkeypatch):
     cases = [(L01, lhs_series(L01, 6, SYMBOLIC_Z)),
              (AffineWeight(3, [1, 1, 1]),
               lhs_series(AffineWeight(3, [1, 1, 1]), 2, SYMBOLIC_Z))]
-    cases += [(L01, closed_form_contribution(L01, sigma, tau, 3))
-              for sigma, tau, _, _ in weyl_elements(L01, 3)]
+    factors = _root_binomials(2, 3, None)
+    cases += [(L01, closed_form_contribution(L01, [element], factors, 3, None))
+              for element in weyl_elements(L01, 3)]
     assert inverted and all(inverted)
     for weight, series in cases:
         d0 = d0_expanded(weight.n)
@@ -831,18 +914,20 @@ def test_weyl_numerator_matches_the_per_element_reference():
         assert got.equals(over_den_reference(want, factors, qmax),
                           up_to=qmax), weight
     factors = root_factors_reference(2, 3, None)
+    binomials = _root_binomials(2, 3, None)
     for element in weyl_elements(L01, 3):
         want = weyl_numerator_reference(L01, [element], factors, 3, None)
-        got = closed_form_contribution(L01, element[0], element[1], 3)
+        got = closed_form_contribution(L01, [element], binomials, 3, None)
         assert got.equals(over_den_reference(want, factors, 3), up_to=3), \
             element
     zpoint = random_zpoint(3, rng)
     factors = root_factors_reference(3, 2, zpoint)
+    binomials = _root_binomials(3, 2, zpoint)
     for element in weyl_elements(AffineWeight(3, (1, 1, 0)), 2)[::7]:
         want = weyl_numerator_reference(AffineWeight(3, (1, 1, 0)), [element],
                                         factors, 2, zpoint)
-        got = closed_form_contribution(AffineWeight(3, (1, 1, 0)), element[0],
-                                       element[1], 2, zpoint)
+        got = closed_form_contribution(AffineWeight(3, (1, 1, 0)), [element],
+                                       binomials, 2, zpoint)
         assert got.equals(over_den_reference(want, factors, 2), up_to=2), \
             element
 
