@@ -4,12 +4,14 @@ Rational polyhedra are given by integer inequality systems a.x <= b (plus
 equalities).  The module computes lattice points, vertex sets, face lattices,
 integer-point transforms of pointed cones and weighted transforms where a
 weight from Z[t] is attached to every face.  A cone with linearly independent
-rays is simplicial and its own closed cell; any other is split by a regular
-triangulation into half-open simplicial cells, so every lattice point is
-counted exactly once.  A weighted transform stays a sum over those cells
-(`CellSum`), evaluated at a point over one integer denominator and expanded
-into a rational function only on request.  Pointedness is decided by the
-vertex search: a cone holds a line iff the polytope of its nonnegative ray
+rays is simplicial and its own closed cell; any other is triangulated once.
+Each face takes the cells restricted to it (De Loera, Rambau and Santos
+2010), made half-open by a generic point of the face (Koeppe and Verdoolaege
+2008) when there are two or more, so every lattice point is counted exactly
+once.  A weighted transform stays a sum over those cells (`CellSum`),
+evaluated at a point over one integer denominator and expanded into a
+rational function only on request.  Pointedness is decided by the vertex
+search: a cone holds a line iff the polytope of its nonnegative ray
 combinations that sum to zero, with coefficients summing to one, has a
 vertex.  All arithmetic is exact.
 """
@@ -193,12 +195,14 @@ class Polyhedron:
 
     def __init__(self, dim, ineqs, eqs=(), labels=None):
         self.dim = dim
-        self.ineqs = [(tuple(a), int(b)) for a, b in ineqs]
-        self.eqs = [(tuple(a), int(b)) for a, b in eqs]
+        self.ineqs = [(tuple(a), b) for a, b in ineqs]
+        self.eqs = [(tuple(a), b) for a, b in eqs]
         self.labels = list(labels) if labels else [f"x{i+1}" for i in range(dim)]
-        for a, _ in self.ineqs + self.eqs:
+        for a, b in self.ineqs + self.eqs:
             if len(a) != dim:
                 raise ValueError("coefficient vector length mismatch")
+            if not all(type(x) is int for x in (*a, b)):
+                raise ValueError("entries must be integers")
 
     @staticmethod
     def from_json(data):
@@ -492,32 +496,46 @@ def triangulate(rays):
     raise SearchExhausted("triangulation failed to find generic heights")
 
 
-def half_open_cells(rays, cells):
-    """Assign open facet sets so the half-open cells partition the cone.
+def half_open_cells(rays, cells, face=None, invs=None):
+    """Half-open cells that partition a face of cone(rays), as (face cell,
+    open positions in it, positions of the cells that hold it) triples.
 
-    The rays span the space of their coordinates, as for `triangulate`.  A
-    generic point y = sum gen_i rays_i of the cone lies in the interior of
-    one cell; each cell is open on the facets whose side faces away from y,
-    the rays i with beta_i < 0 in y = sum beta_i rays_i over the cell.
+    The rays span their coordinates and the cells triangulate the cone, as
+    from `triangulate`; face holds the indices of its rays (all by default).
+    The cells' rays on the face, those of full face rank, triangulate it
+    (De Loera, Rambau and Santos 2010, 2.3).  If there are two or more, a
+    generic y = sum gen_i rays_i of the face opens each face cell on the
+    facets whose side faces away from y (Koeppe and Verdoolaege 2008): the
+    rays i with beta_i < 0 in y = sum beta_i rays_i, read through the
+    adjugate of a cell that holds it, cached in invs across the faces.
     """
+    face = range(len(rays)) if face is None else face
+    held = {}       # face cell -> positions of the cells holding it
+    for p, cell in enumerate(cells):
+        held.setdefault(tuple(i for i in cell if i in face), []).append(p)
+    k = max(map(len, held))
+    held = [(sub, ps) for sub, ps in held.items() if len(sub) == k]
+    if len(held) == 1:
+        return [(sub, frozenset(), ps) for sub, ps in held]
+    invs = {} if invs is None else invs
     rank = len(rays[0])
     for salt in range(64):
-        gen = [Fraction(1 + ((i + 2) * 40503 + salt * 131) % 9973,
-                        1 + ((i + 1) * (salt + 3)) % 89)
-               for i in range(len(rays))]
-        y = _int_row([sum(g * r[c] for g, r in zip(gen, rays))
-                      for c in range(rank)])
+        gen = _int_row([Fraction(1 + ((i + 2) * 40503 + salt * 131) % 9973,
+                                 1 + ((i + 1) * (salt + 3)) % 89)
+                        for i in range(len(rays))])
+        y = [sum(gen[i] * rays[i][c] for i in face) for c in range(rank)]
         out = []
-        for cell in cells:
-            inv = _adjugate([rays[i] for i in cell])
-            if inv is None:
-                raise NotSimplicial("cell rays are linearly dependent")
+        for sub, ps in held:
+            p = ps[0]
+            if p not in invs:
+                invs[p] = _adjugate([rays[i] for i in cells[p]])[1]
             # beta = y . adj / det with det > 0: the signs of y . adj
-            beta = [sum(a * b for a, b in zip(y, col)) for col in zip(*inv[1])]
-            if 0 in beta:
+            beta = dict(zip(cells[p], (sum(a * b for a, b in zip(y, col))
+                                       for col in zip(*invs[p]))))
+            if any(beta[i] == 0 for i in sub):
                 break
-            out.append((cell, frozenset(i for i, b in enumerate(beta)
-                                        if b < 0)))
+            out.append((sub, frozenset(j for j, i in enumerate(sub)
+                                       if beta[i] < 0), ps))
         else:
             return out
     raise SearchExhausted("half-open decomposition failed to find a generic point")
@@ -540,32 +558,30 @@ def check_pointed(rays):
 
 
 def _cells(apex, rays):
-    """Half-open simplicial cells that partition the pointed cone
-    apex + cone(rays), for distinct rays.
-
-    Returns (cell, open_idx, points) triples: cell indexes rays, open_idx
-    holds the positions in cell of its open facets, and points are the
-    lattice points of its half-open parallelepiped.  Independent rays span a
-    simplicial cone that is its own closed cell.  Dependent rays are
-    projected once onto their pivot columns, an injective map on their span,
-    and the projection is checked for pointedness, triangulated and split
-    into half-open cells.
-    """
+    """(proj, cells) for the pointed cone apex + cone(rays), distinct rays:
+    proj holds the rays projected onto their pivot columns, an injective map
+    on their span, and cells (cell, points) pairs, with the lattice points of
+    each closed cell's parallelepiped.  Independent rays span a simplicial
+    cone that is its own cell; dependent ones are checked for pointedness
+    and their projection is triangulated."""
     cols = _eliminate(rays)[1]
+    proj = [[r[c] for c in cols] for r in rays]
     if len(cols) == len(rays):
-        cells = [(tuple(range(len(rays))), frozenset())]
+        cells = [tuple(range(len(rays)))]
     else:
-        proj = [[r[c] for c in cols] for r in rays]
         check_pointed(proj)
-        cells = half_open_cells(proj, triangulate(proj))
-    return [(cell, open_idx,
-             parallelepiped_points(apex, [rays[i] for i in cell], open_idx))
-            for cell, open_idx in cells]
+        cells = triangulate(proj)
+    return proj, [(cell, parallelepiped_points(apex, [rays[i] for i in cell]))
+                  for cell in cells]
 
 
 class CellSum:
     """A sum of coeff * IPT(face cone) over faces of one cone, kept as the
     half-open simplicial cells of each face cone instead of one RationalFn.
+
+    The cone is decomposed once (`_cells`) and each face restricts its cells
+    (`half_open_cells`, which cites why that works): a face cell in a
+    unimodular cell is its corner alone, a whole closed cell keeps its points.
 
     rays holds x^r for the rays that some cell uses.  A cell's corner is the
     apex plus its open rays, and its points are the corner plus each monomial
@@ -580,17 +596,32 @@ class CellSum:
     __slots__ = ("apex", "rays", "terms")
 
     def __init__(self, apex, rays, labels, faces):
-        """faces: (coeff, ray ids) pairs, ids indexing rays; each distinct
-        face cone is decomposed once."""
+        """faces: (coeff, ray ids) pairs, ids indexing rays: all those on
+        one face of cone(rays)."""
         rays = [tuple(r) for r in rays]
-        found = {}      # ray ids -> (cell rays, open rays, points) per cell
-        for _, ids in faces:
-            key = frozenset(ids)
-            if key not in found:
-                face = sorted({rays[i] for i in key})
-                found[key] = [([face[i] for i in cell],
-                               [face[cell[i]] for i in open_idx], pts)
-                              for cell, open_idx, pts in _cells(apex, face)]
+        cone = sorted(set(rays))
+        index = {r: i for i, r in enumerate(cone)}
+        keys = [frozenset(index[rays[i]] for i in ids) for _, ids in faces]
+        proj, cells = _cells(apex, cone)
+        invs = {}
+        found = {}      # face -> (cell rays, open rays, points or None) per cell
+        for key in keys:
+            if key in found:
+                continue
+            if len(cells[0][0]) == len(cone):   # simplicial: one closed cell
+                held = [(tuple(sorted(key)), frozenset(), [0])]
+            else:
+                held = half_open_cells(proj, [c for c, _ in cells], key, invs)
+            found[key] = out = []
+            for sub, open_idx, ps in held:
+                cell = [cone[i] for i in sub]
+                if any(len(cells[p][1]) == 1 for p in ps):
+                    pts = None
+                elif not open_idx and sub == cells[ps[0]][0]:
+                    pts = cells[ps[0]][1]
+                else:
+                    pts = parallelepiped_points(apex, cell, open_idx)
+                out.append((cell, [cell[j] for j in open_idx], pts))
         used = sorted({r for cells in found.values()
                        for cell, _, _ in cells for r in cell})
         stored = {}
@@ -601,13 +632,14 @@ class CellSum:
                           for c, a in enumerate(apex)]
                 sel = tuple(3 * i + (1 if r in opened else 0 if r in cell
                                      else 2) for i, r in enumerate(used))
-                offsets = None if pts == [tuple(corner)] else tuple(
-                    _point_monomial([a - b for a, b in zip(p, corner)], labels)
-                    for p in pts)
+                offsets = None if pts is None or pts == [tuple(corner)] else \
+                    tuple(_point_monomial([a - b for a, b in zip(p, corner)],
+                                          labels) for p in pts)
                 out.append((sel, offsets))
         self.apex = _point_monomial(apex, labels)
         self.rays = [_point_monomial(r, labels) for r in used]
-        self.terms = [(coeff, stored[frozenset(ids)]) for coeff, ids in faces]
+        self.terms = [(coeff, stored[key])
+                      for (coeff, _), key in zip(faces, keys)]
 
     def den_list(self):
         """The monomials m of the denominator factors (1 - m)."""
@@ -707,7 +739,6 @@ def ipt_weighted(cone, form="moebius"):
     sum of the weights of the faces above it; the relint form sums, over
     faces of nonzero weight, the weight times the signed face cones below.
     """
-    check_pointed(cone.rays)
     faces = [(frozenset(rs), d, w) for rs, d, w in cone.faces]
     if form == "moebius":
         terms = []

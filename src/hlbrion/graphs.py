@@ -49,7 +49,9 @@ class OrdinaryGraph:
     """Validated ordinary subgraph of the lattice."""
 
     def __init__(self, vertices):
-        vs = frozenset((int(i), int(j)) for i, j in vertices)
+        vs = frozenset((i, j) for i, j in vertices)
+        if not all(type(c) is int for v in vs for c in v):
+            raise ValueError("vertex coordinates must be integers")
         if not vs:
             raise ValueError("empty vertex set")
         self.vertices = vs
@@ -288,34 +290,32 @@ def enumerate_faces(G, b, only_vertices=False):
 
     Branches over edges (merge vs separate) with closure propagation; equal
     top values must end up in one connected component, distinct values must
-    stay apart.  With only_vertices the search prunes any branch in which a
-    component can no longer reach the top row, returning the 0-dimensional
-    faces only.
+    stay apart.  With only_vertices it returns the 0-dimensional faces only,
+    by value assignment instead: every block of a vertex face meets the top
+    row, so every coordinate of a vertex is a value of b.  The free vertices
+    take those values in sorted order, each edge checked once its lower end,
+    the later one, has a value.  At a leaf the blocks are the components of
+    the tight edges and the tied top vertices, and the point is a vertex iff
+    each block meets the top row.
     """
     b = BSeq(b) if not isinstance(b, BSeq) else b
     ties, forbidden = _top_pairs(G, b)
+    if only_vertices:
+        return _vertex_faces(G, b, ties)
     out = []
     edges = G.edges
-    top = set(G.top)
 
     def feasible(dsu, eidx):
         # admissible prune over the most-merged completion: tied pairs must
-        # still be connectable and (for vertices) every block must reach the
-        # top row
-        if not ties and not only_vertices:
+        # still be connectable
+        if not ties:
             return True
         link = _DSU(G.vertices)
         for v in G.vertices:
             link.union(v, dsu.find(v))
         for hi, lo in edges[eidx:]:
             link.union(hi, lo)
-        if any(link.find(x) != link.find(y) for x, y in ties):
-            return False
-        if only_vertices:
-            reach = {link.find(v) for v in top}
-            if any(link.find(v) not in reach for v in G.vertices):
-                return False
-        return True
+        return all(link.find(x) == link.find(y) for x, y in ties)
 
     def recurse(dsu, sep_pairs, eidx):
         while eidx < len(edges):
@@ -331,9 +331,7 @@ def enumerate_faces(G, b, only_vertices=False):
             break
         else:
             if all(dsu.find(x) == dsu.find(y) for x, y in ties):
-                face = FaceSubgraph(G, dsu.blocks())
-                if not only_vertices or face.dim == 0:
-                    out.append(face)
+                out.append(FaceSubgraph(G, dsu.blocks()))
             return
         hi, lo = edges[eidx]
         # branch: edge absent (endpoints stay separated)
@@ -351,6 +349,36 @@ def enumerate_faces(G, b, only_vertices=False):
     dsu0 = _DSU(G.vertices)
     if _closure(G, dsu0, forbidden) and feasible(dsu0, 0):
         recurse(dsu0, [], 0)
+    return out
+
+
+def _vertex_faces(G, b, ties):
+    """The 0-dimensional faces of D_G(b), by the value search of
+    `enumerate_faces`."""
+    x = dict(zip(G.top, b))
+    free = sorted(G.vertices - x.keys())
+    values = sorted(set(b))
+    out = []
+
+    def assign(k):
+        if k == len(free):
+            dsu = _DSU(G.vertices)
+            for hi, lo in itertools.chain(G.edges, ties):
+                if x[hi] == x[lo]:
+                    dsu.union(hi, lo)
+            reach = {dsu.find(v) for v in G.top}
+            if all(dsu.find(v) in reach for v in free):
+                out.append(FaceSubgraph(G, dsu.blocks()))
+            return
+        i, j = free[k]
+        # x(i-1, j) >= x(i, j) >= x(i-1, j+1), on the neighbours above
+        lo, hi = x.get((i - 1, j + 1), values[0]), x.get((i - 1, j), values[-1])
+        for val in values:
+            if lo <= val <= hi:
+                x[free[k]] = val
+                assign(k + 1)
+
+    assign(0)
     return out
 
 

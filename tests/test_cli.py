@@ -123,6 +123,22 @@ def test_verify_zero_bad_input(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("first", [[0.25, 1.5], [0, True], ["0", 1], [0.0, 1.0]],
+                         ids=["fractional", "bool", "string", "float"])
+def test_verify_zero_rejects_non_integer_coordinates(capsys, tmp_path, first):
+    # fig2.json with its first vertex (0, 1) written another way: nothing
+    # but a JSON integer is a coordinate, so none of these truncates to a
+    # graph the check then runs on
+    with open("fixtures/fig2.json") as fh:
+        verts = json.load(fh)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps([first] + verts[1:]))
+    code = main(["verify", "zero", "--graph", str(path), "--b", "3"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err.startswith("error: ") and "PASS" not in out.out
+
+
 @pytest.mark.parametrize("exc", [CollapseError("z2 -> 1"),
                                  InvariantError("broken invariant"),
                                  PrecisionExceeded("coefficient q^3 beyond order 2"),

@@ -720,6 +720,73 @@ def test_cell_sum_eval_matches_its_expansion():
             assert s.eval(pt) == f.eval(pt), (cone.apex, pt)
 
 
+def octahedron():
+    """|x| + |y| + |z| <= 2: its six tangent cones each have four rays over a
+    square, so none is simplicial."""
+    return Polyhedron(3, [((a, b, c), 2) for a in (1, -1) for b in (1, -1)
+                          for c in (1, -1)], labels=["x", "y", "z"])
+
+
+def per_face_reference(cone, pt):
+    """The weighted transform at pt as sum over faces G of nonzero weight and
+    faces F of G of (-1)^(dim G - dim F) w(G) IPT(F), which both forms sum,
+    with each face cone F decomposed as a cone of its own."""
+    ipts = {}
+    total = TPoly.zero()
+    for rs, d, w in cone.faces:
+        for rs2, d2, _ in cone.faces:
+            if rs2 <= rs and not w.is_zero():
+                key = frozenset(rs2)
+                if key not in ipts:
+                    ipts[key] = ipt_cone(cone.apex, [cone.rays[i] for i in key],
+                                         cone.labels).eval(pt)
+                total = total + (w if (d - d2) % 2 == 0 else -w) * ipts[key]
+    return total
+
+
+def test_restricted_cells_match_per_face_decomposition():
+    # every tangent cone of the three 4-row interlacing polytopes above, of
+    # the square pyramid and of the octahedron, both forms at 3 points from
+    # seed 20261020: the cone's cells restricted to each face give the same
+    # value as the face cone decomposed on its own
+    tri = triangle_graph(4)
+    cases = []
+    for b in ((2, 1, 0, 0), (2, 2, 0, 0), (1, 0, 0, 0)):
+        cases += tangent_cones(*weighted_brion_instance(tri, BSeq(b)))
+    cases += tangent_cones(square_pyramid(), pyramid_phi)
+    octa = tangent_cones(octahedron(), pyramid_phi)
+    assert len(octa) == 6 and all(len(c.rays) == 4 for c in octa)
+    cases += octa
+    rng = random.Random(20261020)
+    for cone in cases:
+        sums = [ipt_weighted(cone, form) for form in ("moebius", "relint")]
+        for _ in range(3):
+            pt = random_point(cone.labels, rng,
+                              [m for s in sums for m in s.den_list()])
+            value = per_face_reference(cone, pt)
+            assert all(s.eval(pt) == value for s in sums), (cone.apex, pt)
+
+
+def test_face_without_a_generic_point_raises_search_exhausted(monkeypatch):
+    # the square cone times a ray: its facet over the square has two cells
+    rays = [(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0),
+            (0, 0, 0, 1)]
+    cells = triangulate(rays)
+    square = frozenset(range(4))
+    held = half_open_cells(rays, cells, square)
+    assert len(held) == 2 and all(len(c) == 3 for c, _, _ in held)
+    assert sorted(len(opened) for _, opened, _ in held) == [0, 1]
+    # a zero adjugate puts every candidate point on a facet of the cell
+    monkeypatch.setattr(cones, "_adjugate",
+                        lambda rows: ([0, 1, 2, 3], [[0] * 4] * 4, 1))
+    with pytest.raises(SearchExhausted):
+        half_open_cells(rays, cells, square)
+    # a face of one cell needs no generic point
+    assert half_open_cells(rays, cells, frozenset([0, 4])) == [
+        ((0, 4), frozenset(),
+         [p for p, cell in enumerate(cells) if {0, 4} <= set(cell)])]
+
+
 def test_cell_sum_eval_raises_where_a_binomial_vanishes():
     # x z = 1 at the point: the ray (1, 0, 1) has 1 - x^r = 0
     s = ipt_weighted(square_cone())
@@ -827,3 +894,13 @@ def test_brion_simplex_3d():
 def test_polyhedron_from_json():
     P = Polyhedron.from_json('{"dim":1,"ineqs":[[1,2],[-1,0]]}')
     assert P.lattice_points() == [(0,), (1,), (2,)]
+
+
+@pytest.mark.parametrize("row", [[1, 2.5], [1, 2.0], [0.5, 2], [1, True],
+                                 [1, "2"]])
+def test_polyhedron_rejects_non_integer_entries(row):
+    # an entry that is not an integer is an error, never truncated
+    with pytest.raises(ValueError):
+        Polyhedron.from_json({"dim": 1, "ineqs": [row, [-1, 0]]})
+    with pytest.raises(ValueError):
+        Polyhedron.from_json({"dim": 1, "ineqs": [[-1, 0]], "eqs": [row]})

@@ -175,6 +175,31 @@ def test_minimal_face_matches_face_enumeration():
         minimal_face(triangle_graph(3), BSeq([1, 0]))
 
 
+def test_vertex_search_matches_full_face_search():
+    # the value search for vertices against the 0-dimensional faces of the
+    # branch search, as block sets: every graph with at most 7 vertices with
+    # three top rows in [0, 3] from seed 20261020, and every nonincreasing top
+    # row in [0, 3] on the 4-row triangle
+    rng = random.Random(20261020)
+    cases = [(G, BSeq(sorted((rng.randint(0, 3) for _ in range(G.l)),
+                             reverse=True)))
+             for G in enumerate_ordinary_graphs(7) for _ in range(3)]
+    tri = triangle_graph(4)
+    cases += [(tri, BSeq(vals)) for vals in
+              itertools.combinations_with_replacement(range(3, -1, -1), 4)]
+    assert len(cases) == 767
+    vertices = 0
+    for G, b in cases:
+        found = [f.blocks for f in enumerate_faces(G, b, only_vertices=True)]
+        assert len(found) == len(set(found))
+        assert set(found) == {f.blocks for f in enumerate_faces(G, b)
+                              if f.dim == 0}, (G, b)
+        vertices += len(found)
+    assert vertices == 1219
+    with pytest.raises(ValueError):
+        enumerate_faces(tri, BSeq([1, 0]), only_vertices=True)
+
+
 # the run search and run weights that ConePlan replaced, kept as references:
 # runs from each up-set by a search over the blocks in topological order,
 # and run weights from a breadth-first search over the run's vertices
