@@ -15,12 +15,13 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, prod
 
 from .cones import Polyhedron, WeightedCone, ipt_weighted
 from .ring import (
-    Coeff, CollapseError, InvariantError, LaurentPoly, Monomial, RationalFn,
-    TPoly, TruncatedSeries, T_ONE, T_ZERO, UnitFactor, random_point, zq_coeff,
+    RANDOM_POINT_TRIES, Coeff, CollapseError, InvariantError, LaurentPoly,
+    Monomial, RationalFn, SearchExhausted, TPoly, TruncatedSeries, T_ONE,
+    T_ZERO, UnitFactor, random_point, zq_coeff,
 )
 
 
@@ -135,7 +136,9 @@ def triangle_graph(n):
 
 class BSeq:
     def __init__(self, values):
-        self.values = tuple(int(v) for v in values)
+        self.values = tuple(values)
+        if not all(type(v) is int for v in self.values):
+            raise ValueError("b must be a sequence of integers")
         if any(a < b for a, b in zip(self.values, self.values[1:])):
             raise ValueError("b must be nonincreasing")
 
@@ -159,14 +162,17 @@ class BSeq:
 # face subgraphs
 # ---------------------------------------------------------------------------
 
-def _component_weight(counts, a):
-    """Weight of a component from its row counts: a factor (1 - t^l) for
-    each row i > a holding l vertices below a row holding l - 1."""
-    out = T_ONE
-    for i, l in counts.items():
-        if i > a and counts.get(i - 1, 0) == l - 1:
-            out = out * TPoly({0: 1, l: -1})
-    return out
+def _component_ls(counts, a):
+    """The l of each factor (1 - t^l) in the weight of a component, from its
+    row counts: one for each row i > a holding l vertices below a row
+    holding l - 1."""
+    return [l for i, l in counts.items()
+            if i > a and counts.get(i - 1, 0) == l - 1]
+
+
+def _weight(ls):
+    """The product of (1 - t^l) over ls."""
+    return prod((TPoly({0: 1, l: -1}) for l in ls), start=T_ONE)
 
 
 class FaceSubgraph:
@@ -200,11 +206,8 @@ class FaceSubgraph:
 
     def phi(self):
         """prod (1 - t^l)^{d_l} from component row counts."""
-        out = T_ONE
-        for blk in self.blocks:
-            out = out * _component_weight(Counter(i for i, _ in blk),
-                                          self.graph.a)
-        return out
+        return _weight(l for blk in self.blocks for l in _component_ls(
+            Counter(i for i, _ in blk), self.graph.a))
 
     def top_values(self, b):
         """Value carried by each block that meets the top row, as a dict."""
@@ -529,10 +532,17 @@ class ConePlan:
         self.upsets = sorted(upsets, key=lambda s: (len(s), sorted(s)))
         if len(self.upsets[-1]) < self.n:
             raise InvariantError("block order relation has a cycle")
+        # per proper non-empty up-set U, the cut monomial is the product over
+        # U, or its inverse over the blocks outside U if U holds the pin
+        full = self.upsets[-1]
+        self.cut_blocks = [None] + [
+            (True, tuple(sorted(full - u))) if self.pin in u
+            else (False, tuple(sorted(u))) for u in self.upsets[1:-1]] + [None]
         self.schedule = self._build_schedule()
 
     def phi_run(self, run):
-        """Weight factor of a run: the face components inside the run.
+        """Key of the weight of a run: the sorted l of each factor (1 - t^l),
+        from the face components inside the run.
 
         The components are those of the block graph, whose edges are the
         covers, restricted to the run, and their row counts are the sums of
@@ -540,7 +550,7 @@ class ConePlan:
         the diamond rule that builds the blocks adds (i+1, j), which is
         adjacent to both (i, j) and (i, j+1).
         """
-        out = T_ONE
+        ls = []
         remaining = set(run)
         while remaining:
             stack = [remaining.pop()]
@@ -552,21 +562,23 @@ class ConePlan:
                 for c in self.neighbours[b] & remaining:
                     remaining.remove(c)
                     stack.append(c)
-            out = out * _component_weight(counts, self.graph.a)
-        return out
+            ls += _component_ls(counts, self.graph.a)
+        return tuple(sorted(ls))
 
     def _build_schedule(self):
         """The up-set recursion as index lists.
 
         One step per up-set U other than the full set, the largest first, as
-        (index of U in upsets, width, groups).  Each group is (coefficient
-        tuple of phi_run(V - U), indices of the up-sets V above U with that
-        run weight, in index order); width bounds the length of the
-        coefficient list of U.
+        (index of U in upsets, groups).  Each group is (phi_run key of the
+        runs V - U, indices of the up-sets V above U with that run weight, in
+        index order); `weights` holds each key's product.  `growth` sums
+        over the chains the product of 2^(number of factors) of their runs'
+        weights, a bound on the sum of the 1-norms of the weight products.
         """
         ups = self.upsets
-        phis = {}
-        widths = [1] * len(ups)
+        keys = {}
+        self.weights = {}
+        growth = [0] * (len(ups) - 1) + [1]
         steps = []
         for k in range(len(ups) - 2, -1, -1):
             groups = {}
@@ -574,15 +586,16 @@ class ConePlan:
             for j in range(k + 1, len(ups)):
                 if ups[k] < ups[j]:
                     run = ups[j] - ups[k]
-                    phi = phis.get(run)
-                    if phi is None:
-                        phi = phis[run] = tuple(self.phi_run(run).to_list())
-                    groups.setdefault(phi, []).append(j)
-            widths[k] = max(len(phi) - 1 + widths[j]
-                            for phi, kids in groups.items() for j in kids)
-            steps.append((k, widths[k],
-                          tuple((phi, tuple(kids))
-                                for phi, kids in groups.items())))
+                    key = keys.get(run)
+                    if key is None:
+                        key = keys[run] = self.phi_run(run)
+                        if key not in self.weights:
+                            self.weights[key] = _weight(key)
+                    groups.setdefault(key, []).append(j)
+                    growth[k] += growth[j] << len(key)
+            steps.append((k, tuple((key, tuple(kids))
+                                   for key, kids in groups.items())))
+        self.growth = growth[0]
         return steps
 
 
@@ -627,73 +640,87 @@ class ConeTransform:
                 raise CollapseError("cut factor collapses to (1 - 1)")
         return ct
 
-    def _cut_mono(self, upset):
-        """Monomial of the cut after prefix `upset`."""
-        got = self._cuts.get(upset)
-        if got is not None:
-            return got
-        out = Monomial.unit()
-        if self.plan.pin in upset:
-            for b in range(self.plan.n):
-                if b not in upset:
-                    out = out * self.block_monos[b].inv()
-        else:
-            for b in upset:
-                out = out * self.block_monos[b]
-        self._cuts[upset] = out
-        return out
+    def _cut_mono(self, k):
+        """Monomial of the cut after the up-set of index k."""
+        got = self._cuts.get(k)
+        if got is None:
+            inv, blocks = self.plan.cut_blocks[k]
+            got = prod([self.block_monos[b] for b in blocks],
+                       start=Monomial.unit())
+            self._cuts[k] = got = got.inv() if inv else got
+        return got
 
     def cut_monomials(self):
-        full = frozenset(range(self.plan.n))
-        return [self._cut_mono(u) for u in self.plan.upsets
-                if u and u != full]
+        return [self._cut_mono(k) for k in range(1, len(self.plan.upsets) - 1)]
 
-    def eval(self, point):
-        """Exact value at a rational point, t symbolic.
+    def cut_values(self, point):
+        """Each up-set's cut p/q at a point, from the block values, as (p, q -
+        p) with gcd(p, q) = 1 and q > 0 (None at the empty and the full set);
+        None at a pole, where some cut c is 1 and c/(1 - c) is undefined."""
+        blocks = [m.ratio(point) for m in self.block_monos]
+        out = [None] * len(self.plan.cut_blocks)
+        for k, (inv, bs) in enumerate(self.plan.cut_blocks[1:-1], 1):
+            p = q = 1
+            for b in bs:
+                bp, bq = blocks[b]
+                p *= bp
+                q *= bq
+            if inv:
+                p, q = q, p
+            if not q:
+                raise ZeroDivisionError(f"{self._cut_mono(k)} has a pole "
+                                        "at the point")
+            if p == q:
+                return None
+            g = gcd(p, q) if q > 0 else -gcd(p, q)
+            out[k] = (p // g, (q - p) // g)
+        return out
 
-        The up-set recursion runs on integer polynomials in t.  Each node is
-        a coefficient list over one positive integer denominator, divided by
-        the gcd of its content and that denominator.  A cut monomial takes
-        the value p/q, a pair of integers, so its factor c/(1 - c) is
-        p/(q - p), applied once per up-set; the children reached by runs of
-        equal weight are summed before the multiplication by that weight.
-        Every step is integer arithmetic, so the result is the exact value,
-        returned as a TPoly with rational coefficients.
+    def eval(self, point, cuts=None):
+        """Exact value at a rational point, t symbolic; `cuts` is
+        cut_values(point) where the caller has it.
+
+        With D the product of |q_U - p_U| over the cuts p_U/q_U, a chain
+        meets each up-set once, so N_U = D * (value of up-set U) is in Z[t]:
+        N is D at the full set and N_U = p_U * (sum of weight * N_V) /
+        (q_U - p_U) divides exactly; a remainder of the packed division
+        raises InvariantError.  N_U is packed as its value at t = 2^B, so a
+        factor (1 - t^l) is a shift and a subtraction.  B is two bits wider
+        than growth * prod max(|p_U|, |q_U - p_U|), which bounds the
+        coefficients at the empty set, so its base-2^B digits are them.
         """
         plan = self.plan
-        ups = plan.upsets
-        nums = [None] * len(ups)
-        dens = [None] * len(ups)
-        nums[-1], dens[-1] = [1], 1
-        for k, width, groups in plan.schedule:
-            den = lcm(*[dens[j] for _, kids in groups for j in kids])
-            num = [0] * width
-            for phi, kids in groups:
-                acc = num if phi == (1,) else [0] * (width - len(phi) + 1)
-                for j in kids:
-                    m = den // dens[j]
-                    for i, c in enumerate(nums[j]):
-                        acc[i] += c * m
-                if acc is not num:
-                    for e, f in enumerate(phi):
-                        if f:
-                            for i, c in enumerate(acc):
-                                num[i + e] += f * c
+        if cuts is None:
+            cuts = self.cut_values(point)
+            if cuts is None:
+                raise ZeroDivisionError("cut factor vanishes at point")
+        den, bound = 1, plan.growth
+        for p, d in cuts[1:-1]:
+            den *= abs(d)
+            bound *= max(abs(p), abs(d))
+        bits = bound.bit_length() + 2
+        vals = [0] * (len(cuts) - 1) + [den]
+        for k, groups in plan.schedule:
+            total = 0
+            for key, kids in groups:
+                acc = sum(map(vals.__getitem__, kids))
+                for l in key:
+                    acc -= acc << (l * bits)
+                total += acc
             if k:
-                p, q = self._cut_mono(ups[k]).ratio(point)
-                if p == q:
-                    raise ZeroDivisionError("cut factor vanishes at point")
-                if q > p:
-                    num, den = [c * p for c in num], den * (q - p)
-                else:
-                    num, den = [-c * p for c in num], den * (p - q)
-            g = gcd(*num, den)
-            if g > 1:
-                num, den = [c // g for c in num], den // g
-            nums[k], dens[k] = num, den
-        num, den = nums[0], dens[0]
-        out = TPoly({e: Fraction(c, den) for e, c in enumerate(num)})
-        return out * self.apex.eval(point)
+                p, d = cuts[k]
+                total, r = divmod(total * p, d)
+                if r:
+                    raise InvariantError("inexact division by a cut factor")
+            vals[k] = total
+        num, mask, half = vals[0], (1 << bits) - 1, 1 << (bits - 1)
+        coeffs, e = {}, 0
+        while num:
+            c = ((num + half) & mask) - half
+            coeffs[e] = Fraction(c, den)
+            num = (num - c) >> bits
+            e += 1
+        return TPoly(coeffs) * self.apex.eval(point)
 
     def _fold(self, one, zero, scale, cut):
         """The up-set recursion of `eval` in another ring.
@@ -706,15 +733,15 @@ class ConeTransform:
         plan = self.plan
         vals = [None] * len(plan.upsets)
         vals[-1] = one
-        for k, _, groups in plan.schedule:
+        for k, groups in plan.schedule:
             total = zero
-            for phi, kids in groups:
+            for key, kids in groups:
                 acc = vals[kids[0]]
                 for j in kids[1:]:
                     acc = acc + vals[j]
-                total = total + scale(acc, TPoly.from_list(phi))
+                total = total + scale(acc, plan.weights[key])
             if k:
-                total = total * cut(self._cut_mono(plan.upsets[k]))
+                total = total * cut(self._cut_mono(k))
             vals[k] = total
         return vals[0]
 
@@ -761,11 +788,12 @@ class ConeTransform:
                           lambda val, phi: val.scale(phi), cut_series)
 
 
-def product_value(cones, point):
-    """Value at a point of the product of a tuple of cone transforms."""
+def product_value(cones, point, cuts=None):
+    """Value at a point of the product of a tuple of cone transforms; `cuts`
+    maps each cone to its cut values there, where the caller has them."""
     total = T_ONE
     for ct in cones:
-        total = total * ct.eval(point)
+        total = total * ct.eval(point, None if cuts is None else cuts[ct])
     return total
 
 
@@ -869,17 +897,29 @@ def psi_terms(G, b):
     return out
 
 
+def _pole_free_point(variables, rng, products):
+    """random_point(variables, rng, cuts) for the cut monomials of the given
+    tuples of cone transforms, with the cut values of each cone there: each
+    try makes the same rng calls, and a cut is 1 exactly where the ratio of
+    its monomial has p == q."""
+    for _ in range(RANDOM_POINT_TRIES):
+        point = random_point(variables, rng)
+        cuts = {ct: ct.cut_values(point) for cts in products for ct in cts}
+        if None not in cuts.values():
+            return point, cuts
+    raise SearchExhausted("could not find a pole-free evaluation point")
+
+
 def psi_is_zero(G, b, trials=5, seed=0, rng=None):
     """Randomized test that psi_G(b) vanishes identically."""
     rng = rng or random.Random(seed)
-    terms = psi_terms(G, b)
-    dens = [m for _, cones in terms for m in product_cuts(cones)]
+    terms = [cones for _, cones in psi_terms(G, b)]
     variables = x_variables(G)
     for _ in range(trials):
-        point = random_point(variables, rng, dens)
+        point, cuts = _pole_free_point(variables, rng, terms)
         total = T_ZERO
-        for _, cones in terms:
-            total = total + product_value(cones, point)
+        for cones in terms:
+            total = total + product_value(cones, point, cuts)
         if not total.is_zero():
             return False
     return True
@@ -956,17 +996,16 @@ def verify_gensingular(G, b, b2, trials=3, seed=0):
         shift = Monomial({svar(v): coords2[v] - coords[v]
                           for v in G.vertices if coords2[v] != coords[v]})
         rhs.append((cones, shift))
-    dens = [m for cones in lhs for m in product_cuts(cones)]
-    dens += [m for cones, _ in rhs for m in product_cuts(cones)]
     variables = [svar(v) for v in G.vertices]
     for _ in range(trials):
-        point = random_point(variables, rng, dens)
+        point, cuts = _pole_free_point(variables, rng,
+                                       lhs + [cones for cones, _ in rhs])
         va = T_ZERO
         for cones in lhs:
-            va = va + product_value(cones, point)
+            va = va + product_value(cones, point, cuts)
         vb = T_ZERO
         for cones, shift in rhs:
-            vb = vb + product_value(cones, point) * shift.eval(point)
+            vb = vb + product_value(cones, point, cuts) * shift.eval(point)
         if va * fac != vb:
             return False
     return True

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -16,8 +17,8 @@ from hlbrion.graphs import (
     verify_graphsum, x_variables, svar,
 )
 from hlbrion.ring import (
-    LaurentPoly, Monomial, RationalFn, TPoly, TruncatedSeries, random_point,
-    zq_coeff,
+    InvariantError, LaurentPoly, Monomial, RationalFn, TPoly, TruncatedSeries,
+    random_point, zq_coeff,
 )
 
 # the three example shapes from the worked figures
@@ -268,33 +269,33 @@ def plan_reference(G, blocks):
                                                      frozenset()),
                  key=lambda s: (len(s), sorted(s)))
     index = {u: k for k, u in enumerate(ups)}
-    widths = [1] * len(ups)
     steps = []
     for k in range(len(ups) - 2, -1, -1):
         groups = {}
         for run in next_runs_reference(parents, topo, ups[k]):
             phi = tuple(phi_run_reference(G, blocks, run).to_list())
             groups.setdefault(phi, set()).add(index[ups[k] | run])
-        widths[k] = max(len(phi) - 1 + widths[j]
-                        for phi, kids in groups.items() for j in kids)
-        steps.append((k, widths[k], groups))
+        steps.append((k, groups))
     return ups, steps
 
 
 def test_cone_plans_match_the_run_search_reference():
+    # the schedule of every graph with at most 8 vertices, each group's
+    # weight multiplied out and its up-sets compared as a set
     graphs_checked = 0
-    for G in enumerate_ordinary_graphs(7):
+    for G in enumerate_ordinary_graphs(8):
         plan = ConePlan(G)
         ups, steps = plan_reference(G, plan.blocks)
         assert plan.upsets == ups, G
-        got = [(k, width, {phi: set(kids) for phi, kids in groups})
-               for k, width, groups in plan.schedule]
+        got = [(k, {tuple(plan.weights[key].to_list()): set(kids)
+                    for key, kids in groups})
+               for k, groups in plan.schedule]
         assert got == steps, G
-        for _, _, groups in plan.schedule:
+        for _, groups in plan.schedule:
             for _, kids in groups:
                 assert list(kids) == sorted(set(kids))
         graphs_checked += 1
-    assert graphs_checked > 100
+    assert graphs_checked == 565
 
 
 def test_sigma_cone_single_vertex():
@@ -344,6 +345,126 @@ def test_cone_eval_raises_where_a_cut_factor_vanishes():
     with pytest.raises(ZeroDivisionError):
         ConeTransform.of_cone(G, 0).eval(
             {svar(v): Fraction(1) for v in G.vertices})
+
+
+def fraction_fold(ct, pt):
+    """The up-set recursion on t-polynomials with Fraction coefficients, each
+    cut factor c/(1 - c) taken from its monomial's value: a reference for
+    the packed integer evaluator."""
+    def cut(m):
+        c = m.eval(pt)
+        return TPoly.const(c / (1 - c))
+
+    return ct._fold(TPoly.one(), TPoly.zero(), lambda val, w: val * w,
+                    cut) * ct.apex.eval(pt)
+
+
+def unit_gap_point(ct, pt, k, r):
+    """pt with one variable of the cut monomial of up-set k changed so that
+    the cut is (r + 1)/r, where its factor c/(1 - c) = -(r + 1) is largest."""
+    m = ct._cut_mono(k)
+    v, e = m.e[0]
+    rest = m.eval(pt) / pt[v] ** e
+    out = dict(pt)
+    out[v] = (Fraction(r + 1, r) / rest) ** e
+    return out
+
+
+def test_cone_eval_matches_the_fraction_recursion():
+    # every graph with at most 6 vertices at apex 1: a seeded point, and a
+    # point where one cut, chosen by the seed, has |q - p| = 1; the
+    # RationalFn expansion as well on the graphs with at most 5 vertices
+    rng = random.Random(2027)
+    checked = gaps = 0
+    for G in enumerate_ordinary_graphs(6):
+        ct = ConeTransform.of_cone(G, 1)
+        cuts = ct.cut_monomials()
+        pt = random_point([svar(v) for v in G.vertices], rng, cuts)
+        points = [pt]
+        if cuts:
+            k = rng.randrange(1, len(cuts) + 1)
+            for r in (96, 95, 94):
+                gap = unit_gap_point(ct, pt, k, r)
+                if all(m.eval(gap) != 1 for m in cuts):
+                    gap_cuts = ct.cut_values(gap)[1:-1]
+                    assert any(abs(d) == 1 for _, d in gap_cuts)
+                    points.append(gap)
+                    gaps += 1
+                    break
+        expanded = ct.expand() if len(G.vertices) <= 5 else None
+        for point in points:
+            value = ct.eval(point)
+            assert value == fraction_fold(ct, point), (G, point)
+            if expanded is not None:
+                assert value == expanded.eval(point), (G, point)
+        checked += 1
+    assert checked == 105 and gaps == 102
+
+
+def test_cone_eval_on_x_mapped_cones_matches_the_fraction_recursion():
+    # the cones of psi_G(b) after the x-variable map, as psi_is_zero meets
+    # them, on the row-growing graphs with at most 7 vertices
+    rng = random.Random(5)
+    cones = 0
+    for G in enumerate_ordinary_graphs(7):
+        if not G.violates_row_monotonicity():
+            continue
+        b = BSeq(sorted((rng.randint(0, 3) for _ in range(G.l)),
+                        reverse=True))
+        for _, cts in psi_terms(G, b):
+            pt = random_point(x_variables(G), rng, product_cuts(cts))
+            for ct in cts:
+                assert ct.eval(pt) == fraction_fold(ct, pt), (G, b, pt)
+                cones += 1
+    assert cones == 80
+
+
+def test_psi_is_zero_draws_the_points_random_point_draws(monkeypatch):
+    # seed 168 draws a point where a cut monomial of this graph is 1 within
+    # its five trials, so random_point redraws once
+    G = OrdinaryGraph([(0, 2), (1, 1), (1, 2), (2, 1)])
+    b = BSeq([0])
+    variables = x_variables(G)
+    dens = [m for _, cones in psi_terms(G, b) for m in product_cuts(cones)]
+    rng = random.Random(168)
+    expect = [random_point(variables, rng, dens) for _ in range(5)]
+    rng = random.Random(168)
+    assert expect != [random_point(variables, rng) for _ in range(5)]
+    seen = []
+    eval_ = ConeTransform.eval
+
+    def spy(self, point, cuts=None):
+        if not seen or seen[-1] is not point:
+            seen.append(point)
+        return eval_(self, point, cuts)
+
+    monkeypatch.setattr(ConeTransform, "eval", spy)
+    assert psi_is_zero(G, b, trials=5, seed=168)
+    assert seen == expect
+
+
+def test_cone_eval_raises_on_an_inexact_division():
+    # a broken schedule that passes the up-set {top} twice on one chain,
+    # with weight 1: D holds its factor q - p = 3 once, so the second
+    # division of N = 2 * 2 by 3 leaves a remainder
+    G = OrdinaryGraph([(0, 1), (1, 1)])
+    ct = ConeTransform.of_cone(G, 0)
+    plan = copy.copy(ct.plan)
+    assert plan.upsets == [frozenset(), {0}, {0, 1}]
+    k = 1
+    plan.schedule = [(k, (((), (2,)),)), (k, (((), (k,)),))] + \
+        plan.schedule[1:]
+    pt = {svar((0, 1)): Fraction(3), svar((1, 1)): Fraction(5, 2)}
+    assert ct.cut_values(pt)[k] == (2, 3)
+    with pytest.raises(InvariantError):
+        ConeTransform(plan, ct.block_monos, ct.apex).eval(pt)
+
+
+def test_bseq_rejects_non_integer_values():
+    for values in ([2.5, 0], ["3", True], [Fraction(1), 0]):
+        with pytest.raises(ValueError):
+            BSeq(values)
+    assert BSeq([3, 3, 0]).values == (3, 3, 0)
 
 
 @pytest.mark.parametrize("qdeg", [2, 1, 0, -1, -2])
