@@ -23,12 +23,11 @@ import random as _random
 from collections import Counter
 
 from .graphs import (
-    BSeq, product_cuts, product_value, psi_terms, t_factorials,
-    triangle_graph, xvar,
+    BSeq, product_value, psi_terms, t_factorials, triangle_graph, xvar,
 )
 from .ring import (
-    LaurentPoly, Monomial, TPoly, T_ONE, T_ZERO,
-    exact_div_binomials, random_point,
+    LaurentPoly, Monomial, Pole, TPoly, T_ONE, T_ZERO,
+    at_random_points, exact_div_binomials,
 )
 
 
@@ -394,22 +393,22 @@ def verify_contribfin(weight, trials=3, seed=0):
     pin = {xvar(0): Monomial.unit(), xvar(n): Monomial.unit()}
     contribs = [(face, tuple(ct.subs_monomials(pin) for ct in cones))
                 for face, cones in psi_terms(G, b)]
-    relevant = [(f, cones) for f, cones in contribs if face_is_relevant(f)]
-    others = [(f, cones) for f, cones in contribs if not face_is_relevant(f)]
+    relevant = [face_is_relevant(f) for f, _ in contribs]
     orbit = set(itertools.permutations(weight.parts))
     report = {
         "n_vertices": len(contribs),
-        "n_relevant": len(relevant),
+        "n_relevant": sum(relevant),
         "orbit_size": len(orbit),
         "ok": True,
         "failures": [],
     }
-    if len(relevant) != len(orbit):
+    if report["n_relevant"] != len(orbit):
         report["ok"] = False
         report["failures"].append("relevant vertex count != orbit size")
-    by_mu = {}
-    for f, cones in relevant:
-        by_mu.setdefault(vertex_monomial(f, weight.parts, n), []).append(cones)
+    by_mu = {}      # orbit weight -> indices of its relevant vertices
+    for k, (f, _) in enumerate(contribs):
+        if relevant[k]:
+            by_mu.setdefault(vertex_monomial(f, weight.parts, n), []).append(k)
     if any(len(v) != 1 for v in by_mu.values()):
         report["ok"] = False
         report["failures"].append("orbit weight hit by several relevant vertices")
@@ -422,28 +421,31 @@ def verify_contribfin(weight, trials=3, seed=0):
         mu = _orbit_monomial(weight, w).subs(pin_n)
         term = _weyl_term(weight, w, factors).subs_monomials(pin_n)
         weyl_by_mu[mu] = weyl_by_mu.get(mu, LaurentPoly.zero()) + term
-    dens = [y.subs(pin_n) for _, y, _, _ in factors]
-    all_dens = dens + [m for _, cones in contribs for m in product_cuts(cones)]
-    variables = [xvar(i) for i in range(1, n)]
+    roots = [y.subs(pin_n) for _, y, _, _ in factors]
     wl = wlambda_poincare(weight)
-    for _ in range(trials):
-        point = random_point(variables, rng, all_dens)
+
+    def holds(point):
         den_val = T_ONE
-        for d in dens:
-            den_val = den_val * (1 - d.eval(point))
+        for y in roots:
+            val = y.eval(point)
+            if val == 1:
+                raise Pole(f"root factor (1 - {y}) vanishes at point")
+            den_val = den_val * (1 - val)
+        values = [product_value(cones, point) for _, cones in contribs]
         # (a) irrelevant vertices contribute zero
-        for f, cones in others:
-            if not product_value(cones, point).is_zero():
+        for (f, _), rel, val in zip(contribs, relevant, values):
+            if not rel and not val.is_zero():
                 report["ok"] = False
                 report["failures"].append(f"nonzero irrelevant vertex {f}")
         # (b) each relevant vertex matches its orbit-element sum, up to the
         # stabilizer factor (the orbit-grouped sum overcounts by W_lam(t))
-        for mu, products in by_mu.items():
-            lhs = product_value(products[0], point) * den_val * wl
+        for mu, ks in by_mu.items():
+            lhs = values[ks[0]] * den_val * wl
             rhs = weyl_by_mu.get(mu, LaurentPoly.zero()).eval_at(point)
             if lhs != rhs:
                 report["ok"] = False
                 report["failures"].append(f"orbit weight {mu} mismatch")
-        if not report["ok"]:
-            break
+        return report["ok"]
+
+    at_random_points([xvar(i) for i in range(1, n)], rng, trials, holds)
     return report

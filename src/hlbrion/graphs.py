@@ -19,9 +19,9 @@ from math import gcd, prod
 
 from .cones import Polyhedron, WeightedCone, ipt_weighted
 from .ring import (
-    RANDOM_POINT_TRIES, Coeff, CollapseError, InvariantError, LaurentPoly,
-    Monomial, RationalFn, SearchExhausted, TPoly, TruncatedSeries, T_ONE,
-    T_ZERO, UnitFactor, random_point, zq_coeff,
+    Coeff, CollapseError, InvariantError, LaurentPoly, Monomial, Pole,
+    RationalFn, TPoly, TruncatedSeries, T_ONE, T_ZERO, UnitFactor,
+    at_random_points, zq_coeff,
 )
 
 
@@ -655,8 +655,8 @@ class ConeTransform:
 
     def cut_values(self, point):
         """Each up-set's cut p/q at a point, from the block values, as (p, q -
-        p) with gcd(p, q) = 1 and q > 0 (None at the empty and the full set);
-        None at a pole, where some cut c is 1 and c/(1 - c) is undefined."""
+        p) with gcd(p, q) = 1 and q > 0 (None at the empty and the full set).
+        Raises Pole where some cut c is 1 and c/(1 - c) is undefined."""
         blocks = [m.ratio(point) for m in self.block_monos]
         out = [None] * len(self.plan.cut_blocks)
         for k, (inv, bs) in enumerate(self.plan.cut_blocks[1:-1], 1):
@@ -671,14 +671,14 @@ class ConeTransform:
                 raise ZeroDivisionError(f"{self._cut_mono(k)} has a pole "
                                         "at the point")
             if p == q:
-                return None
+                raise Pole(f"cut factor {self._cut_mono(k)} vanishes at point")
             g = gcd(p, q) if q > 0 else -gcd(p, q)
             out[k] = (p // g, (q - p) // g)
         return out
 
-    def eval(self, point, cuts=None):
-        """Exact value at a rational point, t symbolic; `cuts` is
-        cut_values(point) where the caller has it.
+    def eval(self, point):
+        """Exact value at a rational point, t symbolic; raises Pole where a
+        cut factor vanishes.
 
         With D the product of |q_U - p_U| over the cuts p_U/q_U, a chain
         meets each up-set once, so N_U = D * (value of up-set U) is in Z[t]:
@@ -690,10 +690,7 @@ class ConeTransform:
         coefficients at the empty set, so its base-2^B digits are them.
         """
         plan = self.plan
-        if cuts is None:
-            cuts = self.cut_values(point)
-            if cuts is None:
-                raise ZeroDivisionError("cut factor vanishes at point")
+        cuts = self.cut_values(point)
         den, bound = 1, plan.growth
         for p, d in cuts[1:-1]:
             den *= abs(d)
@@ -788,18 +785,12 @@ class ConeTransform:
                           lambda val, phi: val.scale(phi), cut_series)
 
 
-def product_value(cones, point, cuts=None):
-    """Value at a point of the product of a tuple of cone transforms; `cuts`
-    maps each cone to its cut values there, where the caller has them."""
+def product_value(cones, point):
+    """Value at a point of the product of a tuple of cone transforms."""
     total = T_ONE
     for ct in cones:
-        total = total * ct.eval(point, None if cuts is None else cuts[ct])
+        total = total * ct.eval(point)
     return total
-
-
-def product_cuts(cones):
-    """The cut monomials of every factor of a tuple of cone transforms."""
-    return [m for ct in cones for m in ct.cut_monomials()]
 
 
 def sigma_cone_polyhedral(G, b_value):
@@ -897,32 +888,16 @@ def psi_terms(G, b):
     return out
 
 
-def _pole_free_point(variables, rng, products):
-    """random_point(variables, rng, cuts) for the cut monomials of the given
-    tuples of cone transforms, with the cut values of each cone there: each
-    try makes the same rng calls, and a cut is 1 exactly where the ratio of
-    its monomial has p == q."""
-    for _ in range(RANDOM_POINT_TRIES):
-        point = random_point(variables, rng)
-        cuts = {ct: ct.cut_values(point) for cts in products for ct in cts}
-        if None not in cuts.values():
-            return point, cuts
-    raise SearchExhausted("could not find a pole-free evaluation point")
-
-
 def psi_is_zero(G, b, trials=5, seed=0, rng=None):
     """Randomized test that psi_G(b) vanishes identically."""
     rng = rng or random.Random(seed)
     terms = [cones for _, cones in psi_terms(G, b)]
-    variables = x_variables(G)
-    for _ in range(trials):
-        point, cuts = _pole_free_point(variables, rng, terms)
-        total = T_ZERO
-        for cones in terms:
-            total = total + product_value(cones, point, cuts)
-        if not total.is_zero():
-            return False
-    return True
+
+    def vanishes(point):
+        return sum((product_value(cones, point) for cones in terms),
+                   T_ZERO).is_zero()
+
+    return at_random_points(x_variables(G), rng, trials, vanishes)
 
 
 # ---------------------------------------------------------------------------
@@ -996,19 +971,14 @@ def verify_gensingular(G, b, b2, trials=3, seed=0):
         shift = Monomial({svar(v): coords2[v] - coords[v]
                           for v in G.vertices if coords2[v] != coords[v]})
         rhs.append((cones, shift))
-    variables = [svar(v) for v in G.vertices]
-    for _ in range(trials):
-        point, cuts = _pole_free_point(variables, rng,
-                                       lhs + [cones for cones, _ in rhs])
-        va = T_ZERO
-        for cones in lhs:
-            va = va + product_value(cones, point, cuts)
-        vb = T_ZERO
-        for cones, shift in rhs:
-            vb = vb + product_value(cones, point, cuts) * shift.eval(point)
-        if va * fac != vb:
-            return False
-    return True
+
+    def holds(point):
+        va = sum((product_value(cones, point) for cones in lhs), T_ZERO)
+        vb = sum((product_value(cones, point) * shift.eval(point)
+                  for cones, shift in rhs), T_ZERO)
+        return va * fac == vb
+
+    return at_random_points([svar(v) for v in G.vertices], rng, trials, holds)
 
 
 def verify_face_euler_sum(n, lam):

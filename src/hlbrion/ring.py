@@ -49,6 +49,10 @@ class CollapseError(ValueError):
     """A monomial specialization sent a denominator factor to 1."""
 
 
+class Pole(ZeroDivisionError):
+    """A denominator factor (1 - m) vanishes at an evaluation point."""
+
+
 class SearchExhausted(RuntimeError):
     """A seeded search for a generic choice (a pole-free point, generic
     heights or a generic point of a cone) ran out of tries."""
@@ -702,7 +706,7 @@ class RationalFn:
         for m, k in self.den.items():
             d = 1 - m.eval(point)
             if d == 0:
-                raise ZeroDivisionError(f"denominator factor vanishes at point: {m}")
+                raise Pole(f"denominator factor vanishes at point: {m}")
             scale /= d ** k
         return val * scale
 
@@ -726,31 +730,44 @@ class RationalFn:
     __repr__ = __str__
 
 
-RANDOM_POINT_TRIES = 500        # draws before random_point gives up
+RANDOM_POINT_TRIES = 500        # draws per evaluation point before giving up
 
 
 def random_point(variables, rng, dens=()):
     """Seeded random rational point avoiding the poles of the given factors.
 
     Numerators and denominators are drawn from [2, 97] per the design of the
-    randomized identity tests.
+    randomized identity tests.  A factor in a variable that is not drawn
+    raises MissingVariable.
     """
     variables = sorted(variables)
     for _ in range(RANDOM_POINT_TRIES):
         point = {v: Fraction(rng.randint(2, 97), rng.randint(2, 97)) for v in variables}
-        ok = True
-        for m in dens:
-            try:
-                p, q = m.ratio(point)
-                if p == q:
-                    ok = False
-                    break
-            except MissingVariable:
-                ok = False
-                break
-        if ok:
+        if all(p != q for p, q in (m.ratio(point) for m in dens)):
             return point
     raise SearchExhausted("could not find a pole-free evaluation point")
+
+
+def at_random_points(variables, rng, trials, check):
+    """Whether check(point) holds at `trials` seeded random points.
+
+    Each point is drawn by random_point; a draw where check raises Pole is
+    drawn again, up to RANDOM_POINT_TRIES draws per point.  Returns False at
+    the first point where check is false, and draws nothing more.
+    """
+    for _ in range(trials):
+        for _ in range(RANDOM_POINT_TRIES):
+            point = random_point(variables, rng)
+            try:
+                ok = check(point)
+            except Pole:
+                continue
+            if not ok:
+                return False
+            break
+        else:
+            raise SearchExhausted("could not find a pole-free evaluation point")
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from hlbrion.graphs import (
     BSeq, polyhedron_of, triangle_graph, weighted_brion_instance,
 )
 from hlbrion.ring import (
-    LaurentPoly, Monomial, RationalFn, SearchExhausted, TPoly, random_point,
+    LaurentPoly, Monomial, Pole, RationalFn, SearchExhausted, TPoly,
+    random_point,
 )
 
 
@@ -791,9 +792,9 @@ def test_cell_sum_eval_raises_where_a_binomial_vanishes():
     # x z = 1 at the point: the ray (1, 0, 1) has 1 - x^r = 0
     s = ipt_weighted(square_cone())
     pt = {"x": Fraction(1, 2), "y": Fraction(3, 5), "z": Fraction(2)}
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(Pole):
         s.eval(pt)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(Pole):
         s.expand().eval(pt)
 
 
@@ -829,6 +830,28 @@ def test_verify_weighted_brion_expands_no_cone(monkeypatch):
                                             BSeq((2, 1, 0, 0)))
     assert verify_weighted_brion(P, phi, trials=3, seed=8, vertices=verts)
     assert verify_weighted_brion(square_pyramid(), pyramid_phi, seed=9)
+
+
+def test_verify_weighted_brion_draws_the_points_random_point_draws(
+        completed_points, monkeypatch):
+    # seed 157 draws a point where a ray monomial of the pyramid is 1: it is
+    # drawn again, before the lattice sum is evaluated there
+    P = square_pyramid()
+    dens = [m for c in tangent_cones(P, pyramid_phi)
+            for m in ipt_weighted(c).den_list()]
+    rng = random.Random(157)
+    expect = [random_point(P.labels, rng, dens) for _ in range(3)]
+    lattice_sums = []
+    eval_at = LaurentPoly.eval_at
+
+    def spy(self, point):
+        lattice_sums.append(point)
+        return eval_at(self, point)
+    monkeypatch.setattr(LaurentPoly, "eval_at", spy)
+    done, poles = completed_points(cones)
+    assert verify_weighted_brion(P, pyramid_phi, trials=3, seed=157)
+    assert done == expect and len(poles) == 1
+    assert lattice_sums == expect
 
 
 def test_stanley_reciprocity_simplicial():

@@ -10,8 +10,12 @@ from hlbrion.finite_hl import (
     hl_branching, hl_def, hl_gt, mu_exponent, orbit_sum, p_of,
     schur_bialternant, subs_t, verify_contribfin, wlambda_poincare,
 )
-from hlbrion.graphs import BSeq, enumerate_faces, triangle_graph, xvar
-from hlbrion.ring import LaurentPoly, Monomial, TPoly, exact_div_binomials
+from hlbrion.graphs import (
+    BSeq, enumerate_faces, psi_terms, triangle_graph, xvar,
+)
+from hlbrion.ring import (
+    LaurentPoly, Monomial, TPoly, exact_div_binomials, random_point,
+)
 
 
 def tp(*coeffs):
@@ -314,3 +318,20 @@ def test_contribfin():
     # n = 4, singular: two group elements per orbit weight
     r = verify_contribfin(FiniteWeight(4, [1, 0, 1]), trials=1, seed=5)
     assert r["ok"] and r["n_relevant"] == r["orbit_size"] == 12
+
+
+def test_verify_contribfin_draws_the_points_random_point_draws(
+        completed_points):
+    # seed 13 draws x1 = 1, where the root factor 1 - 1/x1 is 0 (and a cut
+    # factor with it): the point is drawn again
+    n, weight = 3, FiniteWeight(3, [1, 1])
+    pin = {xvar(0): Monomial.unit(), xvar(n): Monomial.unit()}
+    dens = [y.subs({xvar(n): Monomial.unit()})
+            for _, y, _, _ in _root_factors(n)]
+    dens += [m for _, cones in psi_terms(triangle_graph(n), BSeq(weight.parts))
+             for ct in cones for m in ct.subs_monomials(pin).cut_monomials()]
+    rng = random.Random(13)
+    expect = [random_point([xvar(1), xvar(2)], rng, dens) for _ in range(3)]
+    done, poles = completed_points(finite_hl)
+    assert verify_contribfin(weight, trials=3, seed=13)["ok"]
+    assert done == expect and len(poles) == 1

@@ -11,14 +11,14 @@ from hlbrion.cones import face_lattice, Polyhedron
 from hlbrion.graphs import (
     BSeq, ConePlan, ConeTransform, FaceSubgraph, NotClosedDown, OrdinaryGraph,
     degeneration_map, enumerate_faces, enumerate_ordinary_graphs, is_bounded,
-    minimal_face, polyhedron_of, product_cuts, product_value, psi_is_zero,
+    minimal_face, polyhedron_of, product_value, psi_is_zero,
     psi_terms, sigma_cone_polyhedral, t_factorial, t_multinomial,
     triangle_graph, verify_face_euler_sum, verify_gensingular,
     verify_graphsum, x_variables, svar,
 )
 from hlbrion.ring import (
-    InvariantError, LaurentPoly, Monomial, RationalFn, TPoly, TruncatedSeries,
-    random_point, zq_coeff,
+    InvariantError, LaurentPoly, Monomial, Pole, RationalFn, TPoly,
+    TruncatedSeries, random_point, zq_coeff,
 )
 
 # the three example shapes from the worked figures
@@ -342,7 +342,7 @@ def test_sigma_cone_methods_agree():
 
 def test_cone_eval_raises_where_a_cut_factor_vanishes():
     G = OrdinaryGraph([(0, 1), (1, 1), (2, 0), (2, 1), (3, 0)])
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(Pole):
         ConeTransform.of_cone(G, 0).eval(
             {svar(v): Fraction(1) for v in G.vertices})
 
@@ -412,35 +412,61 @@ def test_cone_eval_on_x_mapped_cones_matches_the_fraction_recursion():
         b = BSeq(sorted((rng.randint(0, 3) for _ in range(G.l)),
                         reverse=True))
         for _, cts in psi_terms(G, b):
-            pt = random_point(x_variables(G), rng, product_cuts(cts))
+            pt = random_point(x_variables(G), rng, cut_monomials_of([cts]))
             for ct in cts:
                 assert ct.eval(pt) == fraction_fold(ct, pt), (G, b, pt)
                 cones += 1
     assert cones == 80
 
 
+def cut_monomials_of(products):
+    """The cut monomials of every cone in a list of cone tuples."""
+    return [m for cones in products for ct in cones
+            for m in ct.cut_monomials()]
+
+
 def test_psi_is_zero_draws_the_points_random_point_draws(monkeypatch):
     # seed 168 draws a point where a cut monomial of this graph is 1 within
-    # its five trials, so random_point redraws once
+    # its five trials: eval raises Pole there and the point is drawn again
     G = OrdinaryGraph([(0, 2), (1, 1), (1, 2), (2, 1)])
     b = BSeq([0])
     variables = x_variables(G)
-    dens = [m for _, cones in psi_terms(G, b) for m in product_cuts(cones)]
+    dens = cut_monomials_of(cones for _, cones in psi_terms(G, b))
     rng = random.Random(168)
     expect = [random_point(variables, rng, dens) for _ in range(5)]
     rng = random.Random(168)
     assert expect != [random_point(variables, rng) for _ in range(5)]
-    seen = []
+    seen, poles = [], []
     eval_ = ConeTransform.eval
 
-    def spy(self, point, cuts=None):
+    def spy(self, point):
         if not seen or seen[-1] is not point:
             seen.append(point)
-        return eval_(self, point, cuts)
+        try:
+            return eval_(self, point)
+        except Pole:
+            poles.append(point)
+            raise
 
     monkeypatch.setattr(ConeTransform, "eval", spy)
     assert psi_is_zero(G, b, trials=5, seed=168)
-    assert seen == expect
+    assert len(poles) == 1
+    assert [p for p in seen if p is not poles[0]] == expect
+
+
+def test_verify_gensingular_draws_the_points_random_point_draws(
+        completed_points):
+    # seed 17 draws a point where a cut monomial is 1: it is drawn again
+    G = OrdinaryGraph([(0, 1), (0, 2), (1, 1), (2, 1)])
+    b, b2 = BSeq([1, 0]), BSeq([0, 0])
+    dens = cut_monomials_of(cones for c in (b, b2)
+                            for _, cones in graphs.vertex_contributions(G, c))
+    rng = random.Random(17)
+    expect = [random_point([svar(v) for v in G.vertices], rng, dens)
+              for _ in range(3)]
+    done, poles = completed_points(graphs)
+    assert verify_gensingular(G, b, b2, trials=3, seed=17)
+    assert done == expect and len(poles) == 1
 
 
 def test_cone_eval_raises_on_an_inexact_division():
@@ -515,7 +541,7 @@ def test_psi_single_column_path():
     terms = psi_terms(G, b)
     assert len(terms) == 1
     cones = terms[0][1]
-    pt = random_point(x_variables(G), rng, product_cuts(cones))
+    pt = random_point(x_variables(G), rng, cut_monomials_of([cones]))
     val = product_value(cones, pt)
     # independent oracle by summing the 1-d chain polyhedron directly:
     # points are s(1,1) = 2 - a, s(2,0) = s(1,1) + c with a, c >= 0 and

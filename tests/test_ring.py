@@ -8,9 +8,10 @@ import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from hlbrion.ring import (
-    Coeff, DomainMismatch, LaurentPoly, Monomial, NonInvertibleLeadingCoefficient,
-    NotDivisible, PrecisionExceeded, SearchExhausted, TPoly, TruncatedSeries,
-    UnitFactor, exact_div_binomials, mul_binomials, random_point,
+    RANDOM_POINT_TRIES, Coeff, DomainMismatch, LaurentPoly, MissingVariable,
+    Monomial, NonInvertibleLeadingCoefficient, NotDivisible, Pole,
+    PrecisionExceeded, SearchExhausted, TPoly, TruncatedSeries, UnitFactor,
+    at_random_points, exact_div_binomials, mul_binomials, random_point,
 )
 
 
@@ -565,3 +566,50 @@ def test_random_point_without_a_pole_free_draw_raises_search_exhausted():
     with pytest.raises(SearchExhausted) as exc:
         random_point(["x"], random.Random(1), dens=[mono(x=1), Monomial.unit()])
     assert isinstance(exc.value, RuntimeError)
+
+
+def test_random_point_raises_on_a_factor_in_a_variable_it_does_not_draw():
+    # a missing variable is a wrong factor list, not a pole: no redraw
+    with pytest.raises(MissingVariable):
+        random_point(["x"], random.Random(1), dens=[Monomial.var("y")])
+
+
+def test_at_random_points_redraws_a_pole_until_its_tries_run_out():
+    draws = []
+
+    def always_a_pole(point):
+        draws.append(point)
+        raise Pole("every draw")
+    with pytest.raises(SearchExhausted):
+        at_random_points(["x", "y"], random.Random(2), 3, always_a_pole)
+    assert len(draws) == RANDOM_POINT_TRIES
+
+
+def test_at_random_points_lets_any_other_zero_division_through():
+    draws = []
+
+    def divides_by_zero(point):
+        draws.append(point)
+        return 1 / 0
+    with pytest.raises(ZeroDivisionError) as exc:
+        at_random_points(["x"], random.Random(2), 3, divides_by_zero)
+    assert not isinstance(exc.value, Pole)
+    assert len(draws) == 1
+
+
+def test_at_random_points_stops_at_the_first_failing_point():
+    # the check holds at the first point, raises Pole at the second draw
+    # and fails at the third: the stream has made exactly those three draws
+    draws = []
+
+    def check(point):
+        draws.append(point)
+        if len(draws) == 2:
+            raise Pole("a redraw")
+        return len(draws) < 3
+    rng = random.Random(3)
+    assert not at_random_points(["x", "y"], rng, 5, check)
+    replay = random.Random(3)
+    assert draws == [random_point(["x", "y"], replay) for _ in range(3)]
+    assert rng.random() == replay.random()
+    assert at_random_points(["x"], random.Random(3), 4, lambda p: True)

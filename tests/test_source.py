@@ -82,6 +82,24 @@ def test_every_module_level_name_in_src_is_referenced():
     assert not unused, unused
 
 
+def test_only_the_draw_loop_and_the_z_sampler_call_random_point():
+    """A randomized check draws its points through ring.at_random_points and
+    lets its evaluators raise Pole; a check that hands random_point its own
+    factor list makes a second pole pass over the same factors.  The affine
+    z-points are drawn apart, before anything is evaluated."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and \
+                        _call_name(node) == "random_point":
+                    callers.add(f"{path.stem}.{func.name}")
+    assert callers == {"ring.at_random_points", "affine_hl.random_zpoint"}
+
+
 # parameters with a default that only the tests set: the relint oracle of
 # `ipt_weighted`, the shifted base sequences of `t0_sequence` and the shared
 # random stream that criterion 5 hands to `psi_is_zero`
