@@ -53,8 +53,10 @@ class AffineWeight:
     coordinates (a_0, ..., a_{n-1}); the level is their sum."""
 
     def __init__(self, n, a):
-        self.n = int(n)
-        self.a = tuple(int(x) for x in a)
+        self.n = n
+        self.a = tuple(a)
+        if not all(type(x) is int for x in (n, *self.a)):
+            raise ValueError("n and the coordinates must be integers")
         if self.n < 2 or len(self.a) != self.n:
             raise ValueError("need n coordinates a_0..a_{n-1}")
         if any(x < 0 for x in self.a) or not any(self.a):

@@ -583,67 +583,57 @@ class CellSum:
     (`half_open_cells`, which cites why that works): a face cell in a
     unimodular cell is its corner alone, a whole closed cell keeps its points.
 
-    rays holds x^r for the rays that some cell uses.  A cell's corner is the
-    apex plus its open rays, and its points are the corner plus each monomial
-    in offsets (None: the corner alone, as in every unimodular cell).  At
-    x^r = p_r / q_r the cell's transform is x^apex * (sum of the offsets) *
-    prod_{r open} p_r * prod_{r closed} q_r / prod_{r in cell} (q_r - p_r),
-    so over the common denominator prod_r (q_r - p_r) its numerator is an
-    integer times the offset sum: sel picks, for each ray, q_r, p_r or
-    q_r - p_r (closed, open, not in the cell) from a flat list of the three.
+    rays holds x^r for the rays of its faces, which are the rays that its
+    cells use: every triangulation of a pointed cone uses all its extreme
+    rays.  A cell's corner is the apex plus its open rays, and its points are
+    the corner plus each monomial in offsets (None: the corner alone, as in
+    every unimodular cell).  At x^r = p_r / q_r the cell's transform is
+    x^apex * (sum of the offsets) * prod_{r open} p_r * prod_{r closed} q_r /
+    prod_{r in cell} (q_r - p_r), so over the common denominator
+    prod_r (q_r - p_r) its numerator is an integer times the offset sum: sel
+    picks, for each ray, q_r, p_r or q_r - p_r (closed, open, not in the
+    cell) from a flat list of the three.
     """
 
     __slots__ = ("apex", "rays", "terms")
 
     def __init__(self, apex, rays, labels, faces):
-        """faces: (coeff, ray ids) pairs, ids indexing rays: all those on
-        one face of cone(rays)."""
+        """faces: (coeff, ray ids) pairs, ids indexing rays: the extreme rays
+        of one face of cone(rays)."""
         rays = [tuple(r) for r in rays]
         cone = sorted(set(rays))
         index = {r: i for i, r in enumerate(cone)}
         keys = [frozenset(index[rays[i]] for i in ids) for _, ids in faces]
+        used = sorted(set().union(*keys))
         proj, cells = _cells(apex, cone)
         invs = {}
-        found = {}      # face -> (cell rays, open rays, points or None) per cell
+        stored = {}     # face -> (sel, offsets) per cell
         for key in keys:
-            if key in found:
+            if key in stored:
                 continue
-            if len(cells[0][0]) == len(cone):   # simplicial: one closed cell
-                held = [(tuple(sorted(key)), frozenset(), [0])]
-            else:
-                held = half_open_cells(proj, [c for c, _ in cells], key, invs)
-            found[key] = out = []
-            for sub, open_idx, ps in held:
-                cell = [cone[i] for i in sub]
+            stored[key] = out = []
+            for sub, open_idx, ps in half_open_cells(
+                    proj, [c for c, _ in cells], key, invs):
+                opened = {sub[j] for j in open_idx}
                 if any(len(cells[p][1]) == 1 for p in ps):
                     pts = None
                 elif not open_idx and sub == cells[ps[0]][0]:
                     pts = cells[ps[0]][1]
                 else:
-                    pts = parallelepiped_points(apex, cell, open_idx)
-                out.append((cell, [cell[j] for j in open_idx], pts))
-        used = sorted({r for cells in found.values()
-                       for cell, _, _ in cells for r in cell})
-        stored = {}
-        for key, cells in found.items():
-            stored[key] = out = []
-            for cell, opened, pts in cells:
-                corner = [a + sum(r[c] for r in opened)
+                    pts = parallelepiped_points(apex, [cone[i] for i in sub],
+                                                open_idx)
+                corner = [a + sum(cone[i][c] for i in opened)
                           for c, a in enumerate(apex)]
-                sel = tuple(3 * i + (1 if r in opened else 0 if r in cell
-                                     else 2) for i, r in enumerate(used))
+                sel = tuple(3 * k + (1 if i in opened else 0 if i in sub
+                                     else 2) for k, i in enumerate(used))
                 offsets = None if pts is None or pts == [tuple(corner)] else \
                     tuple(_point_monomial([a - b for a, b in zip(p, corner)],
                                           labels) for p in pts)
                 out.append((sel, offsets))
         self.apex = _point_monomial(apex, labels)
-        self.rays = [_point_monomial(r, labels) for r in used]
+        self.rays = [_point_monomial(cone[i], labels) for i in used]
         self.terms = [(coeff, stored[key])
                       for (coeff, _), key in zip(faces, keys)]
-
-    def den_list(self):
-        """The monomials m of the denominator factors (1 - m)."""
-        return list(self.rays)
 
     def eval(self, point):
         """Exact value at {var: Fraction} -> TPoly, t symbolic: an integer

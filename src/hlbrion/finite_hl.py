@@ -44,8 +44,10 @@ class FiniteWeight:
     """Dominant integral weight of the special linear algebra of rank n-1."""
 
     def __init__(self, n, a):
-        self.n = int(n)
-        self.a = tuple(int(x) for x in a)
+        self.n = n
+        self.a = tuple(a)
+        if not all(type(x) is int for x in (n, *self.a)):
+            raise ValueError("n and the coordinates must be integers")
         if self.n < 2 or len(self.a) != self.n - 1:
             raise ValueError("need n >= 2 and n-1 fundamental coordinates")
         if any(x < 0 for x in self.a) or not any(self.a):

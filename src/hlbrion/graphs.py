@@ -15,6 +15,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, prod
 
 from .cones import Polyhedron, WeightedCone, ipt_weighted
@@ -412,20 +413,24 @@ def polyhedron_of(G, b):
     return Polyhedron(len(free), ineqs, labels=[svar(v) for v in free])
 
 
-def minimal_face(G, b):
-    """The face subgraph of D_G(b) itself (no tight edges beyond the forced).
-
-    It is the diamond closure of the tied top vertices, which must keep the
-    top vertices of distinct values apart.
-    """
-    b = BSeq(b) if not isinstance(b, BSeq) else b
+def _closed_face(G, b, edges):
+    """The smallest face of D_G(b) whose subgraph holds the given edges: the
+    diamond closure of those edges and the ties of b, which must keep the
+    top vertices of distinct values apart."""
     ties, forbidden = _top_pairs(G, b)
     dsu = _DSU(G.vertices)
-    for x, y in ties:
+    for x, y in itertools.chain(edges, ties):
         dsu.union(x, y)
     if not _closure(G, dsu, forbidden):
-        raise InvariantError("the closure of the ties joins distinct values")
+        raise InvariantError("the closure joins distinct values of b")
     return FaceSubgraph(G, dsu.blocks())
+
+
+def minimal_face(G, b):
+    """The face subgraph of D_G(b) itself (no tight edges beyond the forced),
+    the closure of the tied top vertices."""
+    b = BSeq(b) if not isinstance(b, BSeq) else b
+    return _closed_face(G, b, ())
 
 
 def is_bounded(G, b):
@@ -468,10 +473,9 @@ def x_variables(G):
 # cone transforms and the vertex route
 # ---------------------------------------------------------------------------
 
-# module caches keyed by graph shape; each is cleared once it holds
-# CACHE_LIMIT entries, so it stays bounded across calls
+# the most entries each module cache keyed by graph shape holds, so that
+# it stays bounded across calls
 CACHE_LIMIT = 4096
-_plan_cache = {}
 
 
 def t_factorial(l):
@@ -599,14 +603,10 @@ class ConePlan:
         return steps
 
 
-def cone_plan(G):
-    key = G.signature()
-    plan = _plan_cache.get(key)
-    if plan is None:
-        if len(_plan_cache) >= CACHE_LIMIT:
-            _plan_cache.clear()
-        plan = _plan_cache[key] = ConePlan(G)
-    return plan
+@lru_cache(maxsize=CACHE_LIMIT)
+def cone_plan(vertices):
+    """The ConePlan of the ordinary graph on a frozenset of vertices."""
+    return ConePlan(OrdinaryGraph(vertices))
 
 
 class ConeTransform:
@@ -626,7 +626,7 @@ class ConeTransform:
 
     @staticmethod
     def of_cone(G, b_value):
-        plan = cone_plan(G)
+        plan = cone_plan(G.vertices)
         monos = [Monomial({svar(v): 1 for v in blk}) for blk in plan.blocks]
         apex = Monomial({svar(v): b_value for v in G.vertices}) if b_value \
             else Monomial.unit()
@@ -841,51 +841,43 @@ def _cone_weighted(G, faces):
     return WeightedCone(apex, rays, face_records, labels)
 
 
-def vertex_contributions(G, b):
-    """(vertex face, sigma_phi of its tangent cone) for every vertex of D_G(b).
+def _vertex_cones(G, b, cone):
+    """(vertex face, tuple of cone(block, value) over its blocks) for every
+    vertex of D_G(b).
 
     The tangent cone at a vertex is the direct sum over the components of the
-    vertex subgraph, each an all-equal-values cone over a smaller graph; the
-    transform is the product of a tuple of ConeTransforms, one per block.
+    vertex subgraph, each an all-equal-values cone over a smaller graph, so
+    its transform is the product of one ConeTransform per block.
     """
     b = BSeq(b) if not isinstance(b, BSeq) else b
     out = []
     for f in enumerate_faces(G, b, only_vertices=True):
         vals = f.top_values(b)
-        out.append((f, tuple(
-            ConeTransform.of_cone(OrdinaryGraph(blk), vals[bi])
-            for bi, blk in enumerate(f.blocks))))
+        out.append((f, tuple(cone(blk, vals[bi])
+                             for bi, blk in enumerate(f.blocks))))
     return out
 
 
-_xmapped_cache = {}
+def vertex_contributions(G, b):
+    """(vertex face, sigma_phi of its tangent cone) for every vertex of
+    D_G(b), the transform as a tuple of ConeTransforms, one per block."""
+    return _vertex_cones(G, b, lambda blk, value: ConeTransform.of_cone(
+        OrdinaryGraph(blk), value))
 
 
+@lru_cache(maxsize=CACHE_LIMIT)
 def _cone_transform_x(blk, b_value):
     """F-image of the block cone transform; the variable map is intrinsic to
     the lattice vertices, so the cache is global."""
-    key = (blk, b_value)
-    got = _xmapped_cache.get(key)
-    if got is None:
-        if len(_xmapped_cache) >= CACHE_LIMIT:
-            _xmapped_cache.clear()
-        sub = OrdinaryGraph(blk)
-        got = ConeTransform.of_cone(sub, b_value).subs_monomials(
-            f_monomial_map(sub.vertices))
-        _xmapped_cache[key] = got
-    return got
+    sub = OrdinaryGraph(blk)
+    return ConeTransform.of_cone(sub, b_value).subs_monomials(
+        f_monomial_map(sub.vertices))
 
 
 def psi_terms(G, b):
     """Per-vertex contributions to psi_G(b), already in the x-variables: the
     vertex face and its tuple of ConeTransforms, one per block."""
-    b = BSeq(b) if not isinstance(b, BSeq) else b
-    out = []
-    for f in enumerate_faces(G, b, only_vertices=True):
-        vals = f.top_values(b)
-        out.append((f, tuple(_cone_transform_x(blk, vals[bi])
-                             for bi, blk in enumerate(f.blocks))))
-    return out
+    return _vertex_cones(G, b, _cone_transform_x)
 
 
 def psi_is_zero(G, b, trials=5, seed=0, rng=None):
@@ -909,9 +901,7 @@ def degeneration_map(G, b, b2, face):
     must coarsen b: equal values of b stay equal in b2.
 
     The image is the smallest face of D_G(b2) whose subgraph contains the
-    edges of the given face.  As in `minimal_face`, it is the diamond
-    closure of those edges and the ties of b2, which must keep the top
-    vertices of distinct b2-values apart.
+    edges of the given face (`_closed_face`).
     """
     b = BSeq(b) if not isinstance(b, BSeq) else b
     b2 = BSeq(b2) if not isinstance(b2, BSeq) else b2
@@ -919,13 +909,7 @@ def degeneration_map(G, b, b2, face):
         raise ValueError("b and b2 must have the same length")
     if any(b[p] == b[p + 1] and b2[p] != b2[p + 1] for p in range(len(b) - 1)):
         raise ValueError("b2 must coarsen b")
-    ties, forbidden = _top_pairs(G, b2)
-    dsu = _DSU(G.vertices)
-    for x, y in itertools.chain(face.edge_set(), ties):
-        dsu.union(x, y)
-    if not _closure(G, dsu, forbidden):
-        raise InvariantError("the closure joins distinct values of b2")
-    return FaceSubgraph(G, dsu.blocks())
+    return _closed_face(G, b2, face.edge_set())
 
 
 def verify_graphsum(G, b, b2):

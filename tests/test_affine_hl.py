@@ -40,6 +40,15 @@ def test_weight_basics():
     assert L0_3.cycle_paths() == [3]
 
 
+@pytest.mark.parametrize("n, a", [
+    (2, (1.7, 0)), (2.9, [1, 1]), (2, ["1", 1]), (2, [True, 1]),
+    (2, [1, False]), ("2", [1, 0]), (2.0, [1, 0])])
+def test_weight_refuses_non_integer_input(n, a):
+    # int() would truncate 1.7 to 1, 2.9 to 2 and read "1" and True as 1
+    with pytest.raises(ValueError):
+        AffineWeight(n, a)
+
+
 def test_t0_sequence():
     t0 = t0_sequence(L0, 0)
     assert [t0.get(i) for i in range(-4, 3)] == [1, 0, 1, 0, 1, 0, 0]
@@ -437,12 +446,17 @@ def rhs_series_reference(weight, qmax, zpoint):
 
 def test_rhs_series_matches_the_row_by_row_coeff_sum():
     # the integer sums keep the Coeff sums' num and den as accumulated,
-    # which the CLI prints at a z-point: symbolic z and three seeded points
+    # which the CLI prints at a z-point: symbolic z, three seeded points and
+    # points with a negative coordinate, where terms cancel to a zero sum
     rng = random.Random(25)
+    negative = {2: [{zvar(1): Fraction(-1)}, {zvar(1): Fraction(-1, 2)}],
+                3: [{zvar(1): Fraction(-1), zvar(2): Fraction(2)}],
+                4: []}
     cases = 0
     for n, level, qmax in ((2, 3, 5), (3, 2, 2), (4, 1, 2)):
         for weight in small_weights(n, level):
-            for zpoint in [None] + [random_zpoint(n, rng) for _ in range(3)]:
+            for zpoint in ([None] + [random_zpoint(n, rng) for _ in range(3)]
+                           + negative[n]):
                 got = rhs_series(weight, qmax, zpoint=zpoint)
                 want = {q: c for q, c in
                         rhs_series_reference(weight, qmax, zpoint).items()
@@ -452,7 +466,7 @@ def test_rhs_series_matches_the_row_by_row_coeff_sum():
                     assert c.num.to_text() == want[q].num.to_text(), q
                     assert c.den.to_text() == want[q].den.to_text(), q
                 cases += 1
-    assert cases == 88
+    assert cases == 115
 
 
 def test_weyl_act_and_elements():

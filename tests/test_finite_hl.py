@@ -11,7 +11,7 @@ from hlbrion.finite_hl import (
     schur_bialternant, subs_t, verify_contribfin, wlambda_poincare,
 )
 from hlbrion.graphs import (
-    BSeq, enumerate_faces, psi_terms, triangle_graph, xvar,
+    BSeq, enumerate_faces, product_value, psi_terms, triangle_graph, xvar,
 )
 from hlbrion.ring import (
     LaurentPoly, Monomial, TPoly, exact_div_binomials, random_point,
@@ -32,6 +32,15 @@ def test_weight_coordinates():
     assert w.parts == (3, 2, 0)
     with pytest.raises(ValueError):
         FiniteWeight(2, [0])
+
+
+@pytest.mark.parametrize("n, a", [
+    (3, [1.5, 0.2]), (3.5, [1, 1]), (3, ["1", 1]), (3, [True, 1]),
+    (3, [1, False]), ("3", [1, 0]), (3.0, [1, 0])])
+def test_weight_refuses_non_integer_input(n, a):
+    # int() would truncate 1.5 to 1, 3.5 to 3 and read "1" and True as 1
+    with pytest.raises(ValueError):
+        FiniteWeight(n, a)
 
 
 def test_enumerate_gt_counts():
@@ -335,3 +344,23 @@ def test_verify_contribfin_draws_the_points_random_point_draws(
     done, poles = completed_points(finite_hl)
     assert verify_contribfin(weight, trials=3, seed=13)["ok"]
     assert done == expect and len(poles) == 1
+
+
+def test_verify_contribfin_redraws_where_a_root_factor_vanishes(
+        completed_points, monkeypatch):
+    # with the cone side blind to its poles, only the root check stands
+    # between a draw where some 1 - y is 0 and a failure: seeds 13 and 17
+    # each draw x2 = 1 once, and each fails without the check
+    def blind(cones, point):
+        try:
+            return product_value(cones, point)
+        except ring.Pole:
+            return TPoly.zero()
+    monkeypatch.setattr(finite_hl, "product_value", blind)
+    for seed in (13, 17):
+        done, poles = completed_points(finite_hl)
+        assert verify_contribfin(FiniteWeight(3, [1, 1]), trials=3,
+                                 seed=seed)["ok"]
+        assert len(done) == 3 and len(poles) == 1
+        p = poles[0]
+        assert 1 in (p[xvar(1)], p[xvar(2)]) or p[xvar(1)] == p[xvar(2)]

@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -575,24 +576,28 @@ def test_theorem_zero_figure3():
 
 
 def test_graph_caches_stay_bounded(monkeypatch):
-    # the plan and x-mapped transform caches clear at CACHE_LIMIT entries;
-    # the results do not depend on it
+    # the plan and x-mapped transform caches are lru_caches of CACHE_LIMIT
+    # entries; the results do not depend on the limit
+    assert graphs.cone_plan.cache_info().maxsize == graphs.CACHE_LIMIT
+    assert graphs._cone_transform_x.cache_info().maxsize == graphs.CACHE_LIMIT
     cases = [(G, BSeq([1] * G.l)) for G in enumerate_ordinary_graphs(5)
              if G.violates_row_monotonicity()]
     cases.append((triangle_graph(3), BSeq([2, 1, 0])))
 
     def run(limit):
-        monkeypatch.setattr(graphs, "CACHE_LIMIT", limit)
-        monkeypatch.setattr(graphs, "_plan_cache", {})
-        monkeypatch.setattr(graphs, "_xmapped_cache", {})
+        caches = {name: functools.lru_cache(maxsize=limit)(
+            getattr(graphs, name).__wrapped__)
+            for name in ("cone_plan", "_cone_transform_x")}
+        for name, cache in caches.items():
+            monkeypatch.setattr(graphs, name, cache)
         out, peak = [], 0
         for G, b in cases:
             out.append(psi_is_zero(G, b, trials=2, seed=1))
-            peak = max(peak, len(graphs._plan_cache),
-                       len(graphs._xmapped_cache))
+            peak = max(peak, *(c.cache_info().currsize
+                               for c in caches.values()))
         return out, peak
 
-    expect, unbounded_peak = run(4096)
+    expect, unbounded_peak = run(graphs.CACHE_LIMIT)
     assert expect == [True] * (len(cases) - 1) + [False]
     assert unbounded_peak > 3
     got, peak = run(3)

@@ -4,7 +4,8 @@
 instead; imports stay at module level, where the dependencies between the
 modules can be read off; and every module-level name and method the
 package defines is used somewhere, so nothing is left behind when its last
-caller goes.
+caller goes.  No module-level name starts as an empty container, so a
+module cache is a bounded `functools.lru_cache`.
 """
 
 import ast
@@ -98,6 +99,30 @@ def test_only_the_draw_loop_and_the_z_sampler_call_random_point():
                         _call_name(node) == "random_point":
                     callers.add(f"{path.stem}.{func.name}")
     assert callers == {"ring.at_random_points", "affine_hl.random_zpoint"}
+
+
+def _is_empty_container(node):
+    """Whether node is {}, [], dict(), list() or set()."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id in ("dict", "list", "set") \
+        and not node.args and not node.keywords
+
+
+def test_no_module_level_name_in_src_is_bound_to_an_empty_container():
+    """A module-level dict, list or set that starts empty is state that
+    calls fill; a cache must instead be an lru_cache with a maxsize."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and \
+                    node.value is not None and \
+                    _is_empty_container(node.value):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
 
 
 # parameters with a default that only the tests set: the relint oracle of
