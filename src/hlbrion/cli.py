@@ -288,7 +288,7 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except UsageError as exc:
+    except (UsageError, finite_hl.TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

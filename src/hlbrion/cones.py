@@ -622,14 +622,15 @@ class CellSum:
                 else:
                     pts = parallelepiped_points(apex, [cone[i] for i in sub],
                                                 open_idx)
-                corner = [a + sum(cone[i][c] for i in opened)
-                          for c, a in enumerate(apex)]
+                if pts is not None:
+                    corner = [a + sum(cone[i][c] for i in opened)
+                              for c, a in enumerate(apex)]
+                    pts = None if pts == [tuple(corner)] else tuple(
+                        _point_monomial([a - b for a, b in zip(p, corner)],
+                                        labels) for p in pts)
                 sel = tuple(3 * k + (1 if i in opened else 0 if i in sub
                                      else 2) for k, i in enumerate(used))
-                offsets = None if pts is None or pts == [tuple(corner)] else \
-                    tuple(_point_monomial([a - b for a, b in zip(p, corner)],
-                                          labels) for p in pts)
-                out.append((sel, offsets))
+                out.append((sel, pts))
         self.apex = _point_monomial(apex, labels)
         self.rays = [_point_monomial(cone[i], labels) for i in used]
         self.terms = [(coeff, stored[key])

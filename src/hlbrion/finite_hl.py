@@ -26,7 +26,7 @@ from .graphs import (
     BSeq, product_value, psi_terms, t_factorials, triangle_graph, xvar,
 )
 from .ring import (
-    LaurentPoly, Monomial, Pole, TPoly, T_ONE, T_ZERO,
+    LaurentPoly, Monomial, NotDivisible, Pole, TPoly, T_ONE,
     at_random_points, exact_div_binomials,
 )
 
@@ -92,13 +92,8 @@ def enumerate_gt(weight):
 def mu_exponent(pattern):
     """Weight monomial of a pattern: the x_i exponent is the difference of
     the row sums above and at row i (boundary variables pinned to 1)."""
-    return _row_sum_monomial(tuple(map(sum, pattern)))
-
-
-def _row_sum_monomial(sums):
-    """The monomial with x_i exponent sums[i-1] - sums[i]."""
-    return Monomial({xvar(i): sums[i - 1] - sums[i]
-                     for i in range(1, len(sums))})
+    sums = tuple(map(sum, pattern))
+    return Monomial({xvar(i): sums[i - 1] - sums[i] for i in range(1, len(sums))})
 
 
 def pattern_ls(pattern):
@@ -143,41 +138,31 @@ def hl_gt(weight):
     """The combinatorial route: sum of p_A e^{mu_A} over patterns.
 
     Patterns are counted per tuple of row sums, which fixes the weight
-    monomial, and statistic `pattern_ls`; each distinct monomial and each
-    distinct p = prod (1 - t^l) is built once per call, and each monomial
-    gets count * p summed over its statistics.
+    monomial, and statistic `pattern_ls`; each distinct p = prod (1 - t^l)
+    is built once per call, each row-sum tuple sums count * p as integer
+    coefficients, and its monomial and t-polynomial are built once.
     """
     counts = {}
     for a in enumerate_gt(weight):
         key = (tuple(map(sum, a)), pattern_ls(a))
         counts[key] = counts.get(key, 0) + 1
-    monos = {sums: _row_sum_monomial(sums) for sums in {s for s, _ in counts}}
-    weights = {ls: _ls_weight(ls) for ls in {ls for _, ls in counts}}
-    return LaurentPoly.sum_terms((monos[sums], weights[ls] * c)
-                                 for (sums, ls), c in counts.items())
+    weights = {ls: _ls_weight(ls).c for ls in {ls for _, ls in counts}}
+    coeffs = {}
+    for (sums, ls), c in counts.items():
+        acc = coeffs.setdefault(sums, {})
+        for e, v in weights[ls].items():
+            acc[e] = acc.get(e, 0) + c * v
+    # x_i has exponent sums[i-1] - sums[i]; the names sort as their indices
+    names = [xvar(i) for i in range(1, weight.n)]
+    return LaurentPoly({Monomial(tuple((v, s - s1) for v, s, s1
+                                       in zip(names, sums, sums[1:]) if s != s1)):
+                        TPoly(acc) for sums, acc in coeffs.items()})
 
 
 def wlambda_poincare(weight):
     """Poincare series of the stabilizer: product of t-factorials of the
     part multiplicities."""
     return t_factorials(weight.type_multiplicities())
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        l = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            l += 1
-        if l % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _root_factors(n):
@@ -212,20 +197,20 @@ def _weyl_term(weight, w, factors):
     return term
 
 
-def _pi_step(g, i):
-    """pi_i on g = {exponent tuple: TPoly}, by its closed form (`hl_def`)."""
-    a = i - 1
+def _pi_step(g, i, width):
+    """pi_i, by its closed form, on the packed dict g of `hl_def`."""
+    lo, mask = width * (i - 1), (1 << width) - 1
+    delta = (1 << (lo + width)) - (1 << lo)    # x_i^{-1} x_{i+1}
     out = {}
+    get = out.get
     for b, c in g.items():
-        d = b[a] - b[a + 1]
+        d = (b >> lo & mask) - (b >> lo + width & mask)
+        end = b + (d + 1) * delta
         if d < 0:
-            c = -c
-        head, tail = b[:a], b[a + 2:]
-        for m in (range(d + 1) if d >= 0 else range(d + 1, 0)):
-            key = head + (b[a] - m, b[a + 1] + m) + tail
-            w = out.get(key)
-            out[key] = c if w is None else w + c
-    return {b: c for b, c in out.items() if not c.is_zero()}
+            b, end, c = end, b, -c
+        for key in range(b, end, delta):
+            out[key] = get(key, 0) + c
+    return {b: c for b, c in out.items() if c}
 
 
 def hl_def(weight):
@@ -238,29 +223,49 @@ def hl_def(weight):
     and Hall Polynomials, ch. III).  pi_i is linear, and s_i x^b = x^b y_i^d
     with d = b_i - b_{i+1}, so pi_i x^b = x^b (1 - y_i^{d+1}) / (1 - y_i):
     x^b (1 + y_i + ... + y_i^d) for d >= 0, zero for d = -1 and
-    -x^b (y_i^{d+1} + ... + y_i^{-1}) for d <= -2.  g is a dict from dense
-    exponent tuples to t-polynomials, rewritten term by term along the
-    reduced word s_1; s_2 s_1; s_3 s_2 s_1; ... of w0, n(n-1)/2 steps with
-    no division.  Then divide by W_lam(t) and pin x_n.
+    -x^b (y_i^{d+1} + ... + y_i^{-1}) for d <= -2.  g is rewritten term by
+    term along the reduced word s_1; s_2 s_1; s_3 s_2 s_1; ... of w0, r =
+    n(n-1)/2 steps, then divided by W_lam(t) with x_n pinned.
+
+    g maps one int to one int: the key packs b - lam_n + n - 1 into n
+    fields of `width` bits, b_1 lowest, and the value is the t-polynomial at
+    t = 2^bits.  Keys stay in the hull of the W-orbit of those of the root
+    product, whose entries lie in [lam_n - n + 1, lam_1 + n - 1], so no field
+    leaves [0, dmax], dmax = lam_1 - lam_n + 2(n-1), or carries.  The root
+    product has l1 norm at most 2^r and each step multiplies it by at most
+    dmax + 1, so the quotient's coefficients are at most 2^r (dmax + 1)^r
+    C_W, C_W = max |coefficient of 1/W_lam(t)| up to t^r; bits, two wider,
+    makes each a signed digit.  A remainder of the division by W_lam(2^bits)
+    raises NotDivisible.
     """
     n = weight.n
     if n > HL_DEF_MAX_N:
         raise TooLarge(f"n={n} exceeds the guard {HL_DEF_MAX_N}")
-    g = {weight.parts: T_ONE}
-    minus_t = -TPoly.t()
-    for i in range(n):
-        for j in range(i + 1, n):
-            # g * (1 - t x_i^{-1} x_j); nothing cancels, as t^k carries (-1)^k
-            for b, c in list(g.items()):
-                key = b[:i] + (b[i] - 1,) + b[i + 1:j] + (b[j] + 1,) + b[j + 1:]
-                g[key] = g.get(key, T_ZERO) + c * minus_t
+    r, off = n * (n - 1) // 2, weight.parts[-1] - n + 1
+    dmax = weight.parts[0] - off + n - 1
+    width, mask = dmax.bit_length(), (1 << dmax.bit_length()) - 1
+    wl = wlambda_poincare(weight)
+    inv = [1]       # 1/W_lam(t) up to t^r; W_lam(0) = 1
+    for k in range(1, r + 1):
+        inv.append(-sum(wl.c.get(j, 0) * inv[k - j] for j in range(1, k + 1)))
+    bits = (2 ** r * (dmax + 1) ** r * max(map(abs, inv))).bit_length() + 2
+    g = {sum((p - off) << width * k for k, p in enumerate(weight.parts)): 1}
+    for i, j in itertools.combinations(range(n), 2):
+        # g * (1 - t x_i^{-1} x_j); nothing cancels, as t^k carries (-1)^k
+        step = (1 << width * j) - (1 << width * i)
+        for b, c in list(g.items()):
+            g[b + step] = g.get(b + step, 0) - (c << bits)
     for k in range(1, n):
         for i in range(k, 0, -1):
-            g = _pi_step(g, i)
-    wl = wlambda_poincare(weight)
-    names = [xvar(i) for i in range(1, n)]
-    return LaurentPoly.sum_terms((Monomial(dict(zip(names, b))), c.exact_div(wl))
-                                 for b, c in g.items())
+            g = _pi_step(g, i, width)
+    wv = sum(v << bits * e for e, v in wl.c.items())
+    quo = {b: divmod(c, wv) for b, c in g.items()}
+    if any(rem for _, rem in quo.values()):
+        raise NotDivisible(f"a coefficient is not divisible by {wl}")
+    names = [xvar(i) for i in range(1, n)]     # n <= 6: sorted as indices
+    return LaurentPoly({Monomial(tuple((v, x) for k, v in enumerate(names)
+                                       if (x := (b >> width * k & mask) + off))):
+                        TPoly.unpack(q, bits) for b, (q, _) in quo.items()})
 
 
 def schur_bialternant(weight):
@@ -269,16 +274,18 @@ def schur_bialternant(weight):
     det(x_i^{n-j}) = prod_{i<j} (x_i - x_j)
     = (-1)^{n(n-1)/2} prod_j x_j^{j-1} prod_{i<j} (1 - x_i x_j^{-1}),
     so the alternant is shifted by prod_j x_j^{1-j}, signed and pinned in
-    one pass and then divided by the pinned binomials; the quotient is
-    unique, so pinning before the division gives the pinned ratio.
+    one pass (the sign (-1)^{n(n-1)/2} sgn(w) is -1 to the number of pairs
+    w keeps in order) and then divided by the pinned binomials; the quotient
+    is unique, so pinning before the division gives the pinned ratio.
     """
     n = weight.n
     mus = [weight.parts[j] + n - 1 - j for j in range(n)]
-    sign = -1 if n * (n - 1) // 2 % 2 else 1
-    names = [xvar(i + 1) for i in range(n - 1)]
+    pairs = list(itertools.combinations(range(n), 2))
+    names = [xvar(i + 1) for i in range(n - 1)]   # sorted as indices, n <= 10
     num = LaurentPoly.sum_terms(
-        (Monomial(dict(zip(names, (mus[w[i]] - i for i in range(n - 1))))),
-         TPoly.const(sign * _perm_sign(w)))
+        (Monomial(tuple((v, mus[w[i]] - i) for i, v in enumerate(names)
+                        if mus[w[i]] != i)),
+         TPoly.const((-1) ** sum(w[i] < w[j] for i, j in pairs)))
         for w in itertools.permutations(range(n)))
     dens = [Monomial({xvar(i + 1): 1, xvar(j + 1): -1} if j < n - 1
                      else {xvar(i + 1): 1})

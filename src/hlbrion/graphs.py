@@ -14,7 +14,6 @@ import itertools
 import json
 import random
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
@@ -710,14 +709,8 @@ class ConeTransform:
                 if r:
                     raise InvariantError("inexact division by a cut factor")
             vals[k] = total
-        num, mask, half = vals[0], (1 << bits) - 1, 1 << (bits - 1)
-        coeffs, e = {}, 0
-        while num:
-            c = ((num + half) & mask) - half
-            coeffs[e] = Fraction(c, den)
-            num = (num - c) >> bits
-            e += 1
-        return TPoly(coeffs) * self.apex.eval(point)
+        value = TPoly.unpack(vals[0], bits)
+        return value if value.is_zero() else value * (self.apex.eval(point) / den)
 
     def _fold(self, one, zero, scale, cut):
         """The up-set recursion of `eval` in another ring.

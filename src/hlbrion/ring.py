@@ -110,6 +110,20 @@ class TPoly:
         """Build from [c0, c1, ...] meaning c0 + c1*t + ..."""
         return TPoly({e: v for e, v in enumerate(coeffs)})
 
+    @staticmethod
+    def unpack(num, bits):
+        """The integer polynomial whose value at t = 2^bits is num, with
+        coefficients in [-2^(bits-1), 2^(bits-1)): its signed base-2^bits
+        digits, which undo a packing (Kronecker substitution)."""
+        mask, half = (1 << bits) - 1, 1 << (bits - 1)
+        r, e = TPoly(), 0
+        while num:
+            c = ((num + half) & mask) - half
+            if c:
+                r.c[e] = c
+            num, e = (num - c) >> bits, e + 1
+        return r
+
     def to_list(self):
         if not self.c:
             return [0]

@@ -44,6 +44,21 @@ def test_finite_guard(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("finite", "--n", "7", "--a", "1,0,0,0,0,0", "--method", "gt"),
+    ("finite", "--n", "7", "--a", "1,0,0,0,0,0", "--method", "def",
+     "--unsafe-limits"),
+    ("verify", "contribfin", "--n", "5", "--a", "1,0,0,0"),
+], ids=["gt", "def-unsafe", "contribfin"])
+def test_size_guard_of_a_route_is_bad_input(capsys, argv):
+    # finite_hl.TooLarge refuses an input beyond a route's own size guard,
+    # which --unsafe-limits does not lift
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: n=") and "exceeds the guard" in err
+
+
 def test_affine_basic(capsys):
     code, out = run(capsys, "affine", "--n", "2", "--a", "1,0", "--qmax", "1",
                     "--format", "json")

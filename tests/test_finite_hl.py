@@ -1,5 +1,7 @@
 import itertools
+import pathlib
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -187,9 +189,9 @@ def test_hl_def_applies_one_pi_step_per_reduced_word_letter(monkeypatch):
     # one per simple root; no binomial is divided and no Weyl term is built
     steps = []
 
-    def spied(g, i, f=finite_hl._pi_step):
+    def spied(g, i, width, f=finite_hl._pi_step):
         steps.append(i)
-        return f(g, i)
+        return f(g, i, width)
 
     def refused(*args):
         raise AssertionError("hl_def divides by no binomial and sums no Weyl terms")
@@ -203,11 +205,24 @@ def test_hl_def_applies_one_pi_step_per_reduced_word_letter(monkeypatch):
     assert d == hl_gt(w)
 
 
-def as_laurent(g):
-    """{exponent tuple: TPoly} as a Laurent polynomial in x1, x2, ..."""
+# the packed form of hl_def: fields of WIDTH bits hold b + OFFSET, so the
+# exponents here lie in [-8, 23]; values are t-polynomials at t = 2^BITS
+WIDTH, OFFSET, BITS = 5, 8, 16
+
+
+def pack(g):
+    """{exponent tuple: TPoly} as a packed dict of `hl_def`."""
+    return {sum((e + OFFSET) << WIDTH * k for k, e in enumerate(b)):
+            sum(v << BITS * e for e, v in c.c.items()) for b, c in g.items()}
+
+
+def as_laurent(packed, nvars):
+    """A packed dict of `hl_def` as a Laurent polynomial in x1, x2, ..."""
+    mask = (1 << WIDTH) - 1
     return LaurentPoly.sum_terms(
-        (Monomial({xvar(k + 1): e for k, e in enumerate(b)}), c)
-        for b, c in g.items())
+        (Monomial({xvar(k + 1): (b >> WIDTH * k & mask) - OFFSET
+                   for k in range(nvars)}), TPoly.unpack(c, BITS))
+        for b, c in packed.items())
 
 
 def pi_by_division(p, i):
@@ -225,19 +240,76 @@ def test_pi_step_is_the_defining_quotient():
             b = [2, -1, 3]
             b[i - 1] = b[i] + d
             for c in (tp(2, -1, 3), tp(0, 0, -5)):
-                g = {tuple(b): c}
-                got = finite_hl._pi_step(g, i)
-                assert as_laurent(got) == pi_by_division(as_laurent(g), i), (i, d)
+                g = pack({tuple(b): c})
+                got = finite_hl._pi_step(g, i, WIDTH)
+                assert as_laurent(got, 3) == \
+                    pi_by_division(as_laurent(g, 3), i), (i, d)
                 assert (got == {}) == (d == -1), (i, d)
     # one seeded random sum of 12 terms in four variables, every position
     rng = random.Random(2020)
     g = {tuple(rng.randint(-3, 3) for _ in range(4)):
          tp(*(rng.randint(-4, 4) for _ in range(3))) for _ in range(12)}
-    g = {b: c for b, c in g.items() if not c.is_zero()}
+    g = pack({b: c for b, c in g.items() if not c.is_zero()})
     assert len(g) >= 10
     for i in (1, 2, 3):
-        assert as_laurent(finite_hl._pi_step(g, i)) == \
-            pi_by_division(as_laurent(g), i), i
+        assert as_laurent(finite_hl._pi_step(g, i, WIDTH), 4) == \
+            pi_by_division(as_laurent(g, 4), i), i
+
+
+def test_hl_def_raises_when_w_lambda_does_not_divide(monkeypatch):
+    # (1,1) at n = 3 has a trivial stabilizer; 1 + t divides no coefficient
+    # of the packed numerator, as its constant coefficient 1 already shows
+    w = FiniteWeight(3, (1, 1))
+    monkeypatch.setattr(finite_hl, "wlambda_poincare", lambda weight: tp(1, 1))
+    with pytest.raises(ring.NotDivisible):
+        hl_def(w)
+
+
+def test_hl_def_matches_gt_on_the_widest_fields():
+    # dmax = lam_1 - lam_n + 2(n-1) reaches 16, a 5-bit field, at every n
+    # from 4 to 6, and 32 and 1002 at n = 3 and 2; about 0.4 s CPU in all
+    # (2-core x86-64 host), most of it hl_def at n = 6
+    for n, a in [(2, (1000,)), (3, (28, 0)), (4, (10, 0, 0)), (4, (5, 0, 5)),
+                 (5, (8, 0, 0, 0)), (5, (4, 0, 0, 4)), (6, (6, 0, 0, 0, 0)),
+                 (6, (3, 0, 0, 0, 3))]:
+        w = FiniteWeight(n, a)
+        assert (w.parts[0] + 2 * (n - 1)).bit_length() >= 5
+        assert hl_def(w) == hl_gt(w), (n, a)
+
+
+def src_calls(fn, *args):
+    """The code objects of the package functions that fn(*args) calls,
+    recorded by a profile hook on this process alone."""
+    src = pathlib.Path(finite_hl.__file__).parent
+    seen = set()
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and pathlib.Path(code.co_filename).parent == src:
+            seen.add(code)
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_finite_routes_call_no_common_function():
+    # criteria 1 and 2: the pattern sum, the Demazure route and the t = 0
+    # oracle share no function but the ring kernels and the variable names
+    w = FiniteWeight(4, (1, 0, 2))
+    calls = {f.__name__: src_calls(f, w)
+             for f in (hl_gt, hl_def, schur_bialternant)}
+    assert finite_hl._pi_step.__code__ in calls["hl_def"]
+    assert finite_hl.enumerate_gt.__code__ in calls["hl_gt"]
+    assert ring.exact_div_binomials.__code__ in calls["schur_bialternant"]
+    for (a, ca), (b, cb) in itertools.combinations(calls.items(), 2):
+        shared = sorted(f"{pathlib.Path(c.co_filename).stem}:{c.co_firstlineno}"
+                        f" {c.co_name}" for c in ca & cb
+                        if c.co_filename != ring.__file__
+                        and c is not xvar.__code__)
+        assert not shared, (a, b, shared)
 
 
 # every n = 5 weight of level 1 or 2

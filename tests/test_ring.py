@@ -400,6 +400,19 @@ def test_tpoly_exact_div_rational():
     assert TPoly.from_list([1, 1]).exact_div(TPoly.const(2)) == half
 
 
+@pytest.mark.parametrize("bits", [2, 5, 30, 64])
+def test_tpoly_unpack_inverts_packing(bits):
+    top = (1 << (bits - 1)) - 1         # the largest digit either sign
+    for coeffs in ([0], [-1], [0, -1], [1, -1, 0, -1], [top], [-top],
+                   [top, -top, top], [-top, 0, 0, top], [-top - 1, top]):
+        p = TPoly.from_list(coeffs)
+        packed = sum(v << bits * e for e, v in enumerate(coeffs))
+        assert TPoly.unpack(packed, bits) == p, coeffs
+    # a digit of 2^(bits-1) is out of range: it reads as -2^(bits-1) + t
+    assert TPoly.unpack(top + 1, bits) == TPoly.from_list([-top - 1, 1])
+    assert TPoly.unpack(0, bits).is_zero()
+
+
 # --- truncated series ---------------------------------------------------------
 
 def q_mono(order, e, c=1):
