@@ -6,9 +6,9 @@ and shows one vertex contribution matching its closed product formula.
 """
 
 from hlbrion.affine_hl import (
-    AffineWeight, _root_binomials, closed_form_contribution, enumerate_pi,
-    match_weyl_element, p_weight, rhs_series, t0_sequence, tau_truncated,
-    verify_main, vertices_relevant, weyl_elements, weyl_index,
+    AffineWeight, closed_form_contribution, enumerate_pi, p_weight,
+    rhs_series, t0_sequence, tau_truncated, verify_main, vertices_relevant,
+    weyl_elements,
 )
 
 weight = AffineWeight(2, [1, 0])
@@ -26,10 +26,9 @@ print("\nidentity against the Weyl side up to q^6:", verify_main(weight, 6))
 regular = AffineWeight(2, [1, 1])
 v0 = t0_sequence(regular)
 tau = tau_truncated(regular, v0, 2)
-index = weyl_index(regular, weyl_elements(regular, 2))
-element, = match_weyl_element(index, v0)
-closed = closed_form_contribution(regular, [element],
-                                  _root_binomials(2, 2, None), 2, None)
+# the one group element whose weight shift is the vertex's
+element, = [e for e in weyl_elements(regular, 2) if e[2] == v0.zq_monomial()]
+closed = closed_form_contribution(regular, element, 2, None)
 print("\nvertex transform of the base vertex (regular weight):")
 print("  sections:  ", tau)
 print("  closed form agrees:", tau.equals(closed, up_to=2))

@@ -6,10 +6,10 @@ the variables z_1, ..., z_{n-1} and q; position i of a sequence carries the
 monomial z_{r(i)} q^{Q(i)} where r(i) in [1, n-1] is the representative of
 i mod (n-1) and Q(i) is the matching quotient, Q(i) = floor((i-1)/(n-1)).
 
-The module computes the basis sum side (enumeration, plane-pattern row
-statistics, weights), the Weyl-sum side (truncated series over the affine
-Weyl group), and the vertex decomposition (tangent-cone sections, their
-truncated transforms and the closed contribution formulas).
+It computes the basis sum side (enumeration, plane-pattern row statistics,
+weights), the Weyl-sum side (one coset representative per translation, then
+the finite Demazure operator) and the vertex decomposition (tangent-cone
+sections, their truncated transforms and closed contribution formulas).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import itertools
 import math
 import random as _random
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 from .graphs import ConeTransform, OrdinaryGraph, _DSU, svar, t_factorials
 from .ring import (
@@ -445,21 +445,11 @@ def _perm_act(sigma, vec):
     return tuple(out)
 
 
-def _weyl_shift(weight, lam, sigma, tau):
-    """(epsilon-part, q-degree) of the weight shift w(lam) - lam of the
-    element w = (translation tau) o (permutation sigma); lam is the finite
-    part of the weight."""
-    k = weight.k
-    v = _perm_act(sigma, lam)
-    qdeg = sum(x * t for x, t in zip(v, tau)) + k * sum(t * t for t in tau) // 2
-    return tuple(x + k * t - l for x, t, l in zip(v, tau, lam)), qdeg
-
-
 def zq_of_shift(u, qexp):
     """Monomial of e^xi for xi with finite epsilon-part u and q-degree qexp.
 
-    The z-exponent of z_r is u_{r+1}; this realization mirrors the sign
-    convention of the finite-case specialization.
+    z_r takes u_r for r = 1..n-1 and u_0 is dropped (u sums to zero),
+    mirroring the sign convention of the finite-case specialization.
     """
     exps = {}
     for r in range(1, len(u)):
@@ -475,59 +465,66 @@ def finite_roots(n):
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
+def _gamma_ball(weight, qmax):
+    """(gamma, q-degree) for each gamma in Q, the integer vectors of sum 0,
+    whose coset W_fin t_gamma has q-degree <lam, gamma> + k |gamma|^2 / 2 =
+    (|v|^2 - |lam|^2) / (2k) <= qmax, v = lam + k gamma.  So v lies in a
+    ball of the plane sum v = sum lam, filled left to right: m entries
+    still to choose, of sum s, add at least s^2 / m to |v|^2."""
+    n, k, lam = weight.n, weight.k, weight.finite_part()
+    norm0 = sum(x * x for x in lam)
+    r2 = norm0 + 2 * k * qmax
+    r = math.isqrt(r2)
+    heads = [((), 0, sum(lam))]         # (entries, |v|^2 so far, sum left)
+    for i, m in zip(range(n - 1), range(n - 1, 0, -1)):
+        heads = [(gamma + (g,), norm + v * v, s - v)
+                 for gamma, norm, s in heads
+                 for g in range(-((r + lam[i]) // k), (r - lam[i]) // k + 1)
+                 for v in [lam[i] + k * g]
+                 if m * (norm + v * v) + (s - v) ** 2 <= m * r2]
+    return [(gamma + (-sum(gamma),), (norm + s * s - norm0) // (2 * k))
+            for gamma, norm, s in heads]
+
+
+def _element(weight, sigma, gamma, qdeg):
+    """The entry of w = sigma t_gamma: w lam = sigma(lam + k gamma)."""
+    lam, k = weight.finite_part(), weight.k
+    v = _perm_act(sigma, tuple(x + k * g for x, g in zip(lam, gamma)))
+    return (sigma, _perm_act(sigma, gamma),
+            zq_of_shift(tuple(map(sub, v, lam)), qdeg), qdeg)
+
+
 def weyl_elements(weight, qmax):
-    """All (sigma, tau, shift monomial, qdeg) with weight q-shift <= qmax.
-
-    lam is nonincreasing, so by the rearrangement inequality pairing it with
-    tau ascending gives the least q-degree over sigma; a tau whose least
-    q-degree exceeds qmax skips its sigmas."""
-    n, k = weight.n, weight.k
-    lam = weight.finite_part()
-    out = []
-    bound = 1
-    while k * bound * bound - 2 * lam[0] * n * bound <= 2 * qmax:
-        bound += 1
-    for tau in _zero_sum_vectors(n, bound):
-        half_norm = k * sum(t * t for t in tau) // 2
-        if sum(x * t for x, t in zip(lam, sorted(tau))) + half_norm > qmax:
-            continue
-        for sigma in itertools.permutations(range(n)):
-            u, qdeg = _weyl_shift(weight, lam, sigma, tau)
-            if 0 <= qdeg <= qmax:
-                out.append((sigma, tau, zq_of_shift(u, qdeg), qdeg))
-    return out
+    """All (sigma, tau, shift monomial, q-degree) with weight q-shift <= qmax:
+    every sigma on each gamma of `_gamma_ball`, with tau = sigma gamma."""
+    return [_element(weight, sigma, gamma, qdeg)
+            for gamma, qdeg in _gamma_ball(weight, qmax)
+            for sigma in itertools.permutations(range(weight.n))]
 
 
-def _zero_sum_vectors(n, bound):
-    rng = range(-bound, bound + 1)
-    for head in itertools.product(rng, repeat=n - 1):
-        tail = -sum(head)
-        if -bound <= tail <= bound:
-            yield head + (tail,)
+def coset_representatives(weight, qmax):
+    """The least element of each coset W_fin t_gamma of `_gamma_ball`, the
+    one that flips no finite simple root (Bjorner and Brenti, Combinatorics
+    of Coxeter Groups, ch. 8): sigma inverts the stable descending sort of
+    gamma, so tau = sigma gamma is gamma sorted descending."""
+    return [_element(weight, tuple(sum(x > y for x in g) + g[:i].count(y)
+                                   for i, y in enumerate(g)), g, qdeg)
+            for g, qdeg in _gamma_ball(weight, qmax)]
 
 
 def flip_set(weight, sigma, tau, qmax):
-    """Positive real roots sent to negative ones by the element's inverse.
-
-    Returns the flipped targets as pairs ((i, j), m) for the root
-    e_i - e_j + m delta.
-    """
+    """Positive real roots sent to negative ones by the element's inverse,
+    as pairs ((i, j), m) for the root e_i - e_j + m delta."""
     n = weight.n
-    inv_sigma = [0] * n
-    for src, dst in enumerate(sigma):
-        inv_sigma[dst] = src
-    tau_inv = tuple(-x for x in _perm_act(tuple(inv_sigma), tau))
+    inv_sigma = sorted(range(n), key=sigma.__getitem__)
+    gamma = _perm_act(tuple(inv_sigma), tau)
     flips = set()
     for (i, j) in finite_roots(n):
-        # w^{-1}(e_i - e_j + m delta) = e_i' - e_j' + (m - <sigma' a, tau'>) d
+        # w^{-1}(e_i - e_j + m delta) = e_i2 - e_j2 + (m - shift) delta is
+        # negative iff m < shift, or m = shift with i2 > j2
         i2, j2 = inv_sigma[i], inv_sigma[j]
-        shift = tau_inv[i2] - tau_inv[j2]
-        m0 = 0 if i < j else 1
-        # negative iff m' < 0, or m' = 0 with i2 > j2
-        upper = shift - 1 if not (i2 > j2) else shift
-        for m in range(m0, upper + 1):
-            if m - shift < 0 or (m - shift == 0 and i2 > j2):
-                flips.add(((i, j), m))
+        shift = gamma[j2] - gamma[i2]
+        flips.update(((i, j), m) for m in range(i > j, shift + (i2 > j2)))
     return flips
 
 
@@ -541,31 +538,20 @@ def _zsplit(z, zpoint):
     return val.numerator, val.denominator, ()
 
 
-def _root_binomials(n, qmax, zpoint):
-    """Per positive root of q-degree <= qmax (the real roots e_i - e_j +
-    m delta keyed ((i, j), m), then the imaginary m delta, n - 1 times each,
-    keyed None) with y = e^{-root} = p/s: its key and s (1 - t y),
-    s (t - y) and s (1 - y), each two (integer, key shift) terms.  p and s
-    are 1 for symbolic z, with y's z-exponents in the shift, and y's
-    integers at a z-point.  An element's term takes one of the first two per
-    root and the denominator the third, so the scaling s cancels."""
-    roots = [(((i, j), m), [(r == j) - (r == i) for r in range(1, n)], m)
+def _roots(n, qmax):
+    """(key, q-degree m, epsilon-exponents of y = e^{-root}) per positive
+    root of q-degree <= qmax: the real roots e_i - e_j + m delta keyed
+    ((i, j), m), then the imaginary m delta, n - 1 times each, keyed None."""
+    roots = [(((i, j), m), m, tuple((r == j) - (r == i) for r in range(n)))
              for (i, j) in finite_roots(n) for m in range(i > j, qmax + 1)]
-    roots += [(None, [0] * (n - 1), m)
-              for m in range(1, qmax + 1) for _ in range(n - 1)]
-    out = []
-    for key, z, m in roots:
-        p, s, v = _zsplit(z, zpoint)
-        one, t = (0, 0) + (0,) * len(v), (0, 1) + (0,) * len(v)
-        out.append((key, ((s, one), (-p, (m, 1) + v)),
-                    ((s, t), (-p, (m, 0) + v)), ((s, one), (-p, (m, 0) + v))))
-    return out
+    return roots + [(None, m, (0,) * n)
+                    for m in range(1, qmax + 1) for _ in range(n - 1)]
 
 
 def _mul_terms(g, terms, out, qmax):
     """Add g times the sum of c x^shift over the (c, shift) `terms` into
     out, dropping q-degrees above qmax, and return out.  g and out map keys
-    (q-degree, t-degree, z-exponents...) to integers."""
+    (q-degree, t-degree, exponents...) to integers."""
     for c, shift in terms:
         dq = shift[0]
         for key, v in g.items():
@@ -573,6 +559,66 @@ def _mul_terms(g, terms, out, qmax):
                 k = tuple(map(add, key, shift))
                 out[k] = out.get(k, 0) + c * v
     return out
+
+
+def _weyl_numerator(weight, elements, qmax):
+    """The elements' terms over the common denominator, on keys (q-degree,
+    t-degree, eps_0, ..., eps_{n-1}): each shift monomial times (t - y) over
+    the roots it flips and (1 - t y) over the others of `_roots`, y =
+    e^{-root}, and t per flipped root beyond qmax.  The roots that no
+    element flips multiply the sum once."""
+    n = weight.n
+    one, t = (0,) * (n + 2), (0, 1) + (0,) * n
+    factors = [(key, (((1, one), (-1, (m, 1) + e)),
+                      ((1, t), (-1, (m, 0) + e))))
+               for key, m, e in _roots(n, qmax)]
+    flips = [flip_set(weight, sigma, tau, qmax) for sigma, tau, *_ in elements]
+    some = set().union(*flips)
+    total = {}
+    for (_, _, mono, qdeg), flipped in zip(elements, flips):
+        u = [mono.exp_of(zvar(r)) for r in range(1, n)]
+        g = {(qdeg, sum(m > qmax for _, m in flipped), -sum(u), *u): 1}
+        for key, binomials in factors:
+            if key in some:
+                g = _mul_terms(g, binomials[key in flipped], {}, qmax)
+        _mul_terms(g, ((1, one),), total, qmax)
+    for key, (one_minus_ty, _) in factors:
+        if key not in some:
+            total = {k: v for k, v in
+                     _mul_terms(total, one_minus_ty, {}, qmax).items() if v}
+    return {k: v for k, v in total.items() if v}
+
+
+def _pi_step(g, i, a_i):
+    """e^{-lam} pi_i(e^lam g) for a key dict g of `_weyl_numerator`, a_i =
+    <lam, alpha_i>, alpha_i = e_{i-1} - e_i: pi_i f = (f - y s_i f)/(1 - y),
+    y = e^{-alpha_i}, is, with d = <lam + mu, alpha_i>, e^mu (1 + y + ... +
+    y^d) for d >= 0, zero for d = -1 and -e^mu (y^{d+1} + ... + y^{-1})."""
+    a = i + 1                   # key position of eps_{i-1}; eps_i follows
+    out = {}
+    for key, c in g.items():
+        d = key[a] - key[a + 1] + a_i
+        head, tail = key[:a], key[a + 2:]
+        for j in range(d + 1) if d >= 0 else range(d + 1, 0):
+            k = head + (key[a] - j, key[a + 1] + j) + tail
+            out[k] = out.get(k, 0) + (c if d >= 0 else -c)
+    return {k: c for k, c in out.items() if c}
+
+
+def _pinned(g, zpoint):
+    """(key dict, D) for a key dict of `_weyl_numerator`: eps_0 dropped (the
+    exponents sum to zero) and z_r = e^{eps_r}, kept symbolic with D = 1 or
+    summed per (q-degree, t-degree) at a z-point over the lcm D."""
+    splits, terms = {}, []
+    for (q, d, _, *z), v in g.items():
+        a, b, zk = splits.get(z := tuple(z)) or splits.setdefault(
+            z, _zsplit(z, zpoint))
+        terms.append(((q, d) + zk, v * a, b))
+    D = math.lcm(*(b for *_, b in terms))
+    out = {}
+    for key, a, b in terms:
+        out[key] = out.get(key, 0) + a * (D // b)
+    return {key: v for key, v in out.items() if v}, D
 
 
 def _coeff(row, den):
@@ -593,16 +639,55 @@ def _series(g, den, qmax, zpoint):
                                   for q, row in rows.items()}, zpoint)
 
 
+def _over_den(n, g, qmax, zpoint):
+    """A key dict of `_weyl_numerator`, put through `_pinned`, over D+, the
+    product of the (1 - y) of q-degree >= 1: D+ is inverted once as a
+    TruncatedSeries, whose coefficients come back over their lcm E."""
+    one = (0,) * (n + 2)
+    den = {one: 1}
+    for _, m, e in _roots(n, qmax):
+        if m:
+            den = _mul_terms(den, ((1, one), (-1, (m, 0) + e)), {}, qmax)
+    inv = _series(*_pinned(den, zpoint), qmax, zpoint).invert()
+    dens = {q: c.den.terms[Monomial.unit()].c[0] for q, c in inv.coeffs.items()}
+    E = math.lcm(*dens.values())
+    inverse = [(v * (E // dens[q]), (q, d) + tuple(
+                   m.exp_of(zvar(r)) for r in range(1, n) if zpoint is None))
+               for q, c in inv.coeffs.items()
+               for m, tp in c.num.terms.items() for d, v in tp.c.items()]
+    num, D = _pinned(g, zpoint)
+    return _series(_mul_terms(num, inverse, {}, qmax), D * E, qmax, zpoint)
+
+
+def closed_form_contribution(weight, element, qmax, zpoint):
+    """The contribution of one `weyl_elements` entry: its shift monomial
+    times its root factors over every (1 - y) of q-degree <= qmax, that is
+    `_over_den` over d0, the product over the positive finite roots."""
+    n = weight.n
+    d0 = Coeff.one()
+    for _, _, e in _roots(n, 0):
+        d0 = d0 * (Coeff.one() - zq_coeff(zq_of_shift(e, 0), zpoint)[0])
+    return _over_den(n, _weyl_numerator(weight, [element], qmax), qmax,
+                     zpoint).scale(d0.inv())
+
+
 def lhs_series(weight, qmax, domain=None, zpoint=None):
-    """W_lam(t) P_lam e^{-lam} truncated: the symmetrized sum over the common
-    denominator, then divided by it as in `_over_den`, so every coefficient
-    is a Laurent polynomial over d0, the product of the (1 - y) over the
-    positive finite roots.  z is symbolic without `zpoint`, for every n; a
-    `domain` that disagrees with `zpoint` raises DomainMismatch."""
+    """W_lam(t) P_lam e^{-lam} truncated, the Weyl side: (1/D+) pi_{w0} of
+    the coset representatives' `_weyl_numerator`.
+
+    Each w in the affine Weyl group is uniquely u v, u in W_fin and v a
+    coset representative, and the term of w, e^{w lam - lam} prod N(w) /
+    prod (1 - y) over the positive roots, is u applied to that of v.  D+ is
+    W_fin-invariant, and sum_u u(f / d0) = pi_{w0}(f), d0 the product over
+    the positive finite roots (Macdonald, Symmetric Functions and Hall
+    Polynomials, ch. III).  Symbolic z, without `zpoint`, gives Laurent
+    polynomials over 1; a `domain` that disagrees with `zpoint` raises
+    DomainMismatch."""
     _check_domain(domain, zpoint)
-    return closed_form_contribution(
-        weight, weyl_elements(weight, qmax),
-        _root_binomials(weight.n, qmax, zpoint), qmax, zpoint)
+    g = _weyl_numerator(weight, coset_representatives(weight, qmax), qmax)
+    for i in [i for k in range(1, weight.n) for i in range(k, 0, -1)]:
+        g = _pi_step(g, i, weight.a[i])
+    return _over_den(weight.n, g, qmax, zpoint)
 
 
 def random_zpoint(n, rng):
@@ -612,8 +697,7 @@ def random_zpoint(n, rng):
     finite roots, vanish where y is 1 (z1 = 1, z2 = 1 or z1 = z2 for n = 3);
     such draws are redrawn.
     """
-    poles = [zq_of_shift(tuple((x == j) - (x == i) for x in range(n)), 0)
-             for (i, j) in finite_roots(n) if i < j]
+    poles = [zq_of_shift(e, 0) for _, _, e in _roots(n, 0)]
     return random_point([zvar(r) for r in range(1, n)], rng, poles)
 
 
@@ -877,73 +961,6 @@ def tau_truncated(weight, v, order, zpoint=None):
     return tau_section(dg, max(dg.lmin, radius), order, zpoint)
 
 
-def _weyl_numerator(weight, elements, factors, qmax, zpoint):
-    """The group elements' terms over the common denominator, each shift
-    monomial times (t - y) over the roots of `factors` it flips and
-    (1 - t y) over the others, as (key dict, D): the integers are over D,
-    the lcm of the denominators of the evaluated shift monomials.  Elements
-    are grouped by flip pattern; after each factor the groups that agree on
-    the factors still to come merge, so a step costs one `_mul_terms` per
-    distinct remaining pattern."""
-    keys = [key for key, *_ in factors]
-    terms = []
-    for sigma, tau, shift_mono, qdeg in elements:
-        flips = flip_set(weight, sigma, tau, qmax)
-        # flipped factors beyond the truncation contribute their constant t
-        deep = sum(1 for (_, m) in flips if m > qmax)
-        a, b, z = _zsplit([shift_mono.exp_of(zvar(r))
-                           for r in range(1, weight.n)], zpoint)
-        pattern = tuple(map(flips.__contains__, keys))
-        terms.append((pattern, (qdeg, deep) + z, a, b))
-    D = math.lcm(*(b for *_, b in terms))
-    groups = {}
-    for pattern, key, a, b in terms:
-        g = groups.setdefault(pattern, {})
-        g[key] = g.get(key, 0) + a * (D // b)
-    for _, one_minus_ty, t_minus_y, _ in factors:
-        merged = {}
-        for pattern, g in groups.items():
-            _mul_terms(g, t_minus_y if pattern[0] else one_minus_ty,
-                       merged.setdefault(pattern[1:], {}), qmax)
-        groups = {p: {k: v for k, v in g.items() if v}
-                  for p, g in merged.items()}
-    return groups.get((), {}), D
-
-
-def _over_den(n, numer, factors, qmax, zpoint):
-    """`numer`, a (key dict, D) pair, over the product of the (1 - y) of
-    `factors`.  The q-degree-0 ones, keyed ((i, j), 0), make d0; the rest
-    has constant term the product of their scalings (1 for symbolic z) and
-    is inverted once as a TruncatedSeries, whose coefficients come back
-    over their integer lcm E.  The result is over d0 D E: d0 for symbolic z."""
-    g, D = numer
-    nz = n - 1 if zpoint is None else 0
-    d0 = rest = {(0,) * (2 + nz): 1}
-    for key, *_, one_minus_y in factors:
-        if key is not None and key[1] == 0:
-            d0 = _mul_terms(d0, one_minus_y, {}, qmax)
-        else:
-            rest = _mul_terms(rest, one_minus_y, {}, qmax)
-    inv = _series(rest, 1, qmax, zpoint).invert()
-    dens = {q: c.den.terms[Monomial.unit()].c[0] for q, c in inv.coeffs.items()}
-    E = math.lcm(*dens.values())
-    inverse = [(v * (E // dens[q]),
-                (q, d) + tuple(m.exp_of(zvar(r)) for r in range(1, nz + 1)))
-               for q, c in inv.coeffs.items()
-               for m, tp in c.num.terms.items() for d, v in tp.c.items()]
-    den = _series(d0, 1, 0, zpoint).coeff(0).num * (D * E)
-    return _series(_mul_terms(g, inverse, {}, qmax), den, qmax, zpoint)
-
-
-def closed_form_contribution(weight, elements, factors, qmax, zpoint):
-    """Summed contributions of `weyl_elements` entries, each its shift
-    monomial times its flipped root factors over the common denominator;
-    `factors` are the `_root_binomials` at zpoint.  Over all the elements
-    this is the Weyl side."""
-    numer = _weyl_numerator(weight, elements, factors, qmax, zpoint)
-    return _over_den(weight.n, numer, factors, qmax, zpoint)
-
-
 # ---------------------------------------------------------------------------
 # relevant vertices
 # ---------------------------------------------------------------------------
@@ -1016,23 +1033,6 @@ def vertices_relevant(weight, qmax):
     return out
 
 
-def weyl_index(weight, elements):
-    """The `weyl_elements` entries by weight shift, keyed as
-    `PiSequence.mu_exponent`: {(z-exponent vector, q-degree): [element]}."""
-    index = {}
-    for element in elements:
-        mono, qdeg = element[2:]
-        zvec = tuple(mono.exp_of(zvar(r)) for r in range(1, weight.n))
-        index.setdefault((zvec, qdeg), []).append(element)
-    return index
-
-
-def match_weyl_element(index, v):
-    """The group elements of a `weyl_index` whose weight shift matches the
-    vertex weight."""
-    return index.get(v.mu_exponent(), [])
-
-
 def verify_contrib(weight, qmax, trials=2, seed=0):
     """Check the vertex contribution theorem at the given truncation.
 
@@ -1051,20 +1051,20 @@ def verify_contrib(weight, qmax, trials=2, seed=0):
 
     relevant = vertices_relevant(weight, qmax)
     irrelevant = nonrelevant_vertices(weight, 3)
-    elements = weyl_elements(weight, qmax)
-    index = weyl_index(weight, elements)
+    # check (a): a regular weight's group elements have distinct shifts
+    by_shift = {e[2]: e for e in (weyl_elements(weight, qmax)
+                                  if weight.is_regular() else ())}
     taus = {}
     for zpoint in _zpoints(weight, None, trials, rng):
-        factors = _root_binomials(n, qmax, zpoint)
         for v in relevant:
             taus[v] = tau_truncated(weight, v, qmax, zpoint)
         if weight.is_regular():
             for v, tau in taus.items():
-                hits = match_weyl_element(index, v)
-                if len(hits) != 1:
-                    failures.append(f"vertex {v}: {len(hits)} elements")
+                element = by_shift.get(v.zq_monomial())
+                if element is None:
+                    failures.append(f"vertex {v}: no group element")
                     continue
-                closed = closed_form_contribution(weight, hits, factors, qmax,
+                closed = closed_form_contribution(weight, element, qmax,
                                                   zpoint)
                 if not tau.equals(closed, up_to=qmax):
                     failures.append(f"closed form mismatch at {v}")
@@ -1097,7 +1097,7 @@ def verify_contrib(weight, qmax, trials=2, seed=0):
         checks.append(f"{len(irrelevant)} irrelevant vertices vanish")
         # (c) the relevant transforms sum to the Weyl side
         total = sum(taus.values(), TruncatedSeries.zero(qmax, zpoint))
-        lhs = closed_form_contribution(weight, elements, factors, qmax, zpoint)
+        lhs = lhs_series(weight, qmax, zpoint=zpoint)
         if not total.scale(wl).equals(lhs, up_to=qmax):
             failures.append("vertex sum != Weyl sum")
         else:

@@ -38,6 +38,19 @@ def one_minus_t_pow(l):
     return TPoly.one() - TPoly.t(l)
 
 
+def test_xvar_table():
+    # the finite routes name coordinate i by x<i>; hl_def and
+    # schur_bialternant build monomials with their names in index order,
+    # which is the sorted order only below x10
+    assert [graphs.xvar(i) for i in (1, 2, 3, 9, 10, 12)] == \
+        ["x1", "x2", "x3", "x9", "x10", "x12"]
+    names = [graphs.xvar(i) for i in range(1, 10)]
+    assert sorted(names) == names
+    assert sorted([graphs.xvar(2), graphs.xvar(10)]) == ["x10", "x2"]
+    assert Monomial({graphs.xvar(2): 1, graphs.xvar(1): -1}).e == \
+        (("x1", -1), ("x2", 1))
+
+
 def test_check_ordinary_triangle():
     G = triangle_graph(3)
     assert G.l == 3 and G.a == 0 and G.d == 2

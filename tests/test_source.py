@@ -101,6 +101,19 @@ def test_only_the_draw_loop_and_the_z_sampler_call_random_point():
     assert callers == {"ring.at_random_points", "affine_hl.random_zpoint"}
 
 
+def test_affine_hl_imports_nothing_from_finite_hl():
+    """The affine Weyl side runs its own Demazure steps, so that it shares
+    no code with the finite routes that are checked beside it."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / "affine_hl.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert "graphs" in names and "ring" in names
+    assert not any("finite_hl" in name for name in names), sorted(names)
+
+
 def _is_empty_container(node):
     """Whether node is {}, [], dict(), list() or set()."""
     if isinstance(node, ast.Dict):
