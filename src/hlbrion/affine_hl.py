@@ -512,7 +512,7 @@ def coset_representatives(weight, qmax):
             for g, qdeg in _gamma_ball(weight, qmax)]
 
 
-def flip_set(weight, sigma, tau, qmax):
+def flip_set(weight, sigma, tau):
     """Positive real roots sent to negative ones by the element's inverse,
     as pairs ((i, j), m) for the root e_i - e_j + m delta."""
     n = weight.n
@@ -572,7 +572,7 @@ def _weyl_numerator(weight, elements, qmax):
     factors = [(key, (((1, one), (-1, (m, 1) + e)),
                       ((1, t), (-1, (m, 0) + e))))
                for key, m, e in _roots(n, qmax)]
-    flips = [flip_set(weight, sigma, tau, qmax) for sigma, tau, *_ in elements]
+    flips = [flip_set(weight, sigma, tau) for sigma, tau, *_ in elements]
     some = set().union(*flips)
     total = {}
     for (_, _, mono, qdeg), flipped in zip(elements, flips):

@@ -210,6 +210,10 @@ def cmd_verify(args):
             ok = ok and good
         return _report("gensingular", args.seed, lines, ok)
     if which == "graphsum":
+        if args.max_vertices < 1:
+            raise UsageError("max-vertices must be positive")
+        _guard(args.max_vertices <= GUARDS["graph_vertices"],
+               "graph size guard", unsafe)
         lines = []
         ok = True
         count = 0

@@ -22,7 +22,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .ring import (
@@ -182,12 +182,10 @@ def primitive(vec):
 # polyhedra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Face:
+class Face(namedtuple("Face", "tight dim vertex_ids",
+                      defaults=(frozenset(),))):
     """A face identified by the set of inequalities tight on it."""
-    tight: frozenset
-    dim: int
-    vertex_ids: frozenset = frozenset()
+    __slots__ = ()
 
 
 class Polyhedron:
@@ -699,22 +697,19 @@ def sigma_relint_cone(apex, rays, labels):
                     for s in itertools.combinations(range(k), m)])
 
 
-@dataclass
 class WeightedCone:
     """Pointed cone with apex, primitive ray generators and face weights.
 
     faces: list of (ray_id_set, dim, weight) covering every face of the cone,
     including the apex face (empty ray set, dim 0).
     """
-    apex: tuple
-    rays: list
-    faces: list
-    labels: list
 
-    def __post_init__(self):
-        self.apex = tuple(self.apex)
-        self.rays = [tuple(r) for r in self.rays]
-        ids = {frozenset(rs) for rs, _, _ in self.faces}
+    def __init__(self, apex, rays, faces, labels):
+        self.apex = tuple(apex)
+        self.rays = [tuple(r) for r in rays]
+        self.faces = faces
+        self.labels = labels
+        ids = {frozenset(rs) for rs, _, _ in faces}
         if frozenset() not in ids:
             raise WeightMissing("apex face weight missing")
         if frozenset(range(len(self.rays))) not in ids:

@@ -975,48 +975,48 @@ def verify_face_euler_sum(n, lam):
 
 def enumerate_ordinary_graphs(max_vertices):
     """All ordinary graphs with at most max_vertices vertices, up to lattice
-    translation (top row pinned to 0, leftmost column to j = 1)."""
+    translation (top row 0, leftmost column 1), sorted by (size, signature).
+
+    Each is built once, as a stack of row intervals [s, e] (the cells
+    (i, s), ..., (i, e)) on a top row [0, w - 1]: below [s, e] comes
+    [s', e'] with s' in {s - 1, s}, e' in {e - 1, e} and s' <= e', and a
+    stack whose last row is one cell is a graph.
+
+    Rows are intervals: else take cells (i, j), (i, k) with (i, m) missing
+    for some j < m < k, joined by the shortest path in G over all such
+    pairs.  Its inside avoids row i (a cell there would split it into paths
+    for two pairs, one with a missing cell), so it runs below or above row
+    i.  Below, its first and last cells of row i + 1 have columns <= j and
+    >= k - 1, and (i + 1, m - 1) or (i + 1, m) is missing, else (i, m) is
+    in G by the closed-up rule; above, those of row i - 1 have columns
+    <= j + 1 and >= k, and (i - 1, m) or (i - 1, m + 1) is missing by the
+    closed-down rule.  Either way they are such a pair, two steps closer.
+
+    No other successor: the closed-down rule puts [s, e - 1] in [s', e'],
+    the closed-up rule [s' + 1, e'] in [s, e], and as edges join adjacent
+    rows only, some cell (i + 1, j') of a connected G has s - 1 <= j' <= e.
+    These leave the listed rows (the third counts for two one-cell rows).  A
+    last row of two cells would force a row below it.  Conversely each
+    stack satisfies both rules, every cell below the top row has an upper
+    neighbour, and the top row's cells meet in row 1, so it is connected.
+    The top row fixes the translation, so no graph is built twice.
+    """
     out = []
-    seen = set()
-    for cells in _connected_subsets(max_vertices):
-        mins_i = min(i for i, _ in cells)
-        mins_j = min(j for _, j in cells)
-        norm = frozenset((i - mins_i, j - mins_j + 1) for i, j in cells)
-        if norm in seen:
-            continue
-        seen.add(norm)
-        try:
-            out.append(OrdinaryGraph(norm))
-        except (NotConnected, NotClosedDown, NotClosedUp):
-            continue
+
+    def grow(rows, size):
+        s, e = rows[-1]
+        if s == e:
+            left = min(r[0] for r in rows) - 1
+            out.append(OrdinaryGraph([(i, j - left) for i, (a, b) in
+                                      enumerate(rows) for j in range(a, b + 1)]))
+        for s2, e2 in ((s - 1, e - 1), (s - 1, e), (s, e - 1), (s, e)):
+            if s2 <= e2 and size + e2 - s2 < max_vertices:
+                grow(rows + [(s2, e2)], size + e2 - s2 + 1)
+
+    for w in range(1, max_vertices + 1):
+        grow([(0, w - 1)], w)
     out.sort(key=lambda g: (len(g.vertices), g.signature()))
     return out
-
-
-def _connected_subsets(max_size):
-    """All fixed connected subsets anchored at their lexicographic minimum.
-
-    The adjacency is the lattice one: (i, j) ~ (i-1, j), (i-1, j+1),
-    (i+1, j-1), (i+1, j).  Sets are grown from the origin, never adding a
-    cell lexicographically below it, so every translation class appears.
-    """
-    def neighbors(c):
-        i, j = c
-        return ((i - 1, j), (i - 1, j + 1), (i + 1, j - 1), (i + 1, j))
-
-    origin = (0, 0)
-    level = {frozenset([origin])}
-    results = set(level)
-    for _ in range(max_size - 1):
-        nxt = set()
-        for s in level:
-            for cell in s:
-                for nb in neighbors(cell):
-                    if nb >= origin and nb not in s:
-                        nxt.add(s | {nb})
-        results |= nxt
-        level = nxt
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -885,7 +885,7 @@ def over_den_reference(numer, factors, qmax):
 def term_reference(weight, element, qmax, zpoint):
     """(flips, shift term) of one group element as a Coeff series."""
     sigma, tau, shift_mono, _ = element
-    flips = flip_set(weight, sigma, tau, qmax)
+    flips = flip_set(weight, sigma, tau)
     c, q = zq_coeff(shift_mono, zpoint)
     deep = sum(1 for (_, m) in flips if m > qmax)
     if deep:
@@ -982,7 +982,7 @@ def test_weyl_numerator_applies_each_unflipped_root_once(monkeypatch):
              (AffineWeight(5, (1, 0, 0, 0, 0)), 2)]
     for weight, qmax in cases:
         n, reps = weight.n, coset_representatives(weight, qmax)
-        some = set().union(*(flip_set(weight, sigma, tau, qmax)
+        some = set().union(*(flip_set(weight, sigma, tau)
                              for sigma, tau, _, _ in reps))
         roots = affine_hl._roots(n, qmax)
         calls.clear()
@@ -1091,7 +1091,7 @@ def test_coset_representatives_are_the_unique_minimal_elements():
             minimal = []
             for s in itertools.permutations(range(n)):
                 t = affine_hl._perm_act(s, gamma)
-                if not set(simple[:n - 1]) & flip_set(weight, s, t, qmax):
+                if not set(simple[:n - 1]) & flip_set(weight, s, t):
                     minimal.append((s, t))
             assert minimal == [(sigma, tau)], (a, gamma)
         assert len(weyl_elements(weight, qmax)) == \

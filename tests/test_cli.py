@@ -198,6 +198,17 @@ def test_verify_graphsum_small(capsys):
     assert "degenerations checked" in out
 
 
+@pytest.mark.parametrize("argv", [("--max-vertices", "0"),
+                                  ("--max-vertices", "-2"),
+                                  ("--max-vertices", "11")],
+                         ids=["zero", "negative", "beyond-guard"])
+def test_verify_graphsum_bad_input(capsys, argv):
+    code = main(["verify", "graphsum", *argv])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err.startswith("error: ") and "PASS" not in out.out
+
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -247,3 +258,14 @@ def test_cli_under_optimize_matches(argv):
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert outs[0].rstrip().endswith(verdict)
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # both cost every fresh interpreter milliseconds at start-up
+    _, env = cli_process()
+    code = ("import sys, hlbrion.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

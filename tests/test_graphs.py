@@ -2,6 +2,7 @@ import copy
 import functools
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -717,15 +718,69 @@ def test_face_euler_sum():
 
 
 def test_enumerate_ordinary_graphs_small():
-    gs = enumerate_ordinary_graphs(3)
-    sizes = {}
-    for g in gs:
-        sizes.setdefault(len(g.vertices), 0)
-        sizes[len(g.vertices)] += 1
-    assert sizes[1] == 1
-    assert sizes[2] == 2
-    assert sizes[3] == 5
+    sizes = Counter(len(g.vertices) for g in enumerate_ordinary_graphs(9))
+    assert [sizes[k] for k in range(1, 10)] == \
+        [1, 2, 5, 11, 26, 60, 139, 321, 743]
     # figure 2 appears (translated)
     gs7 = enumerate_ordinary_graphs(7)
     fig2_norm = frozenset((i, j + 2) for i, j in FIG2)
     assert any(g.vertices == fig2_norm for g in gs7)
+
+
+@functools.lru_cache(maxsize=None)
+def ordinary_graphs_by_search(max_vertices):
+    """Oracle for `enumerate_ordinary_graphs`: every fixed connected cell set
+    of at most max_vertices cells, grown from the origin without adding a
+    cell lexicographically below it (so every translation class appears),
+    normalised, deduplicated and kept when it validates."""
+    origin = (0, 0)
+    level = {frozenset([origin])} if max_vertices >= 1 else set()
+    cell_sets = set(level)
+    for _ in range(max_vertices - 1):
+        nxt = set()
+        for cells in level:
+            for i, j in cells:
+                for nb in ((i - 1, j), (i - 1, j + 1), (i + 1, j - 1),
+                           (i + 1, j)):
+                    if nb >= origin and nb not in cells:
+                        nxt.add(cells | {nb})
+        cell_sets |= nxt
+        level = nxt
+    out = {}
+    for cells in cell_sets:
+        top = min(i for i, _ in cells)
+        left = min(j for _, j in cells)
+        norm = frozenset((i - top, j - left + 1) for i, j in cells)
+        if norm not in out:
+            try:
+                out[norm] = OrdinaryGraph(norm)
+            except (graphs.NotConnected, graphs.NotClosedDown,
+                    graphs.NotClosedUp):
+                out[norm] = None
+    return sorted((g for g in out.values() if g is not None),
+                  key=lambda g: (len(g.vertices), g.signature()))
+
+
+def test_enumerate_ordinary_graphs_matches_the_exhaustive_search():
+    for n in range(-3, 10):
+        assert ([g.signature() for g in enumerate_ordinary_graphs(n)]
+                == [g.signature() for g in ordinary_graphs_by_search(n)])
+    assert enumerate_ordinary_graphs(0) == enumerate_ordinary_graphs(-3) == []
+
+
+def test_every_row_of_an_ordinary_graph_is_an_interval():
+    for G in enumerate_ordinary_graphs(9) + ordinary_graphs_by_search(9):
+        for js in G.rows.values():
+            assert js == list(range(js[0], js[-1] + 1))
+        assert sorted(G.rows) == list(range(G.a, G.d + 1))
+
+
+def test_random_bounded_instances_from_the_searched_pool(monkeypatch):
+    def draws():
+        return [(G.signature(), tuple(b))
+                for G, b in graphs.random_bounded_instances(20, seed=11)]
+
+    generated = draws()
+    monkeypatch.setattr(graphs, "enumerate_ordinary_graphs",
+                        ordinary_graphs_by_search)
+    assert draws() == generated
