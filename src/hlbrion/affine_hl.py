@@ -97,19 +97,16 @@ class PiSequence:
     """Two-sided sequence with periodic left tail and zero right tail,
     stored by a finite window and the partial sums over it."""
 
-    __slots__ = ("weight", "start", "values", "sums")
+    __slots__ = ("weight", "start", "values", "sums", "shift", "profile")
 
     def __init__(self, weight, start, values):
         self.weight = weight
         a, n = weight.a, weight.n
         vals = tuple(values)
         # the window runs from the first entry off the periodic tail to the
-        # last nonzero entry after it; the tail is compared a period at a time
-        period = a[start % n:] + a[:start % n]
+        # last nonzero entry after it
         first, last = 0, len(vals)
-        while vals[first:first + n] == period:
-            first += n
-        while first < last and vals[first] == period[first % n]:
+        while first < last and vals[first] == a[(start + first) % n]:
             first += 1
         while last > first and vals[last - 1] == 0:
             last -= 1
@@ -125,6 +122,16 @@ class PiSequence:
         # sums[p] = S_A(start - 1 + p) for 0 <= p <= len(values)
         self.sums = tuple(itertools.accumulate(
             vals, initial=_periodic_sum(weight, lo - 1)))
+
+    @classmethod
+    def searched(cls, weight, start, sums, shift, profile):
+        """A stripped sequence by its sums, with `mu_exponent()` as `shift`
+        and `d_stats` as sorted pairs `profile`, as `enumerate_pi` finds it."""
+        A = cls.__new__(cls)
+        A.weight, A.start, A.sums, A.shift, A.profile = (
+            weight, start, sums, shift, profile)
+        A.values = tuple(map(sub, sums[1:], sums))
+        return A
 
     def get(self, i):
         if i < self.start:
@@ -156,19 +163,6 @@ class PiSequence:
             if self.chi(i) > self.weight.k:
                 return False
         return True
-
-    def support_diff(self):
-        """Nonzero differences against the base sequence, as {i: d_i}; the
-        base equals the tail at and below 0 and vanishes above.  The tests'
-        oracle for `mu_exponent`, which walks the same positions itself."""
-        a, n = self.weight.a, self.weight.n
-        out = {}
-        for i in range(min(self.start, 1),
-                       max(self.start + len(self.values), 1)):
-            d = self.get(i) - (a[i % n] if i <= 0 else 0)
-            if d:
-                out[i] = d
-        return out
 
     def mu_exponent(self):
         """(z-exponent vector of length n-1, q-degree) of the weight shift,
@@ -275,49 +269,95 @@ def enumerate_pi(weight, qmax):
     over the last n-1 entries), so each leaf is valid and the accumulated
     q-degree is its own.  Each state lists its children cheapest completion
     first, so the search stops at the first child that cannot stay within
-    qmax.
+    qmax.  It runs once per first position f off the periodic tail and
+    carries the partial sums, z-exponents, last nonzero position and
+    `d_stats` profile along each path, so a leaf is built stripped.
+
+    The profile: the walk of `d_stats` steps from x to x + n - 1 iff A_x = 0
+    and chi(x + n - 1) = k, so a run is a chain with at most one step into
+    and out of each position, from x0 with chi(x0) < k (no step in, as
+    chi <= k) to y with no step out, and counts for d_l iff A_y > 0.  Each
+    A_y > 0 thus ends one chain: step back while A_{y-(n-1)} = 0 and
+    chi(y) = k, and count iff chi < k where the steps stop, which is at f
+    or above, as below f every chi is k.  This reads positions <= y only.
     """
     n, k, a = weight.n, weight.k, weight.a
+    if qmax < 0:
+        raise ValueError("qmax must be nonnegative")
     lo, hi = _q_window(n, qmax)
     size = hi - lo + 1
-    states = [st for st in itertools.product(range(k + 1), repeat=n - 1)
-              if sum(st) <= k]
-    # per (position, last n-1 entries): the children (least q-degree of a
-    # completion through the child, value, q increment, next state), sorted
+    # z-exponents (offset by half) and counts d_l packed W bits a digit
+    W = (k * size).bit_length() + 1
+    mask, half = (1 << W) - 1, 1 << (W - 1)
+    # per state (last n-1 entries): (v, next state, profile increment of the
+    # run ending at v, -1 where it needs the steps back)
+    moves = {st: [(v, st[1:] + (v,), 0 if not v or s + v == k and st[0]
+                   else 1 << W if s + v < k else -1)
+                  for v in range(k - s + 1)]
+             for st in itertools.product(range(k + 1), repeat=n - 1)
+             if (s := sum(st)) <= k}
+    # per (position, state): the children (least q-degree of a completion
+    # through them, v, q inc, next state, z and profile incs), sorted; past H
+    # or once acc > free[idx] (v > 0 at i >= 1 adds qshift(i) v) zeros follow
     kids = [None] * size
-    min_rem = dict.fromkeys(states, 0)
+    free = [qmax - qshift(i, n) if i > 0 else math.inf
+            for i in range(lo, hi + 1)] + [-1]
+    min_rem = dict.fromkeys(moves, 0)
     for idx in range(size - 1, -1, -1):
         i = lo + idx
-        qc, b = qshift(i, n), (a[i % n] if i <= 0 else 0)
-        kids[idx] = level = {}
-        for st in states:
-            children = []
-            for v in range(k - sum(st) + 1):
-                inc, nxt = qc * (v - b), st[1:] + (v,)
-                children.append((inc + min_rem[nxt], v, inc, nxt))
-            level[st] = sorted(children)
+        (qc, r), b = divmod(i - 1, n - 1), (a[i % n] if i <= 0 else 0)
+        kids[idx] = level = {
+            st: sorted((qc * (v - b) + min_rem[nxt], v, qc * (v - b), nxt,
+                        (v - b) << W * r, run) for v, nxt, run in mv)
+            for st, mv in moves.items()}
         min_rem = {st: children[0][0] for st, children in level.items()}
-    found = []
-    seq = []
+    # S[u] = S_A(lo + idx) for u = idx + n + 1, to the path's end; f at uf
+    S = [_periodic_sum(weight, x) for x in range(lo - n - 1, lo)]
+    found, shifts, profiles = [], {}, {}
 
-    def rec(idx, st, acc):
-        leaf = idx == size - 1
-        for cost, v, inc, nxt in kids[idx][st]:
+    def leaf(q, z, prof, last):
+        start = lo + uf - n - 1
+        while last < uf and a[(start - 1) % n] == 0:
+            start -= 1      # a pure tail cut: its lowest equivalent start
+        zvec = shifts.get(z) or shifts.setdefault(z, tuple(
+            (z >> W * r & mask) - half for r in range(n - 1)))
+        pairs = profiles.get(prof) or profiles.setdefault(prof, tuple(
+            (l, d) for l in range(1, prof.bit_length() // W + 1)
+            if (d := prof >> W * l & mask)))
+        found.append(PiSequence.searched(
+            weight, start, tuple(S[uf - 1:last + 1]), (zvec, q), pairs))
+
+    def rec(u, children, acc, z, prof, last):
+        for cost, v, inc, nxt, dz, run in children:
             if acc + cost > qmax:
                 break
-            seq.append(v)
-            if leaf:
-                found.append((acc + inc, PiSequence(weight, lo, tuple(seq))))
+            S.append(S[-1] + v)
+            if run < 0:     # step back from u: x is the chain's start
+                x, l = u, 1
+                while x - n >= uf - 1 and S[x - n + 1] == S[x - n] == S[x] - k:
+                    x, l = x - n + 1, l + 1
+                run = 1 << W * l if S[x] - S[x - n] < k else 0
+            if acc + inc > free[u - n]:
+                leaf(acc + inc, z + dz, prof + run, u if v else last)
             else:
-                rec(idx + 1, nxt, acc + inc)
-            seq.pop()
+                rec(u + 1, kids[u - n][nxt], acc + inc, z + dz, prof + run,
+                    u if v else last)
+            S.pop()
 
-    rec(0, tuple(a[(lo - j) % n] for j in range(n - 1, 0, -1)), 0)
-    # rec reaches itself through its closure cell; clearing the cell frees
-    # the search's tables now rather than at the next cycle collection
-    del rec
-    found.sort(key=lambda e: (e[0], e[1].key()))
-    return [A for _, A in found]
+    st, acc = tuple(a[(lo - j) % n] for j in range(n - 1, 0, -1)), 0
+    z = sum(half << W * r for r in range(n - 1))
+    for uf in range(n + 1, size + n + 1):
+        t, children = a[(lo + uf - n - 1) % n], kids[uf - n - 1][st]
+        rec(uf, [c for c in children if c[1] != t], acc, z, 0, uf - 1)
+        _, _, inc, st, dz, _ = next(c for c in children if c[1] == t)
+        S.append(S[-1] + t)
+        acc, z = acc + inc, z + dz
+    uf += 1                 # the tail throughout the window
+    if acc <= qmax:
+        leaf(acc, z, 0, uf - 1)
+    del rec     # rec holds itself by its closure cell: free the tables now
+    found.sort(key=lambda A: (A.shift[1], A.start, A.values))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +411,8 @@ def _profile_weight(profile):
     """prod (1 - t^l)^{d_l} over the sorted (l, d_l) pairs of a profile."""
     out = T_ONE
     for l, d in profile:
-        out = out * (T_ONE - TPoly.t(l)) ** d
+        out = out * TPoly({l * j: (-1) ** j * math.comb(d, j)
+                           for j in range(d + 1)})
     return out
 
 
@@ -386,17 +427,12 @@ def p_weight(A):
 def rhs_table(weight, qmax):
     """(q-degree, z-vector, weight polynomial) for every basis element.
 
-    Few weights are distinct, so each is built once per call, keyed by its
-    sorted d_stats profile."""
-    weights = {}
-    rows = []
+    The search carries shift and profile; each weight is built once a call."""
+    weights, rows = {}, []
     for A in enumerate_pi(weight, qmax):
-        profile = tuple(sorted(d_stats(A).items()))
-        w = weights.get(profile)
-        if w is None:
-            w = weights[profile] = _profile_weight(profile)
-        zvec, qdeg = A.mu_exponent()
-        rows.append((qdeg, zvec, w))
+        if A.profile not in weights:
+            weights[A.profile] = _profile_weight(A.profile)
+        rows.append((A.shift[1], A.shift[0], weights[A.profile]))
     return rows
 
 
@@ -472,6 +508,8 @@ def _gamma_ball(weight, qmax):
     ball of the plane sum v = sum lam, filled left to right: m entries
     still to choose, of sum s, add at least s^2 / m to |v|^2."""
     n, k, lam = weight.n, weight.k, weight.finite_part()
+    if qmax < 0:
+        raise ValueError("qmax must be nonnegative")
     norm0 = sum(x * x for x in lam)
     r2 = norm0 + 2 * k * qmax
     r = math.isqrt(r2)
@@ -631,12 +669,14 @@ def _coeff(row, den):
 
 
 def _series(g, den, qmax, zpoint):
-    """The TruncatedSeries of a key dict, every coefficient over `den`."""
+    """The TruncatedSeries of a key dict over `den`, reduced by content."""
     rows = {}
     for (q, *key), v in g.items():
         rows.setdefault(q, {})[tuple(key)] = v
-    return TruncatedSeries(qmax, {q: _coeff(row, den)
-                                  for q, row in rows.items()}, zpoint)
+    return TruncatedSeries(qmax, {
+        q: _coeff({key: v // c for key, v in row.items()}, den // c)
+        for q, row in rows.items() for c in [math.gcd(den, *row.values())]},
+        zpoint)
 
 
 def _over_den(n, g, qmax, zpoint):
@@ -711,14 +751,13 @@ def _zpoints(weight, domain, trials, rng):
 
 def verify_main(weight, qmax, domain=None, trials=3, seed=0):
     """W_lam(t) * rhs = lhs coefficient by coefficient up to q^qmax, at each
-    z-point of `_zpoints`."""
+    z-point of `_zpoints`; trials < 1 raises ValueError."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
     wl = weight.wlambda()
-    for zpoint in _zpoints(weight, domain, trials, _random.Random(seed)):
-        lhs = lhs_series(weight, qmax, zpoint=zpoint)
-        rhs = rhs_series(weight, qmax, zpoint=zpoint).scale(wl)
-        if not lhs.equals(rhs, up_to=qmax):
-            return False
-    return True
+    return all(lhs_series(weight, qmax, zpoint=zpoint).equals(
+        rhs_series(weight, qmax, zpoint=zpoint).scale(wl), up_to=qmax)
+        for zpoint in _zpoints(weight, domain, trials, _random.Random(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -1009,11 +1048,7 @@ def vertices_relevant(weight, qmax):
     L - n(n-1) <= c_r <= H + n - 1, with L = -n(n-1)(qmax+1) and
     H = (n-1)(qmax+1).
     - A sequence of q-degree at most qmax equals the base outside [L, H],
-      as `enumerate_pi` proves: the partial sums S(x) of A - t0 are <= 0
-      for x <= 0, Abel summation writes qdeg(A) as
-      sum_{i >= 1} qshift(i) A_i - sum_{x <= 0, (n-1) | x} S(x) with both
-      parts >= 0, so A vanishes above H, and S <= -1 at the leftmost
-      deviation p and at p + n, p + 2n, ... up to 0, which puts p >= L.
+      as `enumerate_pi` proves.
     - A cut above H + n - 1 would force A = k at the cut, as the n-1
       entries before it lie above H and vanish.
     - A cut below L - n(n-1) would force zeros at the n positions

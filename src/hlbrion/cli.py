@@ -133,6 +133,9 @@ def _report(name, seed, lines, ok):
 def cmd_verify(args):
     which = args.which
     unsafe = args.unsafe_limits
+    for name, least in (("qmax", 0), ("trials", 1), ("count", 1)):
+        if getattr(args, name) < least:
+            raise UsageError(f"{name} must be at least {least}")
     if which == "tmultinomial":
         weight = _build(finite_hl.FiniteWeight, args.n, _parse_ints(args.a))
         value = graphs.t_multinomial(args.n, weight.type_multiplicities())

@@ -769,6 +769,8 @@ def at_random_points(variables, rng, trials, check):
     drawn again, up to RANDOM_POINT_TRIES draws per point.  Returns False at
     the first point where check is false, and draws nothing more.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
     for _ in range(trials):
         for _ in range(RANDOM_POINT_TRIES):
             point = random_point(variables, rng)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from hlbrion import affine_hl
+from hlbrion import affine_hl, ring
 from hlbrion.affine_hl import (
     DELTA_SPAN, AffineWeight, DeltaGraph, _pi_step, _weyl_numerator, apply_G,
     closed_form_contribution, coset_representatives, d_stats, enumerate_pi,
@@ -295,16 +295,28 @@ def test_enumerate_pi_stays_in_its_window():
             els = enumerate_pi(weight, qmax)
             for A in els:
                 assert A.is_valid(), A
-                assert all(lo <= i <= hi for i in A.support_diff()), A
+                assert all(lo <= i <= hi for i in support_diff(A)), A
             keys = [(A.mu_exponent()[1], A.key()) for A in els]
             assert keys == sorted(set(keys)) and keys[-1][0] <= qmax
             assert t0 in els
 
 
+def support_diff(A):
+    """Nonzero differences against the base sequence, as {i: d_i}; the base
+    equals the tail at and below 0 and vanishes above."""
+    a, n = A.weight.a, A.weight.n
+    out = {}
+    for i in range(min(A.start, 1), max(A.start + len(A.values), 1)):
+        d = A.get(i) - (a[i % n] if i <= 0 else 0)
+        if d:
+            out[i] = d
+    return out
+
+
 def mu_exponent_reference(A):
     """(z-exponent vector, q-degree) of `apply_G` summed over the entries
     of `support_diff`."""
-    m = apply_G(A.weight, A.support_diff())
+    m = apply_G(A.weight, support_diff(A))
     return (tuple(m.exp_of(zvar(r)) for r in range(1, A.weight.n)),
             m.exp_of("q"))
 
@@ -337,18 +349,76 @@ def test_d_stats_and_p_weight():
         assert w.c.get(0) == 1
 
 
+# the sets of the search's tests: (n, level, qmax), every weight of that
+# level or below, and one weight at n = 5
+SEARCH_SETS = [(2, 3, 6), (3, 2, 3), (4, 2, 2)]
+N5_WEIGHT = AffineWeight(5, (1, 0, 0, 0, 0))
+
+
+def search_cases():
+    for n, level, qmax in SEARCH_SETS:
+        for weight in small_weights(n, level):
+            yield weight, qmax
+    yield N5_WEIGHT, 3
+
+
+def test_search_carries_each_leafs_shift_profile_and_window():
+    # the search's shift and profile are mu_exponent's and d_stats', and
+    # each leaf is the sequence PiSequence strips off its whole [L, H]
+    # window, pure tail cuts too, whose start moves down over zero tail
+    # entries
+    cases = lowered = 0
+    for weight, qmax in search_cases():
+        n, a = weight.n, weight.a
+        lo, hi = -n * (n - 1) * (qmax + 1), (n - 1) * (qmax + 1)
+        for A in enumerate_pi(weight, qmax):
+            assert A.shift == A.mu_exponent(), A
+            assert A.profile == tuple(sorted(d_stats(A).items())), A
+            full = PiSequence(weight, lo, [A.get(i) for i in range(lo, hi + 1)])
+            assert (full.key(), full.sums) == (A.key(), A.sums), A
+            lowered += not A.values and a[A.start % n] == 0
+            cases += 1
+    assert (cases, lowered) == (13067, 113)
+
+
+def rhs_table_reference(weight, qmax):
+    """rhs_table by one walk per basis element: mu_exponent and d_stats of
+    each sequence, and its weight as a product of powers of (1 - t^l)."""
+    rows = []
+    for A in enumerate_pi(weight, qmax):
+        w = TPoly.one()
+        for l, d in d_stats(A).items():
+            w = w * (TPoly.one() - TPoly.t(l)) ** d
+        zvec, qdeg = A.mu_exponent()
+        rows.append((qdeg, zvec, w))
+    return rows
+
+
 def test_rhs_table_rows_are_the_per_sequence_weights():
-    # rhs_table builds each distinct weight once; the rows are those of one
-    # p_weight per basis element: nine n = 2 weights of level <= 3 at qmax 5
-    weights = [AffineWeight(2, a) for a in itertools.product(range(4), repeat=2)
-               if 0 < sum(a) <= 3]
-    rows = 0
-    for w in weights:
-        table = rhs_table(w, 5)
-        assert table == [(A.mu_exponent()[1], A.mu_exponent()[0], p_weight(A))
-                         for A in enumerate_pi(w, 5)], w.a
-        rows += len(table)
-    assert rows == 1580
+    # rhs_table builds each distinct weight once from the profiles the
+    # search carries; its rows are those of one walk per basis element, in
+    # order: nine n = 2 weights of level <= 3 at qmax 5, nine n = 3 weights
+    # of level <= 2 at qmax 2, three n = 4 weights at qmax 3 and p_weight
+    lists = [(list(small_weights(2, 3)), 5), (list(small_weights(3, 2)), 2),
+             ([AffineWeight(4, a) for a in
+               ((1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 1))], 3)]
+    rows = []
+    for weights, qmax in lists:
+        for w in weights:
+            table = rhs_table(w, qmax)
+            assert table == rhs_table_reference(w, qmax), w.a
+            rows.append(len(table))
+    assert sum(rows[:9]) == 1580 and sum(rows) == 8882
+    for w in lists[0][0]:
+        assert [row[2] for row in rhs_table(w, 5)] == \
+            [p_weight(A) for A in enumerate_pi(w, 5)], w.a
+
+
+@pytest.mark.parametrize("side", [enumerate_pi, rhs_table, rhs_series,
+                                  lhs_series])
+def test_a_negative_qmax_raises_on_both_sides(side):
+    with pytest.raises(ValueError, match="qmax must be nonnegative"):
+        side(L0, -1)
 
 
 def d_stats_reference(A):
@@ -492,6 +562,10 @@ def test_verify_main_small():
     assert verify_main(L0, 4)
     assert verify_main(L01, 3)
     assert verify_main(L0_3, 2, trials=2, seed=11)
+    # zero trials would check nothing, symbolic z or not
+    for weight in (L0, L0_3):
+        with pytest.raises(ValueError, match="trials"):
+            verify_main(weight, 1, trials=0)
 
 
 def test_verify_main_evaluated_n4():
@@ -636,7 +710,7 @@ def test_apply_G():
     assert apply_G(w, {3: 1}) == Monomial({zvar(1): 1, "q": 1})
     assert apply_G(w, {0: 1}) == Monomial({zvar(2): 1, "q": -1})
     for A in enumerate_pi(w, 2):
-        assert A.zq_monomial() == apply_G(w, A.support_diff())
+        assert A.zq_monomial() == apply_G(w, support_diff(A))
 
 
 def test_tau_matches_closed_form():
@@ -1002,9 +1076,9 @@ def test_weyl_numerator_applies_each_unflipped_root_once(monkeypatch):
 def test_weyl_numerator_integers_stay_small():
     # the numerator is symbolic, so its integers stay small, and the
     # evaluated Weyl side puts each q-degree over one integer only after
-    # the pi steps: n = 4 at qmax 4, where Coeff sums of the evaluated
-    # per-element terms reached 332,175 bits and one common denominator
-    # for them 5,407 bits (2,509 here)
+    # the pi steps, reduced by its content: n = 4 at qmax 4, where Coeff
+    # sums of the evaluated per-element terms reached 332,175 bits, one
+    # common denominator for them 5,407 bits and the unreduced one 2,509
     weight = AffineWeight(4, (1, 0, 0, 0))
     numer = _weyl_numerator(weight, coset_representatives(weight, 4), 4)
     assert numer and max(abs(v).bit_length() for v in numer.values()) < 16
@@ -1013,7 +1087,7 @@ def test_weyl_numerator_integers_stay_small():
                               for c in lhs.coeffs.values()
                               for p in (c.num, c.den)
                               for tp in p.terms.values()
-                              for v in tp.c.values()) < 3000
+                              for v in tp.c.values()) < 128
 
 
 def weyl_elements_reference(weight, qmax):
@@ -1160,3 +1234,51 @@ def test_zvar_and_zq_of_shift_tables():
              (((0, 0, 0, 0), 4), {"q": 4})]
     for (u, q), exps in table:
         assert zq_of_shift(u, q) == Monomial(exps), (u, q)
+
+
+def test_zsplit_table():
+    # symbolic z keeps the exponents as the key's z-part; at a z-point the
+    # monomial's value is split into numerator and positive denominator in
+    # lowest terms, and the key's z-part is empty
+    for z in ((0, 0), (2, -1), [0, 3]):
+        assert affine_hl._zsplit(z, None) == (1, 1, tuple(z))
+    point = {zvar(1): Fraction(-2), zvar(2): Fraction(1, 3)}
+    table = [((0, 0), (1, 1)), ((1, 0), (-2, 1)), ((-1, 0), (-1, 2)),
+             ((2, -1), (12, 1)), ((-1, 2), (-1, 18)), ((-2, 0), (1, 4)),
+             ((1, 2), (-2, 9))]
+    for z, (num, den) in table:
+        assert affine_hl._zsplit(z, point) == (num, den, ()), z
+
+
+def test_coeff_table():
+    # {(t-degree, z-exponents...): int} over den: one t-polynomial per
+    # z-monomial, zero entries dropped, den as a constant denominator
+    z12 = Monomial({zvar(1): 1, zvar(2): -2})
+    table = [
+        ({(0, 0, 0): 3, (2, 0, 0): -1, (1, 1, -2): 5, (0, 1, -2): 0}, 7,
+         {Monomial.unit(): {0: 3, 2: -1}, z12: {1: 5}}),
+        ({(0,): 4, (3,): -2}, 5, {Monomial.unit(): {0: 4, 3: -2}}),
+        ({(1, 0, 1): 2}, 1, {Monomial({zvar(2): 1}): {1: 2}}),
+        ({(0, 0): 0}, 3, {}),
+    ]
+    for row, den, terms in table:
+        c = affine_hl._coeff(row, den)
+        assert c.num == LaurentPoly({m: TPoly(t) for m, t in terms.items()})
+        assert c.den == LaurentPoly.const(den if terms else 1), row
+
+
+def test_affine_sides_call_no_common_function(src_calls):
+    # criterion 7: the basis sum and the Weyl side share no function but
+    # the ring kernels and five conventions: the variable names, the shift
+    # monomial, the z-evaluation, the output packaging and the domain check
+    allowed = {"zvar", "zq_of_shift", "_zsplit", "_coeff", "_check_domain"}
+    weight = AffineWeight(3, (1, 0, 0))
+    for zpoint in (None, random_zpoint(3, random.Random(5))):
+        basis = src_calls(rhs_series, weight, 2, None, zpoint)
+        weyl = src_calls(lhs_series, weight, 2, None, zpoint)
+        assert {enumerate_pi.__code__, rhs_table.__code__} <= basis
+        assert _pi_step.__code__ in weyl
+        shared = {c.co_qualname for c in basis & weyl
+                  if c.co_filename != ring.__file__}
+        assert shared and not {q for q in shared
+                               if q.split(".")[0] not in allowed}, shared

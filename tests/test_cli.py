@@ -92,6 +92,29 @@ def test_affine_negative_qmax(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("main", "--n", "2", "--a", "1,0", "--qmax", "-1"),
+    ("contrib", "--n", "2", "--a", "1,1", "--qmax", "-1"),
+    ("main", "--n", "3", "--a", "1,0,0", "--qmax", "2", "--z", "rand:1",
+     "--trials", "0"),
+    ("zero", "--graph", "perfbench/data/zero_graph.json", "--b", "3",
+     "--trials", "0"),
+    ("wbrion", "--count", "2", "--trials", "0"),
+    ("contribfin", "--n", "3", "--a", "1,1", "--trials", "0"),
+    ("wbrion", "--count", "0"),
+    ("gensingular", "--count", "-1"),
+], ids=["main-qmax", "contrib-qmax", "main-trials", "zero-trials",
+        "wbrion-trials", "contribfin-trials", "wbrion-count",
+        "gensingular-count"])
+def test_verify_refuses_what_would_check_nothing(capsys, argv):
+    # a negative qmax is bad input, not an internal error, and zero trials
+    # or counts would print PASS having checked nothing
+    code = main(["verify", *argv])
+    out = capsys.readouterr()
+    assert code == 2 and "PASS" not in out.out
+    assert out.err.startswith("error: ") and "must be" in out.err
+
+
 def test_affine_evaluated_mode(capsys):
     code, out = run(capsys, "affine", "--n", "2", "--a", "1,0", "--qmax", "1",
                     "--z", "rand:5")

@@ -1,7 +1,6 @@
 import itertools
 import pathlib
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -277,25 +276,7 @@ def test_hl_def_matches_gt_on_the_widest_fields():
         assert hl_def(w) == hl_gt(w), (n, a)
 
 
-def src_calls(fn, *args):
-    """The code objects of the package functions that fn(*args) calls,
-    recorded by a profile hook on this process alone."""
-    src = pathlib.Path(finite_hl.__file__).parent
-    seen = set()
-
-    def hook(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and pathlib.Path(code.co_filename).parent == src:
-            seen.add(code)
-    sys.setprofile(hook)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-    return seen
-
-
-def test_finite_routes_call_no_common_function():
+def test_finite_routes_call_no_common_function(src_calls):
     # criteria 1 and 2: the pattern sum, the Demazure route and the t = 0
     # oracle share no function but the ring kernels and the variable names
     w = FiniteWeight(4, (1, 0, 2))

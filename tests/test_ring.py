@@ -626,3 +626,10 @@ def test_at_random_points_stops_at_the_first_failing_point():
     assert draws == [random_point(["x", "y"], replay) for _ in range(3)]
     assert rng.random() == replay.random()
     assert at_random_points(["x"], random.Random(3), 4, lambda p: True)
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_at_random_points_refuses_to_check_no_point(trials):
+    # no trial would make a check that never holds pass
+    with pytest.raises(ValueError, match="trials"):
+        at_random_points(["x"], random.Random(3), trials, lambda p: False)
