@@ -8,7 +8,7 @@ i mod (n-1) and Q(i) is the matching quotient, Q(i) = floor((i-1)/(n-1)).
 
 It computes the basis sum side (enumeration, plane-pattern row statistics,
 weights), the Weyl-sum side (one coset representative per translation, then
-the finite Demazure operator) and the vertex decomposition (tangent-cone
+the finite Hecke symmetrizer) and the vertex decomposition (tangent-cone
 sections, their truncated transforms and closed contribution formulas).
 """
 
@@ -475,10 +475,7 @@ def rhs_series(weight, qmax, domain=None, zpoint=None):
 
 def _perm_act(sigma, vec):
     """(sigma . v)_i = v_{sigma^{-1}(i)} with sigma a tuple of images."""
-    out = [0] * len(vec)
-    for src, dst in enumerate(sigma):
-        out[dst] = vec[src]
-    return tuple(out)
+    return tuple(vec[sigma.index(i)] for i in range(len(vec)))
 
 
 def zq_of_shift(u, qexp):
@@ -487,13 +484,7 @@ def zq_of_shift(u, qexp):
     z_r takes u_r for r = 1..n-1 and u_0 is dropped (u sums to zero),
     mirroring the sign convention of the finite-case specialization.
     """
-    exps = {}
-    for r in range(1, len(u)):
-        if u[r]:
-            exps[zvar(r)] = u[r]
-    if qexp:
-        exps["q"] = qexp
-    return Monomial(exps)
+    return Monomial({"q": qexp, **{zvar(r): u[r] for r in range(1, len(u))}})
 
 
 def finite_roots(n):
@@ -556,14 +547,11 @@ def flip_set(weight, sigma, tau):
     n = weight.n
     inv_sigma = sorted(range(n), key=sigma.__getitem__)
     gamma = _perm_act(tuple(inv_sigma), tau)
-    flips = set()
-    for (i, j) in finite_roots(n):
-        # w^{-1}(e_i - e_j + m delta) = e_i2 - e_j2 + (m - shift) delta is
-        # negative iff m < shift, or m = shift with i2 > j2
-        i2, j2 = inv_sigma[i], inv_sigma[j]
-        shift = gamma[j2] - gamma[i2]
-        flips.update(((i, j), m) for m in range(i > j, shift + (i2 > j2)))
-    return flips
+    # w^{-1}(e_i - e_j + m delta) = e_i2 - e_j2 + (m - shift) delta, shift =
+    # gamma_j2 - gamma_i2, is negative iff m < shift, or m = shift, i2 > j2
+    return {((i, j), m) for (i, j) in finite_roots(n)
+            for i2, j2 in [(inv_sigma[i], inv_sigma[j])]
+            for m in range(i > j, gamma[j2] - gamma[i2] + (i2 > j2))}
 
 
 def _zsplit(z, zpoint):
@@ -587,48 +575,42 @@ def _roots(n, qmax):
 
 
 def _mul_terms(g, terms, out, qmax):
-    """Add g times the sum of c x^shift over the (c, shift) `terms` into
-    out, dropping q-degrees above qmax, and return out.  g and out map keys
-    (q-degree, t-degree, exponents...) to integers."""
-    for c, shift in terms:
-        dq = shift[0]
-        for key, v in g.items():
-            if key[0] + dq <= qmax:
-                k = tuple(map(add, key, shift))
-                out[k] = out.get(k, 0) + c * v
+    """Add g times the sum of c x^shift over the (c, shift) `terms`, taken by
+    rising q-degree, into out, dropping q-degrees above qmax, and return out.
+    g and out map keys (q-degree, t-degree, exponents...) to integers."""
+    terms = sorted(terms, key=lambda term: term[1][0])
+    for key, v in g.items():
+        room = qmax - key[0]
+        for c, shift in terms:
+            if shift[0] > room:
+                break
+            k = tuple(map(add, key, shift))
+            out[k] = out.get(k, 0) + c * v
     return out
 
 
-def _weyl_numerator(weight, elements, qmax):
-    """The elements' terms over the common denominator, on keys (q-degree,
-    t-degree, eps_0, ..., eps_{n-1}): each shift monomial times (t - y) over
-    the roots it flips and (1 - t y) over the others of `_roots`, y =
-    e^{-root}, and t per flipped root beyond qmax.  The roots that no
-    element flips multiply the sum once."""
-    n = weight.n
-    one, t = (0,) * (n + 2), (0, 1) + (0,) * n
-    factors = [(key, (((1, one), (-1, (m, 1) + e)),
-                      ((1, t), (-1, (m, 0) + e))))
-               for key, m, e in _roots(n, qmax)]
-    flips = [flip_set(weight, sigma, tau) for sigma, tau, *_ in elements]
-    some = set().union(*flips)
-    total = {}
-    for (_, _, mono, qdeg), flipped in zip(elements, flips):
-        u = [mono.exp_of(zvar(r)) for r in range(1, n)]
-        g = {(qdeg, sum(m > qmax for _, m in flipped), -sum(u), *u): 1}
-        for key, binomials in factors:
-            if key in some:
-                g = _mul_terms(g, binomials[key in flipped], {}, qmax)
-        _mul_terms(g, ((1, one),), total, qmax)
-    for key, (one_minus_ty, _) in factors:
-        if key not in some:
-            total = {k: v for k, v in
-                     _mul_terms(total, one_minus_ty, {}, qmax).items() if v}
-    return {k: v for k, v in total.items() if v}
+def _numerator(weight, element, qmax):
+    """One element's term on keys (q-degree, t-degree, eps_0, ...,
+    eps_{n-1}): its shift monomial, t per flipped root beyond qmax, and per
+    flipped root of q-degree m <= qmax (t - y), y = e^{-root}, times
+    1/(1 - t y) = sum_j (t y)^j to qmax if m >= 1."""
+    sigma, tau, mono, qdeg = element
+    n, flipped = weight.n, flip_set(weight, sigma, tau)
+    u = [mono.exp_of(zvar(r)) for r in range(1, n)]
+    g = {(qdeg, sum(m > qmax for _, m in flipped), -sum(u), *u): 1}
+    for (i, j), m in flipped:
+        e = [(r == j) - (r == i) for r in range(n)]
+        if m <= qmax:
+            g = _mul_terms(g, ((1, (0, 1) + (0,) * n), (-1, (m, 0, *e))),
+                           {}, qmax)
+        if 0 < m <= qmax:
+            g = _mul_terms(g, [(1, (m * p, p, *(p * x for x in e)))
+                               for p in range(qmax // m + 1)], {}, qmax)
+    return g
 
 
 def _pi_step(g, i, a_i):
-    """e^{-lam} pi_i(e^lam g) for a key dict g of `_weyl_numerator`, a_i =
+    """e^{-lam} pi_i(e^lam g) for a key dict g of `_numerator`, a_i =
     <lam, alpha_i>, alpha_i = e_{i-1} - e_i: pi_i f = (f - y s_i f)/(1 - y),
     y = e^{-alpha_i}, is, with d = <lam + mu, alpha_i>, e^mu (1 + y + ... +
     y^d) for d >= 0, zero for d = -1 and -e^mu (y^{d+1} + ... + y^{-1})."""
@@ -644,7 +626,7 @@ def _pi_step(g, i, a_i):
 
 
 def _pinned(g, zpoint):
-    """(key dict, D) for a key dict of `_weyl_numerator`: eps_0 dropped (the
+    """(key dict, D) for a key dict of `_numerator`: eps_0 dropped (the
     exponents sum to zero) and z_r = e^{eps_r}, kept symbolic with D = 1 or
     summed per (q-degree, t-degree) at a z-point over the lcm D."""
     splits, terms = {}, []
@@ -680,14 +662,17 @@ def _series(g, den, qmax, zpoint):
 
 
 def _over_den(n, g, qmax, zpoint):
-    """A key dict of `_weyl_numerator`, put through `_pinned`, over D+, the
-    product of the (1 - y) of q-degree >= 1: D+ is inverted once as a
-    TruncatedSeries, whose coefficients come back over their lcm E."""
+    """A key dict of `_numerator` times S, the product of the (1 - t y) of
+    q-degree >= 1, put through `_pinned`, over D+, that of their (1 - y):
+    D+ is inverted once as a TruncatedSeries, whose coefficients come back
+    over their lcm E."""
     one = (0,) * (n + 2)
-    den = {one: 1}
+    s, den = {one: 1}, {}
     for _, m, e in _roots(n, qmax):
         if m:
-            den = _mul_terms(den, ((1, one), (-1, (m, 0) + e)), {}, qmax)
+            s = _mul_terms(s, ((1, one), (-1, (m, 1) + e)), {}, qmax)
+    for (q, _, *e), v in s.items():     # D+ is S at t = 1
+        den[(q, 0, *e)] = den.get((q, 0, *e), 0) + v
     inv = _series(*_pinned(den, zpoint), qmax, zpoint).invert()
     dens = {q: c.den.terms[Monomial.unit()].c[0] for q, c in inv.coeffs.items()}
     E = math.lcm(*dens.values())
@@ -695,39 +680,54 @@ def _over_den(n, g, qmax, zpoint):
                    m.exp_of(zvar(r)) for r in range(1, n) if zpoint is None))
                for q, c in inv.coeffs.items()
                for m, tp in c.num.terms.items() for d, v in tp.c.items()]
-    num, D = _pinned(g, zpoint)
+    g = _mul_terms(g, [(v, key) for key, v in s.items()], {}, qmax)
+    num, D = _pinned({key: v for key, v in g.items() if v}, zpoint)
     return _series(_mul_terms(num, inverse, {}, qmax), D * E, qmax, zpoint)
 
 
 def closed_form_contribution(weight, element, qmax, zpoint):
-    """The contribution of one `weyl_elements` entry: its shift monomial
-    times its root factors over every (1 - y) of q-degree <= qmax, that is
-    `_over_den` over d0, the product over the positive finite roots."""
-    n = weight.n
-    d0 = Coeff.one()
-    for _, _, e in _roots(n, 0):
+    """The contribution of one `weyl_elements` entry, its shift monomial
+    times its root factors over every (1 - y) of q-degree <= qmax: its
+    `_numerator` times the (1 - t y) of the finite roots it does not flip,
+    through `_over_den`, over d0, the product over the positive ones."""
+    n, one = weight.n, (0,) * (weight.n + 2)
+    flipped, d0 = flip_set(weight, *element[:2]), Coeff.one()
+    g = _numerator(weight, element, qmax)
+    for key, _, e in _roots(n, 0):
         d0 = d0 * (Coeff.one() - zq_coeff(zq_of_shift(e, 0), zpoint)[0])
-    return _over_den(n, _weyl_numerator(weight, [element], qmax), qmax,
-                     zpoint).scale(d0.inv())
+        if key not in flipped:
+            g = _mul_terms(g, ((1, one), (-1, (0, 1) + e)), {}, qmax)
+    return _over_den(n, g, qmax, zpoint).scale(d0.inv())
 
 
 def lhs_series(weight, qmax, domain=None, zpoint=None):
-    """W_lam(t) P_lam e^{-lam} truncated, the Weyl side: (1/D+) pi_{w0} of
-    the coset representatives' `_weyl_numerator`.
+    """W_lam(t) P_lam e^{-lam} truncated, the Weyl side: S / D+ times
+    sum_u T_u F, u in W_fin, F the coset representatives' `_numerator`s.
 
-    Each w in the affine Weyl group is uniquely u v, u in W_fin and v a
-    coset representative, and the term of w, e^{w lam - lam} prod N(w) /
-    prod (1 - y) over the positive roots, is u applied to that of v.  D+ is
-    W_fin-invariant, and sum_u u(f / d0) = pi_{w0}(f), d0 the product over
-    the positive finite roots (Macdonald, Symmetric Functions and Hall
-    Polynomials, ch. III).  Symbolic z, without `zpoint`, gives Laurent
-    polynomials over 1; a `domain` that disagrees with `zpoint` raises
-    DomainMismatch."""
+    Each affine Weyl group element is uniquely u v, v a coset representative,
+    and its term is u applied to v's, e^{v lam - lam} prod N(v) / D+ d0.  v
+    flips no finite root and W_fin permutes the roots of q-degree 1..qmax, so
+    prod N(v) is S d_t times v's `_numerator`, d_t and d0 the products of the
+    (1 - t y) and (1 - y) over the positive finite roots.  S and D+ are
+    W_fin-invariant, and sum_u u(d_t F / d0) = pi_{w0}(d_t F) = sum_u T_u F,
+    T_i = pi_i (1 - t y_i) - 1 (Lusztig, J. Amer. Math. Soc. 2, 1989;
+    Macdonald, Affine Hecke Algebras and Orthogonal Polynomials, ch. 4-5):
+    for k = n-1 down to 1, f <- f + T_k (f + ... T_2 (f + T_1 f)).  Without
+    `zpoint` z is symbolic; a `domain` that disagrees raises DomainMismatch."""
     _check_domain(domain, zpoint)
-    g = _weyl_numerator(weight, coset_representatives(weight, qmax), qmax)
-    for i in [i for k in range(1, weight.n) for i in range(k, 0, -1)]:
-        g = _pi_step(g, i, weight.a[i])
-    return _over_den(weight.n, g, qmax, zpoint)
+    n, one, f = weight.n, (0,) * (weight.n + 2), {}
+    for element in coset_representatives(weight, qmax):
+        _mul_terms(_numerator(weight, element, qmax), ((1, one),), f, qmax)
+    for k in range(n - 1, 0, -1):
+        h = f
+        for i in range(1, k + 1):       # h <- f + T_i h
+            ty = (0, 1) + tuple((r == i) - (r == i - 1) for r in range(n))
+            th = _pi_step(_mul_terms(h, ((1, one), (-1, ty)), {}, qmax), i,
+                          weight.a[i])      # (T_i + 1) h
+            h = {key: v for key, v in _mul_terms(f, ((1, one),), _mul_terms(
+                h, ((-1, one),), th, qmax), qmax).items() if v}
+        f = h
+    return _over_den(n, f, qmax, zpoint)
 
 
 def random_zpoint(n, rng):

@@ -12,7 +12,7 @@ import pytest
 from hlbrion import affine_hl, finite_hl, graphs
 from hlbrion.cones import verify_weighted_brion
 from hlbrion.graphs import BSeq, FaceSubgraph, _DSU, triangle_graph
-from hlbrion.ring import SYMBOLIC_Z, TPoly, random_point
+from hlbrion.ring import LaurentPoly, Monomial, SYMBOLIC_Z, TPoly, random_point
 
 
 def _verdict(num, label, ok, started):
@@ -218,3 +218,85 @@ def test_criterion_9_bridges():
                 print("  sequence weight mismatch at", a, A)
     print("  affine weights invariant under the tight-pattern route")
     _verdict(9, "pattern weights equal face weights", ok, started)
+
+
+def _affine_weights(n, level):
+    return [affine_hl.AffineWeight(n, a)
+            for a in itertools.product(range(level + 1), repeat=n)
+            if 0 < sum(a) <= level]
+
+
+def _finite_monomial(lam, zmono):
+    """The finite monomial of a basis-side term z^u: mu = lam + (-sum u,
+    u_1, ..., u_{n-1}), lam = finite_part(), as x_1^mu_0 ... x_{n-1}^mu_{n-2},
+    x_n = 1 as in `hl_gt`."""
+    u = [zmono.exp_of(affine_hl.zvar(r)) for r in range(1, len(lam))]
+    mu = [x + d for x, d in zip(lam, [-sum(u)] + u)]
+    return Monomial({graphs.xvar(i + 1): mu[i] for i in range(len(lam) - 1)})
+
+
+def _q0_mismatches(weights):
+    """The weights whose basis side at q^0, symbolic and mapped by
+    `_finite_monomial`, differs from `hl_gt` of the finite part (from 1
+    where the finite part is 0)."""
+    bad = []
+    for w in weights:
+        c = affine_hl.rhs_series(w, 0).coeff(0)
+        lam = w.finite_part()
+        got = LaurentPoly({_finite_monomial(lam, m): tp
+                           for m, tp in c.num.terms.items()})
+        want = (finite_hl.hl_gt(finite_hl.FiniteWeight(w.n, w.a[1:]))
+                if any(w.a[1:]) else LaurentPoly.one())
+        if c.den != LaurentPoly.one() or got != want:
+            bad.append(w)
+    return bad
+
+
+CRITERION_13 = [w for n, level in ((2, 5), (3, 4), (4, 3), (5, 2), (6, 2))
+                for w in _affine_weights(n, level)]
+
+
+def test_criterion_13_basis_side_at_q0_is_the_finite_polynomial():
+    # at q^0 the affine basis side is the finite Hall-Littlewood polynomial
+    # of the finite part, with no W_lam(t) ratio, also where a_0 = 0
+    started = time.time()
+    assert len(CRITERION_13) == 135
+    bad = _q0_mismatches(CRITERION_13)
+    for w in bad:
+        print("  q^0 mismatch at", w)
+    print(f"  {len(CRITERION_13)} weights compared with hl_gt")
+    _verdict(13, "basis side at q^0 equals the finite polynomial", not bad,
+             started)
+
+
+def test_finite_monomial_table():
+    # z^u stands for mu = lam + (-sum u, u_1, ..., u_{n-1}); x_n is 1
+    z = affine_hl.zvar
+    table = [((1, 0), {}, {"x1": 1}),
+             ((1, 0), {z(1): 1}, {}),
+             ((1, 0), {z(1): -1}, {"x1": 2}),
+             ((2, 1, 0), {z(1): 1}, {"x1": 1, "x2": 2}),
+             ((1, 1, 0), {z(2): 1}, {"x1": 0, "x2": 1}),
+             ((0, 0, 0), {z(1): 2, z(2): -1}, {"x1": -1, "x2": 2}),
+             ((3, 1, 0, 0), {z(3): 1}, {"x1": 2, "x2": 1})]
+    for lam, zexps, xexps in table:
+        assert _finite_monomial(lam, Monomial(zexps)) == Monomial(xexps), \
+            (lam, zexps)
+
+
+def test_criterion_13_fails_with_an_extra_l1_count(monkeypatch):
+    # one more value that occurs once in its row and not in the row above,
+    # on every basis element, breaks the identity on all 37 weights of n = 2
+    # at level <= 3, n = 3 and 4 at level <= 2 and n = 5 at level 1
+    original = affine_hl._profile_weight
+
+    def mutated(profile):
+        counts = dict(profile)
+        counts[1] = counts.get(1, 0) + 1
+        return original(sorted(counts.items()))
+
+    weights = [w for n, level in ((2, 3), (3, 2), (4, 2), (5, 1))
+               for w in _affine_weights(n, level)]
+    assert len(weights) == 37 and not _q0_mismatches(weights)
+    monkeypatch.setattr(affine_hl, "_profile_weight", mutated)
+    assert _q0_mismatches(weights) == weights

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from hlbrion import affine_hl, ring
 from hlbrion.affine_hl import (
-    DELTA_SPAN, AffineWeight, DeltaGraph, _pi_step, _weyl_numerator, apply_G,
+    DELTA_SPAN, AffineWeight, DeltaGraph, _pi_step, apply_G,
     closed_form_contribution, coset_representatives, d_stats, enumerate_pi,
     flip_set, is_relevant_vertex, lhs_series, nonrelevant_vertices, p_weight,
     PiSequence, qshift, random_zpoint, rhs_series, rhs_table, s_ij,
@@ -579,9 +580,10 @@ def test_verify_main_evaluated_n4():
     assert verify_main(weight, 3, trials=1, seed=5)
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_verify_main_symbolic_reaches_n4_and_n5(n):
-    # exact, with no random point: about 0.1 s at n = 4 and 1 s at n = 5
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_verify_main_symbolic_reaches_n4_to_n6(n):
+    # exact, with no random point: about 0.05 s at n = 4, 0.1 s at n = 5 and
+    # 0.5 s at n = 6
     a = (1,) + (0,) * (n - 1)
     assert verify_main(AffineWeight(n, a), 2, domain=SYMBOLIC_Z)
 
@@ -1037,50 +1039,299 @@ def test_weyl_numerator_matches_the_per_element_reference():
             element
 
 
+def split_numerator_reference(weight, elements, qmax):
+    """The numerator the Weyl side summed before its Hecke symmetrizer, on
+    keys (q-degree, t-degree, eps_0, ..., eps_{n-1}): each shift monomial
+    times (t - y) over the roots it flips and (1 - t y) over the others
+    that some element flips, y = e^{-root}, and t per flipped root beyond
+    qmax.  The roots that no element flips multiply the sum once."""
+    n, mul = weight.n, affine_hl._mul_terms
+    one, t = (0,) * (n + 2), (0, 1) + (0,) * n
+    factors = [(key, (((1, one), (-1, (m, 1) + e)),
+                      ((1, t), (-1, (m, 0) + e))))
+               for key, m, e in affine_hl._roots(n, qmax)]
+    flips = [flip_set(weight, sigma, tau) for sigma, tau, *_ in elements]
+    some = set().union(*flips)
+    total = {}
+    for (_, _, mono, qdeg), flipped in zip(elements, flips):
+        u = [mono.exp_of(zvar(r)) for r in range(1, n)]
+        g = {(qdeg, sum(m > qmax for _, m in flipped), -sum(u), *u): 1}
+        for key, binomials in factors:
+            if key in some:
+                g = mul(g, binomials[key in flipped], {}, qmax)
+        mul(g, ((1, one),), total, qmax)
+    for key, (one_minus_ty, _) in factors:
+        if key not in some:
+            total = {k: v for k, v in
+                     mul(total, one_minus_ty, {}, qmax).items() if v}
+    return {k: v for k, v in total.items() if v}
+
+
+def over_d_plus_reference(n, g, qmax, zpoint):
+    """A key dict of `split_numerator_reference` through `_pinned`, over D+,
+    the product of the (1 - y) of q-degree >= 1, inverted once as a
+    TruncatedSeries whose coefficients come back over their lcm E."""
+    mul, one = affine_hl._mul_terms, (0,) * (n + 2)
+    den = {one: 1}
+    for _, m, e in affine_hl._roots(n, qmax):
+        if m:
+            den = mul(den, ((1, one), (-1, (m, 0) + e)), {}, qmax)
+    inv = affine_hl._series(*affine_hl._pinned(den, zpoint), qmax,
+                            zpoint).invert()
+    dens = {q: c.den.terms[Monomial.unit()].c[0] for q, c in inv.coeffs.items()}
+    E = math.lcm(*dens.values())
+    inverse = [(v * (E // dens[q]), (q, d) + tuple(
+                   m.exp_of(zvar(r)) for r in range(1, n) if zpoint is None))
+               for q, c in inv.coeffs.items()
+               for m, tp in c.num.terms.items() for d, v in tp.c.items()]
+    num, D = affine_hl._pinned(g, zpoint)
+    return affine_hl._series(mul(num, inverse, {}, qmax), D * E, qmax, zpoint)
+
+
+def lhs_split_reference(weight, qmax, zpoint):
+    """The Weyl side as it was built before the Hecke symmetrizer: the split
+    numerator of the coset representatives, the Demazure chain pi_{w0}
+    along s_1; s_2 s_1; ..., then D+."""
+    g = split_numerator_reference(
+        weight, coset_representatives(weight, qmax), qmax)
+    for i in [i for k in range(1, weight.n) for i in range(k, 0, -1)]:
+        g = _pi_step(g, i, weight.a[i])
+    return over_d_plus_reference(weight.n, g, qmax, zpoint)
+
+
+def closed_form_split_reference(weight, element, qmax, zpoint):
+    """The closed contribution as it was built: the split numerator of the
+    one element, over D+ and over d0, the product over the positive finite
+    roots."""
+    d0 = Coeff.one()
+    for _, _, e in affine_hl._roots(weight.n, 0):
+        d0 = d0 * (Coeff.one() - zq_coeff(zq_of_shift(e, 0), zpoint)[0])
+    g = split_numerator_reference(weight, [element], qmax)
+    return over_d_plus_reference(weight.n, g, qmax, zpoint).scale(d0.inv())
+
+
+# n = 2 symbolic; n = 3 at z-points and symbolic; four larger weights
+SPLIT_CASES = ([(w, 5, None) for w in small_weights(2, 3)]
+               + [(w, 2, "z") for w in small_weights(3, 2)]
+               + [(w, 3, None) for w in small_weights(3, 2)]
+               + [(AffineWeight(4, (1, 0, 0, 0)), 3, None),
+                  (AffineWeight(4, (1, 1, 0, 0)), 2, None),
+                  (AffineWeight(4, (0, 1, 0, 1)), 3, "z"),
+                  (AffineWeight(5, (1, 0, 0, 0, 0)), 2, None)])
+
+
+def test_lhs_series_prints_as_the_split_numerator_reference():
+    # the Hecke symmetrizer of the small series F, times S, against the
+    # numerator split into roots flipped by some representative and by
+    # none followed by the Demazure chain: the same printed series on all
+    # 31 cases, and the same printed closed contributions
+    rng = random.Random(611)
+    assert len(SPLIT_CASES) == 31
+    for weight, qmax, point in SPLIT_CASES:
+        zpoint = random_zpoint(weight.n, rng) if point else None
+        want = lhs_split_reference(weight, qmax, zpoint)
+        assert str(lhs_series(weight, qmax, zpoint=zpoint)) == str(want), \
+            (weight, qmax, zpoint)
+    zpoint = random_zpoint(3, rng)
+    cases = [(w, 4, None, weyl_elements(w, 4)) for w in small_weights(2, 3)]
+    cases += [(AffineWeight(3, a), 2, zpoint,
+               weyl_elements(AffineWeight(3, a), 2)[::3])
+              for a in ((1, 1, 0), (1, 1, 1))]
+    count = 0
+    for weight, qmax, zpoint, elements in cases:
+        for element in elements:
+            want = closed_form_split_reference(weight, element, qmax, zpoint)
+            got = closed_form_contribution(weight, element, qmax, zpoint)
+            assert str(got) == str(want), element
+            count += 1
+    # every element of the nine n = 2 weights at qmax 4, and every third
+    # element of n = 3 (1,1,0) and (1,1,1) at qmax 2
+    assert count == 76
+
+
+def nonzero(g):
+    return {k: v for k, v in g.items() if v}
+
+
+def hecke(g, i, a_i, qmax):
+    """T_i g = e^{-lam} pi_i(e^lam (1 - t y_i) g) - g on a key dict, y_i =
+    e^{-alpha_i}, a_i = <lam, alpha_i>: the Demazure-Lusztig operator."""
+    n = len(next(iter(g))) - 2
+    one = (0,) * (n + 2)
+    ty = (0, 1) + tuple((r == i) - (r == i - 1) for r in range(n))
+    out = _pi_step(affine_hl._mul_terms(g, ((1, one), (-1, ty)), {}, qmax),
+                   i, a_i)
+    return nonzero(affine_hl._mul_terms(g, ((-1, one),), out, qmax))
+
+
+def add_dicts(*gs):
+    out = Counter()
+    for g in gs:
+        out.update(g)       # Counter.update adds, keeping negative values
+    return nonzero(out)
+
+
+def reduced_words(n):
+    """{w: every reduced word of w} over S_n, w in one-line notation: a
+    word (i_1, ..., i_l) is s_{i_1} ... s_{i_l}, and w s_i, which swaps
+    positions i - 1 and i, is longer than w iff w[i - 1] < w[i]."""
+    level = {tuple(range(n)): [()]}
+    out = dict(level)
+    while level:
+        nxt = {}
+        for w, words in level.items():
+            for i in range(1, n):
+                if w[i - 1] < w[i]:
+                    ws = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+                    nxt.setdefault(ws, []).extend(wd + (i,) for wd in words)
+        out.update(nxt)
+        level = nxt
+    return out
+
+
+def test_hecke_sum_matches_every_reduced_word(monkeypatch):
+    # the Horner sum in lhs_series against sum_w T_w F taken term by term:
+    # each T_w along every reduced word of w (they agree, by the braid
+    # relations), summed over S_3 and S_4, then times S over D+.  The Horner
+    # sum takes n(n-1)/2 pi steps, one per T_i
+    steps = Counter()
+    original = affine_hl._pi_step
+
+    def spy(g, i, a_i):
+        steps[i] += 1
+        return original(g, i, a_i)
+
+    words_seen = 0
+    for weight, qmax in ((AffineWeight(3, (1, 0, 0)), 3),
+                         (AffineWeight(3, (0, 2, 1)), 2),
+                         (AffineWeight(4, (1, 0, 0, 0)), 2),
+                         (AffineWeight(4, (0, 1, 1, 0)), 1)):
+        n = weight.n
+        words = reduced_words(n)
+        assert len(words) == math.factorial(n)
+        F = {}
+        for rep in coset_representatives(weight, qmax):
+            affine_hl._mul_terms(affine_hl._numerator(weight, rep, qmax),
+                                 ((1, (0,) * (n + 2)),), F, qmax)
+        F = nonzero(F)
+        total = []
+        for w, ws in words.items():
+            images = []
+            for word in ws:
+                g = F
+                for i in reversed(word):
+                    g = hecke(g, i, weight.a[i], qmax)
+                images.append(g)
+            assert all(g == images[0] for g in images), (w, ws)
+            total.append(images[0])
+            words_seen += len(ws)
+        want = affine_hl._over_den(n, add_dicts(*total), qmax, None)
+        steps.clear()
+        monkeypatch.setattr(affine_hl, "_pi_step", spy)
+        got = lhs_series(weight, qmax)
+        monkeypatch.undo()
+        assert str(got) == str(want), weight
+        assert steps == Counter({i: n - i for i in range(1, n)}), weight
+    # S_3 has 7 reduced words in all (2 for w0) and S_4 has 66 (16 for w0),
+    # as a count of the words of length l whose product has l inversions
+    assert words_seen == 2 * 7 + 2 * 66
+
+
+def test_hecke_operators_satisfy_the_quadratic_and_braid_relations():
+    # (T_i - t)(T_i + 1) = 0, T_i T_{i+1} T_i = T_{i+1} T_i T_{i+1} and
+    # T_1 T_3 = T_3 T_1 on seeded key dicts at n = 4, each a_i from 0 to 2;
+    # qmax is above every q-degree, so nothing is truncated
+    rng = random.Random(3607)
+    qmax, n = 10, 4
+    for trial in range(6):
+        a = [None] + [rng.randint(0, 2) for _ in range(n - 1)]
+        g = nonzero({(rng.randint(0, 2), rng.randint(0, 3),
+                      *(rng.randint(-3, 3) for _ in range(n))):
+                     rng.choice([-3, -1, 1, 2, 5]) for _ in range(8)})
+        assert len(g) >= 6
+
+        def T(i, h):
+            return hecke(h, i, a[i], qmax)
+
+        for i in range(1, n):
+            u = add_dicts(T(i, g), g)                     # (T_i + 1) g
+            tu = affine_hl._mul_terms(u, ((1, (0, 1) + (0,) * n),), {}, qmax)
+            assert add_dicts(T(i, u), {k: -v for k, v in tu.items()}) == {}
+            assert T(i, g) != g
+        for i in range(1, n - 1):
+            assert T(i, T(i + 1, T(i, g))) == T(i + 1, T(i, T(i + 1, g)))
+        assert T(1, T(3, g)) == T(3, T(1, g))
+
+
 def test_weyl_numerator_applies_each_unflipped_root_once(monkeypatch):
-    # a root that no representative flips multiplies the sum once, as
-    # (1 - t y); a root that some representative flips is applied per
-    # representative, as (t - y) or (1 - t y); and one call per
-    # representative adds its term into the sum.  The per-element loop made
-    # one product per element and root instead
-    calls = Counter()
-    original = affine_hl._mul_terms
+    # no representative multiplies a root it does not flip: its numerator
+    # takes (t - y) for each root of q-degree <= qmax that it flips, and
+    # sum_j (t y)^j for each of those of q-degree >= 1, and nothing else.
+    # The (1 - t y) of every root of q-degree 1..qmax enters once a call,
+    # in S, which `_over_den` builds in the loop that builds D+
+    calls = []
+    original_mul, original_numerator = affine_hl._mul_terms, \
+        affine_hl._numerator
 
-    def spy(g, terms, out, qmax):
-        calls[terms[-1][1]] += 1        # the key shift of the last term
-        return original(g, terms, out, qmax)
+    def spy_mul(g, terms, out, qmax):
+        calls.append((sys._getframe(1).f_code.co_name, tuple(terms)))
+        return original_mul(g, terms, out, qmax)
 
-    monkeypatch.setattr(affine_hl, "_mul_terms", spy)
+    per_element = []
+
+    def spy_numerator(weight, element, qmax):
+        start = len(calls)
+        out = original_numerator(weight, element, qmax)
+        per_element.append((element, calls[start:]))
+        return out
+
+    monkeypatch.setattr(affine_hl, "_mul_terms", spy_mul)
+    monkeypatch.setattr(affine_hl, "_numerator", spy_numerator)
     cases = [(AffineWeight(3, (0, 0, 1)), 2), (L0, 5), (L01, 5),
              (AffineWeight(3, (1, 1, 0)), 2),
              (AffineWeight(5, (1, 0, 0, 0, 0)), 2)]
     for weight, qmax in cases:
-        n, reps = weight.n, coset_representatives(weight, qmax)
-        some = set().union(*(flip_set(weight, sigma, tau)
-                             for sigma, tau, _, _ in reps))
-        roots = affine_hl._roots(n, qmax)
+        n, t = weight.n, (0, 1) + (0,) * weight.n
         calls.clear()
-        _weyl_numerator(weight, reps, qmax)
-        for key, m, e in roots:
-            ty, y = (m, 1) + e, (m, 0) + e
-            if key is None:         # m delta, n - 1 times, never flipped
-                assert calls[ty] == n - 1 and not calls[y], (weight, m)
-            elif key in some:
-                assert calls[ty] + calls[y] == len(reps), (weight, key)
-            else:
-                assert calls[ty] == 1 and not calls[y], (weight, key)
-        assert calls[(0,) * (n + 2)] == len(reps)
-        assert sum(calls.values()) < len(reps) * len(roots), weight
+        per_element.clear()
+        lhs_series(weight, qmax)
+        reps = coset_representatives(weight, qmax)
+        assert [e for e, _ in per_element] == reps
+        for element, made in per_element:
+            flipped = {key for key in flip_set(weight, *element[:2])
+                       if key[1] <= qmax}
+            binomials = [terms[1][1] for _, terms in made
+                         if terms[0] == (1, t)]
+            roots = [((e.index(-1), e.index(1)), m)
+                     for m, _, *e in binomials]
+            assert sorted(roots) == sorted(flipped), element
+            series = [terms for _, terms in made if terms[0] != (1, t)]
+            assert len(series) == sum(m > 0 for _, m in flipped)
+            assert all(c == 1 for terms in series for c, _ in terms)
+            assert all(who == "_numerator" for who, _ in made)
+        s_factors = Counter(terms[1][1] for who, terms in calls
+                            if who == "_over_den" and len(terms) == 2
+                            and terms[1][1][1] == 1)
+        assert s_factors == Counter((m, 1) + e for _, m, e
+                                    in affine_hl._roots(n, qmax) if m)
+        # the one negative term a representative multiplies is -y, never -t y
+        assert all(shift[1] == 0 for who, terms in calls
+                   if who == "_numerator" for c, shift in terms if c < 0)
 
 
 def test_weyl_numerator_integers_stay_small():
-    # the numerator is symbolic, so its integers stay small, and the
-    # evaluated Weyl side puts each q-degree over one integer only after
-    # the pi steps, reduced by its content: n = 4 at qmax 4, where Coeff
-    # sums of the evaluated per-element terms reached 332,175 bits, one
-    # common denominator for them 5,407 bits and the unreduced one 2,509
+    # the numerator F of the coset representatives is symbolic, so its
+    # integers stay small, and the evaluated Weyl side puts each q-degree
+    # over one integer only after the Hecke sum, reduced by its content:
+    # n = 4 at qmax 4, where Coeff sums of the evaluated per-element terms
+    # reached 332,175 bits, one common denominator for them 5,407 bits and
+    # the unreduced one 2,509
     weight = AffineWeight(4, (1, 0, 0, 0))
-    numer = _weyl_numerator(weight, coset_representatives(weight, 4), 4)
+    numer = {}
+    for rep in coset_representatives(weight, 4):
+        affine_hl._mul_terms(affine_hl._numerator(weight, rep, 4),
+                             ((1, (0,) * 6),), numer, 4)
+    numer = nonzero(numer)
     assert numer and max(abs(v).bit_length() for v in numer.values()) < 16
     lhs = lhs_series(weight, 4, zpoint=random_zpoint(4, random.Random(5)))
     assert lhs.coeffs and max(abs(v).bit_length()
