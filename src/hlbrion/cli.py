@@ -19,7 +19,36 @@ from .cones import verify_weighted_brion
 from .ring import EVALUATED, SYMBOLIC_Z
 
 
-GUARDS = {"finite_def_n": 4, "affine_n": 3, "qmax": 8, "graph_vertices": 10}
+GUARDS = {"finite_def_n": 4, "affine_n": 3, "qmax": 8, "graph_vertices": 10,
+          "tmultinomial_n": 5}
+
+# every option of a `verify` check, with its default
+VERIFY_OPTIONS = {
+    "--n": {"type": int, "default": 2},
+    "--a": {"default": "1,0"},
+    "--qmax": {"type": int, "default": 3},
+    "--z": {"default": "symbolic"},
+    "--trials": {"type": int, "default": 3},
+    "--seed": {"type": int, "default": 0},
+    "--count": {"type": int, "default": 5},
+    "--max-vertices": {"type": int, "default": 6},
+    "--graph": {"help": "graph JSON file"},
+    "--b": {"default": "1,0", "help": "top values"},
+    "--unsafe-limits": {"action": "store_true"},
+}
+
+# the options each check's branch of `cmd_verify` reads; argparse refuses
+# any other
+VERIFY_CHECKS = {
+    "wbrion": "--count --trials --seed",
+    "zero": "--graph --b --trials --seed --unsafe-limits",
+    "gensingular": "--count --trials --seed",
+    "graphsum": "--max-vertices --seed --unsafe-limits",
+    "tmultinomial": "--n --a --seed --unsafe-limits",
+    "contribfin": "--n --a --trials --seed",
+    "main": "--n --a --qmax --z --trials --seed --unsafe-limits",
+    "contrib": "--n --a --qmax --trials --seed --unsafe-limits",
+}
 
 
 class UsageError(ValueError):
@@ -132,19 +161,19 @@ def _report(name, seed, lines, ok):
 
 def cmd_verify(args):
     which = args.which
-    unsafe = args.unsafe_limits
     for name, least in (("qmax", 0), ("trials", 1), ("count", 1)):
-        if getattr(args, name) < least:
+        if getattr(args, name, least) < least:
             raise UsageError(f"{name} must be at least {least}")
     if which == "tmultinomial":
+        _guard(args.n <= GUARDS["tmultinomial_n"],
+               f"n={args.n} beyond the tmultinomial guard", args.unsafe_limits)
         weight = _build(finite_hl.FiniteWeight, args.n, _parse_ints(args.a))
         value = graphs.t_multinomial(args.n, weight.type_multiplicities())
         ok = graphs.verify_face_euler_sum(args.n, list(weight.lam))
-        return _report("tmultinomial", args.seed,
-                       [f"value {value}"], ok)
+        return _report("tmultinomial", args.seed, [f"value {value}"], ok)
     if which == "main":
-        _guard(args.n <= GUARDS["affine_n"], "affine guard", unsafe)
-        _guard(args.qmax <= GUARDS["qmax"], "qmax guard", unsafe)
+        _guard(args.n <= GUARDS["affine_n"], "affine guard", args.unsafe_limits)
+        _guard(args.qmax <= GUARDS["qmax"], "qmax guard", args.unsafe_limits)
         weight = _build(affine_hl.AffineWeight, args.n, _parse_ints(args.a))
         domain, zseed = _zmode(args.z)
         ok = affine_hl.verify_main(weight, args.qmax, domain,
@@ -154,7 +183,7 @@ def cmd_verify(args):
                        [f"n={args.n} a={weight.a} qmax={args.qmax} domain={domain}"],
                        ok)
     if which == "contrib":
-        _guard(args.n <= GUARDS["affine_n"], "affine guard", unsafe)
+        _guard(args.n <= GUARDS["affine_n"], "affine guard", args.unsafe_limits)
         weight = _build(affine_hl.AffineWeight, args.n, _parse_ints(args.a))
         rep = affine_hl.verify_contrib(weight, args.qmax, trials=args.trials,
                                        seed=args.seed)
@@ -172,7 +201,7 @@ def cmd_verify(args):
             raise UsageError("`zero` needs --graph FILE")
         G = _build(_read_graph, args.graph)
         _guard(len(G.vertices) <= GUARDS["graph_vertices"],
-               "graph size guard", unsafe)
+               "graph size guard", args.unsafe_limits)
         if not G.violates_row_monotonicity():
             raise UsageError("graph does not violate row monotonicity")
         b = _build(graphs.BSeq, _parse_ints(args.b))
@@ -216,7 +245,7 @@ def cmd_verify(args):
         if args.max_vertices < 1:
             raise UsageError("max-vertices must be positive")
         _guard(args.max_vertices <= GUARDS["graph_vertices"],
-               "graph size guard", unsafe)
+               "graph size guard", args.unsafe_limits)
         lines = []
         ok = True
         count = 0
@@ -263,21 +292,12 @@ def build_parser():
     aff.set_defaults(func=cmd_affine)
 
     ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("which", choices=["wbrion", "zero", "gensingular",
-                                       "graphsum", "tmultinomial",
-                                       "contribfin", "main", "contrib"])
-    ver.add_argument("--n", type=int, default=2)
-    ver.add_argument("--a", default="1,0")
-    ver.add_argument("--qmax", type=int, default=3)
-    ver.add_argument("--z", default="symbolic")
-    ver.add_argument("--trials", type=int, default=3)
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--count", type=int, default=5)
-    ver.add_argument("--max-vertices", type=int, default=6)
-    ver.add_argument("--graph", help="graph JSON file for `zero`")
-    ver.add_argument("--b", default="1,0", help="top values for `zero`")
-    ver.add_argument("--unsafe-limits", action="store_true")
-    ver.set_defaults(func=cmd_verify)
+    checks = ver.add_subparsers(dest="which", required=True)
+    for which, options in VERIFY_CHECKS.items():
+        check = checks.add_parser(which)
+        for option in options.split():
+            check.add_argument(option, **VERIFY_OPTIONS[option])
+        check.set_defaults(func=cmd_verify)
     return ap
 
 

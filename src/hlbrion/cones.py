@@ -19,7 +19,6 @@ vertex.  All arithmetic is exact.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from collections import namedtuple
@@ -201,15 +200,6 @@ class Polyhedron:
                 raise ValueError("coefficient vector length mismatch")
             if not all(type(x) is int for x in (*a, b)):
                 raise ValueError("entries must be integers")
-
-    @staticmethod
-    def from_json(data):
-        if isinstance(data, str):
-            data = json.loads(data)
-        d = data["dim"]
-        ineqs = [(row[:-1], row[-1]) for row in data.get("ineqs", [])]
-        eqs = [(row[:-1], row[-1]) for row in data.get("eqs", [])]
-        return Polyhedron(d, ineqs, eqs, data.get("labels"))
 
     def contains(self, x):
         return (all(_dot(a, x) <= b for a, b in self.ineqs)

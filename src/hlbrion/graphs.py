@@ -116,9 +116,6 @@ class OrdinaryGraph:
         rc = self.row_counts()
         return any(rc.get(i + 1, 0) > rc.get(i, 0) for i in range(self.a, self.d))
 
-    def to_json(self):
-        return json.dumps(sorted(self.vertices))
-
     @staticmethod
     def from_json(data):
         if isinstance(data, str):

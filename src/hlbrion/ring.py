@@ -288,9 +288,6 @@ class Monomial:
     def is_unit(self):
         return not self.e
 
-    def exps(self):
-        return dict(self.e)
-
     def exp_of(self, name):
         for v, x in self.e:
             if v == name:
@@ -908,12 +905,6 @@ class TruncatedSeries:
     @staticmethod
     def zero(order, zpoint=None):
         return TruncatedSeries(order, {}, zpoint)
-
-    @staticmethod
-    def monomial(order, qexp, coeff):
-        if isinstance(coeff, (int, TPoly, LaurentPoly)):
-            coeff = Coeff(coeff)
-        return TruncatedSeries(order, {qexp: coeff})
 
     def min_deg(self):
         """First exponent that can carry a nonzero coefficient."""

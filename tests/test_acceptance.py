@@ -4,12 +4,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdicts.
 """
 
 import itertools
+import pathlib
 import random
 import time
 
 import pytest
 
-from hlbrion import affine_hl, finite_hl, graphs
+from hlbrion import affine_hl, finite_hl, graphs, ring
 from hlbrion.cones import verify_weighted_brion
 from hlbrion.graphs import BSeq, FaceSubgraph, _DSU, triangle_graph
 from hlbrion.ring import LaurentPoly, Monomial, SYMBOLIC_Z, TPoly, random_point
@@ -300,3 +301,41 @@ def test_criterion_13_fails_with_an_extra_l1_count(monkeypatch):
     assert len(weights) == 37 and not _q0_mismatches(weights)
     monkeypatch.setattr(affine_hl, "_profile_weight", mutated)
     assert _q0_mismatches(weights) == weights
+
+
+# one weight each of n = 3, 4 and 5 whose finite part is not 0
+CRITERION_13_GUARD = [affine_hl.AffineWeight(3, (1, 1, 0)),
+                      affine_hl.AffineWeight(4, (0, 1, 0, 1)),
+                      affine_hl.AffineWeight(5, (1, 0, 1, 0, 0))]
+
+
+def _criterion_13_shared(src_calls):
+    """The functions outside ring.py that both sides of criterion 13 call,
+    the basis side at qmax 0 and `hl_gt`, on the guard's weights."""
+    shared = set()
+    for w in CRITERION_13_GUARD:
+        basis = src_calls(affine_hl.rhs_series, w, 0)
+        finite = src_calls(finite_hl.hl_gt,
+                           finite_hl.FiniteWeight(w.n, w.a[1:]))
+        assert affine_hl.enumerate_pi.__code__ in basis
+        assert finite_hl.enumerate_gt.__code__ in finite
+        shared |= {f"{pathlib.Path(c.co_filename).stem}.{c.co_qualname}"
+                   for c in basis & finite if c.co_filename != ring.__file__}
+    return shared
+
+
+def test_criterion_13_sides_call_no_common_function(src_calls):
+    # the basis side and the pattern sum share only the ring kernels
+    assert not _criterion_13_shared(src_calls)
+
+
+def test_criterion_13_guard_sees_a_shared_weight_builder(monkeypatch, src_calls):
+    # basis weights built by the finite route's own builder keep every
+    # value, so the identity still holds; only the guard sees the route
+    # through the code it checks
+    def through_finite(profile):
+        return finite_hl._ls_weight([l for l, d in profile for _ in range(d)])
+
+    monkeypatch.setattr(affine_hl, "_profile_weight", through_finite)
+    assert not _q0_mismatches(CRITERION_13_GUARD)
+    assert _criterion_13_shared(src_calls) == {"finite_hl._ls_weight"}

@@ -914,8 +914,8 @@ def test_brion_simplex_3d():
     assert verify_weighted_brion(P, phi, trials=2, seed=8)
 
 
-def test_polyhedron_from_json():
-    P = Polyhedron.from_json('{"dim":1,"ineqs":[[1,2],[-1,0]]}')
+def test_polyhedron_lattice_points_of_an_interval():
+    P = Polyhedron(1, [((1,), 2), ((-1,), 0)])
     assert P.lattice_points() == [(0,), (1,), (2,)]
 
 
@@ -923,7 +923,8 @@ def test_polyhedron_from_json():
                                  [1, "2"]])
 def test_polyhedron_rejects_non_integer_entries(row):
     # an entry that is not an integer is an error, never truncated
+    a, b = row
     with pytest.raises(ValueError):
-        Polyhedron.from_json({"dim": 1, "ineqs": [row, [-1, 0]]})
+        Polyhedron(1, [((a,), b), ((-1,), 0)])
     with pytest.raises(ValueError):
-        Polyhedron.from_json({"dim": 1, "ineqs": [[-1, 0]], "eqs": [row]})
+        Polyhedron(1, [((-1,), 0)], [((a,), b)])

@@ -62,7 +62,7 @@ def test_mu_exponent():
     assert mu_exponent(pat) == Monomial.unit()
     # telescoping: total x-degree sums to rowsum_0 - rowsum_{n-1}
     for a in enumerate_gt(FiniteWeight(3, [1, 1])):
-        deg = sum(mu_exponent(a).exps().values())
+        deg = sum(dict(mu_exponent(a).e).values())
         assert deg == sum(a[0]) - sum(a[-1])
 
 

@@ -302,7 +302,7 @@ def substitutions(draw, names=NAMES):
 @given(monomials, monomials, substitutions(KERNEL_NAMES[:3]))
 def test_monomial_kernel_property(a, b, varmap):
     p = a * b
-    ref = mul_reference(a.exps(), b.exps())
+    ref = mul_reference(dict(a.e), dict(b.e))
     assert p == Monomial(ref) and hash(p) == hash(Monomial(ref))
     names = [v for v, _ in p.e]
     assert names == sorted(set(names))
@@ -416,7 +416,7 @@ def test_tpoly_unpack_inverts_packing(bits):
 # --- truncated series ---------------------------------------------------------
 
 def q_mono(order, e, c=1):
-    return TruncatedSeries.monomial(order, e, LaurentPoly.const(c))
+    return TruncatedSeries(order, {e: Coeff(LaurentPoly.const(c))})
 
 
 def test_series_mul_basic():

@@ -3,9 +3,10 @@
 `assert` vanishes under `python -O`, so invariants raise typed errors
 instead; imports stay at module level, where the dependencies between the
 modules can be read off; and every module-level name and method the
-package defines is used somewhere, so nothing is left behind when its last
-caller goes.  No module-level name starts as an empty container, so a
-module cache is a bounded `functools.lru_cache`.
+package defines is used somewhere, and outside the tests unless it is a
+named oracle, so nothing is left behind when its last caller goes.  No
+module-level name starts as an empty container, so a module cache is a
+bounded `functools.lru_cache`.
 """
 
 import ast
@@ -66,20 +67,26 @@ def _uses(path):
             yield node.value, node.lineno
 
 
-def test_every_module_level_name_in_src_is_referenced():
+def _unreferenced(folders):
+    """(name, "file:line: name") of each src definition that no file in
+    the folders names outside the definition itself."""
     uses = {}
-    for folder in ("src", "tests", "demos", "perfbench"):
+    for folder in folders:
         for path in sorted((ROOT / folder).rglob("*.py")):
             for word, line in _uses(path):
                 uses.setdefault(word, []).append((path, line))
-    unused = []
     for path in sorted(SRC.glob("*.py")):
         for name, first, last in _definitions(path):
             if name.startswith("__") and name.endswith("__"):
                 continue
             if all(p == path and first <= line <= last
                    for p, line in uses.get(name, ())):
-                unused.append(f"{path.name}:{first}: {name}")
+                yield name, f"{path.name}:{first}: {name}"
+
+
+def test_every_module_level_name_in_src_is_referenced():
+    unused = [where for _, where in
+              _unreferenced(("src", "tests", "demos", "perfbench"))]
     assert not unused, unused
 
 
@@ -136,6 +143,23 @@ def test_no_module_level_name_in_src_is_bound_to_an_empty_container():
                     _is_empty_container(node.value):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+# the names in src that only the tests call: the independent oracles that
+# the tests check the program's routes against
+ORACLES = {"apply_G", "p_weight_via_delta", "solve_affine", "sigma_relint_cone",
+           "product_cone", "hl_branching", "sigma_cone_polyhedral", "ipt_cone",
+           "cross_mul_equal"}
+
+
+def test_only_the_oracles_are_called_by_the_tests_alone():
+    """A name that src, demos and perfbench never use is an oracle or is
+    left over from a caller that went.  The check is by name, so a
+    definition whose name those folders use for anything else escapes it."""
+    test_only = dict(_unreferenced(("src", "demos", "perfbench")))
+    assert ORACLES <= set(test_only), sorted(ORACLES - set(test_only))
+    extra = [where for name, where in test_only.items() if name not in ORACLES]
+    assert not extra, extra
 
 
 # parameters with a default that only the tests set: the relint oracle of
