@@ -159,7 +159,7 @@ def _adjugate(rows):
     """Inverse data of a k x d matrix of rank k: (cols, adj, det) with cols
     its pivot columns and adj / det, det > 0, the inverse of its square
     submatrix on those columns; None when the rank is below k."""
-    k, d = len(rows), len(rows[0])
+    k, d = len(rows), len(rows[0]) if rows else 0
     ident = [[int(i == j) for j in range(k)] for i in range(k)]
     m, cols, det = _eliminate([list(r) + e for r, e in zip(rows, ident)], d)
     if len(cols) < k:
@@ -212,11 +212,8 @@ class Polyhedron:
                          if _dot(a, x) == b)
 
     def face_dim(self, tight):
-        rows = [list(self.eqs[i][0]) for i in range(len(self.eqs))]
-        rows += [list(self.ineqs[i][0]) for i in tight]
-        if not rows:
-            return self.dim
-        return self.dim - mat_rank(rows)
+        return self.dim - mat_rank([a for a, _ in self.eqs]
+                                   + [self.ineqs[i][0] for i in tight])
 
     def minimal_face(self, x):
         tight = self.tight_at(x)
@@ -346,27 +343,29 @@ def face_lattice(P, vertices=None):
     """All faces of a bounded polyhedron, from vertex tight-set intersections.
 
     Returns a list of Face records (including the vertices and P itself).
+    Dimensions are read off the grading: for a face t and a vertex v off it,
+    t & tight(v) is the least face holding both, of dimension dim t + 1 when
+    t is one of its facets and more otherwise.  Faces are taken by vertex
+    count, so a face's dimension is final before it is taken.
     """
     if vertices is None:
         vertices = P.vertices_bruteforce()
     if not vertices:
         return []
     tights = [P.tight_at(v) for v in vertices]
-    seen = {t: None for t in tights}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for t2 in tights:
-                u = t & t2
-                if u not in seen:
-                    seen[u] = None
-                    nxt.append(u)
-        frontier = nxt
-    faces = []
-    for t in seen:
-        vids = frozenset(i for i, tv in enumerate(tights) if tv >= t)
-        faces.append(Face(t, P.face_dim(t), vids))
+    dims = dict.fromkeys(tights, 0)
+    vids = {t: frozenset([i]) for i, t in enumerate(tights)}
+    by_count = [[], list(tights)] + [[] for _ in tights[1:]]   # by #vertices
+    for t in itertools.chain.from_iterable(by_count):
+        for tv in tights:
+            u = t & tv
+            if u != t and dims.get(u, -1) <= dims[t]:
+                if u not in dims:
+                    vids[u] = frozenset(j for j, tw in enumerate(tights)
+                                        if tw >= u)
+                    by_count[len(vids[u])].append(u)
+                dims[u] = dims[t] + 1
+    faces = [Face(t, d, vids[t]) for t, d in dims.items()]
     faces.sort(key=lambda f: (f.dim, sorted(f.tight)))
     return faces
 
@@ -392,23 +391,21 @@ def _point_monomial(pt, labels):
 # integer point transforms of pointed cones
 # ---------------------------------------------------------------------------
 
-def parallelepiped_points(apex, rays, open_idx=frozenset()):
+def parallelepiped_points(apex, rays, open_idx=frozenset(), inv=None):
     """Integer points of the half-open parallelepiped apex + sum a_i r_i.
 
     a_i in [0,1) for closed facet directions and (0,1] for i in open_idx.
-    The apex must be integral.
+    The apex must be integral.  inv, when given, is `_adjugate(rays)`.
     """
     if any(int(x) != x for x in apex):
         raise ValueError("apex must be integral")
     apex = [int(x) for x in apex]
     k = len(rays)
-    if k == 0:
-        return [tuple(apex)]
     # a lattice point x of the span is alpha . rays with det * alpha =
     # x[cols] . adj, so det * alpha mod det lies in the group that the rows
     # of adj generate in (Z/det)^k, of at most det elements; each element g
     # names one point of the parallelepiped, a lattice point when integral
-    inv = _adjugate(rays)
+    inv = inv or _adjugate(rays)
     if inv is None:
         raise NotSimplicial("rays are linearly dependent")
     cols, adj, det = inv
@@ -440,15 +437,15 @@ def triangulate(rays):
 
     The rays must span the space of their coordinates, as they do once
     projected onto their pivot columns (see `ipt_cone`).  Deterministic:
-    heights come from a fixed hash; degenerate height vectors are perturbed
-    by retrying with a new salt.
+    heights come from a fixed hash, scaled to integers (which keeps the
+    triangulation); degenerate ones are perturbed by retrying with a new salt.
     """
     rays = [list(r) for r in rays]
     m, rank = len(rays), len(rays[0])
     for salt in range(64):
-        heights = [Fraction(1 + ((i + 1) * 2654435761 + salt * 97003) % 1000003,
-                            1 + ((i + salt) * 7919) % 503)
-                   for i in range(m)]
+        heights = _int_row([Fraction(1 + ((i + 1) * 2654435761 + salt * 97003)
+                                     % 1000003, 1 + ((i + salt) * 7919) % 503)
+                            for i in range(m)])
         cells = []
         degenerate = False
         for subset in itertools.combinations(range(m), rank):
@@ -464,10 +461,9 @@ def triangulate(rays):
             for j in range(m):
                 if j in subset:
                     continue
-                # w . rays[j] against heights[j], both times |det| * den
-                h = heights[j]
-                val = sum(a * b for a, b in zip(w, rays[j])) * h.denominator
-                bound = h.numerator * sign * det
+                # w . rays[j] against heights[j], both times |det|
+                val = sum(a * b for a, b in zip(w, rays[j]))
+                bound = heights[j] * sign * det
                 if val == bound:
                     degenerate = True
                     ok = False
@@ -495,7 +491,7 @@ def half_open_cells(rays, cells, face=None, invs=None):
     generic y = sum gen_i rays_i of the face opens each face cell on the
     facets whose side faces away from y (Koeppe and Verdoolaege 2008): the
     rays i with beta_i < 0 in y = sum beta_i rays_i, read through the
-    adjugate of a cell that holds it, cached in invs across the faces.
+    adjugate of a cell p that holds it, invs[p] (computed if not given).
     """
     face = range(len(rays)) if face is None else face
     held = {}       # face cell -> positions of the cells holding it
@@ -548,10 +544,12 @@ def check_pointed(rays):
 def _cells(apex, rays):
     """(proj, cells) for the pointed cone apex + cone(rays), distinct rays:
     proj holds the rays projected onto their pivot columns, an injective map
-    on their span, and cells (cell, points) pairs, with the lattice points of
-    each closed cell's parallelepiped.  Independent rays span a simplicial
-    cone that is its own cell; dependent ones are checked for pointedness
-    and their projection is triangulated."""
+    on their span, and cells (cell, `_adjugate`, points) triples, with the
+    lattice points of each closed cell's parallelepiped.  A cell spans the
+    rays' row space, so it has their pivot columns and its adjugate is that
+    of its projection.  Independent rays span a simplicial cone that is its
+    own cell; dependent ones are checked for pointedness and their
+    projection is triangulated."""
     cols = _eliminate(rays)[1]
     proj = [[r[c] for c in cols] for r in rays]
     if len(cols) == len(rays):
@@ -559,8 +557,10 @@ def _cells(apex, rays):
     else:
         check_pointed(proj)
         cells = triangulate(proj)
-    return proj, [(cell, parallelepiped_points(apex, [rays[i] for i in cell]))
-                  for cell in cells]
+    crays = [[rays[i] for i in cell] for cell in cells]
+    invs = [_adjugate(r) for r in crays]
+    return proj, [(cell, inv, parallelepiped_points(apex, r, inv=inv))
+                  for cell, r, inv in zip(cells, crays, invs)]
 
 
 class CellSum:
@@ -594,19 +594,19 @@ class CellSum:
         keys = [frozenset(index[rays[i]] for i in ids) for _, ids in faces]
         used = sorted(set().union(*keys))
         proj, cells = _cells(apex, cone)
-        invs = {}
+        invs = {p: inv[1] for p, (_, inv, _) in enumerate(cells)}
         stored = {}     # face -> (sel, offsets) per cell
         for key in keys:
             if key in stored:
                 continue
             stored[key] = out = []
             for sub, open_idx, ps in half_open_cells(
-                    proj, [c for c, _ in cells], key, invs):
+                    proj, [c for c, _, _ in cells], key, invs):
                 opened = {sub[j] for j in open_idx}
-                if any(len(cells[p][1]) == 1 for p in ps):
+                if any(len(cells[p][2]) == 1 for p in ps):
                     pts = None
                 elif not open_idx and sub == cells[ps[0]][0]:
-                    pts = cells[ps[0]][1]
+                    pts = cells[ps[0]][2]
                 else:
                     pts = parallelepiped_points(apex, [cone[i] for i in sub],
                                                 open_idx)
@@ -713,17 +713,25 @@ def ipt_weighted(cone, form="moebius"):
     RationalFn.  The Moebius form weighs each face cone by the alternating
     sum of the weights of the faces above it; the relint form sums, over
     faces of nonzero weight, the weight times the signed face cones below.
+    Moebius sums are integers: each weight times den, the lcm of all the
+    denominators, packed as its value at t = 2^bits, bits two wider than
+    den times the sum of the coefficients' sizes.
     """
     faces = [(frozenset(rs), d, w) for rs, d, w in cone.faces]
     if form == "moebius":
+        cs = [c for *_, w in faces for c in w.c.values()]
+        den = math.lcm(*(c.denominator for c in cs))
+        bits = int(den * sum(map(abs, cs))).bit_length() + 2
+        signed = [(rs, (-1) ** d * sum(int(c * den) << bits * e
+                                       for e, c in w.c.items()))
+                  for rs, d, w in faces]
         terms = []
         for rs, d, _ in faces:
-            coeff = T_ZERO
-            for rs2, d2, w2 in faces:
-                if rs2 >= rs:
-                    coeff = coeff + (w2 if (d2 - d) % 2 == 0 else -w2)
-            if not coeff.is_zero():
-                terms.append((coeff, rs))
+            s = sum(v for rs2, v in signed if rs2 >= rs)
+            if s:
+                coeff = TPoly.unpack((-1) ** d * s, bits)
+                terms.append((coeff if den == 1 else coeff * Fraction(1, den),
+                              rs))
     elif form == "relint":
         terms = [(w if (d - d2) % 2 == 0 else -w, rs2)
                  for rs, d, w in faces if not w.is_zero()

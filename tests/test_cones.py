@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -786,6 +787,231 @@ def test_face_without_a_generic_point_raises_search_exhausted(monkeypatch):
     assert half_open_cells(rays, cells, frozenset([0, 4])) == [
         ((0, 4), frozenset(),
          [p for p, cell in enumerate(cells) if {0, 4} <= set(cell)])]
+
+
+# ---------------------------------------------------------------------------
+# the integer tangent-cone side against the rank, TPoly and Fraction code
+# it replaced, kept here as oracles
+# ---------------------------------------------------------------------------
+
+def face_lattice_reference(P, vertices):
+    """Every intersection of vertex tight sets, with its dimension from the
+    rank of its tight rows (`Polyhedron.face_dim`)."""
+    tights = [P.tight_at(v) for v in vertices]
+    seen = dict.fromkeys(tights)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for t2 in tights:
+                u = t & t2
+                if u not in seen:
+                    seen[u] = None
+                    nxt.append(u)
+        frontier = nxt
+    faces = [Face(t, P.face_dim(t),
+                  frozenset(i for i, tv in enumerate(tights) if tv >= t))
+             for t in seen]
+    faces.sort(key=lambda f: (f.dim, sorted(f.tight)))
+    return faces
+
+
+def moebius_terms_reference(cone):
+    """The Moebius face coefficients of `ipt_weighted`, summed as TPolys."""
+    faces = [(frozenset(rs), d, w) for rs, d, w in cone.faces]
+    terms = []
+    for rs, d, _ in faces:
+        coeff = TPoly.zero()
+        for rs2, d2, w2 in faces:
+            if rs2 >= rs:
+                coeff = coeff + (w2 if (d2 - d) % 2 == 0 else -w2)
+        if not coeff.is_zero():
+            terms.append((coeff, rs))
+    return terms
+
+
+def triangulate_reference(rays):
+    """`triangulate` compared against its Fraction heights unscaled."""
+    rays = [list(r) for r in rays]
+    m, rank = len(rays), len(rays[0])
+    for salt in range(64):
+        heights = [Fraction(1 + ((i + 1) * 2654435761 + salt * 97003) % 1000003,
+                            1 + ((i + salt) * 7919) % 503)
+                   for i in range(m)]
+        cells = []
+        degenerate = False
+        for subset in itertools.combinations(range(m), rank):
+            red, piv, det = cones._eliminate(
+                [rays[i] + [heights[i]] for i in subset], rank)
+            if len(piv) < rank:
+                continue
+            sign = 1 if det > 0 else -1
+            w = [sign * row[rank] for row in red]
+            ok = True
+            for j in range(m):
+                if j in subset:
+                    continue
+                h = heights[j]
+                val = sum(a * b for a, b in zip(w, rays[j])) * h.denominator
+                bound = h.numerator * sign * det
+                if val == bound:
+                    degenerate = True
+                    ok = False
+                    break
+                if val > bound:
+                    ok = False
+                    break
+            if degenerate:
+                break
+            if ok:
+                cells.append(tuple(subset))
+        if not degenerate and cells:
+            return cells
+    raise SearchExhausted("triangulation failed to find generic heights")
+
+
+@functools.cache
+def integer_side_instances():
+    """(P, phi, vertices) of every 4-row interlacing polytope with tops at
+    most 2 (15, three of them a single point), of (3, 2, 1, 0) with 567
+    faces, of the 5-row (2, 1, 0, 0, 0) with 849, and of
+    random_bounded_instances(40, 121)."""
+    tri = triangle_graph(4)
+    cases = [(tri, BSeq(b)) for b in
+             itertools.combinations_with_replacement((2, 1, 0), 4)]
+    cases += [(tri, BSeq((3, 2, 1, 0))),
+              (triangle_graph(5), BSeq((2, 1, 0, 0, 0)))]
+    cases += graphs.random_bounded_instances(40, 121)
+    return [weighted_brion_instance(G, b) for G, b in cases]
+
+
+def integer_side_cones():
+    for P, phi, verts in integer_side_instances():
+        faces = face_lattice(P, verts)
+        for vid in range(len(verts)):
+            yield tangent_cone_at_vertex(P, faces, vid, verts, phi)
+
+
+def test_face_lattice_matches_the_rank_reference(monkeypatch):
+    # the same faces, dimensions and vertex sets, with no rank computed
+    instances = integer_side_instances()
+    expected = [face_lattice_reference(P, verts) for P, _, verts in instances]
+    assert [len(f) for f in expected[15:17]] == [567, 849]
+
+    def refused(*args):
+        raise AssertionError("face_lattice computed a rank")
+    monkeypatch.setattr(Polyhedron, "face_dim", refused)
+    monkeypatch.setattr(cones, "mat_rank", refused)
+    monkeypatch.setattr(cones, "_eliminate", refused)
+    for (P, _, verts), faces in zip(instances, expected):
+        assert face_lattice(P, verts) == faces
+
+
+def assert_matches_moebius_reference(cone):
+    got = ipt_weighted(cone)
+    ref = CellSum(cone.apex, cone.rays, cone.labels,
+                  moebius_terms_reference(cone))
+    assert got.apex == ref.apex and got.rays == ref.rays
+    assert got.terms == ref.terms
+    return got
+
+
+def test_ipt_weighted_matches_the_tpoly_reference():
+    # integer weights give integer coefficients, as the TPoly sums did
+    count = 0
+    for cone in integer_side_cones():
+        s = assert_matches_moebius_reference(cone)
+        assert all(type(v) is int for c, _ in s.terms for v in c.c.values())
+        count += 1
+    assert count == 392
+
+
+def reweighted(cone, weight):
+    return WeightedCone(cone.apex, cone.rays,
+                        [(rs, d, weight(i, d)) for i, (rs, d, _)
+                         in enumerate(cone.faces)], cone.labels)
+
+
+@pytest.mark.parametrize("weight", [
+    # negative coefficients
+    lambda i, d: TPoly.from_list([i - 3, 2 - 2 * i, -d]),
+    # Fraction coefficients: packed times the lcm of the denominators
+    lambda i, d: TPoly({0: Fraction(1, i + 2), 2: Fraction(-d, 3), 3: i}),
+    lambda i, d: TPoly({1: Fraction(i + 1, 2)}),
+    # every weight zero but one
+    lambda i, d: TPoly.from_list([0, 0, -1]) if i == 2 else TPoly.zero(),
+])
+def test_ipt_weighted_on_signed_and_rational_weights(weight):
+    prod = product_cone([ray_cone_weighted(), ray_cone_weighted((1,))])
+    for cone in (prod, square_cone(), octahedron_cone()):
+        assert_matches_moebius_reference(reweighted(cone, weight))
+
+
+def octahedron_cone():
+    return tangent_cones(octahedron(), pyramid_phi)[0]
+
+
+@pytest.mark.parametrize("w0, w1", [
+    ({0: 8}, {0: -8}), ({0: -8}, {0: 8}),
+    ({0: 8, 1: -8}, {0: -8, 1: 8}), ({2: 1, 5: 3}, {0: -4})])
+def test_ipt_weighted_at_a_power_of_two_coefficient_sum(w0, w1):
+    # the coefficient sizes of the two weights sum to 2^k, and the apex
+    # face's coefficient w0 - w1 reaches that sum in size: the packing
+    # width is set from it
+    cone = WeightedCone((0,), [(1,)], [(frozenset(), 0, TPoly(w0)),
+                                       (frozenset([0]), 1, TPoly(w1))], ["x"])
+    total = sum(map(abs, [*w0.values(), *w1.values()]))
+    assert total & (total - 1) == 0
+    s = assert_matches_moebius_reference(cone)
+    assert max(abs(v) for c, _ in s.terms for v in c.c.values()) in (
+        total, total // 2)
+
+
+def test_triangulate_matches_the_fraction_height_reference(monkeypatch):
+    # the 107 dependent tangent cones above, the six of the octahedron
+    # and the one of the square pyramid, whose cells have index 2
+    seen = []
+
+    def compared(rays, f=cones.triangulate):
+        cells = f(rays)
+        assert cells == triangulate_reference(rays), rays
+        seen.append(len(rays))
+        return cells
+    monkeypatch.setattr(cones, "triangulate", compared)
+    for cone in itertools.chain(integer_side_cones(),
+                                tangent_cones(octahedron(), pyramid_phi),
+                                tangent_cones(square_pyramid(), pyramid_phi)):
+        ipt_weighted(cone)
+    assert len(seen) == 107 + 6 + 1
+
+
+def test_each_cell_takes_one_adjugate(monkeypatch):
+    # the inverse data `_cells` keeps serves the parallelepiped points and
+    # the half-open signs of every face; a second adjugate per cell of a
+    # dependent cone, in projected coordinates, would make 438 calls
+    calls, ncells = [], []
+    adjugate, cells_of = cones._adjugate, cones._cells
+
+    def counted_adjugate(rows):
+        calls.append(len(rows))
+        return adjugate(rows)
+
+    def counted_cells(apex, rays):
+        proj, cells = cells_of(apex, rays)
+        ncells.append(len(cells))
+        # a cell's adjugate is also that of its projection
+        for cell, inv, _ in cells:
+            assert adjugate([proj[i] for i in cell])[1:] == inv[1:]
+        return proj, cells
+    monkeypatch.setattr(cones, "_adjugate", counted_adjugate)
+    monkeypatch.setattr(cones, "_cells", counted_cells)
+    # the last 40 instances are random_bounded_instances(40, 121)
+    for P, phi, verts in integer_side_instances()[-40:]:
+        faces = face_lattice(P, verts)
+        for vid in range(len(verts)):
+            ipt_weighted(tangent_cone_at_vertex(P, faces, vid, verts, phi))
+    assert len(ncells) == 231
+    assert len(calls) == sum(ncells) == 308
 
 
 def test_cell_sum_eval_raises_where_a_binomial_vanishes():
