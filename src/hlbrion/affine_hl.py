@@ -14,13 +14,14 @@ sections, their truncated transforms and closed contribution formulas).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random as _random
 from fractions import Fraction
 from operator import add, sub
 
-from .graphs import ConeTransform, OrdinaryGraph, _DSU, svar, t_factorials
+from .graphs import ConeTransform, OrdinaryGraph, svar, t_factorials
 from .ring import (
     Coeff, DomainMismatch, EVALUATED, InvariantError,
     LaurentPoly, Monomial, SYMBOLIC_Z, TPoly, TruncatedSeries, T_ONE,
@@ -71,14 +72,11 @@ class AffineWeight:
 
     def cycle_paths(self):
         """Sizes of the path components of the cycle subgraph with edges
-        {i, i+1} present when a_{i+1} = 0."""
-        n = self.n
-        dsu = _DSU(list(range(n)))
-        for i in range(n):
-            if self.a[(i + 1) % n] == 0:
-                dsu.union(i, (i + 1) % n)
-        sizes = sorted((len(b) for b in dsu.blocks()), reverse=True)
-        return sizes
+        {i, i+1} present when a_{i+1} = 0, in decreasing order: a path runs
+        from each nonzero a_i up to the next one, cyclically."""
+        cuts = [i for i, x in enumerate(self.a) if x]
+        gaps = (j - i for i, j in zip(cuts, cuts[1:] + cuts[:1]))
+        return sorted((g % self.n or self.n for g in gaps), reverse=True)
 
     def m_count(self):
         return len(self.cycle_paths())
@@ -768,15 +766,16 @@ DELTA_SPAN = 8          # span of the equality graphs of the vertex scans
 
 
 class DeltaGraph:
-    """Embedded equality graph of a vertex, one lattice vertex per position.
+    """Embedded equality graph of a point, one lattice vertex per position.
 
     Positions p carry edges to p-1 (when the sequence vanishes there) and to
     p-n (when the window sum saturates); components are embedded into the
     lattice with rows consistent with both edge types, one representative
-    per shift class.
+    per shift class.  A section needs the point to be a vertex with m(lambda)
+    components, which `lmin` checks.
     """
 
-    def __init__(self, weight, v, span, require_vertex=True):
+    def __init__(self, weight, v, span):
         self.weight = weight
         self.v = v
         n = weight.n
@@ -786,41 +785,19 @@ class DeltaGraph:
         self.p0 = min(lo, -1) - n * (span + 3) - n * n
         self.p1 = max(hi, 1) + n * (span + 3) + n * n
         rng = range(self.p0, self.p1 + 1)
-        self.ur = {p: v.get(p) == 0 for p in rng}          # edge p ~ p-1
-        self.ul = {p: v.chi(p) == weight.k for p in rng}   # edge p ~ p-n
-        if require_vertex:
-            if not all(self.ur[p] or self.ul[p] for p in rng):
-                raise InvariantError("not a vertex of the polyhedron")
-        dsu = _DSU(list(rng))
-        for p in rng:
-            if self.ur[p] and p - 1 >= self.p0:
-                dsu.union(p, p - 1)
-            if self.ul[p] and p - n >= self.p0:
-                dsu.union(p, p - n)
-        comp_of = {p: dsu.find(p) for p in rng}
-        labels = {}
-        for p in rng:
-            labels.setdefault(comp_of[p], len(labels))
-        self.comp = {p: labels[comp_of[p]] for p in rng}
-        self.m = len(labels)
-        if require_vertex and self.m != weight.m_count():
-            raise InvariantError(f"component count {self.m} != m(lambda) = "
-                                 f"{weight.m_count()}")
-        # embed rows: both edge types point one row up; anchor every
-        # component at its member closest to the origin, at the row of the
-        # matching residue class nearest zero
-        self.row = {}
-        members = {}
-        for p in rng:
-            members.setdefault(self.comp[p], []).append(p)
-        for ps in members.values():
-            anchor = min(ps, key=abs)
-            if n > 2:
-                r0 = anchor % (n - 1)
-                if r0 > (n - 1) // 2:
-                    r0 -= n - 1
-            else:
-                r0 = 0
+        ur = {p: v.get(p) == 0 for p in rng}          # edge p ~ p-1
+        ul = {p: v.chi(p) == weight.k for p in rng}   # edge p ~ p-n
+        # one search per component gives its positions their rows: both
+        # edge types point one row up, and the search starts at the member
+        # closest to the origin, on the row of its residue class nearest zero
+        self.row, comps = {}, []
+        for anchor in sorted(rng, key=lambda p: (abs(p), p)):
+            if anchor in self.row:
+                continue
+            r0 = anchor % (n - 1)
+            if r0 > (n - 1) // 2:
+                r0 -= n - 1
+            comps.append([])
             stack = [(anchor, r0)]
             while stack:
                 q, r = stack.pop()
@@ -829,21 +806,26 @@ class DeltaGraph:
                         raise InvariantError("inconsistent embedding")
                     continue
                 self.row[q] = r
-                if self.ur.get(q) and q - 1 >= self.p0:
+                comps[-1].append(q)
+                if ur[q] and q - 1 in ur:
                     stack.append((q - 1, r - 1))
-                if self.ul.get(q) and q - n >= self.p0:
+                if ul[q] and q - n in ul:
                     stack.append((q - n, r - 1))
-                if self.ur.get(q + 1) and q + 1 <= self.p1:
+                if ur.get(q + 1):
                     stack.append((q + 1, r + 1))
-                if self.ul.get(q + n) and q + n <= self.p1:
+                if ul.get(q + n):
                     stack.append((q + n, r + 1))
+        # components are numbered by their smallest positions, the order in
+        # which `section_graphs` lists their sections
+        comps.sort(key=min)
+        self.comp = {p: c for c, ps in enumerate(comps) for p in ps}
+        self.m = len(comps)
         self.col = {p: (p - self.row[p] * n) // (n - 1) for p in rng}
         for p in rng:
             if self.row[p] * n + self.col[p] * (n - 1) != p:
                 raise InvariantError(f"position {p} is off its row")
         # rows within safe of row 0 are scanned for component row counts
         self.safe = (min(-self.p0, self.p1) - 2 * n * n) // n
-        self.lmin = self._section_floor() if require_vertex else None
 
     def row_counts(self):
         """{component: {row: vertex count}} over the rows within safe + 1
@@ -856,13 +838,20 @@ class DeltaGraph:
                 rows[r] = rows.get(r, 0) + 1
         return counts
 
-    def _section_floor(self):
-        """Smallest valid section radius l: each bottom row l..safe holds a
-        single vertex, at a position >= 1, and each top row -safe..-l holds
-        the cycle path sizes as its per-component counts, at positions <= 0.
-        A row r that fails its condition forces l > |r|."""
+    @functools.cached_property
+    def lmin(self):
+        """Smallest valid section radius l, for a vertex with m(lambda)
+        components: each bottom row l..safe holds a single vertex, at a
+        position >= 1, and each top row -safe..-l holds the cycle path sizes
+        as its per-component counts, at positions <= 0.  A row r that fails
+        its condition forces l > |r|."""
+        if not self.v.is_vertex():
+            raise InvariantError("not a vertex of the polyhedron")
+        if self.m != self.weight.m_count():
+            raise InvariantError(f"component count {self.m} != m(lambda) = "
+                                 f"{self.weight.m_count()}")
         counts = self.row_counts().values()
-        paths = sorted(self.weight.cycle_paths(), reverse=True)
+        paths = self.weight.cycle_paths()
         bad = {r for p, r in self.row.items()
                if r and (r > 0) != (p > 0) and abs(r) <= self.safe}
         for r in range(1, self.safe + 1):
@@ -988,7 +977,7 @@ def tau_truncated(weight, v, order, zpoint=None):
     The bound is reached by (1, 0) at n = 2 and by the tail-cut vertex of
     (1, 1) at q-degree 3, and with e > 0 by the tail cuts of (0, 1) at -2,
     of (1, 0) at -3 and of (0, 0, 1) at -6.  The span DELTA_SPAN + radius
-    gives safe >= radius + 11 - n, and `_section_floor` keeps lmin below
+    gives safe >= radius + 11 - n, and `DeltaGraph.lmin` keeps lmin below
     safe, so safe holds l* for n <= 11; `section_graphs` raises where it
     does not.
     """
@@ -1188,7 +1177,7 @@ def p_weight_via_delta(weight, A):
     per-row vertex counts of the component representatives, so it manifestly
     depends only on the set of tight constraints at the point.
     """
-    dg = DeltaGraph(weight, A, DELTA_SPAN, require_vertex=False)
+    dg = DeltaGraph(weight, A, DELTA_SPAN)
     out = T_ONE
     for rows in dg.row_counts().values():
         # stability at the scan boundary: the contributing row pairs must

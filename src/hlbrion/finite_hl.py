@@ -55,9 +55,6 @@ class FiniteWeight:
         self.lam = tuple(sum(self.a[i:]) for i in range(self.n - 1))
         self.parts = self.lam + (0,)
 
-    def is_regular(self):
-        return all(x > 0 for x in self.a)
-
     def type_multiplicities(self):
         """Run lengths of the distinct values of (lam_1, ..., lam_{n-1}, 0)."""
         return [len(list(g)) for _, g in itertools.groupby(self.parts)]

@@ -288,11 +288,12 @@ def _top_pairs(G, b):
 def enumerate_faces(G, b, only_vertices=False):
     """Faces of D_G(b), as FaceSubgraph partitions.
 
-    Branches over edges (merge vs separate) with closure propagation; equal
-    top values must end up in one connected component, distinct values must
-    stay apart.  With only_vertices it returns the 0-dimensional faces only,
-    by value assignment instead: every block of a vertex face meets the top
-    row, so every coordinate of a vertex is a value of b.  The free vertices
+    Branches over edges (merge vs separate) with closure propagation from
+    the minimal face, where the top vertices of equal values are joined;
+    distinct values must stay apart.  With only_vertices it returns the
+    0-dimensional faces only, by value assignment instead: every block of a
+    vertex face meets the top row, so every coordinate of a vertex is a
+    value of b.  The free vertices
     take those values in sorted order, each edge checked once its lower end,
     the later one, has a value.  At a leaf the blocks are the components of
     the tight edges and the tied top vertices, and the point is a vertex iff
@@ -304,18 +305,6 @@ def enumerate_faces(G, b, only_vertices=False):
         return _vertex_faces(G, b, ties)
     out = []
     edges = G.edges
-
-    def feasible(dsu, eidx):
-        # admissible prune over the most-merged completion: tied pairs must
-        # still be connectable
-        if not ties:
-            return True
-        link = _DSU(G.vertices)
-        for v in G.vertices:
-            link.union(v, dsu.find(v))
-        for hi, lo in edges[eidx:]:
-            link.union(hi, lo)
-        return all(link.find(x) == link.find(y) for x, y in ties)
 
     def recurse(dsu, sep_pairs, eidx):
         while eidx < len(edges):
@@ -330,24 +319,24 @@ def enumerate_faces(G, b, only_vertices=False):
                 continue
             break
         else:
-            if all(dsu.find(x) == dsu.find(y) for x, y in ties):
-                out.append(FaceSubgraph(G, dsu.blocks()))
+            out.append(FaceSubgraph(G, dsu.blocks()))
             return
         hi, lo = edges[eidx]
         # branch: edge absent (endpoints stay separated)
         dsu2 = dsu.copy()
         sep2 = sep_pairs + [(hi, lo)]
-        if _closure(G, dsu2, forbidden + sep2) and feasible(dsu2, eidx + 1):
+        if _closure(G, dsu2, forbidden + sep2):
             recurse(dsu2, sep2, eidx + 1)
         # branch: edge present
         dsu3 = dsu.copy()
         dsu3.union(hi, lo)
-        if _closure(G, dsu3, forbidden + sep_pairs) and \
-           feasible(dsu3, eidx + 1):
+        if _closure(G, dsu3, forbidden + sep_pairs):
             recurse(dsu3, sep_pairs, eidx + 1)
 
     dsu0 = _DSU(G.vertices)
-    if _closure(G, dsu0, forbidden) and feasible(dsu0, 0):
+    for x, y in ties:
+        dsu0.union(x, y)
+    if _closure(G, dsu0, forbidden):
         recurse(dsu0, [], 0)
     return out
 

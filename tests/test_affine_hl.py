@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from hlbrion import affine_hl, ring
+from hlbrion import affine_hl, graphs, ring
 from hlbrion.affine_hl import (
     DELTA_SPAN, AffineWeight, DeltaGraph, _pi_step, apply_G,
     closed_form_contribution, coset_representatives, d_stats, enumerate_pi,
@@ -683,10 +683,86 @@ def test_delta_graph_structure():
 
 
 def test_delta_graph_rejects_non_vertex():
-    # position 2 holds 1, but its window sum 1 is below the level 2
+    # position 2 holds 1, but its window sum 1 is below the level 2; the
+    # embedding takes any point, a section only a vertex
     v = PiSequence(L01, 1, (0, 1))
-    with pytest.raises(InvariantError):
-        DeltaGraph(L01, v, 6)
+    dg = DeltaGraph(L01, v, 6)
+    with pytest.raises(InvariantError, match="not a vertex"):
+        dg.section_graphs(1)
+    with pytest.raises(InvariantError, match="not a vertex"):
+        tau_truncated(L01, v, 1)
+
+
+def delta_embedding_reference(dg):
+    """(row, comp, m) of the two-pass embedding that DeltaGraph replaced:
+    a union-find over the positions for the components, numbered by their
+    smallest positions, then a search per component for the rows, from its
+    member nearest the origin on the row of its residue class nearest 0."""
+    weight, v = dg.weight, dg.v
+    n = weight.n
+    rng = range(dg.p0, dg.p1 + 1)
+    # each edge joins p to the position one row above it
+    edges = [(p, p - d) for p in rng
+             for d, tight in ((1, v.get(p) == 0), (n, v.chi(p) == weight.k))
+             if tight and p - d >= dg.p0]
+    dsu = graphs._DSU(rng)
+    adj = {p: [] for p in rng}
+    for p, q in edges:
+        dsu.union(p, q)
+        adj[p].append((q, -1))
+        adj[q].append((p, 1))
+    labels = {}
+    for p in rng:
+        labels.setdefault(dsu.find(p), len(labels))
+    comp = {p: labels[dsu.find(p)] for p in rng}
+    row = {}
+    for label in range(len(labels)):
+        anchor = min((p for p in rng if comp[p] == label), key=abs)
+        r0 = anchor % (n - 1)
+        stack = [(anchor, r0 - (n - 1) if r0 > (n - 1) // 2 else r0)]
+        while stack:
+            q, r = stack.pop()
+            if q not in row:
+                row[q] = r
+                stack += [(x, r + d) for x, d in adj[q]]
+            assert row[q] == r
+    return row, comp, len(labels)
+
+
+def test_delta_graph_matches_the_union_find_embedding():
+    # the relevant vertices and three constructed non-relevant ones of every
+    # weight of n = 2 at level <= 2 (qmax 2), n = 3 at level <= 2 (qmax 1)
+    # and n = 4 at level <= 2 (qmax 0), and a sample of 40 points of
+    # q-degree <= 1 from seed 39, half of them no vertex, as the face weight
+    # oracle embeds them; at the span of the relevance test and at the
+    # larger span of a section
+    cases, points = [], []
+    for n, level, qmax in ((2, 2, 2), (3, 2, 1), (4, 2, 0)):
+        for weight in small_weights(n, level):
+            cases += [(weight, v) for v in vertices_relevant(weight, qmax)]
+            cases += [(weight, v) for v in nonrelevant_vertices(weight, 3)]
+            points += [(weight, A) for A in enumerate_pi(weight, 1)]
+    cases += random.Random(39).sample(points, 40)
+    for weight, v in cases:
+        for span in (DELTA_SPAN, DELTA_SPAN + 6):
+            dg = DeltaGraph(weight, v, span)
+            assert (dg.row, dg.comp, dg.m) == \
+                delta_embedding_reference(dg), (weight, v)
+    assert len(cases) == 276
+
+
+def test_nonrelevant_vertices_of_singular_n4_weights():
+    # the singular n = 4 weights whose constructed vertices have no valid
+    # section floor at the span of the relevance test, which that test does
+    # not read
+    for a in ((0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 1, 0), (0, 0, 1, 1),
+              (0, 0, 2, 0), (1, 0, 0, 0), (1, 0, 0, 1), (1, 0, 1, 0),
+              (2, 0, 0, 0)):
+        weight = AffineWeight(4, a)
+        found = nonrelevant_vertices(weight, 3)
+        assert len(set(found)) == 3, a
+        assert all(v.is_vertex() and not is_relevant_vertex(weight, v)
+                   for v in found), a
 
 
 def test_dl_cone_regular_unimodular():

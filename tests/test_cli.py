@@ -215,6 +215,15 @@ def test_verify_main_redraws_pole_points(capsys):
     assert "PASS" in out
 
 
+def test_verify_contrib_singular_n4(capsys):
+    # a singular n = 4 weight whose constructed non-relevant vertices the
+    # relevance test once refused with an internal error
+    code, out = run(capsys, "verify", "contrib", "--n", "4", "--a", "1,0,1,0",
+                    "--qmax", "0", "--trials", "1", "--unsafe-limits")
+    assert code == 0
+    assert "PASS" in out
+
+
 def test_verify_graphsum_small(capsys):
     code, out = run(capsys, "verify", "graphsum", "--max-vertices", "5")
     assert code == 0

@@ -172,6 +172,73 @@ def test_is_bounded():
     assert not is_bounded(G2, BSeq([1]))
 
 
+def enumerate_faces_reference(G, b):
+    """The branch search from no merges, which prunes a branch once its
+    tied top vertices can no longer be joined and keeps a leaf only when
+    they are: the search that `enumerate_faces` replaced by starting from
+    the minimal face."""
+    ties, forbidden = graphs._top_pairs(G, b)
+    edges = G.edges
+    out = []
+
+    def feasible(dsu, eidx):
+        link = graphs._DSU(G.vertices)
+        for v in G.vertices:
+            link.union(v, dsu.find(v))
+        for hi, lo in edges[eidx:]:
+            link.union(hi, lo)
+        return all(link.find(x) == link.find(y) for x, y in ties)
+
+    def recurse(dsu, sep_pairs, eidx):
+        while eidx < len(edges):
+            hi, lo = edges[eidx]
+            if dsu.find(hi) == dsu.find(lo) or any(
+                    {dsu.find(x), dsu.find(y)} == {dsu.find(hi), dsu.find(lo)}
+                    for x, y in sep_pairs):
+                eidx += 1
+                continue
+            break
+        else:
+            if all(dsu.find(x) == dsu.find(y) for x, y in ties):
+                out.append(FaceSubgraph(G, dsu.blocks()))
+            return
+        hi, lo = edges[eidx]
+        dsu2 = dsu.copy()
+        sep2 = sep_pairs + [(hi, lo)]
+        if graphs._closure(G, dsu2, forbidden + sep2) and \
+                feasible(dsu2, eidx + 1):
+            recurse(dsu2, sep2, eidx + 1)
+        dsu3 = dsu.copy()
+        dsu3.union(hi, lo)
+        if graphs._closure(G, dsu3, forbidden + sep_pairs) and \
+                feasible(dsu3, eidx + 1):
+            recurse(dsu3, sep_pairs, eidx + 1)
+
+    dsu0 = graphs._DSU(G.vertices)
+    if graphs._closure(G, dsu0, forbidden) and feasible(dsu0, 0):
+        recurse(dsu0, [], 0)
+    return out
+
+
+def test_face_search_matches_the_tie_prune_reference():
+    # every graph with at most 7 vertices with three nonincreasing top rows
+    # in [0, 2] from seed 20261021, so that most top rows have ties, and
+    # every tie pattern with at most three values on the 5-row triangle
+    rng = random.Random(20261021)
+    cases = [(G, BSeq(sorted((rng.randint(0, 2) for _ in range(G.l)),
+                             reverse=True)))
+             for G in enumerate_ordinary_graphs(7) for _ in range(3)]
+    cases += [(triangle_graph(5), b) for b in tie_patterns(5) if b[0] <= 2]
+    faces = 0
+    for G, b in cases:
+        found = [f.blocks for f in enumerate_faces(G, b)]
+        assert len(found) == len(set(found))
+        assert set(found) == {f.blocks for f in
+                              enumerate_faces_reference(G, b)}, (G, b)
+        faces += len(found)
+    assert (len(cases), faces) == (743, 43478)
+
+
 def minimal_face_reference(G, b):
     """The face of largest dimension among all faces of D_G(b)."""
     return max(enumerate_faces(G, b), key=lambda f: f.dim)

@@ -2,11 +2,11 @@
 
 `assert` vanishes under `python -O`, so invariants raise typed errors
 instead; imports stay at module level, where the dependencies between the
-modules can be read off; and every module-level name and method the
-package defines is used somewhere, and outside the tests unless it is a
-named oracle, so nothing is left behind when its last caller goes.  No
-module-level name starts as an empty container, so a module cache is a
-bounded `functools.lru_cache`.
+modules can be read off, and take no module's private names; and every
+module-level name and method the package defines is used somewhere, and
+outside the tests unless it is a named oracle, so nothing is left behind
+when its last caller goes.  No module-level name starts as an empty
+container, so a module cache is a bounded `functools.lru_cache`.
 """
 
 import ast
@@ -119,6 +119,29 @@ def test_affine_hl_imports_nothing_from_finite_hl():
             names.update(alias.name for alias in node.names)
     assert "graphs" in names and "ring" in names
     assert not any("finite_hl" in name for name in names), sorted(names)
+
+
+def test_no_src_module_imports_a_private_name_of_another():
+    """A name with a leading underscore is private to its module: a name
+    that another module needs is public, or that module does the job
+    itself.  The check covers `from .m import _x` and `m._x` on an imported
+    src module."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("hlbrion")):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id in modules:
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.startswith("_") and not name.startswith("__")]
+    assert not found, found
 
 
 def _is_empty_container(node):
