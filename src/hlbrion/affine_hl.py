@@ -19,9 +19,10 @@ import itertools
 import math
 import random as _random
 from fractions import Fraction
-from operator import add, sub
+from operator import sub
 
-from .graphs import ConeTransform, OrdinaryGraph, svar, t_factorials
+from .graphs import (CACHE_LIMIT, ConeTransform, OrdinaryGraph, svar,
+                     t_factorials)
 from .ring import (
     Coeff, DomainMismatch, EVALUATED, InvariantError,
     LaurentPoly, Monomial, SYMBOLIC_Z, TPoly, TruncatedSeries, T_ONE,
@@ -245,6 +246,40 @@ def _q_window(n, qmax):
     return -n * (n - 1) * (qmax + 1), (n - 1) * (qmax + 1)
 
 
+@functools.lru_cache(maxsize=CACHE_LIMIT)
+def _pi_table(a, qmax):
+    """(lo, size, W, kids, free): `enumerate_pi`'s window and dynamic
+    program for the weight of coordinates a, built once per a and qmax."""
+    n, k = len(a), sum(a)
+    lo, hi = _q_window(n, qmax)
+    size = hi - lo + 1
+    # z-exponents (offset by half) and counts d_l packed W bits a digit
+    W = (k * size).bit_length() + 1
+    # per state (last n-1 entries): (v, next state, profile increment of the
+    # run ending at v, -1 where it needs the steps back)
+    moves = {st: [(v, st[1:] + (v,), 0 if not v or s + v == k and st[0]
+                   else 1 << W if s + v < k else -1)
+                  for v in range(k - s + 1)]
+             for st in itertools.product(range(k + 1), repeat=n - 1)
+             if (s := sum(st)) <= k}
+    # per (position, state): the children (least q-degree of a completion
+    # through them, v, q inc, next state, z and profile incs), sorted; past H
+    # or once acc > free[idx] (v > 0 at i >= 1 adds qshift(i) v) zeros follow
+    kids = [None] * size
+    free = [qmax - qshift(i, n) if i > 0 else math.inf
+            for i in range(lo, hi + 1)] + [-1]
+    min_rem = dict.fromkeys(moves, 0)
+    for idx in range(size - 1, -1, -1):
+        i = lo + idx
+        (qc, r), b = divmod(i - 1, n - 1), (a[i % n] if i <= 0 else 0)
+        kids[idx] = level = {
+            st: sorted((qc * (v - b) + min_rem[nxt], v, qc * (v - b), nxt,
+                        (v - b) << W * r, run) for v, nxt, run in mv)
+            for st, mv in moves.items()}
+        min_rem = {st: children[0][0] for st, children in level.items()}
+    return lo, size, W, kids, free
+
+
 def enumerate_pi(weight, qmax):
     """All sequences with weight q-degree at most qmax, sorted by
     (q-degree, key()).
@@ -282,33 +317,8 @@ def enumerate_pi(weight, qmax):
     n, k, a = weight.n, weight.k, weight.a
     if qmax < 0:
         raise ValueError("qmax must be nonnegative")
-    lo, hi = _q_window(n, qmax)
-    size = hi - lo + 1
-    # z-exponents (offset by half) and counts d_l packed W bits a digit
-    W = (k * size).bit_length() + 1
+    lo, size, W, kids, free = _pi_table(a, qmax)
     mask, half = (1 << W) - 1, 1 << (W - 1)
-    # per state (last n-1 entries): (v, next state, profile increment of the
-    # run ending at v, -1 where it needs the steps back)
-    moves = {st: [(v, st[1:] + (v,), 0 if not v or s + v == k and st[0]
-                   else 1 << W if s + v < k else -1)
-                  for v in range(k - s + 1)]
-             for st in itertools.product(range(k + 1), repeat=n - 1)
-             if (s := sum(st)) <= k}
-    # per (position, state): the children (least q-degree of a completion
-    # through them, v, q inc, next state, z and profile incs), sorted; past H
-    # or once acc > free[idx] (v > 0 at i >= 1 adds qshift(i) v) zeros follow
-    kids = [None] * size
-    free = [qmax - qshift(i, n) if i > 0 else math.inf
-            for i in range(lo, hi + 1)] + [-1]
-    min_rem = dict.fromkeys(moves, 0)
-    for idx in range(size - 1, -1, -1):
-        i = lo + idx
-        (qc, r), b = divmod(i - 1, n - 1), (a[i % n] if i <= 0 else 0)
-        kids[idx] = level = {
-            st: sorted((qc * (v - b) + min_rem[nxt], v, qc * (v - b), nxt,
-                        (v - b) << W * r, run) for v, nxt, run in mv)
-            for st, mv in moves.items()}
-        min_rem = {st: children[0][0] for st, children in level.items()}
     # S[u] = S_A(lo + idx) for u = idx + n + 1, to the path's end; f at uf
     S = [_periodic_sum(weight, x) for x in range(lo - n - 1, lo)]
     found, shifts, profiles = [], {}, {}
@@ -572,71 +582,122 @@ def _roots(n, qmax):
                     for m in range(1, qmax + 1) for _ in range(n - 1)]
 
 
-def _mul_terms(g, terms, out, qmax):
-    """Add g times the sum of c x^shift over the (c, shift) `terms`, taken by
-    rising q-degree, into out, dropping q-degrees above qmax, and return out.
-    g and out map keys (q-degree, t-degree, exponents...) to integers."""
-    terms = sorted(terms, key=lambda term: term[1][0])
+def _width(weight, qmax):
+    """Key field width for `weight` to qmax.  A key's t-degree is at most
+    l(w) + n(n-1)/2 + qmax, and each |eps_i| at most |w lam|_inf + n(n-1)/2
+    + qmax + k: w = sigma t_gamma flips l(w) roots, a t each at most, as are
+    the n(n-1)/2 finite root factors or T_i; any other t or root y (which
+    moves lam + eps by a root) costs q-degree, and pi_i keeps
+    |lam + eps|_inf.  |w lam|^2 <= |lam|^2 + 2k qmax (`_gamma_ball`), so
+    |gamma| <= (|w lam| + |lam|) / k, and l(w) <= sum_{i<j} (|gamma_i -
+    gamma_j| + 1) <= |gamma| n sqrt((n-1)/2) + n(n-1)/2 (Cauchy-Schwarz)."""
+    n, k, lam = weight.n, weight.k, weight.finite_part()
+    norm = sum(x * x for x in lam)
+    r = math.isqrt(norm + 2 * k * qmax) + 1
+    g = (r + math.isqrt(norm) + 1) // k + 1
+    bound = math.isqrt(g * g * n * n * (n - 1) // 2) + 1 + n * n + qmax + r + k
+    return bound.bit_length() + 1
+
+
+def _pack(width, q, t, eps):
+    """The key (q, t, eps_0, ..., eps_{n-1}) as one int: q >= 0 on top, t and
+    each eps_i below in `width`-bit fields offset by half, so an unoffset
+    `_shift` adds field by field, and the keys with q <= qmax are those below
+    (qmax + 1) << width (n + 1).  A value outside its field raises
+    InvariantError."""
+    half, key = 1 << width - 1, q
+    for x in (t, *eps):
+        if not -half <= x < half:
+            raise InvariantError(f"{x} outside a {width}-bit key field")
+        key = key << width | x + half
+    return key
+
+
+def _shift(width, q, t, eps):
+    return _pack(width, q, t, eps) - _pack(width, 0, 0, [0] * len(eps))
+
+
+def _unpack(n, width, key):
+    mask, half = (1 << width) - 1, 1 << width - 1
+    return (key >> width * (n + 1), *[(key >> width * j & mask) - half
+                                      for j in range(n, -1, -1)])
+
+
+def _mul_terms(g, terms, out, limit):
+    """Add g times the sum of c x^shift over the (c, shift) `terms` into out,
+    dropping keys of q-degree above qmax (from `limit` on), and return out.
+    g and out map packed keys to integers; the shifts rise with q-degree."""
+    terms = sorted(terms, key=lambda term: term[1])
     for key, v in g.items():
-        room = qmax - key[0]
+        room = limit - key
         for c, shift in terms:
-            if shift[0] > room:
+            if shift >= room:
                 break
-            k = tuple(map(add, key, shift))
+            k = key + shift
             out[k] = out.get(k, 0) + c * v
     return out
 
 
-def _numerator(weight, element, qmax):
-    """One element's term on keys (q-degree, t-degree, eps_0, ...,
-    eps_{n-1}): its shift monomial, t per flipped root beyond qmax, and per
-    flipped root of q-degree m <= qmax (t - y), y = e^{-root}, times
-    1/(1 - t y) = sum_j (t y)^j to qmax if m >= 1."""
+def _numerator(weight, element, qmax, width):
+    """One element's term on packed keys: its shift monomial, t per flipped
+    root beyond qmax, and per flipped root of q-degree m <= qmax (t - y),
+    y = e^{-root}, times 1/(1 - t y) = sum_j (t y)^j to qmax if m >= 1."""
     sigma, tau, mono, qdeg = element
     n, flipped = weight.n, flip_set(weight, sigma, tau)
     u = [mono.exp_of(zvar(r)) for r in range(1, n)]
-    g = {(qdeg, sum(m > qmax for _, m in flipped), -sum(u), *u): 1}
+    limit, t = qmax + 1 << width * (n + 1), 1 << width * n
+    g = {_pack(width, qdeg, sum(m > qmax for _, m in flipped),
+               (-sum(u), *u)): 1}
     for (i, j), m in flipped:
-        e = [(r == j) - (r == i) for r in range(n)]
         if m <= qmax:
-            g = _mul_terms(g, ((1, (0, 1) + (0,) * n), (-1, (m, 0, *e))),
-                           {}, qmax)
+            y = _shift(width, m, 0, [(r == j) - (r == i) for r in range(n)])
+            g = _mul_terms(g, ((1, t), (-1, y)), {}, limit)
         if 0 < m <= qmax:
-            g = _mul_terms(g, [(1, (m * p, p, *(p * x for x in e)))
-                               for p in range(qmax // m + 1)], {}, qmax)
+            g = _mul_terms(g, [(1, p * (t + y)) for p in range(qmax // m + 1)],
+                           {}, limit)
     return g
 
 
-def _pi_step(g, i, a_i):
-    """e^{-lam} pi_i(e^lam g) for a key dict g of `_numerator`, a_i =
-    <lam, alpha_i>, alpha_i = e_{i-1} - e_i: pi_i f = (f - y s_i f)/(1 - y),
-    y = e^{-alpha_i}, is, with d = <lam + mu, alpha_i>, e^mu (1 + y + ... +
-    y^d) for d >= 0, zero for d = -1 and -e^mu (y^{d+1} + ... + y^{-1})."""
-    a = i + 1                   # key position of eps_{i-1}; eps_i follows
-    out = {}
+def _pi_step(n, width, g, i, a_i):
+    """e^{-lam} pi_i(e^lam g) for a packed key dict g, a_i = <lam, alpha_i>,
+    alpha_i = e_{i-1} - e_i: pi_i f = (f - y s_i f)/(1 - y), y =
+    e^{-alpha_i}, is, with d = <lam + mu, alpha_i>, e^mu (1 + y + ... + y^d)
+    for d >= 0, zero for d = -1 and -e^mu (y^{d+1} + ... + y^{-1}).  Each y
+    moves a key by one stride, from the field of eps_{i-1} to that of eps_i."""
+    mask, hi, lo = (1 << width) - 1, width * (n - i), width * (n - 1 - i)
+    stride, out = (1 << lo) - (1 << hi), {}
     for key, c in g.items():
-        d = key[a] - key[a + 1] + a_i
-        head, tail = key[:a], key[a + 2:]
-        for j in range(d + 1) if d >= 0 else range(d + 1, 0):
-            k = head + (key[a] - j, key[a + 1] + j) + tail
-            out[k] = out.get(k, 0) + (c if d >= 0 else -c)
+        d = (key >> hi & mask) - (key >> lo & mask) + a_i + 1
+        if d < 0:
+            key, d, c = key + d * stride, -d, -c
+        for k in range(key, key + d * stride, stride):
+            out[k] = out.get(k, 0) + c
     return {k: c for k, c in out.items() if c}
 
 
-def _pinned(g, zpoint):
-    """(key dict, D) for a key dict of `_numerator`: eps_0 dropped (the
-    exponents sum to zero) and z_r = e^{eps_r}, kept symbolic with D = 1 or
-    summed per (q-degree, t-degree) at a z-point over the lcm D."""
-    splits, terms = {}, []
-    for (q, d, _, *z), v in g.items():
-        a, b, zk = splits.get(z := tuple(z)) or splits.setdefault(
-            z, _zsplit(z, zpoint))
-        terms.append(((q, d) + zk, v * a, b))
-    D = math.lcm(*(b for *_, b in terms))
-    out = {}
-    for key, a, b in terms:
-        out[key] = out.get(key, 0) + a * (D // b)
-    return {key: v for key, v in out.items() if v}, D
+def _pinned(n, width, g, zpoint):
+    """(key dict, D): g over 1 for symbolic z; at a z-point each z_r =
+    e^{eps_r} (eps_0 is dropped: the exponents sum to zero) is evaluated by
+    integer power tables over one denominator D, the eps fields cleared."""
+    if zpoint is None:
+        return g, 1
+    mask, half, low = (1 << width) - 1, 1 << width - 1, (1 << width * n) - 1
+    shifts = [width * (n - 1 - r) for r in range(1, n)]  # eps_1 .. eps_{n-1}
+    exps = {key: [(key >> s & mask) - half for s in shifts] for key in g}
+    D, tables, out, zero = 1, [], {}, _pack(width, 0, 0, [0] * n) & low
+    for r, column in enumerate(zip(*exps.values()), 1):
+        lo, hi = min(0, *column), max(0, *column)
+        p, b = zpoint[zvar(r)].numerator, zpoint[zvar(r)].denominator
+        # z^e = p^(e - lo) b^(hi - e) / (p^-lo b^hi), at index e
+        tables.append([p ** (e - lo) * b ** (hi - e)
+                       for e in (*range(hi + 1), *range(lo, 0))])
+        D *= p ** -lo * b ** hi
+    for key, v in g.items():
+        for table, e in zip(tables, exps[key]):
+            v *= table[e]
+        key += zero - (key & low)
+        out[key] = out.get(key, 0) + v
+    return {k: v for k, v in out.items() if v}, D
 
 
 def _coeff(row, den):
@@ -648,39 +709,51 @@ def _coeff(row, den):
     return Coeff(LaurentPoly({m: TPoly(c) for m, c in terms.items()}), den)
 
 
-def _series(g, den, qmax, zpoint):
-    """The TruncatedSeries of a key dict over `den`, reduced by content."""
+def _series(n, width, g, den, qmax, zpoint):
+    """The TruncatedSeries of a packed key dict over `den`, eps_0 dropped,
+    reduced by content to a positive denominator."""
     rows = {}
-    for (q, *key), v in g.items():
-        rows.setdefault(q, {})[tuple(key)] = v
+    for key, v in g.items():
+        q, t, _, *z = _unpack(n, width, key)
+        rows.setdefault(q, {})[(t, *z)] = v
     return TruncatedSeries(qmax, {
         q: _coeff({key: v // c for key, v in row.items()}, den // c)
-        for q, row in rows.items() for c in [math.gcd(den, *row.values())]},
+        for q, row in rows.items()
+        for c in [math.gcd(den, *row.values()) * (-1) ** (den < 0)]},
         zpoint)
 
 
-def _over_den(n, g, qmax, zpoint):
-    """A key dict of `_numerator` times S, the product of the (1 - t y) of
-    q-degree >= 1, put through `_pinned`, over D+, that of their (1 - y):
-    D+ is inverted once as a TruncatedSeries, whose coefficients come back
-    over their lcm E."""
-    one = (0,) * (n + 2)
-    s, den = {one: 1}, {}
+@functools.lru_cache(maxsize=CACHE_LIMIT)
+def _s_over_d(n, qmax, width):
+    """S/D+ on packed keys, S and D+ the products of the (1 - t y) and the
+    (1 - y) over the roots of q-degree 1..qmax.  W_fin permutes those roots,
+    so both pass through the Hecke sum, and they depend on n and qmax alone.
+    D+ has constant term 1 and is inverted once as a TruncatedSeries, whose
+    coefficients come back over 1.  Read the dict, never mutate it."""
+    limit, one = qmax + 1 << width * (n + 1), _pack(width, 0, 0, [0] * n)
+    s, d = {one: 1}, {one: 1}
     for _, m, e in _roots(n, qmax):
         if m:
-            s = _mul_terms(s, ((1, one), (-1, (m, 1) + e)), {}, qmax)
-    for (q, _, *e), v in s.items():     # D+ is S at t = 1
-        den[(q, 0, *e)] = den.get((q, 0, *e), 0) + v
-    inv = _series(*_pinned(den, zpoint), qmax, zpoint).invert()
-    dens = {q: c.den.terms[Monomial.unit()].c[0] for q, c in inv.coeffs.items()}
-    E = math.lcm(*dens.values())
-    inverse = [(v * (E // dens[q]), (q, d) + tuple(
-                   m.exp_of(zvar(r)) for r in range(1, n) if zpoint is None))
-               for q, c in inv.coeffs.items()
-               for m, tp in c.num.terms.items() for d, v in tp.c.items()]
-    g = _mul_terms(g, [(v, key) for key, v in s.items()], {}, qmax)
-    num, D = _pinned({key: v for key, v in g.items() if v}, zpoint)
-    return _series(_mul_terms(num, inverse, {}, qmax), D * E, qmax, zpoint)
+            y = _shift(width, m, 0, e)
+            s = _mul_terms(s, ((1, 0), (-1, y + (1 << width * n))), {}, limit)
+            d = _mul_terms(d, ((1, 0), (-1, y)), {}, limit)
+    inverse = [(v, _shift(width, q, t, (-sum(u), *u)))
+               for q, c in _series(n, width, d, 1, qmax, None).invert(
+                   ).coeffs.items() for m, tp in c.num.terms.items()
+               for u in [[m.exp_of(zvar(r)) for r in range(1, n)]]
+               for t, v in tp.c.items()]
+    return {k: v for k, v in _mul_terms(s, inverse, {}, limit).items() if v}
+
+
+def _over_den(n, width, g, qmax, zpoint):
+    """A packed key dict times S/D+, both evaluated at the z-point first, if
+    any, as a TruncatedSeries."""
+    num, D = _pinned(n, width, g, zpoint)
+    sd, E = _pinned(n, width, _s_over_d(n, qmax, width), zpoint)
+    one = _pack(width, 0, 0, [0] * n)
+    return _series(n, width, _mul_terms(
+        num, [(v, key - one) for key, v in sd.items()], {},
+        qmax + 1 << width * (n + 1)), D * E, qmax, zpoint)
 
 
 def closed_form_contribution(weight, element, qmax, zpoint):
@@ -688,14 +761,15 @@ def closed_form_contribution(weight, element, qmax, zpoint):
     times its root factors over every (1 - y) of q-degree <= qmax: its
     `_numerator` times the (1 - t y) of the finite roots it does not flip,
     through `_over_den`, over d0, the product over the positive ones."""
-    n, one = weight.n, (0,) * (weight.n + 2)
+    n, width = weight.n, _width(weight, qmax)
     flipped, d0 = flip_set(weight, *element[:2]), Coeff.one()
-    g = _numerator(weight, element, qmax)
+    g = _numerator(weight, element, qmax, width)
     for key, _, e in _roots(n, 0):
         d0 = d0 * (Coeff.one() - zq_coeff(zq_of_shift(e, 0), zpoint)[0])
         if key not in flipped:
-            g = _mul_terms(g, ((1, one), (-1, (0, 1) + e)), {}, qmax)
-    return _over_den(n, g, qmax, zpoint).scale(d0.inv())
+            g = _mul_terms(g, ((1, 0), (-1, _shift(width, 0, 1, e))), {},
+                           qmax + 1 << width * (n + 1))
+    return _over_den(n, width, g, qmax, zpoint).scale(d0.inv())
 
 
 def lhs_series(weight, qmax, domain=None, zpoint=None):
@@ -713,19 +787,23 @@ def lhs_series(weight, qmax, domain=None, zpoint=None):
     for k = n-1 down to 1, f <- f + T_k (f + ... T_2 (f + T_1 f)).  Without
     `zpoint` z is symbolic; a `domain` that disagrees raises DomainMismatch."""
     _check_domain(domain, zpoint)
-    n, one, f = weight.n, (0,) * (weight.n + 2), {}
-    for element in coset_representatives(weight, qmax):
-        _mul_terms(_numerator(weight, element, qmax), ((1, one),), f, qmax)
+    reps, n, f = coset_representatives(weight, qmax), weight.n, {}
+    width = _width(weight, qmax)
+    limit = qmax + 1 << width * (n + 1)
+    for element in reps:
+        _mul_terms(_numerator(weight, element, qmax, width), ((1, 0),), f,
+                   limit)
     for k in range(n - 1, 0, -1):
         h = f
         for i in range(1, k + 1):       # h <- f + T_i h
-            ty = (0, 1) + tuple((r == i) - (r == i - 1) for r in range(n))
-            th = _pi_step(_mul_terms(h, ((1, one), (-1, ty)), {}, qmax), i,
-                          weight.a[i])      # (T_i + 1) h
-            h = {key: v for key, v in _mul_terms(f, ((1, one),), _mul_terms(
-                h, ((-1, one),), th, qmax), qmax).items() if v}
+            ty = _shift(width, 0, 1,
+                        [(r == i) - (r == i - 1) for r in range(n)])
+            th = _pi_step(n, width, _mul_terms(h, ((1, 0), (-1, ty)), {},
+                                               limit), i, weight.a[i])
+            h = {key: v for key, v in _mul_terms(f, ((1, 0),), _mul_terms(
+                h, ((-1, 0),), th, limit), limit).items() if v}
         f = h
-    return _over_den(n, f, qmax, zpoint)
+    return _over_den(n, width, f, qmax, zpoint)
 
 
 def random_zpoint(n, rng):

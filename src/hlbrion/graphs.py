@@ -458,8 +458,8 @@ def x_variables(G):
 # cone transforms and the vertex route
 # ---------------------------------------------------------------------------
 
-# the most entries each module cache keyed by graph shape holds, so that
-# it stays bounded across calls
+# the most entries each module cache holds (here keyed by graph shape, in
+# affine_hl by weight, qmax and z-point), so that it stays bounded
 CACHE_LIMIT = 4096
 
 

@@ -1,9 +1,11 @@
+import functools
 import itertools
 import math
 import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -985,6 +987,7 @@ def test_lhs_coefficients_are_laurent_and_closed_forms_stay_over_d0(
         return original(self)
 
     monkeypatch.setattr(TruncatedSeries, "invert", spy)
+    affine_hl._s_over_d.cache_clear()   # D+ is inverted once per cache entry
     cases = [(None, lhs_series(L01, 6, SYMBOLIC_Z)),
              (None, lhs_series(AffineWeight(3, [1, 1, 1]), 2, SYMBOLIC_Z)),
              (None, lhs_series(AffineWeight(4, [1, 0, 1, 0]), 2))]
@@ -1115,13 +1118,249 @@ def test_weyl_numerator_matches_the_per_element_reference():
             element
 
 
+# ---------------------------------------------------------------------------
+# the Weyl side on tuple keys: the oracle of the packed keys of affine_hl
+# ---------------------------------------------------------------------------
+
+def tuple_mul_terms(g, terms, out, qmax):
+    """Add g times the sum of c x^shift over the (c, shift) `terms`, taken by
+    rising q-degree, into out, dropping q-degrees above qmax, and return out.
+    g and out map keys (q-degree, t-degree, exponents...) to integers."""
+    terms = sorted(terms, key=lambda term: term[1][0])
+    for key, v in g.items():
+        room = qmax - key[0]
+        for c, shift in terms:
+            if shift[0] > room:
+                break
+            k = tuple(map(add, key, shift))
+            out[k] = out.get(k, 0) + c * v
+    return out
+
+
+def tuple_numerator(weight, element, qmax):
+    """One element's term on keys (q-degree, t-degree, eps_0, ...,
+    eps_{n-1}): its shift monomial, t per flipped root beyond qmax, and per
+    flipped root of q-degree m <= qmax (t - y), y = e^{-root}, times
+    1/(1 - t y) = sum_j (t y)^j to qmax if m >= 1."""
+    sigma, tau, mono, qdeg = element
+    n, flipped = weight.n, flip_set(weight, sigma, tau)
+    u = [mono.exp_of(zvar(r)) for r in range(1, n)]
+    g = {(qdeg, sum(m > qmax for _, m in flipped), -sum(u), *u): 1}
+    for (i, j), m in flipped:
+        e = [(r == j) - (r == i) for r in range(n)]
+        if m <= qmax:
+            g = tuple_mul_terms(g, ((1, (0, 1) + (0,) * n), (-1, (m, 0, *e))),
+                                {}, qmax)
+        if 0 < m <= qmax:
+            g = tuple_mul_terms(g, [(1, (m * p, p, *(p * x for x in e)))
+                                    for p in range(qmax // m + 1)], {}, qmax)
+    return g
+
+
+def tuple_pi_step(g, i, a_i):
+    """e^{-lam} pi_i(e^lam g) for a key dict g of `tuple_numerator`, a_i =
+    <lam, alpha_i>, alpha_i = e_{i-1} - e_i: with d = <lam + mu, alpha_i>,
+    e^mu (1 + y + ... + y^d) for d >= 0, zero for d = -1 and
+    -e^mu (y^{d+1} + ... + y^{-1}), y = e^{-alpha_i}."""
+    a = i + 1                   # key position of eps_{i-1}; eps_i follows
+    out = {}
+    for key, c in g.items():
+        d = key[a] - key[a + 1] + a_i
+        head, tail = key[:a], key[a + 2:]
+        for j in range(d + 1) if d >= 0 else range(d + 1, 0):
+            k = head + (key[a] - j, key[a + 1] + j) + tail
+            out[k] = out.get(k, 0) + (c if d >= 0 else -c)
+    return {k: c for k, c in out.items() if c}
+
+
+def tuple_pinned(g, zpoint):
+    """(key dict, D) for a key dict of `tuple_numerator`: eps_0 dropped and
+    z_r = e^{eps_r}, kept symbolic with D = 1 or summed per (q-degree,
+    t-degree) at a z-point over the lcm D of the monomials' values."""
+    splits, terms = {}, []
+    for (q, d, _, *z), v in g.items():
+        a, b, zk = splits.get(z := tuple(z)) or splits.setdefault(
+            z, affine_hl._zsplit(z, zpoint))
+        terms.append(((q, d) + zk, v * a, b))
+    D = math.lcm(*(b for *_, b in terms))
+    out = {}
+    for key, a, b in terms:
+        out[key] = out.get(key, 0) + a * (D // b)
+    return {key: v for key, v in out.items() if v}, D
+
+
+def tuple_series(g, den, qmax, zpoint):
+    """The TruncatedSeries of a pinned key dict over `den`, reduced by
+    content."""
+    rows = {}
+    for (q, *key), v in g.items():
+        rows.setdefault(q, {})[tuple(key)] = v
+    return TruncatedSeries(qmax, {
+        q: affine_hl._coeff({key: v // c for key, v in row.items()}, den // c)
+        for q, row in rows.items() for c in [math.gcd(den, *row.values())]},
+        zpoint)
+
+
+def tuple_d_plus_inverse(n, den, qmax, zpoint):
+    """([(c, key)], E): the inverse of the pinned D+ of key dict `den`, as
+    one TruncatedSeries inversion whose coefficients come back over their
+    lcm E."""
+    inv = tuple_series(*tuple_pinned(den, zpoint), qmax, zpoint).invert()
+    dens = {q: c.den.terms[Monomial.unit()].c[0] for q, c in inv.coeffs.items()}
+    E = math.lcm(*dens.values())
+    return [(v * (E // dens[q]), (q, d) + tuple(
+                m.exp_of(zvar(r)) for r in range(1, n) if zpoint is None))
+            for q, c in inv.coeffs.items()
+            for m, tp in c.num.terms.items() for d, v in tp.c.items()], E
+
+
+def tuple_over_den(n, g, qmax, zpoint):
+    """A key dict of `tuple_numerator` times S, the product of the (1 - t y)
+    of q-degree >= 1, pinned, over D+, that of their (1 - y), which is S at
+    t = 1."""
+    one = (0,) * (n + 2)
+    s, den = {one: 1}, {}
+    for _, m, e in affine_hl._roots(n, qmax):
+        if m:
+            s = tuple_mul_terms(s, ((1, one), (-1, (m, 1) + e)), {}, qmax)
+    for (q, _, *e), v in s.items():
+        den[(q, 0, *e)] = den.get((q, 0, *e), 0) + v
+    inverse, E = tuple_d_plus_inverse(n, den, qmax, zpoint)
+    g = tuple_mul_terms(g, [(v, key) for key, v in s.items()], {}, qmax)
+    num, D = tuple_pinned({key: v for key, v in g.items() if v}, zpoint)
+    return tuple_series(tuple_mul_terms(num, inverse, {}, qmax), D * E, qmax,
+                        zpoint)
+
+
+def tuple_lhs_series(weight, qmax, zpoint):
+    """The Weyl side on tuple keys: the Hecke sum of the representatives'
+    numerators, then S, pinned, over D+."""
+    n, one, f = weight.n, (0,) * (weight.n + 2), {}
+    for element in coset_representatives(weight, qmax):
+        tuple_mul_terms(tuple_numerator(weight, element, qmax), ((1, one),), f,
+                        qmax)
+    for k in range(n - 1, 0, -1):
+        h = f
+        for i in range(1, k + 1):       # h <- f + T_i h
+            ty = (0, 1) + tuple((r == i) - (r == i - 1) for r in range(n))
+            th = tuple_pi_step(tuple_mul_terms(h, ((1, one), (-1, ty)), {},
+                                               qmax), i, weight.a[i])
+            h = nonzero(tuple_mul_terms(f, ((1, one),), tuple_mul_terms(
+                h, ((-1, one),), th, qmax), qmax))
+        f = h
+    return tuple_over_den(n, f, qmax, zpoint)
+
+
+def tuple_closed_form(weight, element, qmax, zpoint):
+    """`closed_form_contribution` on tuple keys."""
+    n, one = weight.n, (0,) * (weight.n + 2)
+    flipped, d0 = flip_set(weight, *element[:2]), Coeff.one()
+    g = tuple_numerator(weight, element, qmax)
+    for key, _, e in affine_hl._roots(n, 0):
+        d0 = d0 * (Coeff.one() - zq_coeff(zq_of_shift(e, 0), zpoint)[0])
+        if key not in flipped:
+            g = tuple_mul_terms(g, ((1, one), (-1, (0, 1) + e)), {}, qmax)
+    return tuple_over_den(n, g, qmax, zpoint).scale(d0.inv())
+
+
+def test_lhs_series_prints_as_the_tuple_key_reference():
+    # the packed keys against the tuple keys they replaced, printed: n = 2
+    # at level <= 3, n = 3 at level <= 2 symbolic and at three seeded
+    # points, n = 4 to 6 at (1, 0, ...), and two weights of higher level,
+    # whose exponents need wider fields
+    rng = random.Random(4001)
+    cases = [(w, 5, None) for w in small_weights(2, 3)]
+    for w in small_weights(3, 2):
+        cases += [(w, 2, None)] + [(w, 2, random_zpoint(3, rng))
+                                   for _ in range(3)]
+    cases += [(AffineWeight(n, (1,) + (0,) * (n - 1)), 2, None)
+              for n in (4, 5, 6)]
+    cases += [(AffineWeight(2, (9, 4)), 3, None),
+              (AffineWeight(3, (5, 0, 2)), 2, random_zpoint(3, rng))]
+    assert len(cases) == 9 + 36 + 3 + 2
+    widths = set()
+    for weight, qmax, zpoint in cases:
+        want = tuple_lhs_series(weight, qmax, zpoint)
+        assert str(lhs_series(weight, qmax, zpoint=zpoint)) == str(want), \
+            (weight, qmax, zpoint)
+        widths.add(affine_hl._width(weight, qmax))
+    assert len(widths) > 2
+    # closed forms: every element of the n = 2 weights at qmax 4, every
+    # fifth of n = 3 symbolic and at a seeded point, and the first four of
+    # n = 4 to 6 at qmax 2
+    zpoint = random_zpoint(3, rng)
+    cases = [(w, 4, None, weyl_elements(w, 4)) for w in small_weights(2, 3)]
+    cases += [(w, 2, z, weyl_elements(w, 2)[::5])
+              for w in small_weights(3, 2) for z in (None, zpoint)]
+    cases += [(w, 2, None, weyl_elements(w, 2)[:4])
+              for w in (AffineWeight(n, (1,) + (0,) * (n - 1))
+                        for n in (4, 5, 6))]
+    count = 0
+    for weight, qmax, zpoint, elements in cases:
+        for element in elements:
+            want = tuple_closed_form(weight, element, qmax, zpoint)
+            got = closed_form_contribution(weight, element, qmax, zpoint)
+            assert str(got) == str(want), (weight, element)
+            count += 1
+    assert count == 232
+
+
+def unshift(n, width, shift):
+    """(q, t, eps_0, ..., eps_{n-1}) of an unoffset shift of packed keys."""
+    return affine_hl._unpack(n, width,
+                             shift + affine_hl._pack(width, 0, 0, [0] * n))
+
+
+def packed(g, width):
+    """A key dict on (q, t, eps...) tuples, its keys packed."""
+    return {affine_hl._pack(width, q, t, eps): v
+            for (q, t, *eps), v in g.items()}
+
+
+def unpacked(g, n, width):
+    return {affine_hl._unpack(n, width, key): v for key, v in g.items()}
+
+
+def test_packed_keys_round_trip_at_the_field_bounds():
+    # q = qmax, the largest t-degree and the most negative and positive eps
+    # come back from their fields; a key is below the limit iff its
+    # q-degree is at most qmax; and a shift adds field by field, here onto
+    # the bounds themselves
+    for weight, qmax in ((L01, 5), (AffineWeight(3, (2, 0, 0)), 2),
+                         (AffineWeight(6, (1, 0, 0, 0, 0, 0)), 2)):
+        n, width = weight.n, affine_hl._width(weight, qmax)
+        top, limit = (1 << width - 1) - 1, qmax + 1 << width * (n + 1)
+        mixed = [(-1) ** r * (top - r) for r in range(n)]
+        for q, t, eps in itertools.product(
+                (0, qmax, qmax + 1), (0, top),
+                ([-top - 1] * n, [top] * n, mixed)):
+            key = affine_hl._pack(width, q, t, eps)
+            assert affine_hl._unpack(n, width, key) == (q, t, *eps)
+            assert (key < limit) == (q <= qmax), (q, t, eps)
+        key = affine_hl._pack(width, 1, 2, [-3] + [1] * (n - 1))
+        shift = affine_hl._shift(width, qmax - 1, top - 2,
+                                 [2 - top] + [top - 1] * (n - 1))
+        assert affine_hl._unpack(n, width, key + shift) == \
+            (qmax, top, -top - 1, *[top] * (n - 1))
+        assert unshift(n, width, shift) == \
+            (qmax - 1, top - 2, 2 - top, *[top - 1] * (n - 1))
+
+
+def test_a_value_outside_the_key_fields_raises():
+    # a 6-bit field holds -32..31; one past either end raises InvariantError
+    affine_hl._pack(6, 3, 31, [-32, 31])
+    for t, eps in ((32, [0, 0]), (-33, [0, 0]), (0, [-33, 0]), (0, [0, 32])):
+        with pytest.raises(InvariantError, match="6-bit key field"):
+            affine_hl._pack(6, 3, t, eps)
+
+
 def split_numerator_reference(weight, elements, qmax):
     """The numerator the Weyl side summed before its Hecke symmetrizer, on
     keys (q-degree, t-degree, eps_0, ..., eps_{n-1}): each shift monomial
     times (t - y) over the roots it flips and (1 - t y) over the others
     that some element flips, y = e^{-root}, and t per flipped root beyond
     qmax.  The roots that no element flips multiply the sum once."""
-    n, mul = weight.n, affine_hl._mul_terms
+    n, mul = weight.n, tuple_mul_terms
     one, t = (0,) * (n + 2), (0, 1) + (0,) * n
     factors = [(key, (((1, one), (-1, (m, 1) + e)),
                       ((1, t), (-1, (m, 0) + e))))
@@ -1144,24 +1383,17 @@ def split_numerator_reference(weight, elements, qmax):
 
 
 def over_d_plus_reference(n, g, qmax, zpoint):
-    """A key dict of `split_numerator_reference` through `_pinned`, over D+,
-    the product of the (1 - y) of q-degree >= 1, inverted once as a
+    """A key dict of `split_numerator_reference` through `tuple_pinned`,
+    over D+, the product of the (1 - y) of q-degree >= 1, inverted once as a
     TruncatedSeries whose coefficients come back over their lcm E."""
-    mul, one = affine_hl._mul_terms, (0,) * (n + 2)
+    mul, one = tuple_mul_terms, (0,) * (n + 2)
     den = {one: 1}
     for _, m, e in affine_hl._roots(n, qmax):
         if m:
             den = mul(den, ((1, one), (-1, (m, 0) + e)), {}, qmax)
-    inv = affine_hl._series(*affine_hl._pinned(den, zpoint), qmax,
-                            zpoint).invert()
-    dens = {q: c.den.terms[Monomial.unit()].c[0] for q, c in inv.coeffs.items()}
-    E = math.lcm(*dens.values())
-    inverse = [(v * (E // dens[q]), (q, d) + tuple(
-                   m.exp_of(zvar(r)) for r in range(1, n) if zpoint is None))
-               for q, c in inv.coeffs.items()
-               for m, tp in c.num.terms.items() for d, v in tp.c.items()]
-    num, D = affine_hl._pinned(g, zpoint)
-    return affine_hl._series(mul(num, inverse, {}, qmax), D * E, qmax, zpoint)
+    inverse, E = tuple_d_plus_inverse(n, den, qmax, zpoint)
+    num, D = tuple_pinned(g, zpoint)
+    return tuple_series(mul(num, inverse, {}, qmax), D * E, qmax, zpoint)
 
 
 def lhs_split_reference(weight, qmax, zpoint):
@@ -1171,7 +1403,7 @@ def lhs_split_reference(weight, qmax, zpoint):
     g = split_numerator_reference(
         weight, coset_representatives(weight, qmax), qmax)
     for i in [i for k in range(1, weight.n) for i in range(k, 0, -1)]:
-        g = _pi_step(g, i, weight.a[i])
+        g = tuple_pi_step(g, i, weight.a[i])
     return over_d_plus_reference(weight.n, g, qmax, zpoint)
 
 
@@ -1229,15 +1461,17 @@ def nonzero(g):
     return {k: v for k, v in g.items() if v}
 
 
-def hecke(g, i, a_i, qmax):
-    """T_i g = e^{-lam} pi_i(e^lam (1 - t y_i) g) - g on a key dict, y_i =
-    e^{-alpha_i}, a_i = <lam, alpha_i>: the Demazure-Lusztig operator."""
-    n = len(next(iter(g))) - 2
-    one = (0,) * (n + 2)
-    ty = (0, 1) + tuple((r == i) - (r == i - 1) for r in range(n))
-    out = _pi_step(affine_hl._mul_terms(g, ((1, one), (-1, ty)), {}, qmax),
-                   i, a_i)
-    return nonzero(affine_hl._mul_terms(g, ((-1, one),), out, qmax))
+def hecke(g, i, a_i, n, width, qmax):
+    """T_i g = e^{-lam} pi_i(e^lam (1 - t y_i) g) - g on a packed key dict,
+    y_i = e^{-alpha_i}, a_i = <lam, alpha_i>: the Demazure-Lusztig
+    operator."""
+    limit = qmax + 1 << width * (n + 1)
+    ty = affine_hl._shift(width, 0, 1,
+                          [(r == i) - (r == i - 1) for r in range(n)])
+    out = affine_hl._pi_step(
+        n, width, affine_hl._mul_terms(g, ((1, 0), (-1, ty)), {}, limit),
+        i, a_i)
+    return nonzero(affine_hl._mul_terms(g, ((-1, 0),), out, limit))
 
 
 def add_dicts(*gs):
@@ -1273,22 +1507,23 @@ def test_hecke_sum_matches_every_reduced_word(monkeypatch):
     steps = Counter()
     original = affine_hl._pi_step
 
-    def spy(g, i, a_i):
+    def spy(n, width, g, i, a_i):
         steps[i] += 1
-        return original(g, i, a_i)
+        return original(n, width, g, i, a_i)
 
     words_seen = 0
     for weight, qmax in ((AffineWeight(3, (1, 0, 0)), 3),
                          (AffineWeight(3, (0, 2, 1)), 2),
                          (AffineWeight(4, (1, 0, 0, 0)), 2),
                          (AffineWeight(4, (0, 1, 1, 0)), 1)):
-        n = weight.n
+        n, width = weight.n, affine_hl._width(weight, qmax)
         words = reduced_words(n)
         assert len(words) == math.factorial(n)
         F = {}
         for rep in coset_representatives(weight, qmax):
-            affine_hl._mul_terms(affine_hl._numerator(weight, rep, qmax),
-                                 ((1, (0,) * (n + 2)),), F, qmax)
+            affine_hl._mul_terms(
+                affine_hl._numerator(weight, rep, qmax, width), ((1, 0),), F,
+                qmax + 1 << width * (n + 1))
         F = nonzero(F)
         total = []
         for w, ws in words.items():
@@ -1296,12 +1531,12 @@ def test_hecke_sum_matches_every_reduced_word(monkeypatch):
             for word in ws:
                 g = F
                 for i in reversed(word):
-                    g = hecke(g, i, weight.a[i], qmax)
+                    g = hecke(g, i, weight.a[i], n, width, qmax)
                 images.append(g)
             assert all(g == images[0] for g in images), (w, ws)
             total.append(images[0])
             words_seen += len(ws)
-        want = affine_hl._over_den(n, add_dicts(*total), qmax, None)
+        want = affine_hl._over_den(n, width, add_dicts(*total), qmax, None)
         steps.clear()
         monkeypatch.setattr(affine_hl, "_pi_step", spy)
         got = lhs_series(weight, qmax)
@@ -1315,23 +1550,26 @@ def test_hecke_sum_matches_every_reduced_word(monkeypatch):
 
 def test_hecke_operators_satisfy_the_quadratic_and_braid_relations():
     # (T_i - t)(T_i + 1) = 0, T_i T_{i+1} T_i = T_{i+1} T_i T_{i+1} and
-    # T_1 T_3 = T_3 T_1 on seeded key dicts at n = 4, each a_i from 0 to 2;
-    # qmax is above every q-degree, so nothing is truncated
+    # T_1 T_3 = T_3 T_1 on seeded key dicts at n = 4, each a_i from 0 to 2,
+    # packed in 8-bit fields; qmax is above every q-degree, so nothing is
+    # truncated
     rng = random.Random(3607)
-    qmax, n = 10, 4
+    qmax, n, width = 10, 4, 8
     for trial in range(6):
         a = [None] + [rng.randint(0, 2) for _ in range(n - 1)]
-        g = nonzero({(rng.randint(0, 2), rng.randint(0, 3),
-                      *(rng.randint(-3, 3) for _ in range(n))):
-                     rng.choice([-3, -1, 1, 2, 5]) for _ in range(8)})
+        g = nonzero(packed({(rng.randint(0, 2), rng.randint(0, 3),
+                             *(rng.randint(-3, 3) for _ in range(n))):
+                            rng.choice([-3, -1, 1, 2, 5]) for _ in range(8)},
+                           width))
         assert len(g) >= 6
 
         def T(i, h):
-            return hecke(h, i, a[i], qmax)
+            return hecke(h, i, a[i], n, width, qmax)
 
         for i in range(1, n):
             u = add_dicts(T(i, g), g)                     # (T_i + 1) g
-            tu = affine_hl._mul_terms(u, ((1, (0, 1) + (0,) * n),), {}, qmax)
+            tu = affine_hl._mul_terms(u, ((1, 1 << width * n),), {},
+                                      qmax + 1 << width * (n + 1))
             assert add_dicts(T(i, u), {k: -v for k, v in tu.items()}) == {}
             assert T(i, g) != g
         for i in range(1, n - 1):
@@ -1343,21 +1581,23 @@ def test_weyl_numerator_applies_each_unflipped_root_once(monkeypatch):
     # no representative multiplies a root it does not flip: its numerator
     # takes (t - y) for each root of q-degree <= qmax that it flips, and
     # sum_j (t y)^j for each of those of q-degree >= 1, and nothing else.
-    # The (1 - t y) of every root of q-degree 1..qmax enters once a call,
-    # in S, which `_over_den` builds in the loop that builds D+
+    # The (1 - t y) of every root of q-degree 1..qmax enters once, in S,
+    # which `_s_over_d` builds and caches per (n, qmax, width), so the
+    # cache is emptied before each weight.  Shifts are read unpacked
     calls = []
     original_mul, original_numerator = affine_hl._mul_terms, \
         affine_hl._numerator
 
-    def spy_mul(g, terms, out, qmax):
-        calls.append((sys._getframe(1).f_code.co_name, tuple(terms)))
-        return original_mul(g, terms, out, qmax)
+    def spy_mul(g, terms, out, limit):
+        calls.append((sys._getframe(1).f_code.co_name, tuple(
+            (c, unshift(n, width, shift)) for c, shift in terms)))
+        return original_mul(g, terms, out, limit)
 
     per_element = []
 
-    def spy_numerator(weight, element, qmax):
+    def spy_numerator(weight, element, qmax, width):
         start = len(calls)
-        out = original_numerator(weight, element, qmax)
+        out = original_numerator(weight, element, qmax, width)
         per_element.append((element, calls[start:]))
         return out
 
@@ -1368,8 +1608,10 @@ def test_weyl_numerator_applies_each_unflipped_root_once(monkeypatch):
              (AffineWeight(5, (1, 0, 0, 0, 0)), 2)]
     for weight, qmax in cases:
         n, t = weight.n, (0, 1) + (0,) * weight.n
+        width = affine_hl._width(weight, qmax)
         calls.clear()
         per_element.clear()
+        affine_hl._s_over_d.cache_clear()
         lhs_series(weight, qmax)
         reps = coset_representatives(weight, qmax)
         assert [e for e, _ in per_element] == reps
@@ -1386,7 +1628,7 @@ def test_weyl_numerator_applies_each_unflipped_root_once(monkeypatch):
             assert all(c == 1 for terms in series for c, _ in terms)
             assert all(who == "_numerator" for who, _ in made)
         s_factors = Counter(terms[1][1] for who, terms in calls
-                            if who == "_over_den" and len(terms) == 2
+                            if who == "_s_over_d" and len(terms) == 2
                             and terms[1][1][1] == 1)
         assert s_factors == Counter((m, 1) + e for _, m, e
                                     in affine_hl._roots(n, qmax) if m)
@@ -1403,10 +1645,10 @@ def test_weyl_numerator_integers_stay_small():
     # reached 332,175 bits, one common denominator for them 5,407 bits and
     # the unreduced one 2,509
     weight = AffineWeight(4, (1, 0, 0, 0))
-    numer = {}
+    numer, width = {}, affine_hl._width(weight, 4)
     for rep in coset_representatives(weight, 4):
-        affine_hl._mul_terms(affine_hl._numerator(weight, rep, 4),
-                             ((1, (0,) * 6),), numer, 4)
+        affine_hl._mul_terms(affine_hl._numerator(weight, rep, 4, width),
+                             ((1, 0),), numer, 5 << width * 5)
     numer = nonzero(numer)
     assert numer and max(abs(v).bit_length() for v in numer.values()) < 16
     lhs = lhs_series(weight, 4, zpoint=random_zpoint(4, random.Random(5)))
@@ -1515,8 +1757,13 @@ def test_pi_step_is_the_defining_quotient():
     # e^-lam pi_i(e^lam g) against (f - y s_i f) / (1 - y), f = e^lam g,
     # y = e^{-alpha_i}, by exact division: single monomials with
     # d = <lam + mu, alpha_i> from -4 to 4, at both positions and with
-    # a_i = <lam, alpha_i> = 0 and 2, then a seeded sum of 12 terms
+    # a_i = <lam, alpha_i> = 0 and 2, then a seeded sum of 12 terms; the
+    # keys are packed in 8-bit fields and read back unpacked
     rng = random.Random(2033)
+
+    def step(g, i, a_i):
+        n = len(next(iter(g))) - 2
+        return unpacked(_pi_step(n, 8, packed(g, 8), i, a_i), n, 8)
 
     def quotient(g, i, lam):
         f = eps_laurent(g, lam)
@@ -1534,7 +1781,7 @@ def test_pi_step_is_the_defining_quotient():
                 eps[i - 1] = eps[i] + d - a_i
                 g = {(rng.randint(0, 3), rng.randint(0, 2), *eps):
                      rng.choice([-3, 2, 5])}
-                got = _pi_step(g, i, a_i)
+                got = step(g, i, a_i)
                 assert eps_laurent(got, lam) == quotient(g, i, lam), (i, d)
                 assert (got == {}) == (d == -1), (i, d)
     g = {(rng.randint(0, 2), rng.randint(0, 3),
@@ -1545,7 +1792,7 @@ def test_pi_step_is_the_defining_quotient():
     for i in (1, 2, 3):
         lam = [0] * 4
         lam[i] = -1                     # <lam, alpha_i> = 1
-        assert eps_laurent(_pi_step(g, i, 1), lam) == quotient(g, i, lam), i
+        assert eps_laurent(step(g, i, 1), lam) == quotient(g, i, lam), i
 
 
 def test_zvar_and_zq_of_shift_tables():
@@ -1597,15 +1844,72 @@ def test_coeff_table():
 def test_affine_sides_call_no_common_function(src_calls):
     # criterion 7: the basis sum and the Weyl side share no function but
     # the ring kernels and five conventions: the variable names, the shift
-    # monomial, the z-evaluation, the output packaging and the domain check
+    # monomial, the z-evaluation, the output packaging and the domain check.
+    # The packed keys are the Weyl side's alone
     allowed = {"zvar", "zq_of_shift", "_zsplit", "_coeff", "_check_domain"}
+    packing = {f.__code__ for f in (affine_hl._width, affine_hl._pack,
+                                    affine_hl._shift, affine_hl._unpack)}
     weight = AffineWeight(3, (1, 0, 0))
     for zpoint in (None, random_zpoint(3, random.Random(5))):
         basis = src_calls(rhs_series, weight, 2, None, zpoint)
         weyl = src_calls(lhs_series, weight, 2, None, zpoint)
         assert {enumerate_pi.__code__, rhs_table.__code__} <= basis
         assert _pi_step.__code__ in weyl
+        assert packing <= weyl and not packing & basis
         shared = {c.co_qualname for c in basis & weyl
                   if c.co_filename != ring.__file__}
         assert shared and not {q for q in shared
                                if q.split(".")[0] not in allowed}, shared
+
+
+def test_a_second_rhs_table_call_builds_no_table(monkeypatch):
+    # enumerate_pi's dynamic-program table depends on the weight and qmax
+    # alone: the first call on a weight builds it, a second builds none and
+    # gives equal rows
+    built = []
+    original = affine_hl._pi_table.__wrapped__
+
+    def spy(a, qmax):
+        built.append((a, qmax))
+        return original(a, qmax)
+
+    monkeypatch.setattr(affine_hl, "_pi_table", functools.lru_cache(
+        maxsize=affine_hl.CACHE_LIMIT)(spy))
+    for weight, qmax in ((L01, 5), (AffineWeight(3, (1, 0, 1)), 2),
+                         (AffineWeight(4, (1, 0, 0, 0)), 2)):
+        first = rhs_table(weight, qmax)
+        assert built[-1] == (weight.a, qmax)
+        count = len(built)
+        assert rhs_table(weight, qmax) == first and len(built) == count
+    assert len(built) == 3
+
+
+def test_affine_caches_stay_bounded(monkeypatch):
+    # the enumerate_pi table and S/D+ are lru_caches of CACHE_LIMIT
+    # entries; the results do not depend on the limit
+    names = ("_pi_table", "_s_over_d")
+    assert all(getattr(affine_hl, name).cache_info().maxsize ==
+               affine_hl.CACHE_LIMIT for name in names)
+    rng = random.Random(29)
+    cases = [(w, 3, None) for w in small_weights(2, 2)]
+    cases += [(w, 1, random_zpoint(3, rng)) for w in small_weights(3, 1)]
+    cases += [(L01, 3, None), (AffineWeight(3, (1, 0, 0)), 1, None)]
+
+    def run(limit):
+        caches = {name: functools.lru_cache(maxsize=limit)(
+            getattr(affine_hl, name).__wrapped__) for name in names}
+        for name, cache in caches.items():
+            monkeypatch.setattr(affine_hl, name, cache)
+        out, peak = [], 0
+        for weight, qmax, zpoint in cases:
+            out.append((str(lhs_series(weight, qmax, zpoint=zpoint)),
+                        str(rhs_series(weight, qmax, zpoint=zpoint)),
+                        rhs_table(weight, qmax)))
+            peak = max(peak, *(c.cache_info().currsize
+                               for c in caches.values()))
+        return out, peak
+
+    expect, unbounded_peak = run(affine_hl.CACHE_LIMIT)
+    assert unbounded_peak > 2
+    got, peak = run(2)
+    assert got == expect and peak <= 2

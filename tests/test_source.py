@@ -168,6 +168,29 @@ def test_no_module_level_name_in_src_is_bound_to_an_empty_container():
     assert not found, found
 
 
+def test_no_src_cache_is_unbounded():
+    """Caches are bounded (aim 3): no `functools.cache`, and no `lru_cache`
+    with maxsize None, by keyword or by position."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "cache" and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id == "functools" or \
+                    isinstance(node, ast.ImportFrom) and \
+                    node.module == "functools" and \
+                    any(alias.name == "cache" for alias in node.names):
+                found.append(f"{path.name}:{node.lineno}: functools.cache")
+            elif isinstance(node, ast.Call) and \
+                    _call_name(node) == "lru_cache":
+                sizes = node.args[:1] + [k.value for k in node.keywords
+                                         if k.arg == "maxsize"]
+                if any(isinstance(v, ast.Constant) and v.value is None
+                       for v in sizes):
+                    found.append(f"{path.name}:{node.lineno}: maxsize None")
+    assert not found, found
+
+
 # the names in src that only the tests call: the independent oracles that
 # the tests check the program's routes against
 ORACLES = {"apply_G", "p_weight_via_delta", "solve_affine", "sigma_relint_cone",
